@@ -67,6 +67,39 @@ BM_GmlakeAllocateFree(benchmark::State &state)
 BENCHMARK(BM_GmlakeAllocateFree)->Arg(4096)->Arg(2_MiB)->Arg(64_MiB);
 
 void
+BM_GmlakeExactHitDeepPool(benchmark::State &state)
+{
+    // S1 hits against N equal-size inactive pBlocks freed on three
+    // streams. Requests rotate over the streams, so each hit passes
+    // the blocks the other streams freed within the event lag; the
+    // cost of a hit must not grow with the pool.
+    vmm::Device dev(bigDevice());
+    core::GMLakeAllocator allocator(dev);
+    const auto blocks = static_cast<std::size_t>(state.range(0));
+    constexpr StreamId kStreams = 3;
+    std::vector<alloc::AllocId> ids;
+    ids.reserve(blocks);
+    for (std::size_t i = 0; i < blocks; ++i) {
+        const auto stream = static_cast<StreamId>(1 + i % kStreams);
+        ids.push_back(allocator.allocate(8_MiB, stream).value().id);
+    }
+    for (const alloc::AllocId id : ids)
+        (void)allocator.deallocate(id);
+
+    StreamId s = 0;
+    for (auto _ : state) {
+        const auto a = allocator.allocate(8_MiB, 1 + s);
+        benchmark::DoNotOptimize(a.value().addr);
+        (void)allocator.deallocate(a->id);
+        s = (s + 1) % kStreams;
+    }
+    state.counters["blocks"] = static_cast<double>(blocks);
+    state.counters["s1_hits"] =
+        static_cast<double>(allocator.strategy().s1ExactMatch);
+}
+BENCHMARK(BM_GmlakeExactHitDeepPool)->Arg(64)->Arg(512)->Arg(4096);
+
+void
 BM_GmlakeStitchPath(benchmark::State &state)
 {
     // Force the S3 stitch path every iteration: two cached fragments

@@ -49,6 +49,14 @@ class SizeListPool
             [](const SizedEntry *e, Bytes b) { return e->size > b; });
     }
 
+    /** First entry of exactly @p size (the lowest index), or null. */
+    const SizedEntry *
+    exact(Bytes size) const
+    {
+        const auto it = lower_bound(size);
+        return it != end() && (*it)->size == size ? *it : nullptr;
+    }
+
   private:
     std::vector<SizedEntry> mEntries;
     std::vector<const SizedEntry *> mRefs;
@@ -62,20 +70,30 @@ bestFit(Bytes bSize, const std::vector<Bytes> &sBlockSizes,
 {
     const SizeListPool sPool(sBlockSizes, "sBlock");
     const SizeListPool pPool(pBlockSizes, "pBlock");
-    std::vector<const SizedEntry *> candidates;
-    const auto fit = bestFitOverPools(
-        bSize, sPool, pPool, fragLimit,
-        [](const SizedEntry *) { return true; },
-        [](const SizedEntry *) { return true; }, candidates);
 
+    // S1: exact match, the only state allowed to return an sBlock
+    // (Algorithm 1, lines 2-4); an sBlock first, then a pBlock.
     FitResult result;
-    result.state = fit.state;
-    result.candidateBytes = fit.candidateBytes;
-    if (fit.sBlock != nullptr) {
+    if (const SizedEntry *s = sPool.exact(bSize)) {
+        result.state = FitState::exactMatch;
         result.useSBlock = true;
-        result.sIndex = fit.sBlock->index;
+        result.sIndex = s->index;
+        result.candidateBytes = bSize;
         return result;
     }
+    if (const SizedEntry *p = pPool.exact(bSize)) {
+        result.state = FitState::exactMatch;
+        result.pIndices.push_back(p->index);
+        result.candidateBytes = bSize;
+        return result;
+    }
+
+    std::vector<const SizedEntry *> candidates;
+    const auto fit = bestFitOverPools(
+        bSize, pPool, fragLimit, [](const SizedEntry *) { return true; },
+        candidates);
+    result.state = fit.state;
+    result.candidateBytes = fit.candidateBytes;
     result.pIndices.reserve(candidates.size());
     for (const SizedEntry *e : candidates)
         result.pIndices.push_back(e->index);

@@ -1,15 +1,17 @@
 /**
  * @file
- * Algorithm 1 of the paper: the BestFit candidate search over the
- * inactive sBlocks and pBlocks.
+ * Algorithm 1 of the paper: the BestFit candidate search.
  *
- * The search runs directly over the allocator's sorted pools
- * (bestFitOverPools): candidates come back as block pointers, the
- * caller provides the candidate vector as reusable scratch, and
- * eligibility is a predicate evaluated during the walk — so a miss
- * costs work proportional to the candidate set, not the pool, and
- * allocates nothing. A size-list adapter (bestFit) keeps the
- * original pure-function surface for exhaustive unit testing.
+ * The allocator answers S1 (exact match) from its recency index
+ * before it searches, so the pool search (bestFitOverPools) starts at
+ * S2 and runs directly over the allocator's sorted pBlock pool:
+ * candidates come back as block pointers, the caller provides the
+ * candidate vector as reusable scratch, and eligibility is a
+ * predicate evaluated during the walk — so a miss costs work
+ * proportional to the candidate set, not the pool, and allocates
+ * nothing. A size-list adapter (bestFit) keeps the original
+ * pure-function surface of all four states for exhaustive unit
+ * testing.
  */
 
 #ifndef GMLAKE_CORE_BEST_FIT_HH
@@ -34,77 +36,51 @@ enum class FitState
 };
 
 /**
- * Result of the pool-based search. The pBlock candidates live in the
- * caller-provided scratch vector; only the classification, the
- * (S1-only) sBlock hit, and the candidate total live here.
+ * Result of the pool-based search (S2-S4). The pBlock candidates live
+ * in the caller-provided scratch vector; only the classification and
+ * the candidate total live here.
  */
-template <typename SPtr>
 struct PoolFitResult
 {
     FitState state = FitState::insufficient;
-    /** S1 only: the exact-match sBlock, else nullptr. */
-    SPtr sBlock = nullptr;
     /** Total size of the candidates in the scratch vector. */
     Bytes candidateBytes = 0;
 };
 
 /**
- * Run Algorithm 1 over two sorted pools.
+ * Run Algorithm 1 past S1 over a sorted pBlock pool.
  *
- * Pool requirements (both): iteration yields pointer-like handles
- * with a `size` member, in descending size order with a
- * deterministic tie order; `lower_bound(Bytes)` returns the first
- * element whose size is <= the key (the natural heterogeneous
- * lookup of a size-descending comparator). std::set with a
- * transparent descending comparator and the allocator's inactive
- * pools satisfy this directly.
+ * Pool requirements: iteration yields pointer-like handles with a
+ * `size` member, in descending size order with a deterministic tie
+ * order; `lower_bound(Bytes)` returns the first element whose size is
+ * <= the key (the natural heterogeneous lookup of a size-descending
+ * comparator). std::set with a transparent descending comparator and
+ * the allocator's inactive pools satisfy this directly.
+ *
+ * The caller answers S1 first: the pool holds no eligible block of
+ * exactly @p bSize. S1 is also the only state that may hand out an
+ * sBlock, so sBlocks never enter this search.
  *
  * @param bSize requested block size (already chunk-rounded)
- * @param sPool inactive sBlocks; only consulted for exact matches
- * @param pPool inactive pBlocks
+ * @param pool inactive pBlocks
  * @param fragLimit pBlocks smaller than this are skipped when
  *        accumulating multi-block candidates (0 disables the limit;
- *        exact matches and exact-sum swaps are always taken)
- * @param sEligible / pEligible predicates deciding whether a block
- *        may serve this request (stream reuse rules, sharer
- *        preferences); ineligible blocks are skipped in place
+ *        exact-sum swaps are always taken)
+ * @param eligible predicate deciding whether a block may serve this
+ *        request (stream reuse rules); ineligible blocks are skipped
+ *        in place
  * @param candidates caller-owned scratch, cleared on entry; holds
  *        the selected pBlock candidates on return (all states)
  */
-template <typename SPool, typename PPool, typename SElig,
-          typename PElig>
-PoolFitResult<typename SPool::value_type>
-bestFitOverPools(Bytes bSize, const SPool &sPool, const PPool &pPool,
-                 Bytes fragLimit, SElig &&sEligible,
-                 PElig &&pEligible,
-                 std::vector<typename PPool::value_type> &candidates)
+template <typename Pool, typename Elig>
+PoolFitResult
+bestFitOverPools(Bytes bSize, const Pool &pool, Bytes fragLimit,
+                 Elig &&eligible,
+                 std::vector<typename Pool::value_type> &candidates)
 {
-    PoolFitResult<typename SPool::value_type> result;
+    PoolFitResult result;
     candidates.clear();
-
-    // S1: exact match, the only state allowed to return an sBlock
-    // (Algorithm 1, lines 2-4). Equal-size runs sit contiguously
-    // after lower_bound; the first eligible block of the run (the
-    // lowest-id one) wins.
-    for (auto it = sPool.lower_bound(bSize);
-         it != sPool.end() && (*it)->size == bSize; ++it) {
-        if (sEligible(*it)) {
-            result.state = FitState::exactMatch;
-            result.sBlock = *it;
-            result.candidateBytes = bSize;
-            return result;
-        }
-    }
-    const auto firstNotLarger = pPool.lower_bound(bSize);
-    for (auto it = firstNotLarger;
-         it != pPool.end() && (*it)->size == bSize; ++it) {
-        if (pEligible(*it)) {
-            result.state = FitState::exactMatch;
-            candidates.push_back(*it);
-            result.candidateBytes = bSize;
-            return result;
-        }
-    }
+    const auto firstNotLarger = pool.lower_bound(bSize);
 
     // Lines 5-15, S2 half: the smallest eligible pBlock that still
     // fits. The forward scan of Algorithm 1 keeps overwriting its
@@ -112,11 +88,9 @@ bestFitOverPools(Bytes bSize, const SPool &sPool, const PPool &pPool,
     // request block; walking backward from the partition point finds
     // the same block while only touching the trailing ineligible
     // run.
-    for (auto it = firstNotLarger; it != pPool.begin();) {
+    for (auto it = firstNotLarger; it != pool.begin();) {
         --it;
-        if (pEligible(*it)) {
-            GMLAKE_ASSERT((*it)->size > bSize,
-                          "exact sizes are handled in S1");
+        if (eligible(*it)) {
             candidates.push_back(*it);
             result.candidateBytes = (*it)->size;
             result.state = FitState::singleBlock;
@@ -128,10 +102,12 @@ bestFitOverPools(Bytes bSize, const SPool &sPool, const PPool &pPool,
     // accumulate smaller blocks until the sum suffices. The
     // fragmentation limit (Section 4.2.3) excludes blocks that
     // stitching must never touch.
-    for (auto it = firstNotLarger; it != pPool.end(); ++it) {
+    for (auto it = firstNotLarger; it != pool.end(); ++it) {
         const auto p = *it;
-        if (!pEligible(p))
+        if (!eligible(p))
             continue;
+        GMLAKE_ASSERT(p->size < bSize,
+                      "exact matches are answered before BestFit");
         if (fragLimit != 0 && p->size < fragLimit)
             continue;
         candidates.push_back(p);
@@ -150,9 +126,9 @@ bestFitOverPools(Bytes bSize, const SPool &sPool, const PPool &pPool,
         const Bytes lastSize = candidates.back()->size;
         const Bytes needLast =
             bSize - (result.candidateBytes - lastSize);
-        for (auto it = pPool.lower_bound(needLast);
-             it != pPool.end() && (*it)->size == needLast; ++it) {
-            if (pEligible(*it)) {
+        for (auto it = pool.lower_bound(needLast);
+             it != pool.end() && (*it)->size == needLast; ++it) {
+            if (eligible(*it)) {
                 candidates.back() = *it;
                 result.candidateBytes = bSize;
                 break;
@@ -181,8 +157,10 @@ struct FitResult
 };
 
 /**
- * Size-list adapter over bestFitOverPools: the pure-function surface
- * the unit tests exercise exhaustively.
+ * Size-list adapter: answers S1 over the size lists (the first
+ * exact-size sBlock, else the first exact-size pBlock), then runs
+ * bestFitOverPools — the pure-function surface the unit tests
+ * exercise exhaustively.
  *
  * @param bSize requested block size (already chunk-rounded)
  * @param sBlockSizes inactive, eligible sBlock sizes, descending

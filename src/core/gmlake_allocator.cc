@@ -131,7 +131,7 @@ GMLakeAllocator::allocPBlock(Bytes size, StreamId stream)
 
     block->id = mNextBlockId++;
     block->va = *va;
-    block->size = size;
+    setSize(block, size);
     block->active = false;
     block->resident = true;
     block->lastUse = mDevice.now();
@@ -169,7 +169,7 @@ GMLakeAllocator::releasePBlock(PBlock *block)
     GMLAKE_ASSERT(s.ok(), "pBlock addressFree failed");
 
     eraseInactiveP(block);
-    mPPool.release(block);
+    freeNode(block, mPPool);
 }
 
 Expected<GMLakeAllocator::PBlock *>
@@ -233,7 +233,7 @@ GMLakeAllocator::splitPBlock(PBlock *block, Bytes sizeA)
         PBlock *half = mPPool.acquire();
         half->id = mNextBlockId++;
         half->va = *va;
-        half->size = size;
+        setSize(half, size);
         half->chunks.assign(
             block->chunks.begin() +
                 static_cast<std::ptrdiff_t>(chunkOffset),
@@ -262,7 +262,7 @@ GMLakeAllocator::splitPBlock(PBlock *block, Bytes sizeA)
         s = mDevice.memAddressFree(a->va);
         GMLAKE_ASSERT(s.ok(), "split rollback addressFree failed");
         eraseInactiveP(a);
-        mPPool.release(a);
+        freeNode(a, mPPool);
         noteRollback();
         return halfB.error();
     }
@@ -275,7 +275,7 @@ GMLakeAllocator::splitPBlock(PBlock *block, Bytes sizeA)
     s = mDevice.memAddressFree(block->va);
     GMLAKE_ASSERT(s.ok(), "split retire addressFree failed");
     eraseInactiveP(block);
-    mPPool.release(block);
+    freeNode(block, mPPool);
 
     if (auto *r = obs::active()) {
         r->instant(obs::EvName::split, obs::EventCat::alloc,
@@ -360,12 +360,12 @@ GMLakeAllocator::stitch(const std::vector<PBlock *> &members,
     SBlock *sblock = mSPool.acquire();
     sblock->id = mNextBlockId++;
     sblock->va = *va;
-    sblock->size = total;
+    setSize(sblock, total);
     sblock->members = members;
     sblock->active = false;
     sblock->lastUse = mDevice.now();
     sblock->stream = stream;
-    mInactiveS.insert(sblock);
+    insertInactiveS(sblock);
     for (PBlock *m : members) {
         // Empty -> non-empty sharer transition: the member leaves
         // the unshared index (it is inactive, asserted above).
@@ -416,8 +416,8 @@ GMLakeAllocator::destroySBlock(SBlock *sblock)
             mInactivePFree.insert(m);
     }
     mStitchedVaBytes -= sblock->size;
-    mInactiveS.erase(sblock);
-    mSPool.release(sblock);
+    eraseInactiveS(sblock);
+    freeNode(sblock, mSPool);
 }
 
 bool
@@ -745,14 +745,14 @@ GMLakeAllocator::markSActive(SBlock *sblock, bool active)
 {
     if (active) {
         GMLAKE_ASSERT(!sblock->active, "double-activation of sBlock");
-        mInactiveS.erase(sblock);
+        eraseInactiveS(sblock);
         sblock->active = true;
         for (PBlock *m : sblock->members)
             markPActive(m, true);
     } else {
         sblock->active = false;
         sblock->lastUse = mDevice.now();
-        mInactiveS.insert(sblock);
+        insertInactiveS(sblock);
         for (PBlock *m : sblock->members)
             markPActive(m, false);
     }
@@ -907,32 +907,27 @@ GMLakeAllocator::allocateLargeInner(Bytes size, StreamId stream,
         // MRU candidate (rather than an arbitrary one) makes the
         // block-to-request assignment stable across the repeating
         // iterations of DNN training, which is what lets the pattern
-        // tape of Section 4.2.2 converge instead of oscillating.
+        // tape of Section 4.2.2 converge instead of oscillating. S1
+        // is answered here only: BestFit below tests the same
+        // eligibility on subsets of these blocks, so it cannot find
+        // an exact match this walk missed.
         {
-            // Scan all cached blocks in [rounded, rounded + slack],
-            // preferring the tightest size, then the most recent.
-            // (Heterogeneous lookup: lower_bound(Bytes) lands on the
-            // first block whose size is <= the key.)
+            // Walk the size classes in [rounded, rounded + slack]
+            // upward: the first with an eligible block holds the
+            // tightest fit, and each list is entered at its most
+            // recent end.
             SBlock *sHit = nullptr;
-            for (auto it = mInactiveS.lower_bound(rounded + slack);
-                 it != mInactiveS.end() && (*it)->size >= rounded;
-                 ++it) {
-                if (eligible(**it, stream) &&
-                    (!sHit || (*it)->size < sHit->size ||
-                     ((*it)->size == sHit->size &&
-                      (*it)->lastUse > sHit->lastUse)))
-                    sHit = *it;
-            }
             PBlock *pHit = nullptr;
-            for (auto it = mInactiveP.lower_bound(rounded + slack);
-                 it != mInactiveP.end() && (*it)->size >= rounded;
+            for (auto it = mClasses.lower_bound(rounded);
+                 it != mClasses.end() && it->first <= rounded + slack &&
+                 sHit == nullptr && pHit == nullptr;
                  ++it) {
-                if (!streamOk((*it)->stream, (*it)->lastUse, stream))
-                    continue;
-                if (!pHit || (*it)->size < pHit->size ||
-                    ((*it)->size == pHit->size &&
-                     (*it)->lastUse > pHit->lastUse))
-                    pHit = *it;
+                sHit = it->second.s.mostRecent([&](const SBlock *s) {
+                    return eligible(*s, stream);
+                });
+                pHit = it->second.p.mostRecent([&](const PBlock *p) {
+                    return streamOk(p->stream, p->lastUse, stream);
+                });
             }
             if (sHit || pHit) {
                 ++mCounters.s1ExactMatch;
@@ -940,11 +935,10 @@ GMLakeAllocator::allocateLargeInner(Bytes size, StreamId stream,
                 const alloc::AllocId id = mNextAllocId++;
                 Live live;
                 live.requested = size;
+                // One size: the sBlock wins unless the pBlock is
+                // strictly more recent.
                 const bool useS =
-                    sHit &&
-                    (!pHit || sHit->size < pHit->size ||
-                     (sHit->size == pHit->size &&
-                      sHit->lastUse >= pHit->lastUse));
+                    sHit && (!pHit || sHit->lastUse >= pHit->lastUse);
                 if (useS) {
                     // Activate first: active blocks are invisible to
                     // cache trims, so the fault-in's own reclaim
@@ -986,9 +980,6 @@ GMLakeAllocator::allocateLargeInner(Bytes size, StreamId stream,
         const Bytes fragLimit = mConfig.enableStitching
                                     ? mConfig.fragLimit
                                     : ~Bytes{0};
-        auto sEligible = [&](const SBlock *s) {
-            return mConfig.enableStitching && eligible(*s, stream);
-        };
         auto pEligible = [&](const PBlock *p) {
             return streamOk(p->stream, p->lastUse, stream);
         };
@@ -1000,53 +991,14 @@ GMLakeAllocator::allocateLargeInner(Bytes size, StreamId stream,
         // cached composition over it, which would force the
         // repeating training pattern to re-stitch each iteration;
         // preferring unshared blocks keeps the pattern tape intact.
-        auto fit = bestFitOverPools(rounded, mInactiveS,
-                                    mInactivePFree, fragLimit,
-                                    sEligible, pEligible,
-                                    mScratch->fitCandidates);
+        auto fit = bestFitOverPools(rounded, mInactivePFree, fragLimit,
+                                    pEligible, mScratch->fitCandidates);
         if (fit.state == FitState::insufficient) {
-            fit = bestFitOverPools(rounded, mInactiveS, mInactiveP,
-                                   fragLimit, sEligible, pEligible,
-                                   mScratch->fitCandidates);
+            fit = bestFitOverPools(rounded, mInactiveP, fragLimit,
+                                   pEligible, mScratch->fitCandidates);
         }
 
         switch (fit.state) {
-          case FitState::exactMatch: {
-            ++mCounters.s1ExactMatch;
-            notePhase(obs::AllocPhase::s1ExactMatch, rounded);
-            const alloc::AllocId id = mNextAllocId++;
-            Live live;
-            live.requested = size;
-            if (fit.sBlock != nullptr) {
-                SBlock *s = fit.sBlock;
-                markSActive(s, true);
-                if (const Status st = ensureResident(s); !st.ok()) {
-                    markSActive(s, false);
-                    ++mCounters.s5Oom;
-                    return st.error();
-                }
-                s->stream = stream;
-                for (PBlock *m : s->members)
-                    m->stream = stream;
-                live.s = s;
-                mLive.emplace(id, live);
-                mStats.onAllocate(s->size);
-                return alloc::Allocation{id, size, s->va};
-            }
-            PBlock *p = mScratch->fitCandidates.front();
-            markPActive(p, true);
-            if (const Status st = ensureResident(p); !st.ok()) {
-                markPActive(p, false);
-                ++mCounters.s5Oom;
-                return st.error();
-            }
-            p->stream = stream;
-            live.p = p;
-            mLive.emplace(id, live);
-            mStats.onAllocate(p->size);
-            return alloc::Allocation{id, size, p->va};
-          }
-
           case FitState::singleBlock: {
             ++mCounters.s2SingleBlock;
             notePhase(obs::AllocPhase::s2SingleBlock, rounded);
@@ -1208,6 +1160,9 @@ GMLakeAllocator::allocateLargeInner(Bytes size, StreamId stream,
             mStats.onAllocate((*sblock)->size);
             return alloc::Allocation{id, size, (*sblock)->va};
           }
+
+          default: // S1 is answered above, never by BestFit
+            break;
         }
         GMLAKE_PANIC("unreachable BestFit state");
     }
@@ -1381,9 +1336,9 @@ GMLakeAllocator::snapshot() const
  * lifetime, so the pointer graph rebuilds exactly — including the
  * *order* of each pBlock's sharers vector (releasePBlock destroys
  * sharers back-first) and each sBlock's members vector (stitch
- * order). The inactive indices are not stored: they are ordered sets
- * keyed on (size, id), so rebuilding them from the active flags is
- * insertion-order independent.
+ * order). The inactive indices are not stored: the sets key on
+ * (size, id) and the recency lists are rebuilt in (lastUse, id)
+ * order, so both follow from the stored blocks alone.
  */
 struct GMLakeAllocator::State : alloc::AllocatorState
 {
@@ -1529,19 +1484,23 @@ GMLakeAllocator::restoreState(const alloc::Checkpoint &checkpoint)
     mInactiveP.clear();
     mInactivePFree.clear();
     mInactiveS.clear();
+    mClasses.clear();
     mLive.clear();
 
     // Rebuild the pointer graph from the id references. Recycled
     // nodes come off the pool freelist in teardown order — pointer
     // identity differs from the checkpointed run, but every ordered
-    // structure keys on (size, id), never on addresses.
+    // structure keys on (size, id) or (lastUse, id), never on
+    // addresses.
+    std::vector<PBlock *> inactiveP;
+    std::vector<SBlock *> inactiveS;
     std::unordered_map<std::uint64_t, PBlock *> pById;
     pById.reserve(state->pblocks.size());
     for (const State::PRec &rec : state->pblocks) {
         PBlock *p = mPPool.acquire();
         p->id = rec.id;
         p->va = rec.va;
-        p->size = rec.size;
+        setSize(p, rec.size);
         p->chunks = rec.chunks;
         p->active = rec.active;
         p->resident = rec.resident;
@@ -1556,7 +1515,7 @@ GMLakeAllocator::restoreState(const alloc::Checkpoint &checkpoint)
         SBlock *s = mSPool.acquire();
         s->id = rec.id;
         s->va = rec.va;
-        s->size = rec.size;
+        setSize(s, rec.size);
         s->members.clear();
         s->members.reserve(rec.memberIds.size());
         for (const std::uint64_t mid : rec.memberIds)
@@ -1566,18 +1525,29 @@ GMLakeAllocator::restoreState(const alloc::Checkpoint &checkpoint)
         s->stream = rec.stream;
         sById.emplace(rec.id, s);
         if (!rec.active)
-            mInactiveS.insert(s);
+            inactiveS.push_back(s);
     }
     for (const State::PRec &rec : state->pblocks) {
         PBlock *p = pById.at(rec.id);
         p->sharers.reserve(rec.sharerIds.size());
         for (const std::uint64_t sid : rec.sharerIds)
             p->sharers.push_back(sById.at(sid));
-        // Index insertion needs the final sharers list: the
-        // unshared-inactive index tests sharers.empty().
         if (!rec.active)
-            insertInactiveP(p);
+            inactiveP.push_back(p);
     }
+    // Index insertion needs the final sharers lists (the
+    // unshared-inactive index tests sharers.empty()), and the
+    // recency lists need lastUse order: the records come in id order.
+    const auto byRecency = [](const auto *a, const auto *b) {
+        return a->lastUse != b->lastUse ? a->lastUse < b->lastUse
+                                        : a->id < b->id;
+    };
+    std::sort(inactiveP.begin(), inactiveP.end(), byRecency);
+    std::sort(inactiveS.begin(), inactiveS.end(), byRecency);
+    for (PBlock *p : inactiveP)
+        insertInactiveP(p);
+    for (SBlock *s : inactiveS)
+        insertInactiveS(s);
     mLive.reserve(state->live.size());
     for (const State::LiveRec &rec : state->live) {
         Live live;
@@ -1605,10 +1575,21 @@ GMLakeAllocator::restoreState(const alloc::Checkpoint &checkpoint)
 void
 GMLakeAllocator::checkConsistency() const
 {
+    // Recency index: every live block points at the class of its own
+    // size; count the blocks of each class.
+    std::unordered_map<const SizeClass *, std::size_t> classRefs;
+    const auto indexed = [&](const auto *block) {
+        const auto it = mClasses.find(block->size);
+        GMLAKE_ASSERT(it != mClasses.end() && &it->second == block->cls,
+                      "block not indexed under its size class");
+        ++classRefs[block->cls];
+    };
+
     Bytes pTotal = 0;
     Bytes spilledTotal = 0;
     std::size_t inactiveP = 0;
     mPPool.forEachLive([&](const PBlock *p) {
+        indexed(p);
         if (p->resident) {
             pTotal += p->size;
             GMLAKE_ASSERT(p->size / mConfig.chunkSize ==
@@ -1646,6 +1627,7 @@ GMLakeAllocator::checkConsistency() const
 
     Bytes sVaTotal = 0;
     mSPool.forEachLive([&](const SBlock *s) {
+        indexed(s);
         sVaTotal += s->size;
         Bytes memberTotal = 0;
         for (const PBlock *m : s->members) {
@@ -1669,6 +1651,48 @@ GMLakeAllocator::checkConsistency() const
                           return p->sharers.empty();
                       })),
                   "unshared-inactive index out of sync");
+
+    // Each class counts exactly its live blocks, and its lists hold
+    // exactly its inactive blocks, oldest first; together the lists
+    // hold the inactive pools.
+    const auto checkList = [](const auto &list, const SizeClass *cls,
+                              const auto &inactive) {
+        std::size_t n = 0;
+        for (auto *b = list.oldest; b != nullptr; b = b->newer) {
+            GMLAKE_ASSERT(++n <= inactive.size(),
+                          "recency list longer than its inactive pool");
+            GMLAKE_ASSERT(b->cls == cls,
+                          "recency list holds a block of another size");
+            GMLAKE_ASSERT(inactive.count(b) == 1,
+                          "recency list holds a block outside the "
+                          "inactive pool");
+            GMLAKE_ASSERT(b->newer != nullptr ? b->newer->older == b
+                                              : list.newest == b,
+                          "recency list links broken");
+            GMLAKE_ASSERT(b->newer == nullptr ||
+                              b->lastUse <= b->newer->lastUse,
+                          "recency list out of lastUse order");
+        }
+        GMLAKE_ASSERT(list.oldest == nullptr
+                          ? list.newest == nullptr
+                          : list.oldest->older == nullptr,
+                      "recency list ends broken");
+        return n;
+    };
+    std::size_t listedP = 0;
+    std::size_t listedS = 0;
+    for (const auto &entry : mClasses) {
+        const SizeClass &cls = entry.second;
+        const auto counted = classRefs.find(&cls);
+        GMLAKE_ASSERT(counted != classRefs.end() &&
+                          counted->second == cls.refs,
+                      "size class reference count drifted");
+        listedP += checkList(cls.p, &cls, mInactiveP);
+        listedS += checkList(cls.s, &cls, mInactiveS);
+    }
+    GMLAKE_ASSERT(listedP == mInactiveP.size() &&
+                      listedS == mInactiveS.size(),
+                  "recency lists and inactive pools differ");
 
     // Exclusive tensor use: every live allocation targets an active
     // block, and no two live allocations share a pBlock.

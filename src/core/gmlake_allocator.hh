@@ -10,7 +10,8 @@
  *    of several pBlocks back-to-back (the chunks are never duplicated,
  *    one physical chunk may be visible through several VAs);
  *  - Alloc / Split / Stitch: the only three mutators of the pools;
- *  - BestFit: Algorithm 1, producing states S1..S4;
+ *  - BestFit: Algorithm 1, producing states S1..S4 (S1 from a
+ *    per-size recency index, S2..S4 from the sorted pools);
  *  - Update: deallocation only flips active flags;
  *  - StitchFree: LRU eviction of cached sBlocks.
  *
@@ -23,6 +24,7 @@
 #define GMLAKE_CORE_GMLAKE_ALLOCATOR_HH
 
 #include <cstdint>
+#include <map>
 #include <set>
 #include <unordered_map>
 #include <utility>
@@ -144,6 +146,7 @@ class GMLakeAllocator : public alloc::Allocator
 
   private:
     struct SBlock;
+    struct SizeClass;
     struct State;
 
     /** Primitive block: owns physical chunks and a VA of its own. */
@@ -152,6 +155,11 @@ class GMLakeAllocator : public alloc::Allocator
         std::uint64_t id = 0;
         VirtAddr va = kNullAddr;
         Bytes size = 0;
+        /** Recency index: the class of `size`, and the list
+         *  neighbours while inactive (see SizeClass). */
+        SizeClass *cls = nullptr;
+        PBlock *older = nullptr;
+        PBlock *newer = nullptr;
         std::vector<PhysHandle> chunks;
         bool active = false;
         /**
@@ -203,6 +211,10 @@ class GMLakeAllocator : public alloc::Allocator
         std::uint64_t id = 0;
         VirtAddr va = kNullAddr;
         Bytes size = 0;
+        /** Recency index, as for PBlock. */
+        SizeClass *cls = nullptr;
+        SBlock *older = nullptr;
+        SBlock *newer = nullptr;
         std::vector<PBlock *> members;
         bool active = false;
         /** ObjectPool live flag (support/object_pool.hh). */
@@ -262,6 +274,73 @@ class GMLakeAllocator : public alloc::Allocator
         }
     };
 
+    /**
+     * Intrusive list of inactive blocks, oldest first. Every insert
+     * stamps lastUse = now() just before appending, and the simulated
+     * clock never goes backwards, so appending at the newest end
+     * keeps the list sorted by lastUse.
+     */
+    template <typename Block>
+    struct RecencyList
+    {
+        Block *oldest = nullptr;
+        Block *newest = nullptr;
+
+        void
+        append(Block *block)
+        {
+            GMLAKE_ASSERT(newest == nullptr ||
+                          newest->lastUse <= block->lastUse,
+                          "recency list append out of lastUse order");
+            block->older = newest;
+            block->newer = nullptr;
+            (newest != nullptr ? newest->newer : oldest) = block;
+            newest = block;
+        }
+        void
+        unlink(Block *block)
+        {
+            (block->older != nullptr ? block->older->newer : oldest) =
+                block->newer;
+            (block->newer != nullptr ? block->newer->older : newest) =
+                block->older;
+            block->older = block->newer = nullptr;
+        }
+
+        /**
+         * The eligible block with the largest lastUse, ties to the
+         * lowest id: walks from the newest end through the run of
+         * equal lastUse at the first eligible block, then stops.
+         */
+        template <typename Pred>
+        Block *
+        mostRecent(Pred &&isEligible) const
+        {
+            Block *best = nullptr;
+            for (Block *b = newest; b != nullptr; b = b->older) {
+                if (best != nullptr && b->lastUse < best->lastUse)
+                    break;
+                if (isEligible(b) && (best == nullptr || b->id < best->id))
+                    best = b;
+            }
+            return best;
+        }
+    };
+
+    /**
+     * One block size of the recency index, which answers S1: the
+     * inactive pBlocks and sBlocks of exactly this size in lastUse
+     * order. A class lives while any live block has its size (refs),
+     * and every block caches a pointer to its class, so the
+     * active/inactive transitions link and unlink in O(1).
+     */
+    struct SizeClass
+    {
+        std::size_t refs = 0;
+        RecencyList<PBlock> p;
+        RecencyList<SBlock> s;
+    };
+
     vmm::Device &mDevice;
     GMLakeConfig mConfig;
     alloc::AllocatorStats mStats;
@@ -291,6 +370,14 @@ class GMLakeAllocator : public alloc::Allocator
     std::set<PBlock *, PBlockCmp> mInactiveP;
     std::set<PBlock *, PBlockCmp> mInactivePFree;
     std::set<SBlock *, SBlockCmp> mInactiveS;
+
+    /**
+     * Recency index over the same inactive blocks, by size: S1 walks
+     * the classes in [request, request + slack] upward and takes the
+     * most recent eligible block of the first class that has one,
+     * instead of scanning every equal-size block.
+     */
+    std::map<Bytes, SizeClass> mClasses;
 
     /**
      * Per-stream scratch arena for the hot-path temporaries: the
@@ -385,19 +472,59 @@ class GMLakeAllocator : public alloc::Allocator
     void markPActive(PBlock *block, bool active);
     void markSActive(SBlock *sblock, bool active);
 
-    /** Insert/erase @p block in both inactive pBlock indices. */
+    /**
+     * Set a block's size and index it under that size class; every
+     * size assignment goes through here.
+     */
+    template <typename Block>
+    void
+    setSize(Block *block, Bytes size)
+    {
+        SizeClass &cls = mClasses[size];
+        ++cls.refs;
+        block->size = size;
+        block->cls = &cls;
+    }
+
+    /** Return a sized node to its pool, dropping its class ref. */
+    template <typename Block>
+    void
+    freeNode(Block *block, ObjectPool<Block> &pool)
+    {
+        if (--block->cls->refs == 0)
+            mClasses.erase(block->size);
+        pool.release(block);
+    }
+
+    /** Insert/erase @p block in every inactive pBlock index. */
     void
     insertInactiveP(PBlock *block)
     {
         mInactiveP.insert(block);
         if (block->sharers.empty())
             mInactivePFree.insert(block);
+        block->cls->p.append(block);
     }
     void
     eraseInactiveP(PBlock *block)
     {
         mInactiveP.erase(block);
         mInactivePFree.erase(block);
+        block->cls->p.unlink(block);
+    }
+
+    /** Insert/erase @p sblock in both inactive sBlock indices. */
+    void
+    insertInactiveS(SBlock *sblock)
+    {
+        mInactiveS.insert(sblock);
+        sblock->cls->s.append(sblock);
+    }
+    void
+    eraseInactiveS(SBlock *sblock)
+    {
+        mInactiveS.erase(sblock);
+        sblock->cls->s.unlink(sblock);
     }
 
     /**

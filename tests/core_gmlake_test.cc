@@ -2,12 +2,20 @@
  * @file
  * GMLake allocator tests: the stitching mechanism, the allocation
  * strategy states of Fig 9, deallocation-as-update, StitchFree LRU,
- * the small-allocation path and the OOM fallback.
+ * the small-allocation path and the OOM fallback, and the S1
+ * exact-match choices against a scan model.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <utility>
+#include <vector>
+
+#include "alloc/checkpoint.hh"
 #include "core/gmlake_allocator.hh"
+#include "support/rng.hh"
 #include "support/units.hh"
 #include "vmm/device.hh"
 
@@ -471,4 +479,325 @@ TEST(GMLakeAllocator, PoolCountersSurviveSplitChurn)
     EXPECT_EQ(after.sCreated, warm.sCreated);
     EXPECT_GT(after.pReused, warm.pReused);
     lake.checkConsistency();
+}
+
+// ------------------------------------------------- S1 selection oracle
+
+namespace
+{
+
+/** One block the oracle test built, as the S1 rule sees it. */
+struct ModelBlock
+{
+    VirtAddr va = kNullAddr;
+    Bytes size = 0;
+    bool stitched = false;
+    std::vector<std::size_t> members; //!< model indices, sBlocks only
+    bool active = true;
+    Tick lastUse = 0;
+    StreamId stream = kDefaultStream;
+};
+
+/**
+ * The S1 rule as a plain scan over every cached block: the tightest
+ * size in [rounded, rounded + slack] wins; at one size the eligible
+ * block with the largest lastUse, ties to the lowest id (blocks are
+ * kept in creation order, which is id order within each kind); an
+ * sBlock beats a pBlock of its size unless the pBlock is strictly
+ * more recent.
+ */
+struct S1Model
+{
+    static constexpr std::size_t kMiss = ~std::size_t{0};
+
+    std::vector<ModelBlock> blocks;
+    Tick lag = 0;
+
+    /** How often the cases the rule distinguishes came up. */
+    struct
+    {
+        int withinLag = 0;  //!< another stream's block, lag running
+        int lapsed = 0;     //!< another stream's block, lag lapsed
+        int lastUseTie = 0; //!< the winner tied a rival of its kind
+        int kindTie = 0;    //!< the winner tied a rival of the other kind
+        int classes = 0;    //!< a rival of another size in the window
+    } seen;
+
+    bool
+    streamOk(const ModelBlock &b, StreamId stream, Tick now)
+    {
+        if (b.stream == stream || b.stream == kAnyStream)
+            return true;
+        const bool lapsed = b.lastUse + lag <= now;
+        ++(lapsed ? seen.lapsed : seen.withinLag);
+        return lapsed;
+    }
+
+    bool
+    eligible(const ModelBlock &b, StreamId stream, Tick now)
+    {
+        if (b.active || !streamOk(b, stream, now))
+            return false;
+        return std::all_of(b.members.begin(), b.members.end(),
+                           [&](std::size_t m) {
+                               return !blocks[m].active &&
+                                      streamOk(blocks[m], stream, now);
+                           });
+    }
+
+    /** Index of the block S1 must hand out, or kMiss. */
+    std::size_t
+    pick(Bytes rounded, Bytes slack, StreamId stream, Tick now)
+    {
+        std::vector<std::size_t> rivals;
+        for (std::size_t i = 0; i < blocks.size(); ++i) {
+            const ModelBlock &b = blocks[i];
+            if (b.size >= rounded && b.size <= rounded + slack &&
+                eligible(b, stream, now))
+                rivals.push_back(i);
+        }
+        const auto best = [&](bool stitched) {
+            std::size_t hit = kMiss;
+            for (const std::size_t i : rivals) {
+                const ModelBlock &b = blocks[i];
+                if (b.stitched != stitched)
+                    continue;
+                if (hit == kMiss || b.size < blocks[hit].size ||
+                    (b.size == blocks[hit].size &&
+                     b.lastUse > blocks[hit].lastUse))
+                    hit = i;
+            }
+            return hit;
+        };
+        const std::size_t s = best(true);
+        const std::size_t p = best(false);
+        if (s == kMiss && p == kMiss)
+            return kMiss;
+        const bool useS =
+            s != kMiss &&
+            (p == kMiss || blocks[s].size < blocks[p].size ||
+             (blocks[s].size == blocks[p].size &&
+              blocks[s].lastUse >= blocks[p].lastUse));
+        const std::size_t hit = useS ? s : p;
+        for (const std::size_t i : rivals) {
+            const ModelBlock &b = blocks[i];
+            if (i == hit)
+                continue;
+            if (b.size != blocks[hit].size)
+                ++seen.classes;
+            else if (b.lastUse == blocks[hit].lastUse)
+                ++(b.stitched == blocks[hit].stitched ? seen.lastUseTie
+                                                      : seen.kindTie);
+        }
+        return hit;
+    }
+
+    /** Block @p i and, for an sBlock, its members. */
+    std::vector<ModelBlock *>
+    group(std::size_t i)
+    {
+        std::vector<ModelBlock *> g{&blocks[i]};
+        for (const std::size_t m : blocks[i].members)
+            g.push_back(&blocks[m]);
+        return g;
+    }
+    void
+    take(std::size_t i, StreamId stream)
+    {
+        for (ModelBlock *b : group(i)) {
+            b->active = true;
+            b->stream = stream;
+        }
+    }
+    void
+    release(std::size_t i, Tick now)
+    {
+        for (ModelBlock *b : group(i)) {
+            b->active = false;
+            b->lastUse = now;
+        }
+    }
+    /** streamSynchronize(@p stream); kAnyStream: deviceSynchronize. */
+    void
+    synchronize(StreamId stream)
+    {
+        for (ModelBlock &b : blocks) {
+            if (!b.active && (stream == kAnyStream || b.stream == stream))
+                b.stream = kAnyStream;
+        }
+    }
+};
+
+} // namespace
+
+TEST(GMLakeRecency, S1ChoicesMatchTheScanModel)
+{
+    // Churn over 40 blocks in six sizes on three streams: after every
+    // allocate() the block handed out must be the model's pick, and a
+    // checkpoint restored midway must repeat the same picks.
+    vmm::DeviceConfig dc = smallDevice(1_GiB);
+    dc.cost.cachedOpNs = 0; // the clock moves only where the test says
+    vmm::Device dev(dc);
+    GMLakeConfig gc;
+    gc.nearMatchTolerance = 0.25; // windows span several size classes
+    GMLakeAllocator lake(dev, gc);
+    const Tick lag = gc.streamEventLagNs;
+    S1Model model;
+    model.lag = lag;
+    Rng rng(12);
+    const auto anyStream = [&] {
+        return static_cast<StreamId>(rng.uniformInt(1, 3));
+    };
+
+    struct Held
+    {
+        alloc::AllocId id = 0;
+        std::size_t block = 0;
+    };
+    std::vector<Held> held;
+
+    // With every other block live, each request grows one pBlock.
+    const std::vector<std::pair<Bytes, int>> population = {
+        {4_MiB, 8}, {8_MiB, 10}, {10_MiB, 4},
+        {16_MiB, 6}, {18_MiB, 3}, {20_MiB, 3}};
+    for (const auto &[size, count] : population) {
+        for (int i = 0; i < count; ++i) {
+            const StreamId s = anyStream();
+            const auto a = lake.allocate(size, s);
+            ASSERT_TRUE(a.ok());
+            ModelBlock b;
+            b.va = a->addr;
+            b.size = size;
+            b.stream = s;
+            model.blocks.push_back(b);
+            held.push_back({a->id, model.blocks.size() - 1});
+        }
+    }
+    ASSERT_EQ(lake.pBlockCount(), model.blocks.size());
+
+    // Freeing two pBlocks and, once the lag has lapsed, asking for
+    // their sum stitches exactly them.
+    const auto stitch = [&](std::size_t m0, std::size_t m1) {
+        for (const std::size_t m : {m0, m1}) {
+            const auto it =
+                std::find_if(held.begin(), held.end(),
+                             [&](const Held &h) { return h.block == m; });
+            ASSERT_NE(it, held.end());
+            ASSERT_TRUE(lake.deallocate(it->id).ok());
+            held.erase(it);
+        }
+        dev.clock().advance(lag);
+        const StreamId s = anyStream();
+        ModelBlock b;
+        b.size = model.blocks[m0].size + model.blocks[m1].size;
+        b.stitched = true;
+        b.members = {m0, m1};
+        const auto a = lake.allocate(b.size, s);
+        ASSERT_TRUE(a.ok());
+        b.va = a->addr;
+        model.blocks.push_back(b);
+        model.take(model.blocks.size() - 1, s);
+        held.push_back({a->id, model.blocks.size() - 1});
+    };
+    // Four 8 MiB sBlocks over the 4 MiB pBlocks, two 16 MiB ones
+    // over 8 MiB pBlocks.
+    for (std::size_t m = 0; m < 8; m += 2)
+        ASSERT_NO_FATAL_FAILURE(stitch(m, m + 1));
+    ASSERT_NO_FATAL_FAILURE(stitch(8, 9));
+    ASSERT_NO_FATAL_FAILURE(stitch(10, 11));
+    ASSERT_EQ(lake.sBlockCount(), 6u);
+    ASSERT_EQ(lake.strategy().s3MultiBlocks, 6u);
+
+    while (!held.empty()) {
+        const std::size_t k = rng.uniformInt(0, held.size() - 1);
+        ASSERT_TRUE(lake.deallocate(held[k].id).ok());
+        model.release(held[k].block, dev.now());
+        held.erase(held.begin() + static_cast<std::ptrdiff_t>(k));
+        if (rng.chance(0.3)) {
+            dev.clock().advance(static_cast<Tick>(
+                rng.uniformInt(0, static_cast<std::uint64_t>(lag))));
+        }
+    }
+
+    int hits = 0;
+    const auto step = [&](std::vector<VirtAddr> *picks) {
+        const auto op = rng.uniformInt(0, 99);
+        if (op < 45) {
+            const Bytes requests[] = {4_MiB,  7_MiB,  8_MiB,  9_MiB,
+                                      10_MiB, 15_MiB, 16_MiB, 17_MiB,
+                                      18_MiB, 20_MiB};
+            const Bytes size =
+                requests[rng.uniformInt(0, std::size(requests) - 1)];
+            const Bytes rounded = roundUp(size, gc.chunkSize);
+            const Bytes slack = roundDown(
+                std::min(static_cast<Bytes>(gc.nearMatchTolerance *
+                                            static_cast<double>(rounded)),
+                         gc.nearMatchSlackCap),
+                gc.chunkSize);
+            const StreamId s = anyStream();
+            const std::size_t want =
+                model.pick(rounded, slack, s, dev.now());
+            if (want == S1Model::kMiss)
+                return; // a miss reshapes the pools: only hits are modelled
+            const auto before = lake.strategy().s1ExactMatch;
+            const auto a = lake.allocate(size, s);
+            ASSERT_TRUE(a.ok());
+            ASSERT_EQ(lake.strategy().s1ExactMatch, before + 1);
+            ASSERT_EQ(a->addr, model.blocks[want].va);
+            model.take(want, s);
+            held.push_back({a->id, want});
+            if (picks != nullptr)
+                picks->push_back(a->addr);
+            ++hits;
+        } else if (op < 85) {
+            if (held.empty())
+                return;
+            const std::size_t k = rng.uniformInt(0, held.size() - 1);
+            ASSERT_TRUE(lake.deallocate(held[k].id).ok());
+            model.release(held[k].block, dev.now());
+            held.erase(held.begin() + static_cast<std::ptrdiff_t>(k));
+        } else if (op < 95) {
+            const Tick steps[] = {1, lag / 2, lag - 1, lag, 2 * lag};
+            dev.clock().advance(
+                steps[rng.uniformInt(0, std::size(steps) - 1)]);
+        } else if (op < 99) {
+            const StreamId s = anyStream();
+            lake.streamSynchronize(s);
+            model.synchronize(s);
+        } else {
+            lake.deviceSynchronize();
+            model.synchronize(kAnyStream);
+        }
+        lake.auditInvariants();
+    };
+
+    for (int i = 0; i < 1500; ++i)
+        ASSERT_NO_FATAL_FAILURE(step(nullptr));
+
+    // The restored lists must come back in lastUse order: the
+    // restored allocator repeats the original's picks, which keep
+    // matching the model.
+    const alloc::Checkpoint checkpoint = lake.saveState();
+    const S1Model modelAt = model;
+    const std::vector<Held> heldAt = held;
+    const Rng rngAt = rng;
+    std::vector<VirtAddr> first;
+    for (int i = 0; i < 1000; ++i)
+        ASSERT_NO_FATAL_FAILURE(step(&first));
+    lake.restoreState(checkpoint);
+    model = modelAt;
+    held = heldAt;
+    rng = rngAt;
+    std::vector<VirtAddr> second;
+    for (int i = 0; i < 1000; ++i)
+        ASSERT_NO_FATAL_FAILURE(step(&second));
+    EXPECT_FALSE(first.empty());
+    EXPECT_EQ(first, second);
+
+    EXPECT_GT(hits, 1000);
+    EXPECT_GT(model.seen.withinLag, 0);
+    EXPECT_GT(model.seen.lapsed, 0);
+    EXPECT_GT(model.seen.lastUseTie, 0);
+    EXPECT_GT(model.seen.kindTie, 0);
+    EXPECT_GT(model.seen.classes, 0);
 }
