@@ -4,7 +4,7 @@
  * host-side data-structure costs: allocate/deallocate round trips,
  * pool-search scaling, and BestFit over growing pools. These measure
  * real wall-clock time of the bookkeeping code (the simulated device
- * latencies are separate and covered by bench_table1/bench_fig6).
+ * latencies are separate: `gmlake_sim run table1` and `run fig6`).
  */
 
 #include <benchmark/benchmark.h>
@@ -170,45 +170,11 @@ BM_MappingsInScratch(benchmark::State &state)
 BENCHMARK(BM_MappingsInScratch)->Arg(16)->Arg(256)->Arg(1024);
 
 void
-BM_MappingSnapshotRead(benchmark::State &state)
+BM_CachingMultiStreamHit(benchmark::State &state)
 {
-    // Range stats against an epoch-published immutable snapshot: the
-    // lock-free read path concurrent replay threads use instead of
-    // querying the live tree under the device state lock. The flat
-    // upper_bound arrays should beat the tree walk at every depth.
-    vmm::Device dev(bigDevice());
-    const std::size_t chunks = static_cast<std::size_t>(state.range(0));
-    const auto va = dev.memAddressReserve(chunks * 2_MiB);
-    for (std::size_t i = 0; i < chunks; ++i) {
-        const auto h = dev.memCreate(2_MiB);
-        (void)dev.memMap(*va + static_cast<VirtAddr>(i) * 2_MiB, *h);
-    }
-    (void)dev.memSetAccess(*va, chunks * 2_MiB);
-
-    const auto snap = dev.mappingSnapshot();
-    // Sweep the query window across the range so the upper_bound
-    // probe position varies instead of staying cache-hot on one spot.
-    VirtAddr cursor = *va;
-    const VirtAddr end = *va + chunks * 2_MiB;
-    for (auto _ : state) {
-        const auto stats = snap->rangeStats(cursor, 16_MiB);
-        benchmark::DoNotOptimize(stats.bytes);
-        cursor += 2_MiB;
-        if (cursor >= end)
-            cursor = *va;
-    }
-    state.counters["chunks"] = static_cast<double>(chunks);
-    state.counters["epoch"] = static_cast<double>(snap->epoch());
-}
-BENCHMARK(BM_MappingSnapshotRead)->Arg(16)->Arg(256)->Arg(1024);
-
-void
-BM_ShardedPoolAlloc(benchmark::State &state)
-{
-    // Cache-hit allocate/free churn spread over N stream-tagged pool
-    // shards. Single-threaded this measures the shard map + per-shard
-    // mutex overhead of the fast path; the sharding's concurrency win
-    // is covered by the engine-level thread-scaling runs.
+    // Cache-hit allocate/free churn rotating over N streams: each
+    // request walks the per-stream free sets of the pool, so the cost
+    // grows with the number of stream tags holding cached blocks.
     vmm::Device dev(bigDevice());
     alloc::CachingAllocator allocator(dev);
     const StreamId streams = static_cast<StreamId>(state.range(0));
@@ -225,10 +191,8 @@ BM_ShardedPoolAlloc(benchmark::State &state)
         s = (s + 1) % streams;
     }
     state.counters["streams"] = static_cast<double>(streams);
-    state.counters["lock_wait_ns"] =
-        static_cast<double>(allocator.lockWaitNs());
 }
-BENCHMARK(BM_ShardedPoolAlloc)->Arg(1)->Arg(4)->Arg(16);
+BENCHMARK(BM_CachingMultiStreamHit)->Arg(1)->Arg(4)->Arg(16);
 
 void
 BM_DeviceStitchTeardown(benchmark::State &state)

@@ -4,6 +4,9 @@
  * compares (native, caching/BFC, GMLake) implement it, so the
  * simulation engine and the benchmarks are allocator-agnostic —
  * exactly the transparency property GMLake claims.
+ *
+ * An allocator is used from one thread, the one that owns its
+ * vmm::Device; none of them lock.
  */
 
 #ifndef GMLAKE_ALLOC_ALLOCATOR_HH
@@ -124,21 +127,15 @@ class Allocator
      */
     virtual void restoreState(const Checkpoint &checkpoint) = 0;
 
-    // --- concurrency ----------------------------------------------------
+    // --- retired concurrency hooks --------------------------------------
 
     /**
-     * True when the allocator's entry points are safe to call from
-     * several engine workers at once (it locks internally). The
-     * relaxed-commit engine wraps anything that returns false in one
-     * coarse external mutex.
+     * No allocator locks: one thread owns an allocator and its device.
+     * These two stay declared, with their defaults, only because the
+     * fixed-workload benchmark's wrapping allocator
+     * (bench/suite/replay.cc) still overrides them.
      */
     virtual bool internallySynchronized() const { return false; }
-
-    /**
-     * Host ns callers spent blocked on the allocator's internal
-     * locks (0 for unsynchronized allocators). Feeds
-     * RunResult::lockWaitNs.
-     */
     virtual std::uint64_t lockWaitNs() const { return 0; }
 
     // --- host-offload cooperation (src/offload) ------------------------

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <map>
-#include <mutex>
 
 #include "support/logging.hh"
 #include "support/strings.hh"
@@ -39,45 +38,17 @@ CachingAllocator::BlockCmp::operator()(const SizeKey &k,
     return k.addr < b->addr;
 }
 
-CachingAllocator::Shard &
-CachingAllocator::ShardedPool::shardFor(StreamId stream)
+void
+CachingAllocator::Pool::insert(Block *block)
 {
-    {
-        std::shared_lock lock(mapMutex);
-        auto it = shards.find(stream);
-        if (it != shards.end())
-            return it->second;
-    }
-    std::unique_lock lock(mapMutex);
-    return shards[stream]; // node-based: existing shards stay put
+    byStream[block->stream].insert(block);
 }
 
 void
-CachingAllocator::ShardedPool::insert(Block *block)
+CachingAllocator::Pool::erase(Block *block)
 {
-    Shard &shard = shardFor(block->stream);
-    const std::lock_guard<TimedMutex> lock(shard.mutex);
-    shard.blocks.insert(block);
-}
-
-bool
-CachingAllocator::ShardedPool::remove(Block *block)
-{
-    Shard &shard = shardFor(block->stream);
-    const std::lock_guard<TimedMutex> lock(shard.mutex);
-    return shard.blocks.erase(block) == 1;
-}
-
-std::uint64_t
-CachingAllocator::ShardedPool::lockWaitNs() const
-{
-    std::shared_lock lock(mapMutex);
-    std::uint64_t total = 0;
-    for (const auto &[tag, shard] : shards) {
-        (void)tag;
-        total += shard.mutex.waitNs();
-    }
-    return total;
+    const auto erased = byStream[block->stream].erase(block);
+    GMLAKE_ASSERT(erased == 1, "free block missing from its pool");
 }
 
 CachingAllocator::CachingAllocator(vmm::Device &device,
@@ -121,7 +92,7 @@ CachingAllocator::allocationSize(Bytes rounded) const
     return roundUp(rounded, mConfig.roundLarge);
 }
 
-CachingAllocator::ShardedPool &
+CachingAllocator::Pool &
 CachingAllocator::poolFor(Bytes rounded)
 {
     return rounded <= mConfig.smallSize ? mSmallPool : mLargePool;
@@ -140,7 +111,7 @@ CachingAllocator::shouldSplit(const Block &block, Bytes rounded) const
 
 CachingAllocator::Block *
 CachingAllocator::newBlock(VirtAddr addr, Bytes size, VirtAddr segment,
-                           ShardedPool *pool, StreamId stream)
+                           Pool *pool, StreamId stream)
 {
     auto owned = std::make_unique<Block>();
     Block *raw = owned.get();
@@ -183,9 +154,7 @@ CachingAllocator::growSegment(Bytes rounded, StreamId stream)
             // Offload tier attached: a targeted trim (attributed as
             // eviction traffic) instead of dropping the whole cache.
             // Live spilling is unsupported here, so the hook cannot
-            // reclaim beyond the cache — see trimCache(). The meta
-            // mutex is not held across this call: the hook reenters
-            // through trimCache(), which takes it.
+            // reclaim beyond the cache — see trimCache().
             mOffloadHook->reclaimOnOom(segSize, stream);
         } else {
             emptyCache();
@@ -202,7 +171,6 @@ CachingAllocator::growSegment(Bytes rounded, StreamId stream)
         if (!va.ok())
             return va.error();
     }
-    const std::lock_guard<TimedMutex> meta(mMetaMutex);
     mSegments.emplace(*va, segSize);
     mStats.onReserve(segSize);
     Block *block =
@@ -211,56 +179,39 @@ CachingAllocator::growSegment(Bytes rounded, StreamId stream)
 }
 
 CachingAllocator::Block *
-CachingAllocator::findFit(ShardedPool &pool, Bytes rounded,
-                          StreamId stream)
+CachingAllocator::findFit(Pool &pool, Bytes rounded, StreamId stream)
 {
-    // Best fit across the stream-tag shards of the pool: blocks of
-    // the requesting stream and stream-neutral blocks are always
-    // usable; blocks freed on another stream become usable once
-    // their free event has lapsed. Among the usable candidates the
-    // smallest sufficient block wins; strict comparison keeps the
-    // lowest tag on ties, as the single-set walk did.
-    //
-    // Claim as we go: a candidate that improves on the running best
-    // is removed from its shard immediately (so no other thread can
-    // take it), and the displaced previous best goes back to its own
-    // shard — after this shard's lock is dropped, so at most one
-    // shard mutex is ever held.
+    // Best fit across the stream tags of the pool: blocks of the
+    // requesting stream and stream-neutral blocks are always usable;
+    // blocks freed on another stream become usable once their free
+    // event has lapsed. Each tag offers its smallest sufficient
+    // block; the smallest offer wins, and strict comparison keeps
+    // the lowest tag on ties.
     const Tick now = mDevice.now();
-    Block *best = nullptr;
-    std::shared_lock mapLock(pool.mapMutex);
-    for (auto &[tag, shard] : pool.shards) {
-        Block *displaced = nullptr;
-        {
-            const std::lock_guard<TimedMutex> lock(shard.mutex);
-            auto it = shard.blocks.lower_bound(SizeKey{rounded, 0});
-            if (it == shard.blocks.end())
-                continue;
-            Block *cand = *it;
-            bool usable =
-                tag == stream || tag == kAnyStream ||
-                cand->freedAt + mConfig.streamEventLagNs <= now;
-            // max_split_size discipline: an oversize (unsplittable)
-            // block may only serve requests that use most of it.
-            if (cand->size > mConfig.maxSplitSize &&
-                cand->size - rounded > mConfig.largeBuffer)
-                usable = false;
-            if (!usable || (best && cand->size >= best->size))
-                continue;
-            shard.blocks.erase(it);
-            displaced = best;
-            best = cand;
-        }
-        if (displaced) {
-            auto home = pool.shards.find(displaced->stream);
-            GMLAKE_ASSERT(home != pool.shards.end(),
-                          "displaced block lost its shard");
-            const std::lock_guard<TimedMutex> lock(
-                home->second.mutex);
-            home->second.blocks.insert(displaced);
-        }
+    FreeSet *bestSet = nullptr;
+    FreeSet::iterator best;
+    for (auto &[tag, set] : pool.byStream) {
+        const auto it = set.lower_bound(SizeKey{rounded, 0});
+        if (it == set.end())
+            continue;
+        const Block *cand = *it;
+        bool usable = tag == stream || tag == kAnyStream ||
+                      cand->freedAt + mConfig.streamEventLagNs <= now;
+        // max_split_size discipline: an oversize (unsplittable)
+        // block may only serve requests that use most of it.
+        if (cand->size > mConfig.maxSplitSize &&
+            cand->size - rounded > mConfig.largeBuffer)
+            usable = false;
+        if (!usable || (bestSet && cand->size >= (*best)->size))
+            continue;
+        bestSet = &set;
+        best = it;
     }
-    return best;
+    if (bestSet == nullptr)
+        return nullptr;
+    Block *block = *best;
+    bestSet->erase(best);
+    return block;
 }
 
 Expected<Allocation>
@@ -274,7 +225,7 @@ CachingAllocator::allocate(Bytes size, StreamId stream)
     mDevice.chargeCachedOp();
 
     const Bytes rounded = roundSize(size);
-    ShardedPool &pool = poolFor(rounded);
+    Pool &pool = poolFor(rounded);
 
     Block *block = findFit(pool, rounded, stream);
     if (!block) {
@@ -283,7 +234,6 @@ CachingAllocator::allocate(Bytes size, StreamId stream)
             return grown.error();
         block = *grown;
     }
-    const std::lock_guard<TimedMutex> meta(mMetaMutex);
     // The block is about to be written by this stream.
     block->stream = stream;
 
@@ -311,10 +261,10 @@ CachingAllocator::allocate(Bytes size, StreamId stream)
 CachingAllocator::Block *
 CachingAllocator::coalesce(Block *block)
 {
-    ShardedPool &pool = *block->pool;
+    Pool &pool = *block->pool;
     if (Block *n = block->next;
-        n && !n->allocated && n->stream == block->stream &&
-        pool.remove(n)) {
+        n && !n->allocated && n->stream == block->stream) {
+        pool.erase(n);
         block->size += n->size;
         if (n->freedAt > block->freedAt)
             block->freedAt = n->freedAt;
@@ -324,8 +274,8 @@ CachingAllocator::coalesce(Block *block)
         destroyBlock(n);
     }
     if (Block *p = block->prev;
-        p && !p->allocated && p->stream == block->stream &&
-        pool.remove(p)) {
+        p && !p->allocated && p->stream == block->stream) {
+        pool.erase(p);
         p->size += block->size;
         if (block->freedAt > p->freedAt)
             p->freedAt = block->freedAt;
@@ -341,7 +291,6 @@ CachingAllocator::coalesce(Block *block)
 Status
 CachingAllocator::deallocate(AllocId id)
 {
-    const std::lock_guard<TimedMutex> meta(mMetaMutex);
     auto it = mLive.find(id);
     if (it == mLive.end())
         return makeError(Errc::invalidValue, "unknown allocation id");
@@ -363,47 +312,35 @@ CachingAllocator::deallocate(AllocId id)
 void
 CachingAllocator::releaseStream(StreamId stream)
 {
-    const std::lock_guard<TimedMutex> meta(mMetaMutex);
     // Retag the free blocks pinned to @p stream (or every stream for
     // the kAnyStream sentinel) as reusable by anyone, then merge
-    // newly compatible neighbours. Retagging changes the shard a
+    // newly compatible neighbours. Retagging changes the free set a
     // block lives in, so the blocks are re-inserted.
-    auto sweep = [&](ShardedPool &pool) {
-        std::shared_lock mapLock(pool.mapMutex);
+    auto sweep = [&](Pool &pool) {
         std::vector<Block *> retag;
-        for (auto &[tag, shard] : pool.shards) {
+        for (const auto &[tag, set] : pool.byStream) {
             if (tag == kAnyStream ||
                 (stream != kAnyStream && tag != stream))
                 continue;
-            const std::lock_guard<TimedMutex> lock(shard.mutex);
-            retag.insert(retag.end(), shard.blocks.begin(),
-                         shard.blocks.end());
+            retag.insert(retag.end(), set.begin(), set.end());
         }
-        mapLock.unlock();
         for (Block *b : retag) {
-            if (!pool.remove(b))
-                continue; // claimed by a concurrent allocate
+            pool.erase(b);
             b->stream = kAnyStream;
             pool.insert(b);
         }
         // Merge pass: re-coalesce every free block, in the pool's
         // global (stream, size, addr) order.
         std::vector<Block *> frees;
-        mapLock.lock();
-        for (auto &[tag, shard] : pool.shards) {
+        for (const auto &[tag, set] : pool.byStream) {
             (void)tag;
-            const std::lock_guard<TimedMutex> lock(shard.mutex);
-            frees.insert(frees.end(), shard.blocks.begin(),
-                         shard.blocks.end());
+            frees.insert(frees.end(), set.begin(), set.end());
         }
-        mapLock.unlock();
         for (Block *b : frees) {
             if (mBlocks.count(b) == 0 || b->allocated)
                 continue; // already merged away
-            if (!pool.remove(b))
-                continue; // claimed by a concurrent allocate
-            Block *merged = coalesce(b);
-            pool.insert(merged);
+            pool.erase(b);
+            pool.insert(coalesce(b));
         }
     };
     sweep(mSmallPool);
@@ -425,17 +362,14 @@ CachingAllocator::deviceSynchronize()
 }
 
 Bytes
-CachingAllocator::sweepSegments(ShardedPool &pool, Bytes budget)
+CachingAllocator::sweepSegments(Pool &pool, Bytes budget)
 {
     Bytes freed = 0;
-    std::shared_lock mapLock(pool.mapMutex);
-    for (auto &[tag, shard] : pool.shards) {
+    for (auto &[tag, set] : pool.byStream) {
         (void)tag;
         if (freed >= budget)
             break;
-        const std::lock_guard<TimedMutex> lock(shard.mutex);
-        for (auto it = shard.blocks.begin();
-             it != shard.blocks.end() && freed < budget;) {
+        for (auto it = set.begin(); it != set.end() && freed < budget;) {
             Block *block = *it;
             if (!block->prev && !block->next) {
                 // Block spans its whole segment; release it.
@@ -450,7 +384,7 @@ CachingAllocator::sweepSegments(ShardedPool &pool, Bytes budget)
                 mStats.onRelease(seg->second);
                 freed += seg->second;
                 mSegments.erase(seg);
-                it = shard.blocks.erase(it);
+                it = set.erase(it);
                 destroyBlock(block);
             } else {
                 ++it;
@@ -463,7 +397,6 @@ CachingAllocator::sweepSegments(ShardedPool &pool, Bytes budget)
 void
 CachingAllocator::emptyCache()
 {
-    const std::lock_guard<TimedMutex> meta(mMetaMutex);
     sweepSegments(mSmallPool, ~Bytes{0});
     sweepSegments(mLargePool, ~Bytes{0});
 }
@@ -473,7 +406,6 @@ CachingAllocator::trimCache(Bytes target)
 {
     if (target == 0)
         return 0;
-    const std::lock_guard<TimedMutex> meta(mMetaMutex);
     // Pool order (stream, size, addr) is deterministic, so the same
     // request always releases the same segments.
     Bytes freed = sweepSegments(mLargePool, target);
@@ -485,14 +417,11 @@ CachingAllocator::trimCache(Bytes target)
 Bytes
 CachingAllocator::trimmableBytes() const
 {
-    const std::lock_guard<TimedMutex> meta(mMetaMutex);
     Bytes total = 0;
-    auto sweep = [&](const ShardedPool &pool) {
-        std::shared_lock mapLock(pool.mapMutex);
-        for (const auto &[tag, shard] : pool.shards) {
+    auto sweep = [&](const Pool &pool) {
+        for (const auto &[tag, set] : pool.byStream) {
             (void)tag;
-            const std::lock_guard<TimedMutex> lock(shard.mutex);
-            for (const Block *b : shard.blocks) {
+            for (const Block *b : set) {
                 if (!b->prev && !b->next)
                     total += b->size;
             }
@@ -506,14 +435,11 @@ CachingAllocator::trimmableBytes() const
 Bytes
 CachingAllocator::cachedBytes() const
 {
-    const std::lock_guard<TimedMutex> meta(mMetaMutex);
     Bytes total = 0;
-    auto sweep = [&](const ShardedPool &pool) {
-        std::shared_lock mapLock(pool.mapMutex);
-        for (const auto &[tag, shard] : pool.shards) {
+    auto sweep = [&](const Pool &pool) {
+        for (const auto &[tag, set] : pool.byStream) {
             (void)tag;
-            const std::lock_guard<TimedMutex> lock(shard.mutex);
-            for (const Block *b : shard.blocks)
+            for (const Block *b : set)
                 total += b->size;
         }
     };
@@ -525,21 +451,12 @@ CachingAllocator::cachedBytes() const
 std::size_t
 CachingAllocator::segmentCount() const
 {
-    const std::lock_guard<TimedMutex> meta(mMetaMutex);
     return mSegments.size();
-}
-
-std::uint64_t
-CachingAllocator::lockWaitNs() const
-{
-    return mMetaMutex.waitNs() + mSmallPool.lockWaitNs() +
-           mLargePool.lockWaitNs();
 }
 
 CachingAllocator::State
 CachingAllocator::captureState() const
 {
-    const std::lock_guard<TimedMutex> meta(mMetaMutex);
     State state;
     state.nextId = mNextId;
     state.stats = mStats.capture();
@@ -590,27 +507,17 @@ CachingAllocator::captureState() const
 void
 CachingAllocator::restoreInternal(const State &state)
 {
-    const std::lock_guard<TimedMutex> meta(mMetaMutex);
     // Drop every block node: pure metadata, no device interaction
     // (the caller restores the device wholesale).
-    const auto clearPool = [](ShardedPool &pool) {
-        std::unique_lock mapLock(pool.mapMutex);
-        for (auto &[tag, shard] : pool.shards) {
-            (void)tag;
-            const std::lock_guard<TimedMutex> lock(shard.mutex);
-            shard.blocks.clear();
-        }
-    };
-    clearPool(mSmallPool);
-    clearPool(mLargePool);
+    mSmallPool.byStream.clear();
+    mLargePool.byStream.clear();
     mBlocks.clear();
     mLive.clear();
     mSegments.clear();
 
     for (const auto &seg : state.segments) {
         mSegments.emplace(seg.base, seg.size);
-        ShardedPool *pool =
-            seg.smallPool ? &mSmallPool : &mLargePool;
+        Pool *pool = seg.smallPool ? &mSmallPool : &mLargePool;
         Block *prev = nullptr;
         for (const auto &rec : seg.blocks) {
             Block *b = newBlock(rec.addr, rec.size, seg.base, pool,
@@ -667,7 +574,6 @@ CachingAllocator::restoreState(const Checkpoint &checkpoint)
 MemorySnapshot
 CachingAllocator::snapshot() const
 {
-    const std::lock_guard<TimedMutex> meta(mMetaMutex);
     MemorySnapshot snap;
     snap.allocator = name();
     snap.activeBytes = mStats.activeBytes();
@@ -704,7 +610,6 @@ CachingAllocator::snapshot() const
 void
 CachingAllocator::checkConsistency() const
 {
-    const std::lock_guard<TimedMutex> meta(mMetaMutex);
     // Every block chain must tile its segment exactly, and the free
     // pools must contain exactly the non-allocated blocks.
     Bytes chained = 0;
@@ -734,12 +639,10 @@ CachingAllocator::checkConsistency() const
                   "blocks must tile segments: ", chained, " vs ",
                   segTotal);
     std::size_t pooled = 0;
-    auto countPool = [&](const ShardedPool &pool) {
-        std::shared_lock mapLock(pool.mapMutex);
-        for (const auto &[tag, shard] : pool.shards) {
+    auto countPool = [&](const Pool &pool) {
+        for (const auto &[tag, set] : pool.byStream) {
             (void)tag;
-            const std::lock_guard<TimedMutex> lock(shard.mutex);
-            pooled += shard.blocks.size();
+            pooled += set.size();
         }
     };
     countPool(mSmallPool);

@@ -19,12 +19,10 @@
 #include <map>
 #include <memory>
 #include <set>
-#include <shared_mutex>
 #include <unordered_map>
 #include <vector>
 
 #include "alloc/allocator.hh"
-#include "support/timed_mutex.hh"
 #include "vmm/device.hh"
 
 namespace gmlake::alloc
@@ -87,16 +85,6 @@ class CachingAllocator : public Allocator
     const AllocatorStats &stats() const override { return mStats; }
     std::string name() const override { return "caching"; }
 
-    /**
-     * Entry points lock internally: per-stream pool shards carry
-     * their own mutexes (the allocate fast path touches only the
-     * shards it scans) and a meta mutex serializes everything that
-     * rewrites block links or the segment/live maps. Safe to call
-     * concurrently from relaxed-commit engine workers.
-     */
-    bool internallySynchronized() const override { return true; }
-    std::uint64_t lockWaitNs() const override;
-
     /** Free bytes currently cached in the pools (reserved - active). */
     Bytes cachedBytes() const;
     std::size_t segmentCount() const;
@@ -124,7 +112,7 @@ class CachingAllocator : public Allocator
      * allocator half only, no device state. Segment block lists are
      * stored in address order, so restoring rebuilds the exact
      * prev/next chains; free-pool membership is implied (free blocks
-     * re-insert into their stream shard). GMLakeAllocator embeds one
+     * re-insert into their stream's free set). GMLakeAllocator embeds one
      * of these for its small path.
      */
     struct State
@@ -163,7 +151,7 @@ class CachingAllocator : public Allocator
 
   private:
     struct Block;
-    /** Heterogeneous probe for shard lookups: no Block construction. */
+    /** Heterogeneous probe for free-set lookups: no Block construction. */
     struct SizeKey
     {
         Bytes size = 0;
@@ -177,40 +165,23 @@ class CachingAllocator : public Allocator
         bool operator()(const Block *a, const SizeKey &k) const;
         bool operator()(const SizeKey &k, const Block *b) const;
     };
-    using ShardSet = std::set<Block *, BlockCmp>;
+    /** One stream tag's free blocks, ordered by (size, addr). */
+    using FreeSet = std::set<Block *, BlockCmp>;
 
     /**
-     * One stream tag's slice of a pool: its free blocks ordered by
-     * (size, addr) plus the mutex that guards them. Fields of a
-     * shard-resident block are immutable; mutation requires first
-     * removing the block under the shard mutex (claiming it), which
-     * is also what gives readers their happens-before edge.
+     * Free pool: one FreeSet per stream tag. The map is ordered, so
+     * walking it ascending visits blocks in (stream, size, addr)
+     * order, kAnyStream (~0) last — the order findFit breaks ties
+     * and releaseStream merges in, so it is an allocation decision.
+     * Sets are created on demand and kept when they empty.
      */
-    struct Shard
+    struct Pool
     {
-        ShardSet blocks;
-        mutable TimedMutex mutex;
-    };
+        std::map<StreamId, FreeSet> byStream;
 
-    /**
-     * Free pool sharded by stream tag. The shard map is ordered, so
-     * walking it ascending visits blocks in exactly the
-     * (stream, size, addr) order of the historical single-set pool —
-     * kAnyStream (~0) still sorts last. Shards are created on demand
-     * and never removed; the map mutex is shared for lookups/walks
-     * and exclusive only to add a shard.
-     */
-    struct ShardedPool
-    {
-        std::map<StreamId, Shard> shards;
-        mutable std::shared_mutex mapMutex;
-
-        Shard &shardFor(StreamId stream);
         void insert(Block *block);
-        /** Claim @p block: false when someone else already did. */
-        bool remove(Block *block);
-        /** Host ns callers spent blocked on the shard mutexes. */
-        std::uint64_t lockWaitNs() const;
+        /** Remove @p block, which must be in the pool. */
+        void erase(Block *block);
     };
 
     struct Block
@@ -221,7 +192,7 @@ class CachingAllocator : public Allocator
         Block *prev = nullptr;   //!< address-adjacent within segment
         Block *next = nullptr;
         VirtAddr segment = kNullAddr;
-        ShardedPool *pool = nullptr;
+        Pool *pool = nullptr;
         /** Stream that may reuse this block (kAnyStream after sync). */
         StreamId stream = kDefaultStream;
         /** Simulated time of the last free (for the event lag). */
@@ -233,8 +204,8 @@ class CachingAllocator : public Allocator
     AllocatorStats mStats;
     AllocId mNextId = 1;
 
-    ShardedPool mSmallPool;
-    ShardedPool mLargePool;
+    Pool mSmallPool;
+    Pool mLargePool;
     /** Segment base address -> segment size. */
     std::unordered_map<VirtAddr, Bytes> mSegments;
     /** Ownership of all block nodes. */
@@ -242,57 +213,39 @@ class CachingAllocator : public Allocator
     /** Live allocations. */
     std::unordered_map<AllocId, Block *> mLive;
 
-    /**
-     * Meta mutex: guards mSegments/mBlocks/mLive/mNextId, every
-     * prev/next link, and all field writes to claimed blocks. Lock
-     * hierarchy: meta -> pool map -> shard -> device; findFit runs
-     * with shard locks only (no meta), which is the allocate fast
-     * path the sharding exists for.
-     */
-    mutable TimedMutex mMetaMutex;
-
     Bytes roundSize(Bytes size) const;
     Bytes allocationSize(Bytes rounded) const;
-    ShardedPool &poolFor(Bytes rounded);
+    Pool &poolFor(Bytes rounded);
     bool shouldSplit(const Block &block, Bytes rounded) const;
 
-    /** Requires the meta mutex (owns mBlocks). */
     Block *newBlock(VirtAddr addr, Bytes size, VirtAddr segment,
-                    ShardedPool *pool, StreamId stream);
-    /** Requires the meta mutex. */
+                    Pool *pool, StreamId stream);
     void destroyBlock(Block *block);
 
-    /** Acquire a fresh segment from the device. Takes meta itself. */
+    /** Acquire a fresh segment from the device. */
     Expected<Block *> growSegment(Bytes rounded, StreamId stream);
 
     /**
      * Best-fit lookup restricted to blocks reusable by @p stream;
-     * the returned block has been claimed (removed from its shard).
-     * Takes only shard locks, one at a time.
+     * the returned block has been removed from its free set.
      */
-    Block *findFit(ShardedPool &pool, Bytes rounded, StreamId stream);
+    Block *findFit(Pool &pool, Bytes rounded, StreamId stream);
 
     /**
      * Release whole-segment free blocks of @p pool back to the
      * device until @p budget bytes are freed; returns bytes freed.
      * The one segment-release sweep emptyCache()/trimCache() share.
-     * Requires the meta mutex.
      */
-    Bytes sweepSegments(ShardedPool &pool, Bytes budget);
+    Bytes sweepSegments(Pool &pool, Bytes budget);
 
     /**
-     * Merge @p block (claimed, free) with free same-stream
-     * neighbours. Requires the meta mutex; neighbours that fail to
-     * claim (another thread got them first) are skipped, which
-     * cannot happen single-threaded.
+     * Merge @p block (free, out of the pool) with its free
+     * same-stream neighbours; returns the merged block, still out of
+     * the pool.
      */
     Block *coalesce(Block *block);
 
-    /**
-     * Retag free blocks of @p stream (kAnyStream = all) and merge.
-     * Takes meta itself (callers never hold it: the OOM retry ladder
-     * must be able to reenter via the offload hook).
-     */
+    /** Retag free blocks of @p stream (kAnyStream = all) and merge. */
     void releaseStream(StreamId stream);
 };
 

@@ -13,7 +13,7 @@
 #ifndef GMLAKE_ALLOC_STATS_HH
 #define GMLAKE_ALLOC_STATS_HH
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 
 #include "support/types.hh"
@@ -21,79 +21,39 @@
 namespace gmlake::alloc
 {
 
-/**
- * All counters are relaxed atomics so concurrent engine workers can
- * account allocations without taking the allocator's locks; the
- * peaks are CAS-max loops. Relaxed ordering is enough — readers are
- * either the owning thread or post-run result assembly, and peaks
- * only need to dominate every individually-published value.
- */
 class AllocatorStats
 {
   public:
     void
     onAllocate(Bytes active)
     {
-        mAllocCount.fetch_add(1, std::memory_order_relaxed);
-        const Bytes now =
-            mActive.fetch_add(active, std::memory_order_relaxed) +
-            active;
-        raiseMax(mPeakActive, now);
+        ++mAllocCount;
+        mActive += active;
+        mPeakActive = std::max(mPeakActive, mActive);
     }
 
     void
     onDeallocate(Bytes active)
     {
-        mFreeCount.fetch_add(1, std::memory_order_relaxed);
-        mActive.fetch_sub(active, std::memory_order_relaxed);
+        ++mFreeCount;
+        mActive -= active;
     }
 
     void
     onReserve(Bytes reserved)
     {
-        const Bytes now =
-            mReserved.fetch_add(reserved,
-                                std::memory_order_relaxed) +
-            reserved;
-        raiseMax(mPeakReserved, now);
+        mReserved += reserved;
+        mPeakReserved = std::max(mPeakReserved, mReserved);
     }
 
-    void
-    onRelease(Bytes reserved)
-    {
-        mReserved.fetch_sub(reserved, std::memory_order_relaxed);
-    }
+    void onRelease(Bytes reserved) { mReserved -= reserved; }
 
-    Bytes
-    activeBytes() const
-    {
-        return mActive.load(std::memory_order_relaxed);
-    }
-    Bytes
-    reservedBytes() const
-    {
-        return mReserved.load(std::memory_order_relaxed);
-    }
-    Bytes
-    peakActiveBytes() const
-    {
-        return mPeakActive.load(std::memory_order_relaxed);
-    }
-    Bytes
-    peakReservedBytes() const
-    {
-        return mPeakReserved.load(std::memory_order_relaxed);
-    }
-    std::uint64_t
-    allocCount() const
-    {
-        return mAllocCount.load(std::memory_order_relaxed);
-    }
-    std::uint64_t
-    freeCount() const
-    {
-        return mFreeCount.load(std::memory_order_relaxed);
-    }
+    Bytes activeBytes() const { return mActive; }
+    Bytes reservedBytes() const { return mReserved; }
+    Bytes peakActiveBytes() const { return mPeakActive; }
+    Bytes peakReservedBytes() const { return mPeakReserved; }
+    std::uint64_t allocCount() const { return mAllocCount; }
+    std::uint64_t freeCount() const { return mFreeCount; }
 
     /** Peak active / peak reserved; 1.0 when nothing was reserved. */
     double
@@ -123,40 +83,28 @@ class AllocatorStats
     Snapshot
     capture() const
     {
-        return Snapshot{activeBytes(),      reservedBytes(),
-                        peakActiveBytes(),  peakReservedBytes(),
-                        allocCount(),       freeCount()};
+        return Snapshot{mActive,      mReserved,   mPeakActive,
+                        mPeakReserved, mAllocCount, mFreeCount};
     }
 
     void
     restore(const Snapshot &snap)
     {
-        mActive.store(snap.active, std::memory_order_relaxed);
-        mReserved.store(snap.reserved, std::memory_order_relaxed);
-        mPeakActive.store(snap.peakActive, std::memory_order_relaxed);
-        mPeakReserved.store(snap.peakReserved,
-                            std::memory_order_relaxed);
-        mAllocCount.store(snap.allocCount, std::memory_order_relaxed);
-        mFreeCount.store(snap.freeCount, std::memory_order_relaxed);
+        mActive = snap.active;
+        mReserved = snap.reserved;
+        mPeakActive = snap.peakActive;
+        mPeakReserved = snap.peakReserved;
+        mAllocCount = snap.allocCount;
+        mFreeCount = snap.freeCount;
     }
 
   private:
-    static void
-    raiseMax(std::atomic<Bytes> &peak, Bytes value)
-    {
-        Bytes cur = peak.load(std::memory_order_relaxed);
-        while (cur < value &&
-               !peak.compare_exchange_weak(
-                   cur, value, std::memory_order_relaxed)) {
-        }
-    }
-
-    std::atomic<Bytes> mActive{0};
-    std::atomic<Bytes> mReserved{0};
-    std::atomic<Bytes> mPeakActive{0};
-    std::atomic<Bytes> mPeakReserved{0};
-    std::atomic<std::uint64_t> mAllocCount{0};
-    std::atomic<std::uint64_t> mFreeCount{0};
+    Bytes mActive = 0;
+    Bytes mReserved = 0;
+    Bytes mPeakActive = 0;
+    Bytes mPeakReserved = 0;
+    std::uint64_t mAllocCount = 0;
+    std::uint64_t mFreeCount = 0;
 };
 
 } // namespace gmlake::alloc

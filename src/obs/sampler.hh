@@ -5,10 +5,9 @@
  * The engine owns the cadence: inside its event loop (and only when
  * a recorder is active) it checks due(now) against simulated time
  * and, when a sample is due, gathers the inputs itself — per-tenant
- * live bytes from its cursors, allocator active/reserved from the
- * lock-free stats atomics, and device fragmentation from the
- * device's own state lock (Device::fragStats) — so sampling never
- * takes an allocator lock and never advances simulated time.
+ * live bytes from its cursors, allocator active/reserved from its
+ * stats, and device fragmentation from Device::fragStats — so
+ * sampling never advances simulated time.
  */
 
 #ifndef GMLAKE_OBS_SAMPLER_HH

@@ -96,17 +96,10 @@ struct RunResult
     std::uint64_t offloadWallNs = 0;
 
     /**
-     * In-device concurrency instrumentation. lockWaitNs is host time
-     * threads spent blocked on the device state lock plus the
-     * allocator's internal shard/meta locks (TimedMutex deltas);
-     * snapshotPublishes counts mapping-snapshot rebuilds the run
-     * caused; commitStallNs is host time the deterministic committer
-     * spent waiting on stager threads (0 for serial and relaxed
-     * runs). All three measure the simulator, like the *WallNs
-     * fields — never the simulation.
+     * Host time the committer spent waiting on stager threads (0 for
+     * serial runs). Measures the simulator, like the *WallNs fields —
+     * never the simulation.
      */
-    std::uint64_t lockWaitNs = 0;
-    std::uint64_t snapshotPublishes = 0;
     std::uint64_t commitStallNs = 0;
 
     /**
@@ -128,27 +121,6 @@ struct RunResult
     std::vector<SamplePoint> series;
 };
 
-/**
- * How a multi-threaded engine orders allocator decisions.
- *
- * deterministic — events commit in the serial engine's exact
- * (localTime, sessionIndex) order; worker threads only pre-pull
- * events from the per-session sources through bounded stage buffers.
- * Every allocator decision (and thus every decision digest) is
- * identical to a single-threaded run by construction.
- *
- * relaxed — each worker owns a subset of sessions and replays them
- * concurrently against the shared allocator/device, synchronizing
- * only through their locks. Measures real contention; decisions and
- * sim-time metrics depend on the interleaving, so digests are not
- * comparable across runs.
- */
-enum class CommitMode
-{
-    deterministic,
-    relaxed,
-};
-
 struct EngineOptions
 {
     /** Upper bound on recorded series points (decimated above it). */
@@ -164,23 +136,21 @@ struct EngineOptions
      */
     offload::OffloadManager *offload = nullptr;
     /**
-     * Engine worker threads: 1 = classic serial replay, N > 1 =
-     * parallel replay (stagers + committer in deterministic mode,
-     * session-owning workers in relaxed mode), 0 = one per hardware
-     * thread. Relaxed mode additionally needs more than one session
-     * to have anything to race; otherwise it degenerates to the
-     * serial replay.
+     * Engine threads: 1 = classic serial replay, N > 1 = the calling
+     * thread commits every event in serial order while up to N - 1
+     * stager threads pre-pull session sources, 0 = one per hardware
+     * thread. Only the calling thread touches the allocator and the
+     * device, so results are identical at any thread count.
      */
     std::size_t engineThreads = 1;
-    CommitMode commitMode = CommitMode::deterministic;
     /**
-     * Deterministic mode only: max events a stager may run ahead of
-     * the committer per session (the StageBuffer capacity).
+     * Max events a stager may run ahead of the committer per session
+     * (the StageBuffer capacity).
      */
     std::size_t commitWindow = 256;
     /**
-     * Checkpoint-resume support (deterministic mode only); see
-     * sim/sweep.hh for the harness built on top.
+     * Checkpoint-resume support; see sim/sweep.hh for the harness
+     * built on top.
      *
      * captureResume — capture a ResumeState at the end of the run
      * instead of charging trailing compute: each session's local
@@ -200,20 +170,20 @@ struct EngineOptions
     bool captureResume = false;
     Tick startFrontier = 0;
     /**
-     * Chaos mode (deterministic commit only): a session hitting a
-     * non-OOM device failure — Errc::faultInjected from an installed
-     * FaultPlan — is killed like a tenant OOM instead of panicking
-     * the engine, counted in RunResult::abortedSessions. Fault-free
-     * runs never see such errors, so the default (off = panic, the
-     * historical behavior) only matters under injection.
+     * Chaos mode: a session hitting a non-OOM device failure —
+     * Errc::faultInjected from an installed FaultPlan — is killed
+     * like a tenant OOM instead of panicking the engine, counted in
+     * RunResult::abortedSessions. Fault-free runs never see such
+     * errors, so the default (off = panic, the historical behavior)
+     * only matters under injection.
      */
     bool abortSessionOnFault = false;
     /**
-     * Scripted tenant kills (deterministic commit only): session
-     * index i is killed — live allocations reclaimed, counted as
-     * aborted — at the first of its events whose local time is at or
-     * past the given tick. Models a randomized `kill -9` while
-     * staying a deterministic function of the schedule.
+     * Scripted tenant kills: session index i is killed — live
+     * allocations reclaimed, counted as aborted — at the first of its
+     * events whose local time is at or past the given tick. Models a
+     * randomized `kill -9` while staying a deterministic function of
+     * the schedule.
      */
     std::vector<std::pair<std::size_t, Tick>> tenantKills;
     /**

@@ -80,7 +80,6 @@ ExperimentContext::adjust(ScenarioOptions scenario) const
     scenario.device = adjust(scenario.device);
     scenario.engine.engineThreads = static_cast<std::size_t>(
         std::max(0, mOptions.engineThreads));
-    scenario.engine.commitMode = mOptions.engineCommit;
     return scenario;
 }
 
@@ -269,8 +268,10 @@ jsonRecordFields(const RunRecord &r)
         {"faulted_bytes", u(res.faultedBytes)},
         {"stall_ns", u(res.stallNs)},
         {"offload_wall_ns", u(res.offloadWallNs)},
-        {"lock_wait_ns", u(res.lockWaitNs)},
-        {"snapshot_publishes", u(res.snapshotPublishes)},
+        // Retired columns (no engine locks or mapping snapshots are
+        // left to count), kept at 0 so the schema stays stable.
+        {"lock_wait_ns", "0"},
+        {"snapshot_publishes", "0"},
         {"commit_stall_ns", u(res.commitStallNs)},
         {"injected_faults", u(res.injectedFaults)},
         {"recovered", u(res.recovered)},
@@ -341,8 +342,7 @@ writeCsv(const Experiment &experiment,
             << r.result.faultedBytes << ','
             << r.result.stallNs << ','
             << r.result.offloadWallNs << ','
-            << r.result.lockWaitNs << ','
-            << r.result.snapshotPublishes << ','
+            << "0,0," // lock_wait_ns, snapshot_publishes: retired
             << r.result.commitStallNs << ','
             << r.result.injectedFaults << ','
             << r.result.recovered << ','
@@ -371,11 +371,7 @@ writeJson(const Experiment &experiment,
         << "  \"device_capacity_override\": "
         << options.deviceCapacity << ",\n"
         << "  \"engine_threads\": " << options.engineThreads << ",\n"
-        << "  \"engine_commit\": \""
-        << (options.engineCommit == CommitMode::relaxed
-                ? "relaxed"
-                : "deterministic")
-        << "\",\n"
+        << "  \"engine_commit\": \"deterministic\",\n"
         // Everything a reader needs to reproduce the run: the
         // resolved override set, as one block (the legacy top-level
         // keys above stay for existing consumers).
@@ -386,11 +382,7 @@ writeJson(const Experiment &experiment,
         << ", "
         << "\"threads\": " << options.threads << ", "
         << "\"engine_threads\": " << options.engineThreads << ", "
-        << "\"engine_commit\": \""
-        << (options.engineCommit == CommitMode::relaxed
-                ? "relaxed"
-                : "deterministic")
-        << "\"},\n"
+        << "\"engine_commit\": \"deterministic\"},\n"
         << "  \"records\": [";
     bool first = true;
     for (const RunRecord &r : context.records()) {
@@ -566,14 +558,9 @@ try {
                 << "  --threads N      worker threads for cluster "
                    "scenarios (0 = all cores)\n"
                 << "  --engine-threads N\n"
-                << "                   worker threads inside each "
-                   "engine run (0 = all\n"
-                << "                   cores); deterministic mode "
-                   "keeps results identical\n"
-                << "  --engine-commit MODE\n"
-                << "                   deterministic (default) or "
-                   "relaxed commit order\n"
-                << "                   for parallel engine runs\n"
+                << "                   threads inside each engine run "
+                   "(0 = all cores);\n"
+                << "                   results stay identical\n"
                 << "  --csv [FILE]     append run records as CSV\n"
                 << "  --json [FILE]    write the report as JSON\n"
                 << "  --timeline FILE  record the runs and write a "
@@ -611,18 +598,6 @@ try {
         } else if (flag == "--engine-threads") {
             options.experiment.engineThreads = static_cast<int>(
                 parseUnsigned("--engine-threads", need(i), 4096));
-        } else if (flag == "--engine-commit") {
-            const std::string mode = need(i);
-            if (mode == "deterministic") {
-                options.experiment.engineCommit =
-                    CommitMode::deterministic;
-            } else if (mode == "relaxed") {
-                options.experiment.engineCommit = CommitMode::relaxed;
-            } else {
-                GMLAKE_FATAL("flag --engine-commit accepts "
-                             "'deterministic' or 'relaxed', got '",
-                             mode, "'");
-            }
         } else if (flag == "--csv") {
             const char *path = optional(i);
             options.csvPath =

@@ -2,10 +2,10 @@
  * @file
  * The experiment registry: every figure/table reproduction and
  * extension study registers here as a named scenario (workload sweep,
- * allocator set, device config, metrics). The bench_* binaries, the
- * gmlake_sim `run`/`list` subcommands, CI's bench-smoke job, and the
- * registry test all drive scenarios through this one code path, so a
- * scenario that rots fails CTest instead of a nightly bench.
+ * allocator set, device config, metrics). The gmlake_sim `run`/`list`
+ * subcommands, CI's bench-smoke job, and the registry test all drive
+ * scenarios through this one code path, so a scenario that rots
+ * fails CTest instead of a nightly bench.
  */
 
 #ifndef GMLAKE_SIM_EXPERIMENT_HH
@@ -47,14 +47,11 @@ struct ExperimentOptions
      */
     int threads = 1;
     /**
-     * Worker threads *inside* each engine run (sim/session.hh):
-     * 1 = serial replay, N > 1 = parallel in-device replay, 0 = one
-     * per hardware thread. In the default deterministic commit mode
-     * results are identical at any thread count.
+     * Threads *inside* each engine run (sim/session.hh): 1 = serial
+     * replay, N > 1 = staged decode-ahead, 0 = one per hardware
+     * thread. Results are identical at any thread count.
      */
     int engineThreads = 1;
-    /** Commit order of parallel engine runs (see CommitMode). */
-    CommitMode engineCommit = CommitMode::deterministic;
     /**
      * Write auxiliary plotting files (e.g. fig14's full-series
      * CSVs). Off by default so smoke runs and tests leave no stray
@@ -245,9 +242,9 @@ int runExperiment(const Experiment &experiment,
                   std::ostream &out);
 
 /**
- * Shared main() body of the bench_* wrappers and `gmlake_sim run`:
- * parses --iterations/--capacity/--seed/--csv/--json/--timeline/
- * --log-level and runs the named scenario.
+ * main() body of `gmlake_sim run`: parses --iterations/--capacity/
+ * --seed/--csv/--json/--timeline/--log-level and runs the named
+ * scenario. Returns 1, without running it, on a bad flag.
  */
 int experimentMain(const std::string &name, int argc, char **argv);
 

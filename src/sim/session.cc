@@ -14,7 +14,6 @@
 #include "support/logging.hh"
 #include "support/stopwatch.hh"
 #include "support/strings.hh"
-#include "support/timed_mutex.hh"
 
 namespace gmlake::sim
 {
@@ -100,7 +99,7 @@ struct LiveAlloc
 
 /**
  * Replay cursor + bookkeeping of one session. Events arrive either
- * straight from the source (serial / relaxed replay) or through a
+ * straight from the source (serial replay) or through a
  * StageBuffer filled by a stager thread (staged deterministic
  * replay); fetch/consume/refresh hide the difference from the replay
  * loop.
@@ -202,20 +201,7 @@ SimEngine::run(const workload::TrainConfig *config)
         const unsigned hw = std::thread::hardware_concurrency();
         threads = hw == 0 ? 1 : hw;
     }
-    // Relaxed mode needs sessions to actually race; a lone session
-    // (or a lone thread) degenerates to the serial replay.
-    if (mOptions.commitMode == CommitMode::relaxed && threads > 1 &&
-        mSessions.size() > 1) {
-        return runRelaxed(config,
-                          std::min(threads, mSessions.size()));
-    }
-    return runMerged(config, threads);
-}
 
-MultiRunResult
-SimEngine::runMerged(const workload::TrainConfig *config,
-                     std::size_t stagerThreads)
-{
     MultiRunResult multi;
     RunResult &result = multi.combined;
     result.allocator = mAllocator.name();
@@ -224,10 +210,6 @@ SimEngine::runMerged(const workload::TrainConfig *config,
     LatencyHistogram allocWall;
     const Tick apiTimeStart = mDevice.counters().apiTime;
     const std::uint64_t vmmWallStart = mDevice.counters().vmmWallNs;
-    const std::uint64_t snapStart =
-        mDevice.counters().snapshotPublishes;
-    const std::uint64_t lockWaitStart =
-        mDevice.lockWaitNs() + mAllocator.lockWaitNs();
     const Tick timeStart = mDevice.now();
     const std::uint64_t injectedStart =
         mDevice.faultInjector() != nullptr
@@ -332,9 +314,9 @@ SimEngine::runMerged(const workload::TrainConfig *config,
     // fetch path. The commit order is unchanged either way.
     std::vector<std::unique_ptr<StageBuffer>> buffers;
     std::vector<std::thread> stagers;
-    if (stagerThreads >= 2) {
+    if (threads >= 2) {
         const std::size_t staged =
-            std::min(stagerThreads - 1, mSessions.size());
+            std::min(threads - 1, mSessions.size());
         buffers.reserve(staged);
         stagers.reserve(staged);
         for (std::size_t i = 0; i < staged; ++i) {
@@ -454,13 +436,12 @@ SimEngine::runMerged(const workload::TrainConfig *config,
         cursor.result.oomEvictableBytes =
             tier != nullptr ? tier->evictableBytes()
                             : mAllocator.trimmableBytes();
-        const auto mapSnap = mDevice.mappingSnapshot();
         const std::string report = detail::concat(
             "session '", cursor.result.name, "' OOM-killed: ",
             "allocator=", mAllocator.name(), " requested=",
             formatBytes(requested), " largest_free_extent=",
             formatBytes(cursor.result.oomLargestFree),
-            " mapped_extents=", mapSnap->extentCount(),
+            " mapped_extents=", mDevice.mappings().extentCount(),
             " evictable=",
             formatBytes(cursor.result.oomEvictableBytes));
         // A dead tenant in a colocation is an event worth shouting
@@ -814,10 +795,6 @@ SimEngine::runMerged(const workload::TrainConfig *config,
     result.deviceApiTime = mDevice.counters().apiTime - apiTimeStart;
     result.vmmWallNs = mDevice.counters().vmmWallNs - vmmWallStart;
     result.stallNs = mDevice.counters().copyStallNs - copyStallStart;
-    result.snapshotPublishes =
-        mDevice.counters().snapshotPublishes - snapStart;
-    result.lockWaitNs = mDevice.lockWaitNs() +
-                        mAllocator.lockWaitNs() - lockWaitStart;
     for (const auto &buffer : buffers)
         result.commitStallNs += buffer->stallNs();
     if (tier != nullptr) {
@@ -844,372 +821,6 @@ SimEngine::runMerged(const workload::TrainConfig *config,
     }
     sample(true);
     obsSample(true);
-    return multi;
-}
-
-MultiRunResult
-SimEngine::runRelaxed(const workload::TrainConfig *config,
-                      std::size_t workers)
-{
-    // The offload tier's bookkeeping assumes the serial commit
-    // order; relaxed contention runs measure the allocator/VMM
-    // layers only.
-    GMLAKE_ASSERT(mOptions.offload == nullptr,
-                  "relaxed commit mode does not support an offload "
-                  "tier; use deterministic mode");
-    // Checkpoint resume is a deterministic-replay feature: seeds and
-    // the carried frontier only make sense against the serial commit
-    // order that produced them.
-    GMLAKE_ASSERT(!mOptions.captureResume && mSeeds.empty() &&
-                      mOptions.startFrontier == 0,
-                  "relaxed commit mode does not support "
-                  "checkpoint/resume; use deterministic mode");
-    // Chaos features are defined against the serial commit order.
-    GMLAKE_ASSERT(!mOptions.abortSessionOnFault &&
-                      mOptions.tenantKills.empty(),
-                  "relaxed commit mode does not support fault "
-                  "aborts or tenant kills; use deterministic mode");
-
-    MultiRunResult multi;
-    RunResult &result = multi.combined;
-    result.allocator = mAllocator.name();
-
-    const Stopwatch runWall;
-    const Tick apiTimeStart = mDevice.counters().apiTime;
-    const std::uint64_t vmmWallStart = mDevice.counters().vmmWallNs;
-    const Tick copyStallStart = mDevice.counters().copyStallNs;
-    const std::uint64_t snapStart =
-        mDevice.counters().snapshotPublishes;
-    const std::uint64_t lockWaitStart =
-        mDevice.lockWaitNs() + mAllocator.lockWaitNs();
-    const Tick timeStart = mDevice.now();
-
-    std::vector<Cursor> cursors(mSessions.size());
-    for (std::size_t i = 0; i < mSessions.size(); ++i) {
-        cursors[i].src = &mSessions[i].source();
-        cursors[i].src->reset();
-        cursors[i].localTime = mSessions[i].startTime();
-        cursors[i].live.reserve(1024);
-        cursors[i].result.name = mSessions[i].name();
-    }
-
-    // Observability, relaxed flavor: lifecycle instants only. Each
-    // worker emits into its own per-thread segment, so no extra
-    // synchronization is needed; the periodic sampler stays off
-    // because it reads engine-wide cursor state the racing workers
-    // own piecemeal.
-    obs::Recorder *rec = obs::active();
-    std::vector<std::uint32_t> tenantTracks;
-    if (rec != nullptr) {
-        tenantTracks.reserve(mSessions.size());
-        for (const Session &session : mSessions) {
-            tenantTracks.push_back(
-                rec->track("tenant:" + session.name()));
-        }
-        for (std::size_t i = 0; i < mSessions.size(); ++i) {
-            rec->instant(obs::EvName::sessionStart,
-                         obs::EventCat::engine, tenantTracks[i],
-                         timeStart + mSessions[i].startTime(), i);
-        }
-    }
-
-    // Workers race on the shared allocator; allocators without
-    // internal synchronization get one engine-level lock (its wait
-    // time is part of the measured contention).
-    TimedMutex engineMutex;
-    const bool guard = !mAllocator.internallySynchronized();
-    auto withGuard = [&](auto fn) {
-        if (guard) {
-            const std::lock_guard<TimedMutex> lock(engineMutex);
-            return fn();
-        }
-        return fn();
-    };
-
-    auto remapStream = [](std::size_t sessionIndex, StreamId stream) {
-        GMLAKE_ASSERT(stream < kSessionStreamStride,
-                      "session stream id exceeds the namespace "
-                      "stride: ", stream);
-        return static_cast<StreamId>(sessionIndex) *
-                   kSessionStreamStride +
-               stream;
-    };
-
-    auto noteStream = [](Cursor &cursor, StreamId stream) {
-        if (stream == kAnyStream)
-            return;
-        if (std::find(cursor.seenStreams.begin(),
-                      cursor.seenStreams.end(),
-                      stream) == cursor.seenStreams.end())
-            cursor.seenStreams.push_back(stream);
-    };
-
-    // Tenant-scoped failure, relaxed flavor: with several sessions
-    // racing there is (almost) always a survivor, and the serial
-    // engine's exact survivor scan would read other workers'
-    // cursors; reclaim unconditionally instead. Divergence from the
-    // deterministic replay is expected here — relaxed runs are not
-    // digest-comparable by design.
-    auto reclaim = [&](Cursor &dying) {
-        std::vector<workload::TensorId> ids;
-        ids.reserve(dying.live.size());
-        for (const auto &[tensor, allocation] : dying.live) {
-            (void)allocation;
-            ids.push_back(tensor);
-        }
-        std::sort(ids.begin(), ids.end());
-        for (const workload::TensorId tensor : ids) {
-            const alloc::AllocId id = dying.live.at(tensor).id;
-            const Status s = withGuard(
-                [&] { return mAllocator.deallocate(id); });
-            GMLAKE_ASSERT(s.ok(), "reclaim failed: ",
-                          s.ok() ? "" : s.error().message);
-        }
-        dying.live.clear();
-        dying.liveBytes = 0;
-    };
-
-    auto killOnOom = [&](Cursor &cursor, Bytes requested) {
-        cursor.dead = true;
-        cursor.result.oom = true;
-        cursor.result.oomAt = mDevice.now() - timeStart;
-        cursor.result.oomRequestedBytes = requested;
-        cursor.result.oomLargestFree = mDevice.largestFreeExtent();
-        cursor.result.oomEvictableBytes = withGuard(
-            [&] { return mAllocator.trimmableBytes(); });
-        GMLAKE_WARN(detail::concat(
-            "session '", cursor.result.name, "' OOM-killed: ",
-            "allocator=", mAllocator.name(), " requested=",
-            formatBytes(requested), " largest_free_extent=",
-            formatBytes(cursor.result.oomLargestFree),
-            " evictable=",
-            formatBytes(cursor.result.oomEvictableBytes)));
-        if (rec != nullptr) {
-            const auto idx = static_cast<std::size_t>(
-                &cursor - cursors.data());
-            rec->instant(obs::EvName::sessionOom,
-                         obs::EventCat::engine, tenantTracks[idx],
-                         mDevice.now(), requested,
-                         cursor.result.oomLargestFree,
-                         cursor.result.oomEvictableBytes);
-        }
-        reclaim(cursor);
-    };
-
-    std::vector<LatencyHistogram> workerWall(workers);
-
-    // Worker w owns sessions {i : i mod workers == w}: it merges
-    // them with the serial engine's (localTime, index) order
-    // *within* its own subset, while subsets interleave freely —
-    // that interleaving is exactly the contention being measured.
-    // The shared clock advances via CAS-max, so simulated time reads
-    // as the max of the per-session frontiers plus the serialized
-    // API charges, not their sum.
-    auto workerMain = [&](std::size_t w) {
-        using ReadyKey = std::pair<Tick, std::size_t>;
-        std::priority_queue<ReadyKey, std::vector<ReadyKey>,
-                            std::greater<ReadyKey>>
-            ready;
-        std::vector<std::size_t> owned;
-        for (std::size_t i = w; i < cursors.size(); i += workers)
-            owned.push_back(i);
-        Tick frontier = 0;
-
-        auto stampComputeTails = [&]() {
-            for (const std::size_t i : owned) {
-                Cursor &c = cursors[i];
-                if (c.lastWasCompute && !c.dead && c.exhausted &&
-                    c.localTime <= frontier) {
-                    c.result.endedAt = mDevice.now() - timeStart;
-                    c.lastWasCompute = false;
-                }
-            }
-        };
-
-        for (const std::size_t i : owned) {
-            cursors[i].refresh();
-            if (!cursors[i].finished())
-                ready.push({cursors[i].localTime, i});
-        }
-
-        while (!ready.empty()) {
-            const std::size_t bestIndex = ready.top().second;
-            ready.pop();
-            Cursor *best = &cursors[bestIndex];
-
-            if (best->localTime > frontier) {
-                mDevice.clock().advanceTo(timeStart +
-                                          best->localTime);
-                frontier = best->localTime;
-            }
-
-            const workload::Event event = *best->fetch();
-            best->consume();
-            best->lastWasCompute =
-                event.kind == workload::EventKind::compute;
-            switch (event.kind) {
-              case workload::EventKind::alloc: {
-                const StreamId stream =
-                    event.stream == kAnyStream
-                        ? kAnyStream
-                        : remapStream(bestIndex, event.stream);
-                noteStream(*best, stream);
-                const std::uint64_t wall0 = Stopwatch::nowNs();
-                const auto got = withGuard([&] {
-                    return mAllocator.allocate(event.bytes, stream);
-                });
-                workerWall[w].add(Stopwatch::nowNs() - wall0);
-                if (!got.ok()) {
-                    if (got.error().code != Errc::outOfMemory) {
-                        GMLAKE_PANIC("allocator error: ",
-                                     got.error().message);
-                    }
-                    killOnOom(*best, event.bytes);
-                    break;
-                }
-                best->live.emplace(event.tensor,
-                                   LiveAlloc{got->id, event.bytes});
-                best->liveBytes += event.bytes;
-                best->result.peakLiveBytes = std::max(
-                    best->result.peakLiveBytes, best->liveBytes);
-                ++best->result.allocCount;
-                break;
-              }
-              case workload::EventKind::free: {
-                const auto it = best->live.find(event.tensor);
-                GMLAKE_ASSERT(it != best->live.end(),
-                              "trace frees unknown tensor");
-                const Status s = withGuard([&] {
-                    return mAllocator.deallocate(it->second.id);
-                });
-                GMLAKE_ASSERT(s.ok(), "deallocate failed: ",
-                              s.ok() ? "" : s.error().message);
-                best->liveBytes -= it->second.bytes;
-                best->live.erase(it);
-                ++best->result.freeCount;
-                break;
-              }
-              case workload::EventKind::compute:
-                best->localTime += event.computeNs;
-                break;
-              case workload::EventKind::touch: {
-                const auto it = best->live.find(event.tensor);
-                GMLAKE_ASSERT(it != best->live.end(),
-                              "trace touches unknown tensor");
-                break; // no offload tier in relaxed mode
-              }
-              case workload::EventKind::prefetch: {
-                const auto it = best->live.find(event.tensor);
-                GMLAKE_ASSERT(it != best->live.end(),
-                              "trace prefetches unknown tensor");
-                break;
-              }
-              case workload::EventKind::iterationMark:
-                ++best->result.iterationsDone;
-                break;
-              case workload::EventKind::streamSync:
-                if (event.stream == kAnyStream) {
-                    // Tenant-scoped "device" sync (relaxed always
-                    // has co-tenants).
-                    for (const StreamId stream : best->seenStreams) {
-                        withGuard([&] {
-                            mAllocator.streamSynchronize(stream);
-                            return 0;
-                        });
-                    }
-                } else {
-                    const StreamId stream =
-                        remapStream(bestIndex, event.stream);
-                    noteStream(*best, stream);
-                    withGuard([&] {
-                        mAllocator.streamSynchronize(stream);
-                        return 0;
-                    });
-                }
-                break;
-            }
-            if (!best->dead)
-                best->refresh();
-            if (!best->lastWasCompute)
-                best->result.endedAt = mDevice.now() - timeStart;
-            stampComputeTails();
-            if (!best->finished())
-                ready.push({best->localTime, bestIndex});
-        }
-
-        // Trailing compute of this worker's sessions.
-        std::vector<Cursor *> tails;
-        for (const std::size_t i : owned) {
-            Cursor &c = cursors[i];
-            if (!c.dead && c.localTime > frontier)
-                tails.push_back(&c);
-        }
-        std::stable_sort(tails.begin(), tails.end(),
-                         [](const Cursor *a, const Cursor *b) {
-                             return a->localTime < b->localTime;
-                         });
-        for (const Cursor *c : tails) {
-            if (c->localTime > frontier) {
-                mDevice.clock().advanceTo(timeStart + c->localTime);
-                frontier = c->localTime;
-            }
-            stampComputeTails();
-        }
-        stampComputeTails();
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w)
-        pool.emplace_back(workerMain, w);
-    for (std::thread &worker : pool)
-        worker.join();
-
-    LatencyHistogram allocWall;
-    for (const LatencyHistogram &h : workerWall)
-        allocWall.merge(h);
-
-    for (Cursor &c : cursors) {
-        if (c.result.oom && c.result.iterationsDone > 0)
-            --c.result.iterationsDone;
-        result.iterationsDone += c.result.iterationsDone;
-        if (c.result.oom &&
-            (!result.oom || c.result.oomAt < result.oomAt)) {
-            result.oom = true;
-            result.oomAt = c.result.oomAt;
-        }
-        multi.sessions.push_back(std::move(c.result));
-    }
-
-    const auto &stats = mAllocator.stats();
-    result.simTime = mDevice.now() - timeStart;
-    result.peakActive = stats.peakActiveBytes();
-    result.peakReserved = stats.peakReservedBytes();
-    result.utilization = stats.utilizationRatio();
-    result.fragmentation = stats.fragmentationRatio();
-    result.allocCount = stats.allocCount();
-    result.freeCount = stats.freeCount();
-    result.deviceApiTime = mDevice.counters().apiTime - apiTimeStart;
-    result.vmmWallNs = mDevice.counters().vmmWallNs - vmmWallStart;
-    result.stallNs = mDevice.counters().copyStallNs - copyStallStart;
-    result.snapshotPublishes =
-        mDevice.counters().snapshotPublishes - snapStart;
-    result.lockWaitNs = mDevice.lockWaitNs() +
-                        mAllocator.lockWaitNs() +
-                        engineMutex.waitNs() - lockWaitStart;
-    result.allocWallNs = allocWall.totalNs();
-    result.allocWallP50Ns = allocWall.quantileNs(0.50);
-    result.allocWallP99Ns = allocWall.quantileNs(0.99);
-    result.runWallNs = runWall.elapsedNs();
-
-    if (config && result.iterationsDone > 0 && result.simTime > 0) {
-        const double samples =
-            static_cast<double>(result.iterationsDone) *
-            static_cast<double>(config->batchSize) *
-            static_cast<double>(config->gpus);
-        result.samplesPerSec =
-            samples / (static_cast<double>(result.simTime) * 1e-9);
-    }
     return multi;
 }
 

@@ -226,29 +226,16 @@ class SimEngine
      * Replay every session to completion (or death). @p config, when
      * given, derives combined throughput the way runTrace() does.
      * The engine is single-shot: run it once.
+     *
+     * The calling thread executes every event in (localTime,
+     * sessionIndex) order and is the only one touching the allocator
+     * and the device. With EngineOptions::engineThreads >= 2, stager
+     * threads pre-pull session sources through bounded StageBuffers
+     * (decision-identical to serial, see sim/stage_queue.hh).
      */
     MultiRunResult run(const workload::TrainConfig *config = nullptr);
 
   private:
-    /**
-     * Serial-order replay: the committer (calling thread) executes
-     * all events in (localTime, sessionIndex) order; with
-     * @p stagerThreads >= 2 each session gets a stager thread
-     * pre-pulling its source through a bounded StageBuffer
-     * (decision-identical to serial, see sim/stage_queue.hh).
-     */
-    MultiRunResult runMerged(const workload::TrainConfig *config,
-                             std::size_t stagerThreads);
-
-    /**
-     * Contention-measuring replay: @p workers threads each own a
-     * disjoint subset of sessions and replay them concurrently
-     * against the shared allocator/device. Not digest-comparable to
-     * deterministic runs; see CommitMode::relaxed.
-     */
-    MultiRunResult runRelaxed(const workload::TrainConfig *config,
-                              std::size_t workers);
-
     alloc::Allocator &mAllocator;
     vmm::Device &mDevice;
     EngineOptions mOptions;

@@ -3,17 +3,12 @@
  * Simulated clock. All device API calls and workload compute phases
  * advance this clock; throughput numbers are derived from it.
  *
- * The tick counter is atomic so concurrent engine workers (relaxed
- * commit mode) can charge costs and advance the merged time frontier
- * without a lock: advance() is a fetch_add, advanceTo() a CAS-max.
- * Single-threaded replay pays one uncontended relaxed atomic per
- * operation, which is noise next to any allocator call.
+ * A plain counter: the clock belongs to its Device, and one thread
+ * owns a device and everything that charges it.
  */
 
 #ifndef GMLAKE_VMM_CLOCK_HH
 #define GMLAKE_VMM_CLOCK_HH
-
-#include <atomic>
 
 #include "support/logging.hh"
 #include "support/types.hh"
@@ -24,34 +19,19 @@ namespace gmlake::vmm
 class SimClock
 {
   public:
-    Tick now() const { return mNow.load(std::memory_order_relaxed); }
+    Tick now() const { return mNow; }
 
     void
     advance(Tick delta)
     {
         GMLAKE_ASSERT(delta >= 0, "clock cannot go backwards");
-        mNow.fetch_add(delta, std::memory_order_relaxed);
+        mNow += delta;
     }
 
-    /**
-     * Monotonic merge: lift the clock to @p t if it is behind (no-op
-     * otherwise). The frontier-advance primitive of concurrent
-     * workers, whose local timelines interleave nondeterministically.
-     */
-    void
-    advanceTo(Tick t)
-    {
-        Tick cur = mNow.load(std::memory_order_relaxed);
-        while (cur < t &&
-               !mNow.compare_exchange_weak(
-                   cur, t, std::memory_order_relaxed)) {
-        }
-    }
-
-    void reset() { mNow.store(0, std::memory_order_relaxed); }
+    void reset() { mNow = 0; }
 
   private:
-    std::atomic<Tick> mNow{0};
+    Tick mNow = 0;
 };
 
 } // namespace gmlake::vmm

@@ -120,13 +120,12 @@ void
 Device::charge(Tick t)
 {
     mClock.advance(t);
-    mCounters.apiTime.fetch_add(t, std::memory_order_relaxed);
+    mCounters.apiTime += t;
 }
 
 Expected<VirtAddr>
 Device::memAddressReserve(Bytes size)
 {
-    const std::lock_guard<TimedMutex> state(mStateMutex);
     ++mCounters.addressReserve;
     const WallScope wall(mCounters);
     ObsApiSpan span(obs::EvName::devAddressReserve, mClock);
@@ -141,7 +140,6 @@ Device::memAddressReserve(Bytes size)
 Status
 Device::memAddressFree(VirtAddr va)
 {
-    const std::lock_guard<TimedMutex> state(mStateMutex);
     ++mCounters.addressFree;
     const WallScope wall(mCounters);
     const ObsApiSpan span(obs::EvName::devAddressFree, mClock);
@@ -161,14 +159,13 @@ Device::memAddressFree(VirtAddr va)
 Expected<PhysHandle>
 Device::memCreate(Bytes size)
 {
-    const std::lock_guard<TimedMutex> state(mStateMutex);
     ++mCounters.create;
     const WallScope wall(mCounters);
     ObsApiSpan span(obs::EvName::devCreate, mClock);
     span.arg(size);
     charge(mCost.memCreate(size));
     if (mFaults) {
-        applyCapacityLossLocked();
+        applyCapacityLoss();
         if (auto err = mFaults->onCall(FaultApi::memCreate)) {
             span.fault(*err);
             return *err;
@@ -183,7 +180,6 @@ Device::memCreate(Bytes size)
 Status
 Device::memRelease(PhysHandle handle)
 {
-    const std::lock_guard<TimedMutex> state(mStateMutex);
     ++mCounters.release;
     const WallScope wall(mCounters);
     const ObsApiSpan span(obs::EvName::devRelease, mClock);
@@ -194,7 +190,6 @@ Device::memRelease(PhysHandle handle)
 Status
 Device::memMap(VirtAddr va, PhysHandle handle)
 {
-    const std::lock_guard<TimedMutex> state(mStateMutex);
     ++mCounters.map;
     const WallScope wall(mCounters);
     ObsApiSpan span(obs::EvName::devMap, mClock);
@@ -225,7 +220,6 @@ Status
 Device::memMapBatch(
     std::span<const std::pair<VirtAddr, PhysHandle>> batch)
 {
-    const std::lock_guard<TimedMutex> state(mStateMutex);
     if (batch.empty())
         return Status::success();
     const WallScope wall(mCounters);
@@ -291,7 +285,6 @@ Device::memMapBatch(
 Status
 Device::memUnmap(VirtAddr va, Bytes size)
 {
-    const std::lock_guard<TimedMutex> state(mStateMutex);
     ++mCounters.unmap;
     const WallScope wall(mCounters);
     ObsApiSpan span(obs::EvName::devUnmap, mClock);
@@ -304,7 +297,6 @@ Device::memUnmap(VirtAddr va, Bytes size)
 Status
 Device::memSetAccess(VirtAddr va, Bytes size)
 {
-    const std::lock_guard<TimedMutex> state(mStateMutex);
     ++mCounters.setAccess;
     const WallScope wall(mCounters);
     ObsApiSpan span(obs::EvName::devSetAccess, mClock);
@@ -331,7 +323,6 @@ Device::memSetAccess(VirtAddr va, Bytes size)
 Expected<VirtAddr>
 Device::mallocNative(Bytes size)
 {
-    const std::lock_guard<TimedMutex> state(mStateMutex);
     ++mCounters.mallocNative;
     const WallScope wall(mCounters);
     ObsApiSpan span(obs::EvName::devMallocNative, mClock);
@@ -360,7 +351,6 @@ Device::mallocNative(Bytes size)
 Status
 Device::freeNative(VirtAddr va)
 {
-    const std::lock_guard<TimedMutex> state(mStateMutex);
     ++mCounters.freeNative;
     const WallScope wall(mCounters);
     const ObsApiSpan span(obs::EvName::devFreeNative, mClock);
@@ -394,7 +384,6 @@ Device::chargeCachedOp()
 Expected<Tick>
 Device::copyD2HAsync(Bytes bytes)
 {
-    const std::lock_guard<TimedMutex> state(mStateMutex);
     ++mCounters.d2hCopies;
     ObsApiSpan span(obs::EvName::devCopyD2H, mClock);
     span.arg(bytes);
@@ -416,7 +405,6 @@ Device::copyD2HAsync(Bytes bytes)
 Expected<Tick>
 Device::copyH2DAsync(Bytes bytes)
 {
-    const std::lock_guard<TimedMutex> state(mStateMutex);
     ++mCounters.h2dCopies;
     ObsApiSpan span(obs::EvName::devCopyH2D, mClock);
     span.arg(bytes);
@@ -436,19 +424,17 @@ Device::copyH2DAsync(Bytes bytes)
 void
 Device::installFaultInjector(FaultPlan plan, std::uint64_t seed)
 {
-    const std::lock_guard<TimedMutex> state(mStateMutex);
     mFaults = std::make_unique<FaultInjector>(std::move(plan), seed);
 }
 
 void
 Device::clearFaultInjector()
 {
-    const std::lock_guard<TimedMutex> state(mStateMutex);
     mFaults.reset();
 }
 
 void
-Device::applyCapacityLossLocked()
+Device::applyCapacityLoss()
 {
     Bytes due = mFaults->pendingCapacityLoss(now());
     while (due > 0) {
@@ -470,7 +456,6 @@ Device::applyCapacityLossLocked()
 Tick
 Device::copyWait(Tick completion)
 {
-    const std::lock_guard<TimedMutex> state(mStateMutex);
     if (completion <= now())
         return 0;
     const Tick stall = completion - now();
@@ -484,7 +469,6 @@ Device::copyWait(Tick completion)
 Device::State
 Device::saveState() const
 {
-    const std::lock_guard<TimedMutex> state(mStateMutex);
     State out;
     out.capacity = mPhys.capacity();
     out.granularity = mPhys.granularity();
@@ -502,7 +486,6 @@ Device::saveState() const
 void
 Device::restoreState(const State &state)
 {
-    const std::lock_guard<TimedMutex> lock(mStateMutex);
     GMLAKE_ASSERT(state.capacity == mPhys.capacity() &&
                   state.granularity == mPhys.granularity(),
                   "checkpoint restore into a device of different "
@@ -518,28 +501,9 @@ Device::restoreState(const State &state)
     mMap.restoreState(state.map);
 }
 
-Bytes
-Device::largestFreeExtent() const
-{
-    const std::lock_guard<TimedMutex> state(mStateMutex);
-    return mPhys.largestHole();
-}
-
-std::shared_ptr<const MappingSnapshot>
-Device::mappingSnapshot()
-{
-    const std::lock_guard<TimedMutex> state(mStateMutex);
-    bool rebuilt = false;
-    auto snap = mMap.snapshot(&rebuilt);
-    if (rebuilt)
-        ++mCounters.snapshotPublishes;
-    return snap;
-}
-
 Device::FragStats
 Device::fragStats() const
 {
-    const std::lock_guard<TimedMutex> state(mStateMutex);
     FragStats out;
     out.inUse = mPhys.inUse();
     out.capacity = mPhys.capacity();

@@ -14,22 +14,23 @@
  * Every call advances the simulated clock according to the calibrated
  * cost model, and semantics (overlap, capacity, refcounts) are
  * enforced exactly so allocator bugs surface as hard errors.
+ *
+ * Nothing here locks: one thread owns a device and the allocator on
+ * it, as one training process drives one GPU. Parallel runs give
+ * each thread its own device.
  */
 
 #ifndef GMLAKE_VMM_DEVICE_HH
 #define GMLAKE_VMM_DEVICE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "support/expected.hh"
-#include "support/timed_mutex.hh"
 #include "support/types.hh"
 #include "vmm/clock.hh"
 #include "vmm/cost_model.hh"
@@ -50,39 +51,9 @@ struct DeviceConfig
     CostParams cost{};
 };
 
-/**
- * Per-API invocation counters, for overhead analysis. Copyable so
- * checkpoints can deep-copy it despite the atomic member (the copy
- * is a relaxed load — callers checkpoint quiescent devices).
- */
+/** Per-API invocation counters, for overhead analysis. */
 struct ApiCounters
 {
-    ApiCounters() = default;
-    ApiCounters(const ApiCounters &other) { *this = other; }
-    ApiCounters &
-    operator=(const ApiCounters &other)
-    {
-        addressReserve = other.addressReserve;
-        addressFree = other.addressFree;
-        create = other.create;
-        release = other.release;
-        map = other.map;
-        unmap = other.unmap;
-        setAccess = other.setAccess;
-        mallocNative = other.mallocNative;
-        freeNative = other.freeNative;
-        d2hCopies = other.d2hCopies;
-        h2dCopies = other.h2dCopies;
-        d2hBytes = other.d2hBytes;
-        h2dBytes = other.h2dBytes;
-        copyStallNs = other.copyStallNs;
-        apiTime.store(other.apiTime.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-        snapshotPublishes = other.snapshotPublishes;
-        vmmWallNs = other.vmmWallNs;
-        return *this;
-    }
-
     std::uint64_t addressReserve = 0;
     std::uint64_t addressFree = 0;
     std::uint64_t create = 0;
@@ -99,15 +70,8 @@ struct ApiCounters
     std::uint64_t h2dBytes = 0;
     /** Simulated ns the clock stalled waiting on copy completions. */
     Tick copyStallNs = 0;
-    /**
-     * Simulated nanoseconds spent inside device API calls. Atomic
-     * because chargeCachedOp() stays lock-free (the pool-hit fast
-     * path of concurrent replay); every other field is mutated under
-     * the device state lock.
-     */
-    std::atomic<Tick> apiTime{0};
-    /** Mapping snapshots rebuilt and published (epoch went stale). */
-    std::uint64_t snapshotPublishes = 0;
+    /** Simulated nanoseconds spent inside device API calls. */
+    Tick apiTime = 0;
     /**
      * Host wall-clock nanoseconds spent inside the device's
      * memory-management entry points (everything touching the VA
@@ -219,29 +183,12 @@ class Device
     Bytes capacity() const { return mPhys.capacity(); }
     Bytes granularity() const { return mPhys.granularity(); }
 
-    // --- concurrency ----------------------------------------------------
+    /** Largest free contiguous physical range (OOM post-mortems). */
+    Bytes largestFreeExtent() const { return mPhys.largestHole(); }
 
     /**
-     * Largest free contiguous physical range, read under the state
-     * lock — the post-mortem OOM query concurrent sessions use
-     * instead of poking mPhys directly.
-     */
-    Bytes largestFreeExtent() const;
-
-    /**
-     * Current-epoch mapping snapshot, rebuilt (and counted in
-     * ApiCounters::snapshotPublishes) under the state lock when the
-     * table mutated since the last publish. The returned snapshot is
-     * immutable; consume it lock-free from any thread. Readers that
-     * tolerate staleness can skip even this call and use
-     * mappings().publishedSnapshot().
-     */
-    std::shared_ptr<const MappingSnapshot> mappingSnapshot();
-
-    /**
-     * Physical-fragmentation snapshot read under the state lock —
-     * what the observability MemorySampler polls on its cadence, so
-     * sampling never needs an allocator lock. O(holes).
+     * Physical-fragmentation snapshot — what the observability
+     * MemorySampler polls on its cadence. O(holes).
      */
     struct FragStats
     {
@@ -254,9 +201,6 @@ class Device
         std::vector<std::uint64_t> holeBuckets;
     };
     FragStats fragStats() const;
-
-    /** Host ns threads spent blocked on the device state lock. */
-    std::uint64_t lockWaitNs() const { return mStateMutex.waitNs(); }
 
     // --- fault injection ----------------------------------------------
 
@@ -289,8 +233,7 @@ class Device
      * clock, counters, native allocations, copy-lane horizons, and
      * the three memory managers. Capacity and granularity are
      * recorded for validation — a checkpoint only restores into a
-     * device of identical geometry. Host-side telemetry (lock wait
-     * times) is not part of it.
+     * device of identical geometry.
      */
     struct State
     {
@@ -306,7 +249,7 @@ class Device
         MappingTable::State map;
     };
 
-    /** Checkpoint the device (taken under the state lock). */
+    /** Checkpoint the device. */
     State saveState() const;
 
     /**
@@ -332,28 +275,18 @@ class Device
     Tick mH2dLaneFree = 0;
 
     /**
-     * Device-wide state lock: serializes every entry point that
-     * touches the VA space, physical memory, mapping table, native
-     * map, or copy lanes. Pure cost charges (syncPenalty,
-     * chargeCachedOp) stay lock-free — the clock is atomic and
-     * apiTime is the one counter they touch. Wait time feeds
-     * RunResult::lockWaitNs via lockWaitNs().
-     */
-    mutable TimedMutex mStateMutex;
-
-    /**
      * Optional fault injector (null in every fault-free run: the only
      * cost the subsystem adds then is one pointer test per targeted
-     * entry point). Consulted under the state lock. Not part of
-     * State — checkpoints capture the device, not the sabotage plan.
+     * entry point). Not part of State — checkpoints capture the
+     * device, not the sabotage plan.
      */
     std::unique_ptr<FaultInjector> mFaults;
     /** Physical extents carved out by capacity losses (never freed). */
     std::vector<PhysHandle> mLostChunks;
 
     void charge(Tick t);
-    /** Realize any capacity loss that has come due (lock held). */
-    void applyCapacityLossLocked();
+    /** Realize any capacity loss that has come due. */
+    void applyCapacityLoss();
 };
 
 } // namespace gmlake::vmm

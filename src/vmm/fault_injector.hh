@@ -111,8 +111,8 @@ struct FaultPlan
 
 /**
  * Pairs a plan with a seeded RNG and call counters. Deterministic:
- * outcomes depend only on (plan, seed, per-API call ordinal). Not
- * thread-safe on its own — the Device consults it under its state lock.
+ * outcomes depend only on (plan, seed, per-API call ordinal). Owned
+ * by its Device, and like the device used from one thread.
  */
 class FaultInjector
 {

@@ -115,7 +115,6 @@ MappingTable::map(VirtAddr va, PhysHandle handle)
     if (auto s = mPhys.addMapRef(handle); !s.ok())
         return s;
     installChunk(va, handle, *size);
-    bumpEpoch();
     return Status::success();
 }
 
@@ -186,7 +185,6 @@ MappingTable::mapRange(
         }
         cur = installChunk(va, handle, size);
     }
-    bumpEpoch();
     return Status::success();
 }
 
@@ -264,7 +262,6 @@ MappingTable::unmap(VirtAddr va, Bytes size)
     if (const Status s = validateUnmap(va, size); !s.ok())
         return s;
     unmapValidated(va, size);
-    bumpEpoch();
     return Status::success();
 }
 
@@ -286,7 +283,6 @@ MappingTable::unmapRange(
     }
     for (const auto &[va, size] : ranges)
         unmapValidated(va, size);
-    bumpEpoch();
     return Status::success();
 }
 
@@ -353,7 +349,6 @@ MappingTable::setAccess(VirtAddr va, Bytes size)
     if (const Status s = validateSetAccess(va, size); !s.ok())
         return s;
     setAccessValidated(va, size);
-    bumpEpoch();
     return Status::success();
 }
 
@@ -375,7 +370,6 @@ MappingTable::setAccessRange(
     }
     for (const auto &[va, size] : ranges)
         setAccessValidated(va, size);
-    bumpEpoch();
     return Status::success();
 }
 
@@ -509,149 +503,6 @@ MappingTable::translate(VirtAddr va) const
             return chunk.handle;
     }
     GMLAKE_PANIC("extent size out of sync with its chunks");
-}
-
-// ------------------------------------------------------- snapshots
-
-std::shared_ptr<const MappingSnapshot>
-MappingTable::publishedSnapshot() const
-{
-    return mSnapshot.load(std::memory_order_acquire);
-}
-
-std::shared_ptr<const MappingSnapshot>
-MappingTable::snapshot(bool *rebuilt) const
-{
-    const std::uint64_t now = epoch();
-    auto cached = mSnapshot.load(std::memory_order_acquire);
-    if (cached && cached->mEpoch == now) {
-        if (rebuilt)
-            *rebuilt = false;
-        return cached;
-    }
-
-    auto fresh = std::make_shared<MappingSnapshot>();
-    fresh->mEpoch = now;
-    fresh->mExtents.reserve(mExtents.size());
-    fresh->mChunks.reserve(mChunkCount);
-    for (const auto &[va, extent] : mExtents) {
-        MappingSnapshot::ExtentView view;
-        view.va = va;
-        view.size = extent.size;
-        view.accessible = extent.accessible;
-        view.firstChunk = fresh->mChunks.size();
-        view.chunkCount = extent.chunks.size();
-        fresh->mExtents.push_back(view);
-        fresh->mChunks.insert(fresh->mChunks.end(),
-                              extent.chunks.begin(),
-                              extent.chunks.end());
-    }
-    mSnapshot.store(fresh, std::memory_order_release);
-    if (rebuilt)
-        *rebuilt = true;
-    return fresh;
-}
-
-std::vector<MappingSnapshot::ExtentView>::const_iterator
-MappingSnapshot::upperBound(VirtAddr target) const
-{
-    return std::upper_bound(
-        mExtents.begin(), mExtents.end(), target,
-        [](VirtAddr va, const ExtentView &e) { return va < e.va; });
-}
-
-MappingTable::RangeStats
-MappingSnapshot::rangeStats(VirtAddr va, Bytes size) const
-{
-    MappingTable::RangeStats stats;
-    const VirtAddr end = va + size;
-    auto tally = [&](VirtAddr, const MappingTable::Chunk &chunk) {
-        ++stats.chunks;
-        stats.bytes += chunk.size;
-        return true;
-    };
-    auto it = upperBound(va);
-    if (it != mExtents.begin()) {
-        auto prev = std::prev(it);
-        if (prev->va + prev->size > va)
-            forEachChunkStartingIn(*prev, va, end, tally);
-    }
-    for (; it != mExtents.end() && it->va < end; ++it) {
-        if (it->va + it->size <= end) {
-            // Interior extent: aggregate in O(1).
-            stats.chunks += it->chunkCount;
-            stats.bytes += it->size;
-            continue;
-        }
-        forEachChunkStartingIn(*it, va, end, tally);
-    }
-    return stats;
-}
-
-bool
-MappingSnapshot::hasMappingsIn(VirtAddr va, Bytes size) const
-{
-    const VirtAddr end = va + size;
-    auto it = upperBound(va);
-    if (it != mExtents.end() && it->va < end)
-        return true;
-    if (it != mExtents.begin()) {
-        auto prev = std::prev(it);
-        if (prev->va + prev->size > va) {
-            bool found = false;
-            forEachChunkStartingIn(
-                *prev, va, end,
-                [&](VirtAddr, const MappingTable::Chunk &) {
-                    found = true;
-                    return false;
-                });
-            if (found)
-                return true;
-        }
-    }
-    return false;
-}
-
-void
-MappingSnapshot::mappingsIn(
-    VirtAddr va, Bytes size,
-    std::vector<MappingTable::Entry> &out) const
-{
-    out.clear();
-    const VirtAddr end = va + size;
-    auto it = upperBound(va);
-    if (it != mExtents.begin()) {
-        auto prev = std::prev(it);
-        if (prev->va + prev->size > va) {
-            forEachChunkStartingIn(
-                *prev, va, end,
-                [&](VirtAddr chunkVa,
-                    const MappingTable::Chunk &chunk) {
-                    out.push_back(MappingTable::Entry{
-                        chunkVa, chunk.size, chunk.handle,
-                        prev->accessible});
-                    return true;
-                });
-        }
-    }
-    for (; it != mExtents.end() && it->va < end; ++it) {
-        forEachChunkStartingIn(
-            *it, va, end,
-            [&](VirtAddr chunkVa, const MappingTable::Chunk &chunk) {
-                out.push_back(MappingTable::Entry{
-                    chunkVa, chunk.size, chunk.handle,
-                    it->accessible});
-                return true;
-            });
-    }
-}
-
-std::vector<MappingTable::Entry>
-MappingSnapshot::mappingsIn(VirtAddr va, Bytes size) const
-{
-    std::vector<MappingTable::Entry> out;
-    mappingsIn(va, size, out);
-    return out;
 }
 
 } // namespace gmlake::vmm

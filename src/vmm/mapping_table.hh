@@ -26,9 +26,7 @@
 #ifndef GMLAKE_VMM_MAPPING_TABLE_HH
 #define GMLAKE_VMM_MAPPING_TABLE_HH
 
-#include <atomic>
 #include <map>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -40,7 +38,6 @@ namespace gmlake::vmm
 {
 
 class PhysMemory;
-class MappingSnapshot;
 
 class MappingTable
 {
@@ -72,32 +69,18 @@ class MappingTable
     {
         std::map<VirtAddr, Extent> extents;
         std::size_t chunkCount = 0;
-        std::uint64_t epoch = 0;
     };
 
     explicit MappingTable(PhysMemory &phys);
 
-    State
-    saveState() const
-    {
-        return State{mExtents, mChunkCount,
-                     mEpoch.load(std::memory_order_acquire)};
-    }
+    State saveState() const { return State{mExtents, mChunkCount}; }
 
-    /**
-     * Replace the table contents with @p state. The cached snapshot
-     * is dropped (the next snapshot() call rebuilds and republishes),
-     * so restoring can cost one extra publish versus the
-     * uninterrupted run — snapshot counts are simulator telemetry,
-     * never simulation decisions.
-     */
+    /** Replace the table contents with @p state. */
     void
     restoreState(const State &state)
     {
         mExtents = state.extents;
         mChunkCount = state.chunkCount;
-        mEpoch.store(state.epoch, std::memory_order_release);
-        mSnapshot.store(nullptr);
     }
 
     /** Map @p handle (whole) at @p va. The VA range must be free. */
@@ -176,38 +159,6 @@ class MappingTable
     /** Number of coalesced extents backing them. */
     std::size_t extentCount() const { return mExtents.size(); }
 
-    // --- read-mostly snapshots (epoch reclamation style) ---------------
-
-    /**
-     * Mutation epoch: bumped by every successful mutating call. A
-     * reader holding a MappingSnapshot compares epochs to decide
-     * staleness without touching the live tree.
-     */
-    std::uint64_t
-    epoch() const
-    {
-        return mEpoch.load(std::memory_order_acquire);
-    }
-
-    /**
-     * Last published immutable snapshot (possibly stale, possibly
-     * null before the first publish). Lock-free: safe from any
-     * thread at any time; the snapshot it returns is frozen, so
-     * readers never observe a half-applied batch.
-     */
-    std::shared_ptr<const MappingSnapshot> publishedSnapshot() const;
-
-    /**
-     * Current-epoch snapshot, rebuilding and republishing when the
-     * cached one is stale. The rebuild walks the live extents, so
-     * this call — unlike publishedSnapshot() — must be externally
-     * synchronized with writers (the Device makes it under its state
-     * lock, per the writers-publish-under-lock discipline). Sets
-     * @p rebuilt (when given) so callers can count publishes.
-     */
-    std::shared_ptr<const MappingSnapshot>
-    snapshot(bool *rebuilt = nullptr) const;
-
   private:
     PhysMemory &mPhys;
     /** va -> extent; extents are disjoint, never empty. */
@@ -215,19 +166,6 @@ class MappingTable
     std::size_t mChunkCount = 0;
     /** Reusable scratch for batch validation (handle sizes). */
     std::vector<Bytes> mSizeScratch;
-
-    /** Mutation epoch (see epoch()); release-published on success. */
-    std::atomic<std::uint64_t> mEpoch{0};
-    /** Epoch-published snapshot cache (lazily rebuilt on demand). */
-    mutable std::atomic<std::shared_ptr<const MappingSnapshot>>
-        mSnapshot;
-
-    /** Mark a successful mutation (invalidates snapshots). */
-    void
-    bumpEpoch()
-    {
-        mEpoch.fetch_add(1, std::memory_order_release);
-    }
 
     /** True when [va, va+size) overlaps an existing extent. */
     bool overlaps(VirtAddr va, Bytes size) const;
@@ -286,71 +224,6 @@ class MappingTable
      */
     std::map<VirtAddr, Extent>::iterator
     installChunk(VirtAddr va, PhysHandle handle, Bytes size);
-
-    friend class MappingSnapshot;
-};
-
-/**
- * Immutable point-in-time view of a MappingTable, answering the
- * read-mostly range queries (rangeStats / hasMappingsIn / mappingsIn)
- * without touching the live tree: extents are flattened into two
- * contiguous arrays and searched with std::upper_bound. Readers on
- * other threads consume the snapshot lock-free while writers keep
- * mutating the table — the epoch tells them when to refresh.
- */
-class MappingSnapshot
-{
-  public:
-    /** Epoch of the table state this snapshot froze. */
-    std::uint64_t epoch() const { return mEpoch; }
-
-    std::size_t mappingCount() const { return mChunks.size(); }
-    std::size_t extentCount() const { return mExtents.size(); }
-
-    MappingTable::RangeStats rangeStats(VirtAddr va,
-                                        Bytes size) const;
-    bool hasMappingsIn(VirtAddr va, Bytes size) const;
-    void mappingsIn(VirtAddr va, Bytes size,
-                    std::vector<MappingTable::Entry> &out) const;
-    std::vector<MappingTable::Entry> mappingsIn(VirtAddr va,
-                                                Bytes size) const;
-
-  private:
-    friend class MappingTable;
-
-    struct ExtentView
-    {
-        VirtAddr va = kNullAddr;
-        Bytes size = 0;
-        bool accessible = false;
-        std::size_t firstChunk = 0; //!< index into mChunks
-        std::size_t chunkCount = 0;
-    };
-
-    /** Chunks of extent @p e starting in [lo, hi); fn as in table. */
-    template <typename Fn>
-    void
-    forEachChunkStartingIn(const ExtentView &e, VirtAddr lo,
-                           VirtAddr hi, Fn &&fn) const
-    {
-        VirtAddr cursor = e.va;
-        for (std::size_t i = 0; i < e.chunkCount; ++i) {
-            const auto &chunk = mChunks[e.firstChunk + i];
-            if (cursor >= hi)
-                break;
-            if (cursor >= lo && !fn(cursor, chunk))
-                break;
-            cursor += chunk.size;
-        }
-    }
-
-    /** First extent with va > @p target (upper_bound on extent va). */
-    std::vector<ExtentView>::const_iterator
-    upperBound(VirtAddr target) const;
-
-    std::uint64_t mEpoch = 0;
-    std::vector<ExtentView> mExtents; //!< sorted by va, disjoint
-    std::vector<MappingTable::Chunk> mChunks;
 };
 
 } // namespace gmlake::vmm

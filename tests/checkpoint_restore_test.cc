@@ -46,9 +46,8 @@ fnv(std::uint64_t &hash, std::uint64_t value)
  * FNV-1a over everything deterministic the run leaves behind: the
  * allocator's accounting, the device clock and simulated API
  * counters, the largest free physical extent, and the full block
- * inventory. Host wall-time counters (vmmWallNs) and
- * simulator-introspection counters (snapshotPublishes) are excluded
- * — they measure the simulator, not the simulation.
+ * inventory. The host wall-time counter (vmmWallNs) is excluded —
+ * it measures the simulator, not the simulation.
  */
 std::uint64_t
 finalStateDigest(const alloc::Allocator &allocator,
@@ -76,7 +75,7 @@ finalStateDigest(const alloc::Allocator &allocator,
     fnv(hash, c.mallocNative);
     fnv(hash, c.freeNative);
     fnv(hash, c.copyStallNs);
-    fnv(hash, c.apiTime.load(std::memory_order_relaxed));
+    fnv(hash, c.apiTime);
 
     const alloc::MemorySnapshot snap = allocator.snapshot();
     fnv(hash, snap.activeBytes);

@@ -7,11 +7,6 @@
  * field-identical to the serial engine, and a killed session's
  * generator must stop at exactly the serial consumption point (the
  * stage-gate property).
- *
- * Relaxed mode: worker-owned sessions racing on the shared
- * allocator/device must preserve the interleaving-independent totals
- * (event counts, iteration counts) for both internally-synchronized
- * allocators and allocators behind the engine-level lock.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +14,6 @@
 #include <memory>
 
 #include "alloc/caching_allocator.hh"
-#include "alloc/native_allocator.hh"
 #include "sim/session.hh"
 #include "support/units.hh"
 #include "workload/generators.hh"
@@ -63,12 +57,10 @@ tenantTrace(Bytes unit, int iterations, Tick computeNs)
 }
 
 EngineOptions
-engineOptions(std::size_t threads,
-              CommitMode mode = CommitMode::deterministic)
+engineOptions(std::size_t threads)
 {
     EngineOptions opts;
     opts.engineThreads = threads;
-    opts.commitMode = mode;
     return opts;
 }
 
@@ -106,28 +98,6 @@ expectSameCombined(const RunResult &a, const RunResult &b)
         EXPECT_EQ(a.series[i].time, b.series[i].time);
         EXPECT_EQ(a.series[i].active, b.series[i].active);
         EXPECT_EQ(a.series[i].reserved, b.series[i].reserved);
-    }
-}
-
-/**
- * The per-session fields that survive any commit interleaving (the
- * ones relaxed mode is allowed to report differently are endedAt and
- * the OOM post-mortem timing/occupancy fields).
- */
-void
-expectSameSessionTotals(const MultiRunResult &a,
-                        const MultiRunResult &b)
-{
-    ASSERT_EQ(a.sessions.size(), b.sessions.size());
-    for (std::size_t i = 0; i < a.sessions.size(); ++i) {
-        const SessionResult &x = a.sessions[i];
-        const SessionResult &y = b.sessions[i];
-        EXPECT_EQ(x.name, y.name);
-        EXPECT_EQ(x.oom, y.oom) << x.name;
-        EXPECT_EQ(x.iterationsDone, y.iterationsDone) << x.name;
-        EXPECT_EQ(x.allocCount, y.allocCount) << x.name;
-        EXPECT_EQ(x.freeCount, y.freeCount) << x.name;
-        EXPECT_EQ(x.peakLiveBytes, y.peakLiveBytes) << x.name;
     }
 }
 
@@ -277,70 +247,4 @@ TEST(ConcurrentEngine, ImpureGeneratorOomGateStopsLookahead)
     expectSameCombined(serial.combined, staged.combined);
     expectSameSessions(serial, staged);
     expectSameCounters(serialCounters, stagedCounters);
-}
-
-TEST(ConcurrentEngine, RelaxedPreservesTotalsOnSyncedAllocator)
-{
-    const std::vector<Trace> traces = {
-        tenantTrace(16_MiB, 6, 1'000'000),
-        tenantTrace(24_MiB, 5, 800'000),
-        tenantTrace(8_MiB, 8, 1'200'000),
-        tenantTrace(32_MiB, 4, 600'000),
-    };
-    const MultiRunResult serial =
-        runTenants(traces, engineOptions(1));
-    ASSERT_FALSE(serial.anyOom());
-
-    const MultiRunResult relaxed = runTenants(
-        traces, engineOptions(4, CommitMode::relaxed));
-    // Interleaving-independent totals must survive the race; peaks
-    // and sim-time are interleaving-dependent by design.
-    EXPECT_FALSE(relaxed.anyOom());
-    EXPECT_EQ(relaxed.combined.allocCount,
-              serial.combined.allocCount);
-    EXPECT_EQ(relaxed.combined.freeCount, serial.combined.freeCount);
-    EXPECT_EQ(relaxed.combined.iterationsDone,
-              serial.combined.iterationsDone);
-    expectSameSessionTotals(serial, relaxed);
-}
-
-TEST(ConcurrentEngine, RelaxedGuardsUnsynchronizedAllocator)
-{
-    // NativeAllocator has no internal locks: the engine must wrap it
-    // in the engine-level mutex and still preserve the totals.
-    const std::vector<Trace> traces = {
-        tenantTrace(16_MiB, 5, 900'000),
-        tenantTrace(24_MiB, 4, 1'100'000),
-        tenantTrace(12_MiB, 6, 700'000),
-    };
-    auto run = [&](EngineOptions opts) {
-        vmm::Device device(smallDevice());
-        alloc::NativeAllocator allocator(device);
-        SimEngine engine(allocator, device, opts);
-        for (std::size_t i = 0; i < traces.size(); ++i) {
-            engine.addSession(Session(
-                "tenant" + std::to_string(i), &traces[i],
-                static_cast<Tick>(i) * 250'000));
-        }
-        return engine.run();
-    };
-    const MultiRunResult serial = run(engineOptions(1));
-    const MultiRunResult relaxed =
-        run(engineOptions(3, CommitMode::relaxed));
-    EXPECT_EQ(relaxed.combined.allocCount,
-              serial.combined.allocCount);
-    EXPECT_EQ(relaxed.combined.freeCount, serial.combined.freeCount);
-    expectSameSessionTotals(serial, relaxed);
-}
-
-TEST(ConcurrentEngine, RelaxedSingleSessionFallsBackToSerial)
-{
-    const std::vector<Trace> traces = {
-        tenantTrace(24_MiB, 5, 1'000'000)};
-    const MultiRunResult serial =
-        runTenants(traces, engineOptions(1));
-    const MultiRunResult relaxed = runTenants(
-        traces, engineOptions(4, CommitMode::relaxed));
-    expectSameCombined(serial.combined, relaxed.combined);
-    expectSameSessions(serial, relaxed);
 }

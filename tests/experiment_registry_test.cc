@@ -3,8 +3,9 @@
  * Experiment-registry coverage: every registered scenario must
  * resolve (allocator constructible, trace generable) and execute a
  * scaled-down run end to end, so a broken scenario fails CTest
- * instead of a nightly bench. Also covers the CSV/JSON artifact
- * writers the CI bench-smoke job depends on.
+ * instead of a nightly bench. Also covers experimentMain's flag
+ * parser and the CSV/JSON artifact writers the CI bench-smoke job
+ * depends on.
  */
 
 #include <gtest/gtest.h>
@@ -185,6 +186,65 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return name;
     });
+
+// ----------------------------------------------------- flag parsing
+
+namespace
+{
+
+/** Times the flag-parsing probe scenario has run. */
+int gProbeRuns = 0;
+
+/** Name of a scenario whose only effect is counting its runs. */
+std::string
+probeScenario()
+{
+    const std::string name = "flag-parse-probe";
+    if (findExperiment(name) == nullptr) {
+        ExperimentRegistry::instance().add(
+            {name, "extension", "flag-parsing probe",
+             "counts its runs",
+             [](ExperimentContext &) { ++gProbeRuns; }});
+    }
+    return name;
+}
+
+/** experimentMain over @p flags, with the probe as argv[0]. */
+int
+runProbe(std::vector<std::string> flags)
+{
+    std::vector<std::string> args = {probeScenario()};
+    args.insert(args.end(), flags.begin(), flags.end());
+    std::vector<char *> argv;
+    for (std::string &arg : args)
+        argv.push_back(arg.data());
+    argv.push_back(nullptr);
+    return experimentMain(args.front(), static_cast<int>(args.size()),
+                          argv.data());
+}
+
+} // namespace
+
+TEST(ExperimentFlags, ValidFlagsRunTheScenario)
+{
+    const int before = gProbeRuns;
+    EXPECT_EQ(runProbe({"--engine-threads", "2", "--no-banner"}), 0);
+    EXPECT_EQ(gProbeRuns, before + 1);
+}
+
+TEST(ExperimentFlags, BadFlagsExitOneWithoutRunning)
+{
+    const std::vector<std::vector<std::string>> bad = {
+        {"--engine-commit", "relaxed"},
+        {"--no-such-flag"},
+        {"--engine-threads"},
+    };
+    for (const auto &flags : bad) {
+        const int before = gProbeRuns;
+        EXPECT_EQ(runProbe(flags), 1) << flags.front();
+        EXPECT_EQ(gProbeRuns, before) << flags.front();
+    }
+}
 
 // -------------------------------------------------------- artifacts
 

@@ -3,7 +3,7 @@
  * gmlake_sim — command-line experiment runner.
  *
  * Registry mode drives the shared experiment registry — the same
- * scenarios the bench_* binaries and CI run:
+ * scenarios CI runs:
  *   gmlake_sim list
  *   gmlake_sim run headline --csv
  *   gmlake_sim run fig10 --json --iterations 4
@@ -22,10 +22,6 @@
  * Replay sniffs the file format: `.gmt` binary traces stream through
  * BinaryTraceSource (multi-section files replay as co-located
  * sessions); anything else is parsed as a text trace.
- *
- * The historical bare-flag interface (`gmlake_sim --model ...
- * [--record F | --replay F]`) still parses but emits a deprecation
- * warning and routes through the matching trace verb.
  *
  * Run with --help for the full flag list.
  */
@@ -83,10 +79,6 @@ struct Options
     std::string csvPath;
     bool snapshot = false;
 
-    // Legacy spellings of the record/replay verbs.
-    std::string recordPath;
-    std::string replayPath;
-
     bool listModels = false;
     bool help = false;
 };
@@ -96,10 +88,9 @@ struct Options
 /** Which trace verbs a flag applies to. */
 enum FlagGroup : unsigned
 {
-    kWorkloadFlags = 1u << 0, //!< trace run | record (+ legacy)
-    kDeviceFlags = 1u << 1,   //!< trace run | replay (+ legacy)
-    kOutputFlags = 1u << 2,   //!< trace run | replay (+ legacy)
-    kLegacyFlags = 1u << 3,   //!< bare-flag mode only
+    kWorkloadFlags = 1u << 0, //!< trace run | record
+    kDeviceFlags = 1u << 1,   //!< trace run | replay
+    kOutputFlags = 1u << 2,   //!< trace run | replay
 };
 
 unsigned long long
@@ -130,9 +121,9 @@ struct FlagSpec
 };
 
 /**
- * The one option table every trace verb (and the legacy bare-flag
- * mode) parses with; each verb admits the groups that make sense for
- * it and rejects the rest with a pointed error.
+ * The one option table every trace verb parses with; each verb
+ * admits the groups that make sense for it and rejects the rest with
+ * a pointed error.
  */
 const FlagSpec kFlags[] = {
     // Workload selection
@@ -210,14 +201,6 @@ const FlagSpec kFlags[] = {
     {"--snapshot", nullptr, kOutputFlags,
      "print the allocator memory snapshot",
      [](Options &o, const std::string &) { o.snapshot = true; }},
-
-    // Deprecated spellings of the record/replay verbs.
-    {"--record", "FILE", kLegacyFlags,
-     "(deprecated) = trace record FILE",
-     [](Options &o, const std::string &v) { o.recordPath = v; }},
-    {"--replay", "FILE", kLegacyFlags,
-     "(deprecated) = trace replay FILE",
-     [](Options &o, const std::string &v) { o.replayPath = v; }},
 };
 
 const FlagSpec *
@@ -302,12 +285,8 @@ printHelp()
         "      --threads N     worker threads for cluster scenarios\n"
         "                      (0 = all cores; results identical)\n"
         "      --engine-threads N\n"
-        "                      worker threads inside each engine run\n"
-        "                      (0 = all cores; deterministic mode\n"
-        "                      keeps results identical)\n"
-        "      --engine-commit MODE\n"
-        "                      deterministic (default) or relaxed\n"
-        "                      commit order for parallel runs\n"
+        "                      threads inside each engine run (0 =\n"
+        "                      all cores; results identical)\n"
         "      --csv [FILE]    append run records as CSV\n"
         "      --json [FILE]   write report (BENCH_<name>.json)\n"
         "      --out FILE      write the JSON report to FILE instead\n"
@@ -362,10 +341,6 @@ printHelp()
     printFlagGroup(kDeviceFlags);
     std::cout << "\nOutput (trace run | replay):\n";
     printFlagGroup(kOutputFlags);
-    std::cout <<
-        "\nDeprecated bare-flag aliases (warn and route to trace "
-        "verbs):\n";
-    printFlagGroup(kLegacyFlags);
 }
 
 // ----------------------------------------------------------- helpers
@@ -1301,46 +1276,6 @@ cmdProbe(int argc, char **argv)
     return 0;
 }
 
-/** Bare-flag invocations: warn, then route to the trace verbs. */
-int
-legacyMain(int argc, char **argv)
-{
-    const Options opt = parseFlags(
-        argc, argv, 1,
-        kWorkloadFlags | kDeviceFlags | kOutputFlags | kLegacyFlags,
-        nullptr);
-    if (opt.help) {
-        printHelp();
-        return 0;
-    }
-    if (opt.listModels)
-        return doListModels();
-
-    const char *target = !opt.recordPath.empty()   ? "trace record"
-                         : !opt.replayPath.empty() ? "trace replay"
-                                                   : "trace run";
-    std::cerr << "gmlake_sim: warning: bare flags are deprecated; "
-                 "use `gmlake_sim "
-              << target << "` (routing there now, see --help)\n";
-
-    if (!opt.recordPath.empty() && !opt.replayPath.empty()) {
-        // Historical convert mode: load then re-save (which now
-        // packs to .gmt when the output asks for it).
-        std::ifstream in(opt.replayPath);
-        if (!in)
-            GMLAKE_FATAL("cannot open trace: ", opt.replayPath);
-        const workload::Trace trace = workload::Trace::load(in);
-        saveTraceTo(trace, opt.recordPath,
-                    sectionNameFor(opt.replayPath));
-        return 0;
-    }
-    if (!opt.recordPath.empty())
-        return doTraceRecord(opt, opt.recordPath);
-    if (!opt.replayPath.empty())
-        return doTraceReplay(opt, opt.replayPath);
-    return doTraceRun(opt);
-}
-
 /**
  * Flags every verb accepts, applied and stripped before dispatch so
  * each verb's own table stays focused. One definition serves
@@ -1385,8 +1320,11 @@ try {
         return cmdChaos(argc, argv);
     if (std::strcmp(argv[1], "probe") == 0)
         return cmdProbe(argc, argv);
-    if (argv[1][0] == '-')
-        return legacyMain(argc, argv);
+    if (std::strcmp(argv[1], "--help") == 0 ||
+        std::strcmp(argv[1], "-h") == 0) {
+        printHelp();
+        return 0;
+    }
     std::cerr << "unknown subcommand: " << argv[1]
               << " (try --help)\n";
     return 1;
