@@ -220,6 +220,29 @@ BM_DeviceStitchTeardown(benchmark::State &state)
 BENCHMARK(BM_DeviceStitchTeardown)->Arg(64)->Arg(1024);
 
 void
+BM_DeviceChunkRun(benchmark::State &state)
+{
+    // Build and tear down an N-chunk pBlock-shaped block through the
+    // chunk runs: one create+map run, setAccess, one unmap, one
+    // release run. The simulated cost is still charged per chunk.
+    vmm::Device dev(bigDevice());
+    const std::size_t chunks = static_cast<std::size_t>(state.range(0));
+    const auto va = dev.memAddressReserve(chunks * 2_MiB);
+    std::vector<PhysHandle> handles(chunks);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            dev.memCreateMapRun(*va, 2_MiB, handles).ok());
+        benchmark::DoNotOptimize(
+            dev.memSetAccess(*va, chunks * 2_MiB).ok());
+        benchmark::DoNotOptimize(
+            dev.memUnmap(*va, chunks * 2_MiB).ok());
+        benchmark::DoNotOptimize(dev.memReleaseRun(handles).ok());
+    }
+    state.counters["chunks"] = static_cast<double>(chunks);
+}
+BENCHMARK(BM_DeviceChunkRun)->Arg(8)->Arg(64)->Arg(512);
+
+void
 BM_TraceGeneration(benchmark::State &state)
 {
     workload::TrainConfig cfg;

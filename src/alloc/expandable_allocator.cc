@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "support/logging.hh"
@@ -97,35 +98,28 @@ ExpandableSegmentsAllocator::growMapping(Segment &segment, Bytes upTo)
     if (target <= segment.mapped)
         return Status::success();
 
+    // One device call creates and maps the new tail chunks; it
+    // unwinds itself when a create or map fails, and a failed
+    // setAccess unwinds the fresh mapping here, so a failed growth
+    // leaves the segment and the device as they were.
     const Bytes growStart = segment.mapped;
-    std::vector<PhysHandle> fresh;
-    for (Bytes at = growStart; at < target; at += mConfig.chunkSize) {
-        const auto h = mDevice.memCreate(mConfig.chunkSize);
-        if (!h.ok()) {
-            // Roll back this growth attempt.
-            for (std::size_t i = 0; i < fresh.size(); ++i) {
-                const VirtAddr va =
-                    segment.base + growStart +
-                    static_cast<VirtAddr>(i) * mConfig.chunkSize;
-                Status s = mDevice.memUnmap(va, mConfig.chunkSize);
-                GMLAKE_ASSERT(s.ok(), "growth rollback unmap failed");
-                s = mDevice.memRelease(fresh[i]);
-                GMLAKE_ASSERT(s.ok(),
-                              "growth rollback release failed");
-            }
-            return h.error();
-        }
-        const Status mapped = mDevice.memMap(segment.base + at, *h);
-        GMLAKE_ASSERT(mapped.ok(), "tail mapping failed");
-        fresh.push_back(*h);
-        ++mChunkMaps;
+    const VirtAddr growVa = segment.base + growStart;
+    const std::size_t had = segment.chunks.size();
+    const std::size_t count = (target - growStart) / mConfig.chunkSize;
+    segment.chunks.resize(had + count);
+    const auto fresh = std::span(segment.chunks).subspan(had);
+    Status grown =
+        mDevice.memCreateMapRun(growVa, mConfig.chunkSize, fresh);
+    if (grown.ok()) {
+        grown = mDevice.memSetAccess(growVa, target - growStart);
+        if (!grown.ok())
+            mDevice.memUnmapReleaseRun(growVa, mConfig.chunkSize, fresh);
     }
-    const Status acc = mDevice.memSetAccess(segment.base + growStart,
-                                            target - growStart);
-    GMLAKE_ASSERT(acc.ok(), "tail access failed");
-
-    segment.chunks.insert(segment.chunks.end(), fresh.begin(),
-                          fresh.end());
+    if (!grown.ok()) {
+        segment.chunks.resize(had);
+        return grown;
+    }
+    mChunkMaps += count;
     segment.mapped = target;
     mStats.onReserve(target - growStart);
     return Status::success();
@@ -150,12 +144,15 @@ ExpandableSegmentsAllocator::trimTail(Segment &segment)
     const std::size_t dropChunks = dropBytes / mConfig.chunkSize;
     const Status s = mDevice.memUnmap(segment.base + keep, dropBytes);
     GMLAKE_ASSERT(s.ok(), "tail unmap failed");
-    for (std::size_t i = 0; i < dropChunks; ++i) {
-        const Status r = mDevice.memRelease(segment.chunks.back());
-        GMLAKE_ASSERT(r.ok(), "tail release failed");
-        segment.chunks.pop_back();
-        ++mChunkUnmaps;
-    }
+    // Released last chunk first, as the tail shrinks.
+    const auto tail = segment.chunks.end() -
+                      static_cast<std::ptrdiff_t>(dropChunks);
+    std::reverse(tail, segment.chunks.end());
+    const vmm::RunStatus released =
+        mDevice.memReleaseRun(std::span(tail, segment.chunks.end()));
+    GMLAKE_ASSERT(released.ok(), "tail release failed");
+    segment.chunks.erase(tail, segment.chunks.end());
+    mChunkUnmaps += dropChunks;
     segment.mapped = keep;
     mStats.onRelease(dropBytes);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -79,54 +80,29 @@ GMLakeAllocator::allocPBlock(Bytes size, StreamId stream)
     PBlock *block = mPPool.acquire();
     block->chunks.clear();
     block->sharers.clear();
+    block->chunks.resize(size / mConfig.chunkSize);
 
-    const std::size_t chunkCount = size / mConfig.chunkSize;
-    block->chunks.reserve(chunkCount);
-    // Roll back a partially built block: every chunk in
-    // block->chunks is mapped at its slot; @p extra is a created but
-    // not yet mapped handle. Undoing freshly created state uses only
-    // teardown calls, which cannot fail on valid arguments.
-    const auto unwind = [&](const PhysHandle *extra) {
-        for (std::size_t j = 0; j < block->chunks.size(); ++j) {
-            const VirtAddr at =
-                *va + static_cast<VirtAddr>(j) * mConfig.chunkSize;
-            Status s = mDevice.memUnmap(at, mConfig.chunkSize);
-            GMLAKE_ASSERT(s.ok(), "rollback unmap failed");
-            s = mDevice.memRelease(block->chunks[j]);
-            GMLAKE_ASSERT(s.ok(), "rollback release failed");
+    // One device call creates and maps every chunk — the simulated
+    // cost and failure behaviour of the real per-chunk CUDA loop —
+    // and on failure unwinds what it built. Undoing the fresh mapping
+    // after a failed setAccess uses only teardown calls, which cannot
+    // fail on valid arguments.
+    Status built =
+        mDevice.memCreateMapRun(*va, mConfig.chunkSize, block->chunks);
+    if (built.ok()) {
+        built = mDevice.memSetAccess(*va, size);
+        if (!built.ok()) {
+            mDevice.memUnmapReleaseRun(*va, mConfig.chunkSize,
+                                       block->chunks);
         }
-        if (extra != nullptr) {
-            const Status s = mDevice.memRelease(*extra);
-            GMLAKE_ASSERT(s.ok(), "rollback release failed");
-        }
+    }
+    if (!built.ok()) {
         const Status s = mDevice.memAddressFree(*va);
         GMLAKE_ASSERT(s.ok(), "rollback addressFree failed");
         block->chunks.clear();
         mPPool.release(block);
         noteRollback();
-    };
-    // Chunks are created and mapped one by one — the simulated cost
-    // and failure behaviour of the real driver loop — but each map
-    // is an O(1) append to the tail extent of the fresh VA range.
-    for (std::size_t i = 0; i < chunkCount; ++i) {
-        auto h = mDevice.memCreate(mConfig.chunkSize);
-        if (!h.ok()) {
-            unwind(nullptr);
-            return h.error();
-        }
-        const VirtAddr at =
-            *va + static_cast<VirtAddr>(i) * mConfig.chunkSize;
-        const Status mapped = mDevice.memMap(at, *h);
-        if (!mapped.ok()) {
-            unwind(&*h);
-            return mapped.error();
-        }
-        block->chunks.push_back(*h);
-    }
-    const Status acc = mDevice.memSetAccess(*va, size);
-    if (!acc.ok()) {
-        unwind(nullptr);
-        return acc.error();
+        return built.error();
     }
 
     block->id = mNextBlockId++;
@@ -152,12 +128,11 @@ GMLakeAllocator::releasePBlock(PBlock *block)
         destroySBlock(block->sharers.back());
 
     if (block->resident) {
-        Status s = mDevice.memUnmap(block->va, block->size);
+        const Status s = mDevice.memUnmap(block->va, block->size);
         GMLAKE_ASSERT(s.ok(), "pBlock unmap failed");
-        for (PhysHandle h : block->chunks) {
-            s = mDevice.memRelease(h);
-            GMLAKE_ASSERT(s.ok(), "pBlock chunk release failed");
-        }
+        const vmm::RunStatus released =
+            mDevice.memReleaseRun(block->chunks);
+        GMLAKE_ASSERT(released.ok(), "pBlock chunk release failed");
         mPhysicalBytes -= block->size;
         mStats.onRelease(block->size);
     } else {
@@ -496,10 +471,8 @@ GMLakeAllocator::spillPBlock(PBlock *block)
                              block->size);
         GMLAKE_ASSERT(s.ok(), "spill sharer unmap failed");
     }
-    for (PhysHandle h : block->chunks) {
-        s = mDevice.memRelease(h);
-        GMLAKE_ASSERT(s.ok(), "spill chunk release failed");
-    }
+    const vmm::RunStatus released = mDevice.memReleaseRun(block->chunks);
+    GMLAKE_ASSERT(released.ok(), "spill chunk release failed");
     block->chunks.clear();
     block->resident = false;
     mSpilledBytes += block->size;
@@ -518,28 +491,40 @@ GMLakeAllocator::ensureResident(PBlock *block)
     if (block->resident)
         return Status::success();
     const std::size_t chunkCount = block->size / mConfig.chunkSize;
-    for (std::size_t i = 0; i < chunkCount; ++i) {
-        auto h = mDevice.memCreate(mConfig.chunkSize);
-        if (!h.ok() && mOffloadHook != nullptr) {
-            const Bytes missing =
-                (chunkCount - block->chunks.size()) *
-                mConfig.chunkSize;
-            if (mOffloadHook->reclaimOnOom(missing, block->stream) >
-                0) {
-                h = mDevice.memCreate(mConfig.chunkSize);
+    std::vector<PhysHandle> &chunks = block->chunks;
+    // Create the chunks as runs. A failing chunk gets one reclaim
+    // round and one lone retry, as in the per-chunk call loop, and
+    // the run resumes after it; the chunk vector only ever holds
+    // created handles, so a reclaim sees a consistent block.
+    Status created;
+    while (created.ok() && chunks.size() < chunkCount) {
+        const std::size_t had = chunks.size();
+        chunks.resize(chunkCount);
+        const vmm::RunStatus run = mDevice.memCreateRun(
+            mConfig.chunkSize, std::span(chunks).subspan(had));
+        chunks.resize(had + run.done);
+        created = run.status;
+        if (created.ok() || mOffloadHook == nullptr)
+            break;
+        const Bytes missing =
+            (chunkCount - chunks.size()) * mConfig.chunkSize;
+        if (mOffloadHook->reclaimOnOom(missing, block->stream) > 0) {
+            const auto h = mDevice.memCreate(mConfig.chunkSize);
+            if (h.ok()) {
+                chunks.push_back(*h);
+                created = Status::success();
+            } else {
+                created = h.error();
             }
         }
-        if (!h.ok()) {
-            // Roll back: the block stays cleanly spilled.
-            for (PhysHandle created : block->chunks) {
-                const Status rel = mDevice.memRelease(created);
-                GMLAKE_ASSERT(rel.ok(), "fault-in rollback failed");
-            }
-            block->chunks.clear();
-            noteRollback();
-            return h.error();
-        }
-        block->chunks.push_back(*h);
+    }
+    if (!created.ok()) {
+        // Roll back: the block stays cleanly spilled.
+        const vmm::RunStatus undo = mDevice.memReleaseRun(chunks);
+        GMLAKE_ASSERT(undo.ok(), "fault-in rollback failed");
+        chunks.clear();
+        noteRollback();
+        return created;
     }
 
     // Remap under the block's own VA and every sharer VA. The
@@ -590,11 +575,9 @@ GMLakeAllocator::ensureResident(PBlock *block)
                 block->size);
             GMLAKE_ASSERT(s.ok(), "fault-in rollback unmap failed");
         }
-        for (PhysHandle created : block->chunks) {
-            const Status rel = mDevice.memRelease(created);
-            GMLAKE_ASSERT(rel.ok(), "fault-in rollback failed");
-        }
-        block->chunks.clear();
+        const vmm::RunStatus undo = mDevice.memReleaseRun(chunks);
+        GMLAKE_ASSERT(undo.ok(), "fault-in rollback failed");
+        chunks.clear();
         noteRollback();
         return remap;
     }

@@ -1,8 +1,12 @@
 #include "sim/chaos.hh"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <fstream>
 #include <memory>
+#include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "alloc/allocator.hh"
@@ -178,6 +182,34 @@ runChaos(const ChaosOptions &options)
     }
     report.totalWallNs = wall.elapsedNs();
     return report;
+}
+
+std::string
+chaosReplayCommand(const ChaosOptions &options, std::uint64_t trialSeed)
+{
+    const ChaosOptions defaults;
+    std::ostringstream cmd;
+    cmd << "gmlake_sim chaos " << options.scenario << " --fault-seed "
+        << trialSeed << " --soak 1";
+    if (options.kind != defaults.kind)
+        cmd << " --allocator " << allocatorKindName(options.kind);
+    if (options.workloadSeed != defaults.workloadSeed)
+        cmd << " --seed " << options.workloadSeed;
+    if (options.iterations != defaults.iterations)
+        cmd << " --iterations " << options.iterations;
+    if (options.killChance != defaults.killChance) {
+        // Shortest text that parses back to the same double.
+        std::array<char, 32> text{};
+        const auto end = std::to_chars(text.data(),
+                                       text.data() + text.size(),
+                                       options.killChance).ptr;
+        cmd << " --kill-chance " << std::string_view(text.data(), end);
+    }
+    if (options.engineThreads != defaults.engineThreads)
+        cmd << " --engine-threads " << options.engineThreads;
+    if (!options.faultSpec.empty())
+        cmd << " --faults '" << options.faultSpec << "'";
+    return cmd.str();
 }
 
 std::size_t

@@ -122,6 +122,16 @@ ChaosTrialRecord runChaosTrial(const ChaosOptions &options,
 ChaosReport runChaos(const ChaosOptions &options);
 
 /**
+ * The `gmlake_sim chaos` command line that replays the one trial run
+ * with @p trialSeed: the scenario, `--fault-seed <trialSeed> --soak
+ * 1`, and every option of @p options that differs from its default
+ * (allocator, workload seed, iterations, kill chance, engine threads,
+ * fault spec).
+ */
+std::string chaosReplayCommand(const ChaosOptions &options,
+                               std::uint64_t trialSeed);
+
+/**
  * Write the machine-readable soak report. Lives in the library (not
  * the CLI) so the artifact-format regression test pins the exact
  * key set downstream consumers parse.

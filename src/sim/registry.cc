@@ -267,15 +267,9 @@ vmAllocLatency(ExperimentContext &ctx, Bytes block, Bytes chunk)
     const auto va = dev.memAddressReserve(block);
     if (!va.ok())
         GMLAKE_FATAL("reserve failed");
-    VirtAddr cursor = *va;
-    for (Bytes done = 0; done < block; done += chunk) {
-        const auto h = dev.memCreate(chunk);
-        if (!h.ok())
-            GMLAKE_FATAL("create failed");
-        if (const auto s = dev.memMap(cursor, *h); !s.ok())
-            GMLAKE_FATAL("map failed");
-        cursor += chunk;
-    }
+    std::vector<PhysHandle> chunks((block + chunk - 1) / chunk);
+    if (const auto s = dev.memCreateMapRun(*va, chunk, chunks); !s.ok())
+        GMLAKE_FATAL("create+map failed: ", s.error().message);
     if (const auto s = dev.memSetAccess(*va, block); !s.ok())
         GMLAKE_FATAL("setAccess failed");
     return dev.now() - t0;

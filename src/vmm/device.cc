@@ -156,42 +156,189 @@ Device::memAddressFree(VirtAddr va)
     return mVa.free(va);
 }
 
+std::size_t
+Device::runStride(std::size_t count) const
+{
+    return (mFaults || obs::active() != nullptr) ? 1 : count;
+}
+
 Expected<PhysHandle>
 Device::memCreate(Bytes size)
 {
-    ++mCounters.create;
+    PhysHandle handle = kNullHandle;
+    const RunStatus run = memCreateRun(size, {&handle, 1});
+    if (!run.ok())
+        return run.status.error();
+    return handle;
+}
+
+RunStatus
+Device::memCreateRun(Bytes size, std::span<PhysHandle> out)
+{
     const WallScope wall(mCounters);
-    ObsApiSpan span(obs::EvName::devCreate, mClock);
-    span.arg(size);
-    charge(mCost.memCreate(size));
-    if (mFaults) {
-        applyCapacityLoss();
-        if (auto err = mFaults->onCall(FaultApi::memCreate)) {
-            span.fault(*err);
-            return *err;
+    return createChunks(size, out);
+}
+
+RunStatus
+Device::createChunks(Bytes size, std::span<PhysHandle> out)
+{
+    if (out.empty())
+        return {};
+    const Tick each = mCost.memCreate(size);
+    const std::size_t stride = runStride(out.size());
+    RunStatus run;
+    while (run.done < out.size() && run.ok()) {
+        ObsApiSpan span(obs::EvName::devCreate, mClock);
+        span.arg(size);
+        RunStatus step;
+        if (mFaults) {
+            // The loss comes due against the clock after this call's
+            // own charge, which lands below.
+            applyCapacityLoss(now() + each);
+            if (auto err = mFaults->onCall(FaultApi::memCreate))
+                step.status = *err;
+        }
+        if (step.ok()) {
+            step = mPhys.createRun(
+                size, out.subspan(run.done, std::min(
+                                                stride,
+                                                out.size() - run.done)));
+        }
+        // One API call per chunk, the failing one included.
+        const std::size_t calls = step.done + (step.ok() ? 0 : 1);
+        mCounters.create += calls;
+        charge(each * static_cast<Tick>(calls));
+        if (!step.ok())
+            span.fault(step.status.error());
+        run.done += step.done;
+        run.status = step.status;
+    }
+    return run;
+}
+
+Status
+Device::memCreateMapRun(VirtAddr va, Bytes size,
+                        std::span<PhysHandle> out)
+{
+    const WallScope wall(mCounters);
+    // A step of several chunks maps them with one table splice,
+    // which needs the whole target to be free space inside one
+    // reservation. Any other target steps chunk by chunk, so its
+    // error lands on the chunk where the loop would have failed.
+    const Bytes total = static_cast<Bytes>(out.size()) * size;
+    const bool freeTarget = isAligned(va, granularity()) &&
+                            mVa.containing(va, total).ok() &&
+                            !mMap.overlaps(va, total);
+    const std::size_t stride = freeTarget ? runStride(out.size()) : 1;
+    std::size_t mapped = 0;
+    while (mapped < out.size()) {
+        const auto step =
+            out.subspan(mapped, std::min(stride, out.size() - mapped));
+        const RunStatus created = createChunks(size, step);
+        const auto fresh = step.first(created.done);
+        const VirtAddr at = va + static_cast<VirtAddr>(mapped) * size;
+        if (fresh.size() == 1) {
+            if (const Status s = mapOne(at, fresh[0]); !s.ok()) {
+                unmapReleaseChunks(va, size, out.first(mapped));
+                const RunStatus undo = releaseChunks(fresh);
+                GMLAKE_ASSERT(undo.ok(), "run unwind release failed");
+                return s;
+            }
+        } else if (!fresh.empty()) {
+            mCounters.map += fresh.size();
+            charge(mCost.memMap(size) * static_cast<Tick>(fresh.size()));
+            mRunBatch.clear();
+            for (std::size_t i = 0; i < fresh.size(); ++i) {
+                mRunBatch.emplace_back(
+                    at + static_cast<VirtAddr>(i) * size, fresh[i]);
+            }
+            const Status s = mMap.mapRange(mRunBatch);
+            GMLAKE_ASSERT(s.ok(), "fresh chunks failed to map into a "
+                                  "free target");
+        }
+        mapped += fresh.size();
+        if (!created.ok()) {
+            unmapReleaseChunks(va, size, out.first(mapped));
+            return created.status;
         }
     }
-    auto handle = mPhys.create(size);
-    if (!handle.ok())
-        span.fault(handle.error());
-    return handle;
+    return Status::success();
 }
 
 Status
 Device::memRelease(PhysHandle handle)
 {
-    ++mCounters.release;
+    return memReleaseRun({&handle, 1}).status;
+}
+
+RunStatus
+Device::memReleaseRun(std::span<const PhysHandle> handles)
+{
     const WallScope wall(mCounters);
-    const ObsApiSpan span(obs::EvName::devRelease, mClock);
-    charge(mCost.memRelease());
-    return mPhys.release(handle);
+    return releaseChunks(handles);
+}
+
+RunStatus
+Device::releaseChunks(std::span<const PhysHandle> handles)
+{
+    const std::size_t stride = runStride(handles.size());
+    RunStatus run;
+    while (run.done < handles.size() && run.ok()) {
+        const ObsApiSpan span(obs::EvName::devRelease, mClock);
+        const RunStatus step = mPhys.releaseRun(handles.subspan(
+            run.done, std::min(stride, handles.size() - run.done)));
+        const std::size_t calls = step.done + (step.ok() ? 0 : 1);
+        mCounters.release += calls;
+        charge(mCost.memRelease() * static_cast<Tick>(calls));
+        run.done += step.done;
+        run.status = step.status;
+    }
+    return run;
+}
+
+void
+Device::memUnmapReleaseRun(VirtAddr va, Bytes size,
+                           std::span<const PhysHandle> handles)
+{
+    const WallScope wall(mCounters);
+    unmapReleaseChunks(va, size, handles);
+}
+
+void
+Device::unmapReleaseChunks(VirtAddr va, Bytes size,
+                           std::span<const PhysHandle> handles)
+{
+    const std::size_t stride = runStride(handles.size());
+    for (std::size_t i = 0; i < handles.size(); i += stride) {
+        const auto step =
+            handles.subspan(i, std::min(stride, handles.size() - i));
+        const VirtAddr at = va + static_cast<VirtAddr>(i) * size;
+        if (step.size() == 1) {
+            const Status s = unmapOne(at, size);
+            GMLAKE_ASSERT(s.ok(), "run unwind unmap failed");
+        } else {
+            // One memUnmap of a single chunk per handle.
+            mCounters.unmap += step.size();
+            charge(mCost.memUnmap(1) * static_cast<Tick>(step.size()));
+            const Status s = mMap.unmap(at, step.size() * size);
+            GMLAKE_ASSERT(s.ok(), "run unwind unmap failed");
+        }
+        const RunStatus released = releaseChunks(step);
+        GMLAKE_ASSERT(released.ok(), "run unwind release failed");
+    }
 }
 
 Status
 Device::memMap(VirtAddr va, PhysHandle handle)
 {
-    ++mCounters.map;
     const WallScope wall(mCounters);
+    return mapOne(va, handle);
+}
+
+Status
+Device::mapOne(VirtAddr va, PhysHandle handle)
+{
+    ++mCounters.map;
     ObsApiSpan span(obs::EvName::devMap, mClock);
     if (mFaults) {
         if (auto err = mFaults->onCall(FaultApi::memMap)) {
@@ -285,8 +432,14 @@ Device::memMapBatch(
 Status
 Device::memUnmap(VirtAddr va, Bytes size)
 {
-    ++mCounters.unmap;
     const WallScope wall(mCounters);
+    return unmapOne(va, size);
+}
+
+Status
+Device::unmapOne(VirtAddr va, Bytes size)
+{
+    ++mCounters.unmap;
     ObsApiSpan span(obs::EvName::devUnmap, mClock);
     const auto stats = mMap.rangeStats(va, size);
     span.arg(stats.chunks);
@@ -434,9 +587,9 @@ Device::clearFaultInjector()
 }
 
 void
-Device::applyCapacityLoss()
+Device::applyCapacityLoss(Tick at)
 {
-    Bytes due = mFaults->pendingCapacityLoss(now());
+    Bytes due = mFaults->pendingCapacityLoss(at);
     while (due > 0) {
         // Carve granularity-aligned pieces out of the largest free
         // extents; the handles are kept forever, modeling permanently

@@ -15,6 +15,17 @@
  * cost model, and semantics (overlap, capacity, refcounts) are
  * enforced exactly so allocator bugs surface as hard errors.
  *
+ * Chunk runs (memCreateRun, memCreateMapRun, memReleaseRun,
+ * memUnmapReleaseRun) stand for the per-chunk CUDA call loops GMLake
+ * and the expandable allocator run over their 2 MiB chunks: every
+ * chunk is counted, charged and fault-checked exactly as a loop of
+ * single calls would, but the run enters the device once and the
+ * physical memory manager carves or returns each contiguous stretch
+ * in one step. While a fault injector is installed or an obs
+ * recorder is active, a run advances one chunk at a time instead —
+ * fault plans draw per API call and the timeline shows one span
+ * per call — so both see exactly what the loop produced.
+ *
  * Nothing here locks: one thread owns a device and the allocator on
  * it, as one training process drives one GPU. Parallel runs give
  * each thread its own device.
@@ -76,9 +87,11 @@ struct ApiCounters
      * Host wall-clock nanoseconds spent inside the device's
      * memory-management entry points (everything touching the VA
      * space, physical memory, or the mapping table; pure cost
-     * charges like syncPenalty/chargeCachedOp are excluded). Unlike
-     * apiTime this measures the *simulator's* bookkeeping cost, not
-     * simulated latency — it feeds the vmm_wall_ns perf trajectory.
+     * charges like syncPenalty/chargeCachedOp are excluded). One
+     * timing scope per device entry, so a chunk run is timed once,
+     * not once per chunk. Unlike apiTime this measures the
+     * *simulator's* bookkeeping cost, not simulated latency — it
+     * feeds the vmm_wall_ns perf trajectory.
      */
     std::uint64_t vmmWallNs = 0;
 };
@@ -102,8 +115,42 @@ class Device
     /** Create a physical chunk handle of @p size bytes. */
     Expected<PhysHandle> memCreate(Bytes size);
 
+    /**
+     * Create out.size() chunks of @p size bytes into @p out: one
+     * memCreate() call per chunk, up to and including the first
+     * failing one, where the run stops.
+     */
+    RunStatus memCreateRun(Bytes size, std::span<PhysHandle> out);
+
+    /**
+     * Create out.size() chunks of @p size bytes and map chunk i at
+     * va + i * size: a memCreate() then a memMap() call per chunk,
+     * like the loop building a block. Atomic: on a failed create or
+     * map, the run unwinds what it built with the loop's own
+     * teardown calls (memUnmapReleaseRun over the mapped chunks,
+     * then a memRelease of a created but unmapped one) and returns
+     * the error.
+     */
+    Status memCreateMapRun(VirtAddr va, Bytes size,
+                           std::span<PhysHandle> out);
+
     /** Release a chunk handle; fails while it is mapped anywhere. */
     Status memRelease(PhysHandle handle);
+
+    /**
+     * Release @p handles in order: one memRelease() call per handle,
+     * up to and including the first failing one, where the run stops.
+     */
+    RunStatus memReleaseRun(std::span<const PhysHandle> handles);
+
+    /**
+     * Undo a successful memCreateMapRun(@p va, @p size, @p handles):
+     * a memUnmap() of each chunk's own range, then its memRelease().
+     * Teardown of state the caller built, so any failure is a
+     * simulator bug and panics.
+     */
+    void memUnmapReleaseRun(VirtAddr va, Bytes size,
+                            std::span<const PhysHandle> handles);
 
     /** Map the whole of @p handle at @p va (inside a reservation). */
     Status memMap(VirtAddr va, PhysHandle handle);
@@ -284,9 +331,27 @@ class Device
     /** Physical extents carved out by capacity losses (never freed). */
     std::vector<PhysHandle> mLostChunks;
 
+    /** Reusable (va, handle) buffer of a batched create+map step. */
+    std::vector<std::pair<VirtAddr, PhysHandle>> mRunBatch;
+
     void charge(Tick t);
-    /** Realize any capacity loss that has come due. */
-    void applyCapacityLoss();
+    /** Realize any capacity loss that has come due by @p at. */
+    void applyCapacityLoss(Tick at);
+
+    /**
+     * Chunks a run handles per step: one while a fault injector or a
+     * recorder watches the device, else the whole run.
+     */
+    std::size_t runStride(std::size_t count) const;
+
+    // Bodies of the entry points, without the wall-clock scope, so
+    // runs compose them and are still timed once.
+    RunStatus createChunks(Bytes size, std::span<PhysHandle> out);
+    RunStatus releaseChunks(std::span<const PhysHandle> handles);
+    void unmapReleaseChunks(VirtAddr va, Bytes size,
+                            std::span<const PhysHandle> handles);
+    Status mapOne(VirtAddr va, PhysHandle handle);
+    Status unmapOne(VirtAddr va, Bytes size);
 };
 
 } // namespace gmlake::vmm

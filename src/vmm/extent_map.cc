@@ -295,22 +295,26 @@ FreeExtentMap::successor(Bytes base) const
     return Extent{mNodes[best].base, mNodes[best].size};
 }
 
-void
+FreeExtentMap::Merged
 FreeExtentMap::insertCoalescing(Bytes base, Bytes size)
 {
     GMLAKE_ASSERT(size > 0, "zero-size extent");
+    Merged merged;
     const auto prev = predecessor(base);
     if (prev && prev->base + prev->size == base) {
         erase(prev->base);
         base = prev->base;
         size += prev->size;
+        merged.prev = true;
     }
     const auto next = successor(base);
     if (next && base + size == next->base) {
         erase(next->base);
         size += next->size;
+        merged.next = true;
     }
     insert(base, size);
+    return merged;
 }
 
 std::vector<FreeExtentMap::Extent>

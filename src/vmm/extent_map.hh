@@ -48,11 +48,18 @@ class FreeExtentMap
     /** Insert a new extent; must not overlap or abut-coalesce. */
     void insert(Bytes base, Bytes size);
 
+    /** Which neighbours an insertCoalescing() merged into. */
+    struct Merged
+    {
+        bool prev = false;
+        bool next = false;
+    };
+
     /**
      * Insert an extent, merging with an adjacent predecessor and/or
      * successor (the release path of an allocator).
      */
-    void insertCoalescing(Bytes base, Bytes size);
+    Merged insertCoalescing(Bytes base, Bytes size);
 
     /** Remove the extent based at @p base; false when absent. */
     bool erase(Bytes base);

@@ -136,6 +136,9 @@ class MappingTable
     /** True when any mapping starts inside [va, va+size). */
     bool hasMappingsIn(VirtAddr va, Bytes size) const;
 
+    /** True when any mapping covers a byte of [va, va+size). */
+    bool overlaps(VirtAddr va, Bytes size) const;
+
     /**
      * Count and total bytes of the mappings starting inside
      * [va, va+size) without materializing them — O(extents touched)
@@ -166,9 +169,6 @@ class MappingTable
     std::size_t mChunkCount = 0;
     /** Reusable scratch for batch validation (handle sizes). */
     std::vector<Bytes> mSizeScratch;
-
-    /** True when [va, va+size) overlaps an existing extent. */
-    bool overlaps(VirtAddr va, Bytes size) const;
 
     /**
      * Visit every chunk of @p extent whose start VA lies in

@@ -21,12 +21,19 @@
  * freelist-backed vector — a handle value packs (generation, slot),
  * so slots recycle in O(1) while handle *values* stay unique and
  * stale handles are rejected.
+ *
+ * Run calls (createRun / releaseRun) stand for a loop of single
+ * create() / release() calls with bit-identical handles, placement,
+ * holes and aggregates, but touch the hole map once per physically
+ * contiguous stretch instead of once per handle. create() and
+ * release() are their one-element case.
  */
 
 #ifndef GMLAKE_VMM_PHYS_MEMORY_HH
 #define GMLAKE_VMM_PHYS_MEMORY_HH
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -36,6 +43,20 @@
 
 namespace gmlake::vmm
 {
+
+/**
+ * Outcome of a run call: the first @c done elements succeeded, and
+ * when the run stopped early @c status holds the error of element
+ * @c done — exactly where the equivalent loop of single calls would
+ * have stopped.
+ */
+struct RunStatus
+{
+    std::size_t done = 0;
+    Status status;
+
+    bool ok() const { return status.ok(); }
+};
 
 class PhysMemory
 {
@@ -99,8 +120,26 @@ class PhysMemory
      */
     Expected<PhysHandle> create(Bytes size);
 
+    /**
+     * Allocate out.size() handles of @p size bytes each into @p out,
+     * in order, as that many create() calls would. Every handle that
+     * fits the current first-fit hole is carved from it with one
+     * hole-map update. Stops at the first failure (out[done..] are
+     * left untouched).
+     */
+    RunStatus createRun(Bytes size, std::span<PhysHandle> out);
+
     /** Release a handle; fails with handleInUse while mapped. */
     Status release(PhysHandle handle);
+
+    /**
+     * Release @p handles in order, as that many release() calls
+     * would. Consecutive handles whose ranges abut (ascending or
+     * descending) go back to the hole map as one extent, with the
+     * peak hole count the single releases would have reached. Stops
+     * at the first unknown, stale, repeated or mapped handle.
+     */
+    RunStatus releaseRun(std::span<const PhysHandle> handles);
 
     /** Increment / decrement the mapping refcount of a handle. */
     Status addMapRef(PhysHandle handle);
@@ -152,6 +191,15 @@ class PhysMemory
     /** Resolve a handle to its live slot; nullptr when invalid. */
     const Slot *find(PhysHandle handle) const;
     Slot *find(PhysHandle handle);
+
+    /**
+     * Why the handle that resolved to @p slot (nullptr: unknown or
+     * stale) cannot be released; success when it can.
+     */
+    Status releasable(const Slot *slot) const;
+
+    /** Take a slot for a fresh handle at [base, base+size). */
+    PhysHandle newHandle(Bytes base, Bytes size);
 
     static PhysHandle
     pack(std::uint32_t slot, std::uint32_t generation)

@@ -118,6 +118,37 @@ TEST(ChaosSoak, SoakTrialsReplayFromTheirDerivedSeed)
     }
 }
 
+TEST(ChaosSoak, ReplayCommandCarriesEveryNonDefaultOption)
+{
+    // Defaults only: the scenario, the trial's seed and one trial.
+    ChaosOptions options;
+    options.scenario = "train";
+    EXPECT_EQ(sim::chaosReplayCommand(options, 77),
+              "gmlake_sim chaos train --fault-seed 77 --soak 1");
+
+    // Every option that changes the run rides along, the soak size
+    // and base seed do not (the trial seed replaces them).
+    options.kind = sim::AllocatorKind::expandable;
+    options.workloadSeed = 9;
+    options.iterations = 1;
+    options.killChance = 0.0;
+    options.engineThreads = 4;
+    options.faultSpec = "map:n=3";
+    options.faultSeed = 1;
+    options.trials = 25;
+    EXPECT_EQ(sim::chaosReplayCommand(options, 123),
+              "gmlake_sim chaos train --fault-seed 123 --soak 1 "
+              "--allocator expandable --seed 9 --iterations 1 "
+              "--kill-chance 0 --engine-threads 4 --faults 'map:n=3'");
+
+    // The kill chance prints back exactly.
+    options = ChaosOptions{};
+    options.killChance = 0.1;
+    EXPECT_EQ(sim::chaosReplayCommand(options, 5),
+              "gmlake_sim chaos smoke --fault-seed 5 --soak 1 "
+              "--kill-chance 0.1");
+}
+
 TEST(ChaosSoak, ScriptedKillsAbortSessions)
 {
     ChaosOptions options = quickOptions();

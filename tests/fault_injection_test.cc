@@ -5,13 +5,15 @@
  * loss and copy-lane failures), and the allocator's recovery
  * contract — reclaim-ladder retries, GMLake stitch/split
  * partial-failure rollback verified block-by-block against the
- * pre-attempt state, and the deep invariant audit after recovery.
+ * pre-attempt state, expandable-segment growth unwinding a failed
+ * map or setAccess, and the deep invariant audit after recovery.
  */
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "alloc/expandable_allocator.hh"
 #include "alloc/snapshot.hh"
 #include "core/gmlake_allocator.hh"
 #include "support/logging.hh"
@@ -230,6 +232,30 @@ TEST(DeviceFaults, ScheduledCapacityLossCarvesOnCreate)
     EXPECT_EQ(dev.phys().inUse(), 16_MiB);
 }
 
+TEST(DeviceFaults, CapacityLossDueWithinACreateLandsInThatCreate)
+{
+    // A create charges its own latency before the loss check, so a
+    // loss due inside that charge is realized by the same call — in
+    // a single memCreate and in the middle of a chunk run alike.
+    for (const std::size_t chunks : {1u, 4u}) {
+        Device dev(smallDevice(64_MiB));
+        const Tick each = dev.costs().memCreate(2_MiB);
+        FaultPlan plan;
+        plan.capacityLosses.push_back(
+            {static_cast<Tick>(chunks - 1) * each + 1, 16_MiB});
+        dev.installFaultInjector(plan, 3);
+        std::vector<PhysHandle> out(chunks, kNullHandle);
+        ASSERT_TRUE(dev.memCreateRun(2_MiB, out).ok());
+        EXPECT_EQ(dev.faultInjector()->counters().capacityLost, 16_MiB)
+            << chunks << " chunks";
+        // The last chunk was created after the carve, the others
+        // before it.
+        EXPECT_EQ(*dev.phys().sizeOf(out.back()), 2_MiB);
+        EXPECT_EQ(dev.phys().liveRanges().back().first,
+                  chunks == 1 ? 16_MiB : (chunks - 1) * 2_MiB + 16_MiB);
+    }
+}
+
 TEST(DeviceFaults, InjectedCopyLaneFailure)
 {
     Device dev(smallDevice());
@@ -376,4 +402,53 @@ TEST(Recovery, AuditCatchesNothingAfterFaultStorm)
     EXPECT_EQ(dev.phys().inUse(),
               dev.faultInjector()->counters().capacityLost);
     EXPECT_EQ(dev.vaSpace().reservationCount(), 0u);
+}
+
+TEST(Recovery, ExpandableGrowthUnwindsFailedMapOrSetAccess)
+{
+    // An 8 MiB request grows the segment's tail by four chunks. The
+    // plan fails that growth and the retry after the trim round (the
+    // 2nd and 4th map calls, or both setAccess calls), so the request
+    // fails — and the segment and the device must be exactly as they
+    // were before it.
+    for (const char *spec : {"map:n=2,n=4", "setaccess:n=1,n=2"}) {
+        SCOPED_TRACE(spec);
+        Device dev(smallDevice(64_MiB));
+        alloc::ExpandableSegmentsAllocator expandable(dev);
+        const auto first = expandable.allocate(4_MiB);
+        ASSERT_TRUE(first.ok());
+
+        const alloc::MemorySnapshot before = expandable.snapshot();
+        const Bytes physBefore = dev.phys().inUse();
+        const std::size_t handlesBefore = dev.phys().liveHandles();
+        const std::size_t mappingsBefore = dev.mappings().mappingCount();
+        const std::size_t extentsBefore = dev.mappings().extentCount();
+
+        dev.installFaultInjector(FaultPlan::parse(spec), 3);
+        const auto grown = expandable.allocate(8_MiB);
+        ASSERT_FALSE(grown.ok());
+        EXPECT_EQ(grown.error().code, Errc::faultInjected);
+        EXPECT_EQ(dev.faultInjector()->counters().totalInjected(), 2u);
+
+        expectSameSnapshot(before, expandable.snapshot());
+        EXPECT_EQ(dev.phys().inUse(), physBefore);
+        EXPECT_EQ(dev.phys().liveHandles(), handlesBefore);
+        EXPECT_EQ(dev.mappings().mappingCount(), mappingsBefore);
+        EXPECT_EQ(dev.mappings().extentCount(), extentsBefore);
+        const alloc::Allocator &audited = expandable;
+        audited.auditInvariants();
+        expandable.checkConsistency();
+
+        // Fault-free again, the same request grows the tail.
+        dev.clearFaultInjector();
+        const auto retry = expandable.allocate(8_MiB);
+        ASSERT_TRUE(retry.ok());
+        EXPECT_EQ(dev.phys().inUse(), physBefore + 8_MiB);
+        expandable.checkConsistency();
+        ASSERT_TRUE(expandable.deallocate(retry->id).ok());
+        ASSERT_TRUE(expandable.deallocate(first->id).ok());
+        expandable.emptyCache();
+        EXPECT_EQ(dev.phys().inUse(), 0u);
+        expandable.checkConsistency();
+    }
 }

@@ -1153,8 +1153,8 @@ cmdChaos(int argc, char **argv)
                  "Rollbacks", "Aborted", "OOM", "Lost", "Audit"});
     for (std::size_t k = 0; k < report.trials.size(); ++k) {
         const sim::ChaosTrialRecord &t = report.trials[k];
-        // The per-trial seed line is the replay handle:
-        //   gmlake_sim chaos <scenario> --fault-seed <seed> --soak 1
+        // The per-trial seed is the replay handle (with the run's
+        // other options: sim::chaosReplayCommand).
         table.addRow({std::to_string(k), std::to_string(t.faultSeed),
                       std::to_string(t.result.injectedFaults),
                       std::to_string(t.result.recovered),
@@ -1169,12 +1169,8 @@ cmdChaos(int argc, char **argv)
         if (!t.auditPassed)
             std::cout << "trial with fault seed " << t.faultSeed
                       << " FAILED: " << t.error << "\n"
-                      << "  replay: gmlake_sim chaos " << opt.scenario
-                      << " --fault-seed " << t.faultSeed
-                      << " --soak 1"
-                      << (opt.faultSpec.empty()
-                              ? std::string()
-                              : " --faults '" + opt.faultSpec + "'")
+                      << "  replay: "
+                      << sim::chaosReplayCommand(options, t.faultSeed)
                       << "\n";
     }
     std::cout << report.trials.size() << " trial"
