@@ -69,7 +69,22 @@ ExpandableSegmentsAllocator::ExpandableSegmentsAllocator(
                   "chunk size must be a granularity multiple");
 }
 
-ExpandableSegmentsAllocator::~ExpandableSegmentsAllocator() = default;
+ExpandableSegmentsAllocator::~ExpandableSegmentsAllocator()
+{
+    // Hand the device back everything the segments hold, live blocks
+    // included: their chunks, then their reservations.
+    try {
+        for (Segment &segment : mSegments) {
+            if (segment.mapped > 0)
+                unmapFrom(segment, 0);
+            const Status s = mDevice.memAddressFree(segment.base);
+            GMLAKE_ASSERT(s.ok(), "segment VA free failed");
+        }
+    } catch (const PanicError &) {
+        // Already reported on stderr; a destructor must not throw,
+        // and it may be running while another panic unwinds.
+    }
+}
 
 ExpandableSegmentsAllocator::Segment &
 ExpandableSegmentsAllocator::segmentFor(StreamId stream)
@@ -139,7 +154,19 @@ ExpandableSegmentsAllocator::trimTail(Segment &segment)
     const Bytes keep = roundUp(gapStart, mConfig.chunkSize);
     if (keep >= segment.mapped)
         return; // less than one chunk to give back
+    unmapFrom(segment, keep);
 
+    // Shrink or drop the tail gap.
+    if (gapStart == keep) {
+        segment.free.erase(last);
+    } else {
+        last->second.size = keep - gapStart;
+    }
+}
+
+void
+ExpandableSegmentsAllocator::unmapFrom(Segment &segment, Bytes keep)
+{
     const Bytes dropBytes = segment.mapped - keep;
     const std::size_t dropChunks = dropBytes / mConfig.chunkSize;
     const Status s = mDevice.memUnmap(segment.base + keep, dropBytes);
@@ -155,13 +182,6 @@ ExpandableSegmentsAllocator::trimTail(Segment &segment)
     mChunkUnmaps += dropChunks;
     segment.mapped = keep;
     mStats.onRelease(dropBytes);
-
-    // Shrink or drop the tail gap.
-    if (gapStart == keep) {
-        segment.free.erase(last);
-    } else {
-        last->second.size = keep - gapStart;
-    }
 }
 
 void
@@ -322,6 +342,23 @@ ExpandableSegmentsAllocator::emptyCache()
 {
     for (auto &segment : mSegments)
         trimTail(segment);
+
+    // Give back the reservation of every idle segment and drop it;
+    // mLive addresses segments by index, so re-point it afterwards.
+    const auto idle = [](const Segment &segment) {
+        return segment.live.empty() && segment.mapped == 0;
+    };
+    for (const Segment &segment : mSegments) {
+        if (idle(segment)) {
+            const Status s = mDevice.memAddressFree(segment.base);
+            GMLAKE_ASSERT(s.ok(), "segment VA free failed");
+        }
+    }
+    std::erase_if(mSegments, idle);
+    for (std::size_t i = 0; i < mSegments.size(); ++i) {
+        for (const auto &[offset, blk] : mSegments[i].live)
+            mLive.at(blk.second) = {i, offset};
+    }
 }
 
 MemorySnapshot
@@ -391,14 +428,19 @@ ExpandableSegmentsAllocator::checkConsistency() const
                   "active accounting drifted");
     GMLAKE_ASSERT(mapped == mStats.reservedBytes(),
                   "reserved accounting drifted");
-    GMLAKE_ASSERT(mLive.size() ==
-                  [this] {
-                      std::size_t n = 0;
-                      for (const auto &s : mSegments)
-                          n += s.live.size();
-                      return n;
-                  }(),
-                  "stray live entries");
+    // mLive and the segments' live maps must agree entry for entry.
+    std::size_t liveBlocks = 0;
+    for (const auto &segment : mSegments)
+        liveBlocks += segment.live.size();
+    GMLAKE_ASSERT(mLive.size() == liveBlocks, "stray live entries");
+    for (const auto &[id, where] : mLive) {
+        GMLAKE_ASSERT(where.first < mSegments.size(),
+                      "live entry names a dropped segment");
+        const auto &live = mSegments[where.first].live;
+        const auto blk = live.find(where.second);
+        GMLAKE_ASSERT(blk != live.end() && blk->second.second == id,
+                      "live entry out of sync");
+    }
 }
 
 } // namespace gmlake::alloc

@@ -62,6 +62,10 @@ class ExpandableSegmentsAllocator : public Allocator
     Status deallocate(AllocId id) override;
     void streamSynchronize(StreamId stream) override;
     void deviceSynchronize() override;
+    /**
+     * Trim every segment's free tail, then free the VA reservation
+     * of each segment left with no live block and nothing mapped.
+     */
     void emptyCache() override;
     const AllocatorStats &stats() const override { return mStats; }
     std::string name() const override { return "expandable"; }
@@ -74,6 +78,9 @@ class ExpandableSegmentsAllocator : public Allocator
 
     Checkpoint saveState() const override;
     void restoreState(const Checkpoint &checkpoint) override;
+
+    /** Runs checkConsistency(). */
+    void auditInvariants() const override { checkConsistency(); }
 
     /** Internal invariant check used by tests; panics on violation. */
     void checkConsistency() const;
@@ -120,6 +127,12 @@ class ExpandableSegmentsAllocator : public Allocator
 
     /** Unmap the free tail of @p segment down to its last live byte. */
     void trimTail(Segment &segment);
+
+    /**
+     * Unmap and release @p segment's chunks from offset @p keep (a
+     * chunk multiple) to its mapped end, last chunk first.
+     */
+    void unmapFrom(Segment &segment, Bytes keep);
 
     /** Place @p size at @p offset (which must be a free gap). */
     VirtAddr place(std::size_t segIndex, Bytes offset, Bytes size,

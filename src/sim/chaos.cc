@@ -101,7 +101,6 @@ runChaosTrial(const ChaosOptions &options, std::uint64_t trialSeed)
 
         EngineOptions engineOptions;
         engineOptions.recordSeries = false;
-        engineOptions.engineThreads = options.engineThreads;
         engineOptions.abortSessionOnFault = true;
         // Scripted kills: each tenant dies with killChance at an
         // instant uniform over the scenario span — a deterministic
@@ -205,8 +204,6 @@ chaosReplayCommand(const ChaosOptions &options, std::uint64_t trialSeed)
                                        options.killChance).ptr;
         cmd << " --kill-chance " << std::string_view(text.data(), end);
     }
-    if (options.engineThreads != defaults.engineThreads)
-        cmd << " --engine-threads " << options.engineThreads;
     if (!options.faultSpec.empty())
         cmd << " --faults '" << options.faultSpec << "'";
     return cmd.str();
@@ -253,7 +250,8 @@ writeChaosJson(const ChaosReport &report,
         << "\"soak\": " << report.trials.size() << ", "
         << "\"iterations\": " << options.iterations << ", "
         << "\"kill_chance\": " << options.killChance << ", "
-        << "\"engine_threads\": " << options.engineThreads << "},\n"
+        // Retired (one thread per engine run), kept for the schema.
+        << "\"engine_threads\": 1},\n"
         << "  \"exit_code\": " << report.exitCode() << ",\n"
         << "  \"failures\": " << report.failures() << ",\n"
         << "  \"total_wall_ns\": " << report.totalWallNs << ",\n"

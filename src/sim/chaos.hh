@@ -49,8 +49,6 @@ struct ChaosOptions
     std::size_t trials = 1;
     /** Scenario scale override; <= 0 keeps the scenario default. */
     int iterations = 0;
-    /** Threads inside each replay (deterministic commit mode). */
-    std::size_t engineThreads = 1;
     /**
      * Per-session probability of a scripted kill, drawn from the
      * trial seed; the kill instant is uniform over the scenario span.
@@ -125,8 +123,7 @@ ChaosReport runChaos(const ChaosOptions &options);
  * The `gmlake_sim chaos` command line that replays the one trial run
  * with @p trialSeed: the scenario, `--fault-seed <trialSeed> --soak
  * 1`, and every option of @p options that differs from its default
- * (allocator, workload seed, iterations, kill chance, engine threads,
- * fault spec).
+ * (allocator, workload seed, iterations, kill chance, fault spec).
  */
 std::string chaosReplayCommand(const ChaosOptions &options,
                                std::uint64_t trialSeed);

@@ -96,9 +96,9 @@ struct RunResult
     std::uint64_t offloadWallNs = 0;
 
     /**
-     * Host time the committer spent waiting on stager threads (0 for
-     * serial runs). Measures the simulator, like the *WallNs fields —
-     * never the simulation.
+     * Always 0: the engine replays on the calling thread alone, so
+     * nothing stalls on a stager. Kept only because the benchmark
+     * suite's replay (bench/suite/replay.cc) still sums it.
      */
     std::uint64_t commitStallNs = 0;
 
@@ -136,18 +136,11 @@ struct EngineOptions
      */
     offload::OffloadManager *offload = nullptr;
     /**
-     * Engine threads: 1 = classic serial replay, N > 1 = the calling
-     * thread commits every event in serial order while up to N - 1
-     * stager threads pre-pull session sources, 0 = one per hardware
-     * thread. Only the calling thread touches the allocator and the
-     * device, so results are identical at any thread count.
+     * Ignored: every run replays on the calling thread alone. Kept
+     * only because the benchmark suite's replay
+     * (bench/suite/replay.cc) still sets it.
      */
     std::size_t engineThreads = 1;
-    /**
-     * Max events a stager may run ahead of the committer per session
-     * (the StageBuffer capacity).
-     */
-    std::size_t commitWindow = 256;
     /**
      * Checkpoint-resume support; see sim/sweep.hh for the harness
      * built on top.

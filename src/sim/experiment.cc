@@ -78,8 +78,6 @@ ScenarioOptions
 ExperimentContext::adjust(ScenarioOptions scenario) const
 {
     scenario.device = adjust(scenario.device);
-    scenario.engine.engineThreads = static_cast<std::size_t>(
-        std::max(0, mOptions.engineThreads));
     return scenario;
 }
 
@@ -268,11 +266,12 @@ jsonRecordFields(const RunRecord &r)
         {"faulted_bytes", u(res.faultedBytes)},
         {"stall_ns", u(res.stallNs)},
         {"offload_wall_ns", u(res.offloadWallNs)},
-        // Retired columns (no engine locks or mapping snapshots are
-        // left to count), kept at 0 so the schema stays stable.
+        // Retired columns (no engine locks, mapping snapshots or
+        // stager threads are left to count), kept at 0 so the schema
+        // stays stable.
         {"lock_wait_ns", "0"},
         {"snapshot_publishes", "0"},
-        {"commit_stall_ns", u(res.commitStallNs)},
+        {"commit_stall_ns", "0"},
         {"injected_faults", u(res.injectedFaults)},
         {"recovered", u(res.recovered)},
         {"aborted_sessions", u(res.abortedSessions)},
@@ -342,13 +341,14 @@ writeCsv(const Experiment &experiment,
             << r.result.faultedBytes << ','
             << r.result.stallNs << ','
             << r.result.offloadWallNs << ','
-            << "0,0," // lock_wait_ns, snapshot_publishes: retired
-            << r.result.commitStallNs << ','
+            // Retired: lock_wait_ns, snapshot_publishes,
+            // commit_stall_ns.
+            << "0,0,0,"
             << r.result.injectedFaults << ','
             << r.result.recovered << ','
             << r.result.abortedSessions << ','
             << r.result.rollbacks << ','
-            << context.options().engineThreads << '\n';
+            << "1\n"; // engine_threads: one per engine run
     }
 }
 
@@ -370,7 +370,7 @@ writeJson(const Experiment &experiment,
         << ",\n"
         << "  \"device_capacity_override\": "
         << options.deviceCapacity << ",\n"
-        << "  \"engine_threads\": " << options.engineThreads << ",\n"
+        << "  \"engine_threads\": 1,\n"
         << "  \"engine_commit\": \"deterministic\",\n"
         // Everything a reader needs to reproduce the run: the
         // resolved override set, as one block (the legacy top-level
@@ -381,7 +381,7 @@ writeJson(const Experiment &experiment,
         << "\"device_capacity_bytes\": " << options.deviceCapacity
         << ", "
         << "\"threads\": " << options.threads << ", "
-        << "\"engine_threads\": " << options.engineThreads << ", "
+        << "\"engine_threads\": 1, "
         << "\"engine_commit\": \"deterministic\"},\n"
         << "  \"records\": [";
     bool first = true;
@@ -557,10 +557,6 @@ try {
                 << "  --seed N         override the workload seed\n"
                 << "  --threads N      worker threads for cluster "
                    "scenarios (0 = all cores)\n"
-                << "  --engine-threads N\n"
-                << "                   threads inside each engine run "
-                   "(0 = all cores);\n"
-                << "                   results stay identical\n"
                 << "  --csv [FILE]     append run records as CSV\n"
                 << "  --json [FILE]    write the report as JSON\n"
                 << "  --timeline FILE  record the runs and write a "
@@ -595,9 +591,6 @@ try {
         } else if (flag == "--threads") {
             options.experiment.threads = static_cast<int>(
                 parseUnsigned("--threads", need(i), 4096));
-        } else if (flag == "--engine-threads") {
-            options.experiment.engineThreads = static_cast<int>(
-                parseUnsigned("--engine-threads", need(i), 4096));
         } else if (flag == "--csv") {
             const char *path = optional(i);
             options.csvPath =

@@ -47,12 +47,6 @@ struct ExperimentOptions
      */
     int threads = 1;
     /**
-     * Threads *inside* each engine run (sim/session.hh): 1 = serial
-     * replay, N > 1 = staged decode-ahead, 0 = one per hardware
-     * thread. Results are identical at any thread count.
-     */
-    int engineThreads = 1;
-    /**
      * Write auxiliary plotting files (e.g. fig14's full-series
      * CSVs). Off by default so smoke runs and tests leave no stray
      * files; runExperiment() enables it when --csv is requested.

@@ -75,7 +75,6 @@ runProbe(const ProbeOptions &options, std::ostream &out)
         makeAllocator(options.kind, device, scenario.base);
     EngineOptions engineOptions;
     engineOptions.recordSeries = false;
-    engineOptions.engineThreads = options.engineThreads;
     SimEngine engine(*allocator, device, engineOptions);
     for (std::size_t i = 0; i < scenario.traces.size(); ++i) {
         engine.addSession(Session(scenario.sessionNames[i],

@@ -40,7 +40,6 @@ struct ProbeOptions
     std::uint64_t seed = 42;
     /** Scenario scale override; <= 0 keeps the scenario default. */
     int iterations = 0;
-    std::size_t engineThreads = 1;
     /** Query selectors; at most one may be set. */
     std::optional<std::uint64_t> tensor;
     std::optional<std::uint64_t> atTick;

@@ -1935,10 +1935,6 @@ runSweepSmoke(ExperimentContext &ctx)
 
     SweepRunOptions options;
     options.threads = static_cast<std::size_t>(ctx.threads());
-    options.engineThreads = ctx.options().engineThreads < 0
-                                ? 1
-                                : static_cast<std::size_t>(
-                                      ctx.options().engineThreads);
     const SweepReport report = runSweep(scenario, points, options);
 
     ctx.record("warmup", report.allocator, report.warmup);

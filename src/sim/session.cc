@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <memory>
 #include <queue>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
 #include "obs/recorder.hh"
 #include "obs/sampler.hh"
 #include "offload/offload_manager.hh"
-#include "sim/stage_queue.hh"
 #include "support/logging.hh"
 #include "support/stopwatch.hh"
 #include "support/strings.hh"
@@ -97,24 +95,15 @@ struct LiveAlloc
     Bytes bytes;
 };
 
-/**
- * Replay cursor + bookkeeping of one session. Events arrive either
- * straight from the source (serial replay) or through a
- * StageBuffer filled by a stager thread (staged deterministic
- * replay); fetch/consume/refresh hide the difference from the replay
- * loop.
- */
+/** Replay cursor + bookkeeping of one session. */
 struct Cursor
 {
     workload::EventSource *src = nullptr; //!< session event stream
-    StageBuffer *buffer = nullptr;  //!< staging lane (may be null)
     /**
-     * Cached end-of-stream flag, refreshed definitively after each
-     * of this cursor's own consumes. Only the cursor's own
-     * consumption can change it, so cross-cursor queries
-     * (reclaim's survivor scan, compute-tail stamping) read the
-     * cache instead of poking the source — which in staged mode
-     * belongs to the stager thread.
+     * Cached end-of-stream flag, refreshed after each of this
+     * cursor's own events. Only the cursor's own consumption can
+     * change it, so cross-cursor queries (reclaim's survivor scan,
+     * compute-tail stamping) read the cache.
      */
     bool exhausted = false;
     Tick localTime = 0;      //!< startTime + consumed compute
@@ -127,28 +116,7 @@ struct Cursor
     std::vector<StreamId> seenStreams;
     SessionResult result;
 
-    /** Current event, or nullptr at end of stream (may block). */
-    const workload::Event *
-    fetch()
-    {
-        return buffer != nullptr ? buffer->front() : src->peek();
-    }
-
-    void
-    consume()
-    {
-        if (buffer != nullptr)
-            buffer->pop();
-        else
-            src->advance();
-    }
-
-    /** Re-cache `exhausted` (blocks until definitive when staged). */
-    void
-    refresh()
-    {
-        exhausted = fetch() == nullptr;
-    }
+    void refresh() { exhausted = src->peek() == nullptr; }
 
     bool
     finished() const
@@ -156,36 +124,6 @@ struct Cursor
         return dead || exhausted;
     }
 };
-
-/**
- * Stager thread body: pre-pull one session's source into its
- * StageBuffer. For impure sources, stop pulling — not even peek() —
- * after handing over a risky event (one that can kill the session)
- * until the committer confirms it executed, so the source never
- * consumes past the serial engine's kill point.
- */
-void
-stagerMain(workload::EventSource *src, StageBuffer *buffer, bool gate,
-           bool tierAttached)
-{
-    for (;;) {
-        if (!buffer->awaitSlot())
-            return; // session killed
-        const workload::Event *next = src->peek();
-        if (next == nullptr) {
-            buffer->markEos();
-            return;
-        }
-        const workload::Event event = *next;
-        src->advance();
-        const bool risky =
-            gate &&
-            (event.kind == workload::EventKind::alloc ||
-             (tierAttached &&
-              event.kind == workload::EventKind::touch));
-        buffer->push(event, risky);
-    }
-}
 
 } // namespace
 
@@ -195,12 +133,6 @@ SimEngine::run(const workload::TrainConfig *config)
     GMLAKE_ASSERT(!mRan, "SimEngine::run is single-shot");
     GMLAKE_ASSERT(!mSessions.empty(), "engine has no sessions");
     mRan = true;
-
-    std::size_t threads = mOptions.engineThreads;
-    if (threads == 0) {
-        const unsigned hw = std::thread::hardware_concurrency();
-        threads = hw == 0 ? 1 : hw;
-    }
 
     MultiRunResult multi;
     RunResult &result = multi.combined;
@@ -308,32 +240,6 @@ SimEngine::run(const workload::TrainConfig *config)
         c.result.peakLiveBytes = c.liveBytes;
     }
 
-    // Staged deterministic pipeline: with a thread budget beyond the
-    // committer, give the first (budget - 1) sessions a stager
-    // thread each; any remaining sessions stay on the serial
-    // fetch path. The commit order is unchanged either way.
-    std::vector<std::unique_ptr<StageBuffer>> buffers;
-    std::vector<std::thread> stagers;
-    if (threads >= 2) {
-        const std::size_t staged =
-            std::min(threads - 1, mSessions.size());
-        buffers.reserve(staged);
-        stagers.reserve(staged);
-        for (std::size_t i = 0; i < staged; ++i) {
-            // Seeded-dead sessions consume nothing; a stager for one
-            // would fill the buffer and block forever.
-            if (cursors[i].dead)
-                continue;
-            buffers.push_back(std::make_unique<StageBuffer>(
-                mOptions.commitWindow));
-            cursors[i].buffer = buffers.back().get();
-            stagers.emplace_back(stagerMain, cursors[i].src,
-                                 cursors[i].buffer,
-                                 !cursors[i].src->pure(),
-                                 tier != nullptr);
-        }
-    }
-
     const std::size_t stride =
         mOptions.recordSeries
             ? std::max<std::size_t>(
@@ -427,8 +333,6 @@ SimEngine::run(const workload::TrainConfig *config)
     // — today's answer to "why did this tenant die".
     auto killOnOom = [&](Cursor &cursor, Bytes requested) {
         cursor.dead = true;
-        if (cursor.buffer != nullptr)
-            cursor.buffer->abort(); // stop the stager at the kill
         cursor.result.oom = true;
         cursor.result.oomAt = mDevice.now() - timeStart;
         cursor.result.oomRequestedBytes = requested;
@@ -476,8 +380,6 @@ SimEngine::run(const workload::TrainConfig *config)
     // survivors replay on — but is reported as aborted, not oom.
     auto killAborted = [&](Cursor &cursor, const std::string &why) {
         cursor.dead = true;
-        if (cursor.buffer != nullptr)
-            cursor.buffer->abort();
         cursor.result.aborted = true;
         cursor.result.endedAt = mDevice.now() - timeStart;
         if (cursors.size() > 1)
@@ -558,8 +460,8 @@ SimEngine::run(const workload::TrainConfig *config)
         }
         obsSample(false);
 
-        const workload::Event event = *best->fetch();
-        best->consume();
+        const workload::Event event = *best->src->peek();
+        best->src->advance();
         ++index;
         best->lastWasCompute =
             event.kind == workload::EventKind::compute;
@@ -584,8 +486,6 @@ SimEngine::run(const workload::TrainConfig *config)
                 }
                 break;
             }
-            if (best->buffer != nullptr)
-                best->buffer->confirmRisky();
             if (tier != nullptr)
                 tier->onAllocated(got->id, event.bytes, bestIndex);
             if (rec != nullptr) {
@@ -646,10 +546,7 @@ SimEngine::run(const workload::TrainConfig *config)
                     GMLAKE_PANIC("offload touch error: ",
                                  st.error().message);
                 }
-                break;
             }
-            if (best->buffer != nullptr)
-                best->buffer->confirmRisky();
             break;
           }
           case workload::EventKind::prefetch: {
@@ -698,11 +595,6 @@ SimEngine::run(const workload::TrainConfig *config)
         if (!best->finished())
             ready.push({best->localTime, bestIndex});
     }
-
-    // Every stager has terminated by now — EOS for drained sessions,
-    // abort for killed ones — so the joins return immediately.
-    for (std::thread &stager : stagers)
-        stager.join();
 
     // Capture mode: record each session's mid-timeline state instead
     // of charging trailing compute — a prefix cut at a time threshold
@@ -795,8 +687,6 @@ SimEngine::run(const workload::TrainConfig *config)
     result.deviceApiTime = mDevice.counters().apiTime - apiTimeStart;
     result.vmmWallNs = mDevice.counters().vmmWallNs - vmmWallStart;
     result.stallNs = mDevice.counters().copyStallNs - copyStallStart;
-    for (const auto &buffer : buffers)
-        result.commitStallNs += buffer->stallNs();
     if (tier != nullptr) {
         result.evictedBytes = tier->stats().evictedBytes +
                               tier->stats().trimmedBytes -

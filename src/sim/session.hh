@@ -227,11 +227,9 @@ class SimEngine
      * given, derives combined throughput the way runTrace() does.
      * The engine is single-shot: run it once.
      *
-     * The calling thread executes every event in (localTime,
-     * sessionIndex) order and is the only one touching the allocator
-     * and the device. With EngineOptions::engineThreads >= 2, stager
-     * threads pre-pull session sources through bounded StageBuffers
-     * (decision-identical to serial, see sim/stage_queue.hh).
+     * The calling thread pulls and executes every event in
+     * (localTime, sessionIndex) order; it is the only thread that
+     * touches the sources, the allocator and the device.
      */
     MultiRunResult run(const workload::TrainConfig *config = nullptr);
 

@@ -82,7 +82,6 @@ replayWarmup(const SweepScenario &scenario,
     EngineOptions engineOptions;
     engineOptions.recordSeries = false;
     engineOptions.captureResume = true;
-    engineOptions.engineThreads = options.engineThreads;
     SimEngine engine(*allocator, device, engineOptions);
     for (std::size_t i = 0; i < warmupTraces.size(); ++i) {
         engine.addSession(Session(scenario.sessionNames[i],
@@ -110,7 +109,6 @@ replayTail(const SweepScenario &scenario,
     allocator->restoreState(warmup.checkpoint);
     EngineOptions engineOptions;
     engineOptions.recordSeries = false;
-    engineOptions.engineThreads = options.engineThreads;
     engineOptions.startFrontier = warmup.resume->frontier;
     SimEngine engine(*allocator, device, engineOptions);
     // Every session rides along — even one whose tail is empty or
@@ -430,7 +428,8 @@ writeSweepJson(const SweepReport &report, const SweepJsonMeta &meta,
         << "\"device_capacity_bytes\": " << meta.deviceCapacityBytes
         << ", "
         << "\"threads\": " << meta.threads << ", "
-        << "\"engine_threads\": " << meta.engineThreads << ", "
+        // Retired (one thread per engine run), kept for the schema.
+        << "\"engine_threads\": 1, "
         << "\"engine_commit\": \"deterministic\", "
         << "\"warm_start\": " << (meta.warmStart ? "true" : "false")
         << ", "

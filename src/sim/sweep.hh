@@ -120,8 +120,6 @@ struct SweepRunOptions
      * results are identical by construction).
      */
     bool warmStart = true;
-    /** Threads inside each engine run (deterministic commit mode). */
-    std::size_t engineThreads = 1;
 };
 
 /** Outcome of one sweep point's tail replay. */
@@ -175,7 +173,6 @@ struct SweepJsonMeta
     int iterations = 0; //!< 0 = scenario default
     Bytes deviceCapacityBytes = 0;
     std::size_t threads = 1;
-    std::size_t engineThreads = 1;
     bool warmStart = true;
     Tick splitTimeNs = 0;
 };

@@ -182,8 +182,6 @@ class BinaryTraceSource final : public EventSource
     void advance() override;
     std::size_t sizeHint() const override;
     void reset() override;
-    /** Cursor over an immutable mmap-ed file: lookahead is free. */
-    bool pure() const override { return true; }
 
     const GmtFile &file() const { return *mFile; }
     const GmtSection &section() const;

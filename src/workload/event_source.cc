@@ -194,16 +194,6 @@ MergeSource::sizeHint() const
     return total;
 }
 
-bool
-MergeSource::pure() const
-{
-    for (const Cursor &c : mCursors) {
-        if (!c.source->pure())
-            return false;
-    }
-    return true;
-}
-
 void
 MergeSource::reset()
 {

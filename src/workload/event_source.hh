@@ -64,14 +64,9 @@ class EventSource
     virtual void reset() = 0;
 
     /**
-     * True when advance() has no observable side effect beyond
-     * moving the cursor: no externally visible counters mutate, so a
-     * consumer may pull ahead of the events it has actually
-     * committed (the staged parallel engine does exactly that).
-     * Generator sources whose counters are part of the recorded
-     * results must return false; for them lookahead is gated at the
-     * first uncommitted event whose outcome can change the stream's
-     * consumers (see sim/stage_queue.hh).
+     * Unused by the engine, which never pulls ahead of the event it
+     * executes. Kept only because the benchmark suite's counting
+     * source (bench/suite/replay.cc) overrides it.
      */
     virtual bool pure() const { return false; }
 };
@@ -98,7 +93,6 @@ class VectorSource final : public EventSource
     void advance() override;
     std::size_t sizeHint() const override { return mTrace->size(); }
     void reset() override;
-    bool pure() const override { return true; }
 
     const Trace &trace() const { return *mTrace; }
 
@@ -121,8 +115,6 @@ class RemapSource final : public EventSource
     void advance() override;
     std::size_t sizeHint() const override;
     void reset() override;
-    /** As pure as the inner source (remapping adds no state). */
-    bool pure() const override { return mInner.pure(); }
 
   private:
     EventSource &mInner;
@@ -160,8 +152,6 @@ class MergeSource final : public EventSource
     void advance() override;
     std::size_t sizeHint() const override;
     void reset() override;
-    /** Pure iff every input is (the interleave adds no state). */
-    bool pure() const override;
 
   private:
     struct Cursor

@@ -259,3 +259,57 @@ TEST(Expandable, RandomWalkStaysConsistent)
     EXPECT_GE(allocator.stats().reservedBytes(),
               allocator.stats().activeBytes());
 }
+
+TEST(Expandable, EmptyCacheFreesIdleSegmentReservations)
+{
+    vmm::Device dev(smallDevice());
+    ExpandableSegmentsAllocator allocator(dev);
+    const auto a = allocator.allocate(4_MiB, 1);
+    const auto b = allocator.allocate(6_MiB, 2);
+    ASSERT_TRUE(a.ok() && b.ok());
+    ASSERT_EQ(dev.vaSpace().reservationCount(), 2u);
+    ASSERT_TRUE(allocator.deallocate(a->id).ok());
+    ASSERT_TRUE(allocator.deallocate(b->id).ok());
+    allocator.emptyCache();
+    EXPECT_EQ(dev.vaSpace().reservationCount(), 0u);
+    EXPECT_EQ(dev.phys().inUse(), 0u);
+    EXPECT_EQ(allocator.segmentCount(), 0u);
+    allocator.checkConsistency();
+}
+
+TEST(Expandable, EmptyCacheKeepsLiveSegmentsAddressable)
+{
+    // Dropping stream 1's idle segment shifts stream 2's down a
+    // slot; its live block must still free, and stream 1 gets a
+    // fresh segment on its next request.
+    vmm::Device dev(smallDevice());
+    ExpandableSegmentsAllocator allocator(dev);
+    const auto a = allocator.allocate(4_MiB, 1);
+    const auto b = allocator.allocate(6_MiB, 2);
+    ASSERT_TRUE(a.ok() && b.ok());
+    ASSERT_TRUE(allocator.deallocate(a->id).ok());
+    allocator.emptyCache();
+    EXPECT_EQ(allocator.segmentCount(), 1u);
+    EXPECT_EQ(dev.vaSpace().reservationCount(), 1u);
+    allocator.checkConsistency();
+
+    ASSERT_TRUE(allocator.deallocate(b->id).ok());
+    const auto c = allocator.allocate(2_MiB, 1);
+    ASSERT_TRUE(c.ok());
+    EXPECT_EQ(allocator.segmentCount(), 2u);
+    allocator.checkConsistency();
+}
+
+TEST(Expandable, DestructorReturnsChunksAndReservations)
+{
+    vmm::Device dev(smallDevice());
+    {
+        ExpandableSegmentsAllocator allocator(dev);
+        ASSERT_TRUE(allocator.allocate(4_MiB, 1).ok());
+        ASSERT_TRUE(allocator.allocate(6_MiB, 2).ok());
+        ASSERT_GT(dev.phys().inUse(), 0u);
+    }
+    EXPECT_EQ(dev.vaSpace().reservationCount(), 0u);
+    EXPECT_EQ(dev.phys().inUse(), 0u);
+    EXPECT_EQ(dev.mappings().mappingCount(), 0u);
+}

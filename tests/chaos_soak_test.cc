@@ -132,14 +132,13 @@ TEST(ChaosSoak, ReplayCommandCarriesEveryNonDefaultOption)
     options.workloadSeed = 9;
     options.iterations = 1;
     options.killChance = 0.0;
-    options.engineThreads = 4;
     options.faultSpec = "map:n=3";
     options.faultSeed = 1;
     options.trials = 25;
     EXPECT_EQ(sim::chaosReplayCommand(options, 123),
               "gmlake_sim chaos train --fault-seed 123 --soak 1 "
               "--allocator expandable --seed 9 --iterations 1 "
-              "--kill-chance 0 --engine-threads 4 --faults 'map:n=3'");
+              "--kill-chance 0 --faults 'map:n=3'");
 
     // The kill chance prints back exactly.
     options = ChaosOptions{};

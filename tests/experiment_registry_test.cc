@@ -228,7 +228,7 @@ runProbe(std::vector<std::string> flags)
 TEST(ExperimentFlags, ValidFlagsRunTheScenario)
 {
     const int before = gProbeRuns;
-    EXPECT_EQ(runProbe({"--engine-threads", "2", "--no-banner"}), 0);
+    EXPECT_EQ(runProbe({"--threads", "2", "--no-banner"}), 0);
     EXPECT_EQ(gProbeRuns, before + 1);
 }
 
@@ -236,8 +236,9 @@ TEST(ExperimentFlags, BadFlagsExitOneWithoutRunning)
 {
     const std::vector<std::vector<std::string>> bad = {
         {"--engine-commit", "relaxed"},
+        {"--engine-threads", "4"},
         {"--no-such-flag"},
-        {"--engine-threads"},
+        {"--threads"},
     };
     for (const auto &flags : bad) {
         const int before = gProbeRuns;

@@ -237,6 +237,30 @@ TEST(Session, DeterministicAcrossRuns)
     }
 }
 
+TEST(Session, EngineThreadsIsIgnoredAndNothingStalls)
+{
+    // The calling thread replays every run alone: the retired
+    // engineThreads option changes nothing (and must not assert),
+    // and no run reports a commit stall.
+    auto runAt = [](std::size_t threads) {
+        vmm::Device dev(smallDevice());
+        alloc::CachingAllocator alloc(dev);
+        EngineOptions options;
+        options.engineThreads = threads;
+        SimEngine engine(alloc, dev, options);
+        engine.addSession(Session("a", tenantTrace(30_MiB, 10_MiB)));
+        engine.addSession(Session("b", tenantTrace(20_MiB, 6_MiB)));
+        return engine.run();
+    };
+    const auto serial = runAt(1);
+    EXPECT_EQ(serial.combined.commitStallNs, 0u);
+    for (const std::size_t threads : {0u, 4u}) {
+        const auto other = runAt(threads);
+        expectSameRun(serial.combined, other.combined);
+        EXPECT_EQ(other.combined.commitStallNs, 0u);
+    }
+}
+
 TEST(Session, StaticMergeMatchesEngine)
 {
     const Trace traceA = tenantTrace(30_MiB, 10_MiB, 2'000'000);

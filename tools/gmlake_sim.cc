@@ -284,9 +284,6 @@ printHelp()
         "      --seed N        override the workload seed\n"
         "      --threads N     worker threads for cluster scenarios\n"
         "                      (0 = all cores; results identical)\n"
-        "      --engine-threads N\n"
-        "                      threads inside each engine run (0 =\n"
-        "                      all cores; results identical)\n"
         "      --csv [FILE]    append run records as CSV\n"
         "      --json [FILE]   write report (BENCH_<name>.json)\n"
         "      --out FILE      write the JSON report to FILE instead\n"
@@ -666,9 +663,8 @@ cmdList()
         table.addRow({e.name, e.kind, e.title});
     table.print(std::cout);
     std::cout << "\nrun one with: gmlake_sim run <name> "
-                 "[--iterations N] [--threads N] "
-                 "[--engine-threads N] [--csv] [--json] "
-                 "[--out FILE]\n";
+                 "[--iterations N] [--threads N] [--csv] "
+                 "[--json] [--out FILE]\n";
     return 0;
 }
 
@@ -788,7 +784,6 @@ struct SweepCliOptions
     std::string gridSpec;
     std::size_t randomPoints = 0;
     std::size_t threads = 1;
-    std::size_t engineThreads = 1;
     std::uint64_t seed = 42;
     int iterations = 0; //!< 0 = scenario default
     Bytes capacityGiB = 0;
@@ -901,9 +896,6 @@ parseSweepFlags(int argc, char **argv)
         else if (arg == "--threads")
             opt.threads = static_cast<std::size_t>(
                 parseNumber("--threads", value()));
-        else if (arg == "--engine-threads")
-            opt.engineThreads = static_cast<std::size_t>(
-                parseNumber("--engine-threads", value()));
         else if (arg == "--seed")
             opt.seed = parseNumber("--seed", value());
         else if (arg == "--iterations")
@@ -943,7 +935,6 @@ cmdSweep(int argc, char **argv)
             "instead of a grid\n"
             "  --threads N         per-point fork threads "
             "(0 = all cores; results identical)\n"
-            "  --engine-threads N  threads inside each replay\n"
             "  --seed N            workload seed (default 42)\n"
             "  --iterations N      scenario scale override\n"
             "  --capacity GiB      device capacity override\n"
@@ -983,7 +974,6 @@ cmdSweep(int argc, char **argv)
     options.kind = *kind;
     options.threads = opt.threads;
     options.warmStart = !opt.cold;
-    options.engineThreads = opt.engineThreads;
 
     std::cout << "sweep " << opt.scenario << ": " << points.size()
               << " points, " << (opt.cold ? "cold" : "warm-start")
@@ -1020,7 +1010,6 @@ cmdSweep(int argc, char **argv)
     meta.iterations = opt.iterations;
     meta.deviceCapacityBytes = opt.capacityGiB * GiB;
     meta.threads = opt.threads;
-    meta.engineThreads = opt.engineThreads;
     meta.warmStart = !opt.cold;
     meta.splitTimeNs = scenario.splitTime;
     sim::writeSweepJson(report, meta, outPath);
@@ -1040,7 +1029,6 @@ struct ChaosCliOptions
     std::uint64_t seed = 42; //!< workload seed
     std::size_t soak = 1;
     int iterations = 0;
-    std::size_t engineThreads = 1;
     double killChance = 0.25;
     std::string outPath;
     bool help = false;
@@ -1073,9 +1061,6 @@ parseChaosFlags(int argc, char **argv)
         else if (arg == "--iterations")
             opt.iterations = static_cast<int>(
                 parseNumber("--iterations", value()));
-        else if (arg == "--engine-threads")
-            opt.engineThreads = static_cast<std::size_t>(
-                parseNumber("--engine-threads", value()));
         else if (arg == "--kill-chance")
             opt.killChance = parseReal("--kill-chance", value());
         else if (arg == "--out")
@@ -1112,7 +1097,6 @@ cmdChaos(int argc, char **argv)
             "  --allocator A       allocator kind (default gmlake)\n"
             "  --seed N            workload seed (default 42)\n"
             "  --iterations N      scenario scale override\n"
-            "  --engine-threads N  threads inside each replay\n"
             "  --out FILE          report path (default "
             "BENCH_chaos_<scenario>.json)\n"
             "exit codes: 0 clean, 2 tenant OOM, 3 injected-fault "
@@ -1135,7 +1119,6 @@ cmdChaos(int argc, char **argv)
     options.faultSpec = opt.faultSpec;
     options.trials = opt.soak;
     options.iterations = opt.iterations;
-    options.engineThreads = opt.engineThreads;
     options.killChance = opt.killChance;
 
     std::cout << "chaos " << opt.scenario << ": " << opt.soak
@@ -1217,9 +1200,6 @@ cmdProbe(int argc, char **argv)
         else if (arg == "--iterations")
             opt.iterations = static_cast<int>(
                 parseNumber("--iterations", value()));
-        else if (arg == "--engine-threads")
-            opt.engineThreads = static_cast<std::size_t>(
-                parseNumber("--engine-threads", value()));
         else if (arg == "--tensor")
             opt.tensor = parseNumber("--tensor", value());
         else if (arg == "--at")
@@ -1253,7 +1233,6 @@ cmdProbe(int argc, char **argv)
             "  --allocator A       allocator kind (default gmlake)\n"
             "  --seed N            workload seed (default 42)\n"
             "  --iterations N      scenario scale override\n"
-            "  --engine-threads N  threads inside the replay\n"
             "  --timeline FILE     also export the recorded timeline "
             "(Chrome JSON)\n"
             "  --top N             summary lists the top-N "
