@@ -315,7 +315,7 @@ readColumnarTrace(const std::string &path)
             e.kind = static_cast<EventKind>(kind[i]);
             e.cat = static_cast<EventCat>(cat[i]);
             if (e.blobLen != 0 &&
-                e.blobOff + e.blobLen > snap.blob.size())
+                std::uint64_t{e.blobOff} + e.blobLen > snap.blob.size())
                 GMLAKE_FATAL("obs trace '", path,
                              "' blob reference out of bounds");
             snap.events.push_back(e);

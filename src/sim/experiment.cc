@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -13,6 +12,7 @@
 #include "obs/export_chrome.hh"
 #include "obs/export_columnar.hh"
 #include "obs/recorder.hh"
+#include "support/flags.hh"
 #include "support/logging.hh"
 #include "support/thread_pool.hh"
 #include "support/units.hh"
@@ -219,6 +219,16 @@ jsonEscape(const std::string &s)
     return out;
 }
 
+/** @p s as a quoted JSON string. */
+std::string
+jsonQuote(const std::string &s)
+{
+    std::string out = "\"";
+    out += jsonEscape(s);
+    out += '"';
+    return out;
+}
+
 std::string
 jsonDouble(double v)
 {
@@ -245,8 +255,8 @@ jsonRecordFields(const RunRecord &r)
     const RunResult &res = r.result;
     auto u = [](std::uint64_t v) { return std::to_string(v); };
     return {
-        {"label", "\"" + jsonEscape(r.label) + "\""},
-        {"allocator", "\"" + jsonEscape(r.allocator) + "\""},
+        {"label", jsonQuote(r.label)},
+        {"allocator", jsonQuote(r.allocator)},
         {"oom", res.oom ? "true" : "false"},
         {"utilization", jsonDouble(res.utilization)},
         {"fragmentation", jsonDouble(res.fragmentation)},
@@ -499,33 +509,6 @@ runExperiment(const Experiment &experiment,
     return 0;
 }
 
-namespace
-{
-
-std::uint64_t
-parseUnsigned(const char *flag, const char *value,
-              std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
-{
-    std::uint64_t parsed = 0;
-    std::size_t consumed = 0;
-    if (value[0] >= '0' && value[0] <= '9') {
-        try {
-            parsed = std::stoull(value, &consumed);
-        } catch (const std::exception &) {
-            consumed = 0;
-        }
-    }
-    if (consumed == 0 || value[consumed] != '\0')
-        GMLAKE_FATAL("flag ", flag, " needs a non-negative number, "
-                     "got '", value, "'");
-    if (parsed > max)
-        GMLAKE_FATAL("flag ", flag, " accepts at most ", max,
-                     ", got '", value, "'");
-    return parsed;
-}
-
-} // namespace
-
 int
 experimentMain(const std::string &name, int argc, char **argv)
 try {
@@ -536,92 +519,46 @@ try {
     }
 
     ExperimentRunOptions options;
-    auto need = [&](int &i) -> const char * {
-        if (i + 1 >= argc)
-            GMLAKE_FATAL("flag ", argv[i], " needs a value");
-        return argv[++i];
+    ExperimentOptions &run = options.experiment;
+    const FlagTable flags = {
+        integerFlag("--iterations", "N", "override training iterations",
+                    run.iterations),
+        sizeFlag("--capacity", "GiB", "override device capacity",
+                 run.deviceCapacity, GiB),
+        integerFlag("--seed", "N", "override the workload seed",
+                    run.seed),
+        integerFlag("--threads", "N",
+                    "worker threads for cluster scenarios\n"
+                    "(0 = all cores; results identical)",
+                    run.threads, 0, 4096),
+        outputFlag("--csv", "[FILE]",
+                   "append run records as CSV (default\n"
+                   "BENCH_<scenario>.csv)",
+                   options.csvPath, defaultCsvPath(*experiment)),
+        outputFlag("--json", "[FILE]",
+                   "write the report as JSON (default\n"
+                   "BENCH_<scenario>.json)",
+                   options.jsonPath, defaultJsonPath(*experiment)),
+        outputFlag("--out", "FILE", "write the JSON report to FILE",
+                   options.jsonPath),
+        outputFlag("--timeline", "FILE",
+                   "record the runs and write a Chrome-trace/\n"
+                   "Perfetto timeline (open in ui.perfetto.dev);\n"
+                   "results are bit-identical with or without it",
+                   options.timelinePath),
+        outputFlag("--timeline-bin", "FILE",
+                   "also write the columnar binary event dump (.gmo)",
+                   options.timelineBinPath),
+        {"--no-banner", nullptr, "suppress the banner",
+         [&](const char *) { options.banner = false; }},
+        logLevelFlag(),
     };
-    auto optional = [&](int &i) -> const char * {
-        if (i + 1 < argc && argv[i + 1][0] != '-')
-            return argv[++i];
-        return nullptr;
-    };
-    for (int i = 1; i < argc; ++i) {
-        const std::string flag = argv[i];
-        if (flag == "--help" || flag == "-h") {
-            std::cout
-                << "usage: " << argv[0] << " [options]\n\n"
-                << experiment->title << "\n\n"
-                << "  --iterations N   override training iterations\n"
-                << "  --capacity GiB   override device capacity\n"
-                << "  --seed N         override the workload seed\n"
-                << "  --threads N      worker threads for cluster "
-                   "scenarios (0 = all cores)\n"
-                << "  --csv [FILE]     append run records as CSV\n"
-                << "  --json [FILE]    write the report as JSON\n"
-                << "  --timeline FILE  record the runs and write a "
-                   "Chrome-trace/Perfetto\n"
-                << "                   timeline (open in "
-                   "ui.perfetto.dev); results are\n"
-                << "                   bit-identical with or without "
-                   "recording\n"
-                << "  --timeline-bin FILE\n"
-                << "                   also write the columnar binary "
-                   "event dump (.gmo)\n"
-                << "  --log-level L    error | warn | info | debug "
-                   "(default warn)\n"
-                << "  --out FILE       write the JSON report to FILE "
-                   "(overrides the\n"
-                << "                   default BENCH_<scenario>.json "
-                   "name)\n"
-                << "  --no-banner      suppress the banner\n";
-            return 0;
-        } else if (flag == "--iterations") {
-            options.experiment.iterations = static_cast<int>(
-                parseUnsigned("--iterations", need(i),
-                              std::numeric_limits<int>::max()));
-        } else if (flag == "--capacity") {
-            options.experiment.deviceCapacity =
-                static_cast<Bytes>(parseUnsigned(
-                    "--capacity", need(i),
-                    std::numeric_limits<Bytes>::max() / GiB)) *
-                GiB;
-        } else if (flag == "--seed") {
-            options.experiment.seed = parseUnsigned("--seed", need(i));
-        } else if (flag == "--threads") {
-            options.experiment.threads = static_cast<int>(
-                parseUnsigned("--threads", need(i), 4096));
-        } else if (flag == "--csv") {
-            const char *path = optional(i);
-            options.csvPath =
-                path ? path : defaultCsvPath(*experiment);
-        } else if (flag == "--json") {
-            const char *path = optional(i);
-            options.jsonPath =
-                path ? path : defaultJsonPath(*experiment);
-        } else if (flag == "--timeline") {
-            options.timelinePath = need(i);
-        } else if (flag == "--timeline-bin") {
-            options.timelineBinPath = need(i);
-        } else if (flag == "--log-level") {
-            setLogLevel(parseLogLevel(need(i)));
-        } else if (flag == "--out") {
-            const std::filesystem::path path = need(i);
-            if (const auto dir = path.parent_path();
-                !dir.empty() && !std::filesystem::is_directory(dir)) {
-                GMLAKE_FATAL("--out directory does not exist: ",
-                             dir.string());
-            }
-            if (std::filesystem::is_directory(path)) {
-                GMLAKE_FATAL("--out must name a file, not a "
-                             "directory: ", path.string());
-            }
-            options.jsonPath = path.string();
-        } else if (flag == "--no-banner") {
-            options.banner = false;
-        } else {
-            GMLAKE_FATAL("unknown flag: ", flag, " (try --help)");
-        }
+    if (parseFlags(flags, argc, argv).help) {
+        printUsage(std::cout,
+                   "gmlake_sim run " + name + " [options]\n\n" +
+                       experiment->title + "\n",
+                   flags);
+        return 0;
     }
     return runExperiment(*experiment, options, std::cout);
 } catch (const FatalError &) {

@@ -236,9 +236,10 @@ int runExperiment(const Experiment &experiment,
                   std::ostream &out);
 
 /**
- * main() body of `gmlake_sim run`: parses --iterations/--capacity/
- * --seed/--csv/--json/--timeline/--log-level and runs the named
- * scenario. Returns 1, without running it, on a bad flag.
+ * main() body of `gmlake_sim run`: applies argv (argv[0] is the
+ * scenario name) to the run verb's flag table — --help prints it —
+ * and runs the named scenario. Returns 1, without running it, on a
+ * bad flag.
  */
 int experimentMain(const std::string &name, int argc, char **argv);
 

@@ -1,9 +1,10 @@
 #include "vmm/fault_injector.hh"
 
 #include <algorithm>
-#include <cctype>
+#include <limits>
 #include <sstream>
 
+#include "support/flags.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
 
@@ -12,50 +13,6 @@ namespace gmlake::vmm
 
 namespace
 {
-
-/** Unsigned integer with an optional K/M/G/T suffix (x1024 steps). */
-std::uint64_t
-parseScaled(const std::string &text, const std::string &spec)
-{
-    if (text.empty())
-        GMLAKE_FATAL("fault spec '", spec, "': empty numeric value");
-    std::uint64_t scale = 1;
-    std::string digits = text;
-    switch (std::toupper(static_cast<unsigned char>(text.back()))) {
-    case 'K': scale = 1ULL << 10; digits.pop_back(); break;
-    case 'M': scale = 1ULL << 20; digits.pop_back(); break;
-    case 'G': scale = 1ULL << 30; digits.pop_back(); break;
-    case 'T': scale = 1ULL << 40; digits.pop_back(); break;
-    default: break;
-    }
-    std::uint64_t value = 0;
-    if (digits.empty())
-        GMLAKE_FATAL("fault spec '", spec, "': bare suffix in '", text,
-                     "'");
-    for (const char c : digits) {
-        if (!std::isdigit(static_cast<unsigned char>(c)))
-            GMLAKE_FATAL("fault spec '", spec, "': bad number '", text,
-                         "'");
-        value = value * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    return value * scale;
-}
-
-double
-parseProbability(const std::string &text, const std::string &spec)
-{
-    try {
-        std::size_t used = 0;
-        const double p = std::stod(text, &used);
-        if (used != text.size() || p < 0.0 || p > 1.0)
-            GMLAKE_FATAL("fault spec '", spec, "': probability '",
-                         text, "' not in [0, 1]");
-        return p;
-    } catch (const std::logic_error &) {
-        GMLAKE_FATAL("fault spec '", spec, "': bad probability '",
-                     text, "'");
-    }
-}
 
 std::optional<FaultApi>
 apiFromName(const std::string &name)
@@ -109,6 +66,7 @@ FaultPlan::parse(const std::string &spec)
     // memCreate failures model capacity pressure: default to OOM so
     // the reclaim ladder treats them like any other exhausted device.
     plan.rule(FaultApi::memCreate).code = Errc::outOfMemory;
+    const std::string what = "fault spec '" + spec + "'";
 
     std::stringstream clauses(spec);
     std::string clause;
@@ -135,18 +93,21 @@ FaultPlan::parse(const std::string &spec)
                 const std::string key = field.substr(0, eq);
                 const std::string value = field.substr(eq + 1);
                 if (key == "t") {
-                    loss.at = static_cast<Tick>(
-                        parseScaled(value, spec));
+                    loss.at = static_cast<Tick>(parseInteger(
+                        what, value, 0,
+                        std::numeric_limits<Tick>::max(), true));
                     haveT = true;
                 } else if (key == "b") {
-                    loss.bytes = parseScaled(value, spec);
+                    loss.bytes = parseInteger(
+                        what, value, 1,
+                        std::numeric_limits<Bytes>::max(), true);
                     haveB = true;
                 } else {
                     GMLAKE_FATAL("fault spec '", spec,
                                  "': unknown cap key '", key, "'");
                 }
             }
-            if (!haveT || !haveB || loss.bytes == 0)
+            if (!haveT || !haveB)
                 GMLAKE_FATAL("fault spec '", spec,
                              "': cap needs t=<tick>,b=<bytes>");
             plan.capacityLosses.push_back(loss);
@@ -168,13 +129,12 @@ FaultPlan::parse(const std::string &spec)
             const std::string key = field.substr(0, eq);
             const std::string value = field.substr(eq + 1);
             if (key == "p") {
-                rule.probability = parseProbability(value, spec);
+                rule.probability = parseReal(what, value, 0.0, 1.0);
             } else if (key == "n") {
-                const std::uint64_t nth = parseScaled(value, spec);
-                if (nth == 0)
-                    GMLAKE_FATAL("fault spec '", spec,
-                                 "': n is 1-based, got 0");
-                rule.nthCalls.push_back(nth);
+                // 1-based call ordinal.
+                rule.nthCalls.push_back(parseInteger(
+                    what, value, 1,
+                    std::numeric_limits<std::uint64_t>::max(), true));
             } else if (key == "code") {
                 if (value != "oom" && value != "fault")
                     GMLAKE_FATAL("fault spec '", spec,

@@ -98,8 +98,11 @@ struct FaultPlan
      *   keys  p=<prob>      failure probability per call
      *         n=<ordinal>   exact nth call fails (repeatable)
      *         code=oom      override the injected error code
-     *   cap   t=<tick>,b=<bytes>  (bytes accept K/M/G suffixes, x1024)
+     *   cap   t=<tick>,b=<bytes>
      *
+     * t, b and n take a K/M/G/T suffix (x1024 steps); p is in [0, 1],
+     * n and b are at least 1, and every value must fit its 64-bit
+     * field (support/flags.hh parses them).
      * Example: "create:p=0.02;map:n=5,n=9;cap:t=1000000,b=2G".
      * Malformed specs are fatal (user input, fail loudly).
      */

@@ -191,8 +191,9 @@ MappingTable::mapRange(
 // ----------------------------------------------------------- unmap
 
 Status
-MappingTable::validateUnmap(VirtAddr va, Bytes size) const
+MappingTable::unmap(VirtAddr va, Bytes size)
 {
+    // Validate every boundary before touching the table.
     const VirtAddr end = va + size;
     auto it = mExtents.lower_bound(va);
     if (it != mExtents.begin()) {
@@ -215,9 +216,11 @@ MappingTable::validateUnmap(VirtAddr va, Bytes size) const
             }
         }
     }
-    for (; it != mExtents.end() && it->first < end; ++it) {
-        if (it->first + it->second.size > end &&
-            chunkBoundary(it->first, it->second, end) == kNoBoundary) {
+    for (auto probe = it; probe != mExtents.end() && probe->first < end;
+         ++probe) {
+        if (probe->first + probe->second.size > end &&
+            chunkBoundary(probe->first, probe->second, end) ==
+                kNoBoundary) {
             return makeError(Errc::invalidValue,
                              "cuMemUnmap range splits a mapping");
         }
@@ -225,14 +228,7 @@ MappingTable::validateUnmap(VirtAddr va, Bytes size) const
     if (!hasMappingsIn(va, size))
         return makeError(Errc::notMapped,
                          "cuMemUnmap of an unmapped range");
-    return Status::success();
-}
 
-void
-MappingTable::unmapValidated(VirtAddr va, Bytes size)
-{
-    const VirtAddr end = va + size;
-    auto it = mExtents.lower_bound(va);
     if (it != mExtents.begin()) {
         auto prev = std::prev(it); // prev->first < va, so at >= 1
         if (prev->first + prev->second.size > va) {
@@ -254,52 +250,18 @@ MappingTable::unmapValidated(VirtAddr va, Bytes size)
         mChunkCount -= it->second.chunks.size();
         it = mExtents.erase(it);
     }
-}
-
-Status
-MappingTable::unmap(VirtAddr va, Bytes size)
-{
-    if (const Status s = validateUnmap(va, size); !s.ok())
-        return s;
-    unmapValidated(va, size);
-    return Status::success();
-}
-
-Status
-MappingTable::unmapRange(
-    std::span<const std::pair<VirtAddr, Bytes>> ranges)
-{
-    for (std::size_t i = 0; i < ranges.size(); ++i) {
-        if (i > 0 && ranges[i].first <
-                         ranges[i - 1].first + ranges[i - 1].second) {
-            return makeError(Errc::invalidValue,
-                             "cuMemUnmap batch ranges overlap or "
-                             "are unsorted");
-        }
-        if (const Status s =
-                validateUnmap(ranges[i].first, ranges[i].second);
-            !s.ok())
-            return s;
-    }
-    for (const auto &[va, size] : ranges)
-        unmapValidated(va, size);
     return Status::success();
 }
 
 // ------------------------------------------------------- setAccess
 
 Status
-MappingTable::validateSetAccess(VirtAddr va, Bytes size) const
+MappingTable::setAccess(VirtAddr va, Bytes size)
 {
     if (!hasMappingsIn(va, size))
         return makeError(Errc::notMapped,
                          "cuMemSetAccess over an unmapped range");
-    return Status::success();
-}
 
-void
-MappingTable::setAccessValidated(VirtAddr va, Bytes size)
-{
     const VirtAddr end = va + size;
     auto it = mExtents.lower_bound(va);
     if (it != mExtents.begin()) {
@@ -341,35 +303,6 @@ MappingTable::setAccessValidated(VirtAddr va, Bytes size)
         it->second.accessible = true;
         ++it;
     }
-}
-
-Status
-MappingTable::setAccess(VirtAddr va, Bytes size)
-{
-    if (const Status s = validateSetAccess(va, size); !s.ok())
-        return s;
-    setAccessValidated(va, size);
-    return Status::success();
-}
-
-Status
-MappingTable::setAccessRange(
-    std::span<const std::pair<VirtAddr, Bytes>> ranges)
-{
-    for (std::size_t i = 0; i < ranges.size(); ++i) {
-        if (i > 0 && ranges[i].first <
-                         ranges[i - 1].first + ranges[i - 1].second) {
-            return makeError(Errc::invalidValue,
-                             "cuMemSetAccess batch ranges overlap "
-                             "or are unsorted");
-        }
-        if (const Status s = validateSetAccess(ranges[i].first,
-                                               ranges[i].second);
-            !s.ok())
-            return s;
-    }
-    for (const auto &[va, size] : ranges)
-        setAccessValidated(va, size);
     return Status::success();
 }
 

@@ -17,10 +17,9 @@
  * extents split at chunk boundaries whenever an unmap or setAccess
  * addresses part of one, and it is still an error to split a chunk.
  *
- * Batched entry points (mapRange / unmapRange / setAccessRange)
- * validate their whole batch first and only then mutate, so a batch
- * that would fail leaves the table (and the handle refcounts)
- * untouched.
+ * Every entry point validates first and only then mutates, so a call
+ * that fails — including a whole mapRange() batch — leaves the table
+ * (and the handle refcounts) untouched.
  */
 
 #ifndef GMLAKE_VMM_MAPPING_TABLE_HH
@@ -102,23 +101,8 @@ class MappingTable
      */
     Status unmap(VirtAddr va, Bytes size);
 
-    /**
-     * Batched unmap of disjoint ranges: every range is validated
-     * first (boundary and coverage rules of unmap()); on error the
-     * table is untouched.
-     */
-    Status unmapRange(
-        std::span<const std::pair<VirtAddr, Bytes>> ranges);
-
     /** Grant read/write access to every mapping in [va, va+size). */
     Status setAccess(VirtAddr va, Bytes size);
-
-    /**
-     * Batched setAccess of disjoint ranges, validate-then-apply
-     * like unmapRange().
-     */
-    Status setAccessRange(
-        std::span<const std::pair<VirtAddr, Bytes>> ranges);
 
     /** Mappings starting inside [va, va+size), in address order. */
     struct Entry
@@ -209,14 +193,6 @@ class MappingTable
     splitExtent(std::map<VirtAddr, Extent>::iterator it,
                 std::size_t at);
 
-    /** unmap() minus the boundary validation (caller did it). */
-    void unmapValidated(VirtAddr va, Bytes size);
-    /** Validation half of unmap(); table is not modified. */
-    Status validateUnmap(VirtAddr va, Bytes size) const;
-    /** Validation half of setAccess(). */
-    Status validateSetAccess(VirtAddr va, Bytes size) const;
-    /** setAccess() minus the validation. */
-    void setAccessValidated(VirtAddr va, Bytes size);
     /**
      * Install one validated (va, handle, size) mapping, coalescing
      * with an adjacent still-assembling extent; returns the extent

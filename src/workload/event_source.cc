@@ -43,59 +43,14 @@ VectorSource::reset()
     mNext = 0;
 }
 
-RemapSource::RemapSource(EventSource &inner, TraceNamespace ns)
-    : mInner(inner), mNs(ns)
+MergeSource::MergeSource(
+    std::vector<std::unique_ptr<EventSource>> sources)
 {
-}
-
-const Event *
-RemapSource::peek()
-{
-    if (!mHave) {
-        const Event *e = mInner.peek();
-        if (e == nullptr)
-            return nullptr;
-        mCurrent = remapEvent(*e, mNs);
-        mHave = true;
-    }
-    return &mCurrent;
-}
-
-void
-RemapSource::advance()
-{
-    GMLAKE_ASSERT(peek() != nullptr, "advance past end of stream");
-    mInner.advance();
-    mHave = false;
-}
-
-std::size_t
-RemapSource::sizeHint() const
-{
-    return mInner.sizeHint();
-}
-
-void
-RemapSource::reset()
-{
-    mInner.reset();
-    mHave = false;
-}
-
-MergeSource::MergeSource(std::vector<MergeInput> inputs)
-{
-    GMLAKE_ASSERT(!inputs.empty(), "merge of zero sources");
-    mCursors.reserve(inputs.size());
-    for (MergeInput &in : inputs) {
-        GMLAKE_ASSERT(in.source != nullptr, "null source in merge");
-        GMLAKE_ASSERT(in.startTime >= 0,
-                      "merge input start time is negative");
-        Cursor cursor;
-        cursor.source = std::move(in.source);
-        cursor.ns = in.ns;
-        cursor.startTime = in.startTime;
-        cursor.localTime = in.startTime;
-        mCursors.push_back(std::move(cursor));
+    GMLAKE_ASSERT(!sources.empty(), "merge of zero sources");
+    mCursors.reserve(sources.size());
+    for (std::unique_ptr<EventSource> &source : sources) {
+        GMLAKE_ASSERT(source != nullptr, "null source in merge");
+        mCursors.push_back(Cursor{std::move(source), 0, {}});
     }
 }
 
@@ -135,7 +90,7 @@ MergeSource::refill()
             mDrained = true;
             break;
         }
-        const Event e = remapEvent(*best->source->peek(), best->ns);
+        const Event e = *best->source->peek();
         best->source->advance();
         if (e.kind == EventKind::compute) {
             // Tenants compute concurrently: only the part that moves
@@ -199,7 +154,7 @@ MergeSource::reset()
 {
     for (Cursor &c : mCursors) {
         c.source->reset();
-        c.localTime = c.startTime;
+        c.localTime = 0;
         c.seenStreams.clear();
     }
     mPending.clear();

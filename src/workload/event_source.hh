@@ -14,10 +14,9 @@
  *  - generator sources (workload/generators.hh) synthesize events on
  *    the fly and never materialize anything.
  *
- * MergeSource interleaves N sources by cumulative compute time with
- * per-source namespace remapping applied at the cursor boundary —
- * the streaming form of mergeTraces(), which is now a thin
- * drain-to-Trace wrapper over it.
+ * MergeSource interleaves N sources by cumulative compute time —
+ * the streaming form of mergeTraces(), which is a thin drain-to-Trace
+ * wrapper over it.
  */
 
 #ifndef GMLAKE_WORKLOAD_EVENT_SOURCE_HH
@@ -103,37 +102,6 @@ class VectorSource final : public EventSource
 };
 
 /**
- * Applies a TraceNamespace to every event of an inner source — the
- * per-event form of remapTrace(). Borrows @p inner.
- */
-class RemapSource final : public EventSource
-{
-  public:
-    RemapSource(EventSource &inner, TraceNamespace ns);
-
-    const Event *peek() override;
-    void advance() override;
-    std::size_t sizeHint() const override;
-    void reset() override;
-
-  private:
-    EventSource &mInner;
-    TraceNamespace mNs;
-    Event mCurrent;
-    bool mHave = false;
-};
-
-/** One tenant of a MergeSource. */
-struct MergeInput
-{
-    std::unique_ptr<EventSource> source;
-    /** Namespace applied per-event at the cursor boundary. */
-    TraceNamespace ns;
-    /** Local-timeline offset at which this tenant starts. */
-    Tick startTime = 0;
-};
-
-/**
  * Streams the merge-interleave of N sources: the tenant whose next
  * event carries the smallest cumulative compute time goes first
  * (ties broken by input index), compute events become deltas of the
@@ -141,12 +109,14 @@ struct MergeInput
  * kAnyStream sync is rewritten into per-stream syncs of the streams
  * that tenant has used so far. Exactly the ordering mergeTraces()
  * materializes and the multi-session SimEngine replays, but holding
- * at most one in-flight event per tenant.
+ * at most one in-flight event per tenant. The sources must already
+ * occupy disjoint namespaces (see remapTrace).
  */
 class MergeSource final : public EventSource
 {
   public:
-    explicit MergeSource(std::vector<MergeInput> inputs);
+    explicit MergeSource(
+        std::vector<std::unique_ptr<EventSource>> sources);
 
     const Event *peek() override;
     void advance() override;
@@ -157,8 +127,6 @@ class MergeSource final : public EventSource
     struct Cursor
     {
         std::unique_ptr<EventSource> source;
-        TraceNamespace ns;
-        Tick startTime = 0;
         Tick localTime = 0;
         std::vector<StreamId> seenStreams;
     };

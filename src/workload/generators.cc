@@ -250,190 +250,4 @@ KvServeSource::sizeHint() const
         1.1 * rounds);
 }
 
-// --------------------------------------------------- TrainLoopSource
-
-TrainLoopSource::TrainLoopSource(TrainLoopConfig config)
-    : mCfg(std::move(config)), mRng(mCfg.seed)
-{
-    GMLAKE_ASSERT(mCfg.iterations >= 1 && mCfg.batchSize >= 1,
-                  "training config needs iterations and a batch");
-    GMLAKE_ASSERT(mCfg.tensorsPerLayer >= 1,
-                  "training needs tensors per layer");
-    init();
-}
-
-void
-TrainLoopSource::init()
-{
-    mRng = Rng(mCfg.seed);
-    mPending.clear();
-    mWeights.clear();
-    mNextTensor = 1;
-    mIteration = 0;
-    mWarmedUp = false;
-    mShutdown = false;
-}
-
-void
-TrainLoopSource::reset()
-{
-    init();
-}
-
-void
-TrainLoopSource::refill()
-{
-    using namespace gmlake::literals;
-
-    const int layers = std::max(1, mCfg.model.layers);
-    const Tick layerComputeNs = std::max<Tick>(
-        1, static_cast<Tick>(mCfg.model.computePerSampleNs) *
-               mCfg.batchSize / (3 * layers));
-    auto activationBytes = [&]() {
-        const double base = static_cast<double>(mCfg.batchSize) *
-                            mCfg.model.hidden * 2.0 * 8.0;
-        return std::max<Bytes>(
-            64_KiB,
-            static_cast<Bytes>(mRng.logNormal(base, 0.25)));
-    };
-
-    while (mPending.empty()) {
-        if (!mWarmedUp) {
-            // Persistent weights: one fp16 tensor per layer plus the
-            // embedding block, alive until teardown.
-            const auto layerB = static_cast<Bytes>(
-                mCfg.model.layerParams() * 2.0);
-            const auto embedB = static_cast<Bytes>(
-                mCfg.model.embeddingParams() * 2.0);
-            for (int l = 0; l < layers; ++l) {
-                const TensorId id = mNextTensor++;
-                mWeights.push_back(id);
-                push(Event{EventKind::alloc, id,
-                           std::max<Bytes>(1_MiB, layerB), 0,
-                           kDefaultStream});
-            }
-            const TensorId embed = mNextTensor++;
-            mWeights.push_back(embed);
-            push(Event{EventKind::alloc, embed,
-                       std::max<Bytes>(1_MiB, embedB), 0,
-                       kDefaultStream});
-            mWarmedUp = true;
-            continue;
-        }
-        if (mShutdown)
-            return;
-        if (mIteration >= mCfg.iterations) {
-            for (const TensorId id : mWeights)
-                push(Event{EventKind::free, id, 0, 0,
-                           kDefaultStream});
-            mWeights.clear();
-            mShutdown = true;
-            continue;
-        }
-
-        // One training iteration: forward stashes activations,
-        // backward allocates gradients and consumes the stash.
-        push(Event{EventKind::iterationMark, 0, 0, 0,
-                   kDefaultStream});
-        std::vector<std::vector<TensorId>> stash(
-            static_cast<std::size_t>(layers));
-        for (int l = 0; l < layers; ++l) {
-            for (int t = 0; t < mCfg.tensorsPerLayer; ++t) {
-                const TensorId id = mNextTensor++;
-                stash[static_cast<std::size_t>(l)].push_back(id);
-                push(Event{EventKind::alloc, id,
-                           activationBytes(), 0, StreamId{1}});
-            }
-            push(Event{EventKind::compute, 0, 0, layerComputeNs,
-                       kDefaultStream});
-        }
-        for (int l = layers - 1; l >= 0; --l) {
-            const TensorId grad = mNextTensor++;
-            push(Event{EventKind::alloc, grad, activationBytes(),
-                       0, StreamId{2}});
-            push(Event{EventKind::compute, 0, 0,
-                       2 * layerComputeNs, kDefaultStream});
-            for (const TensorId id :
-                 stash[static_cast<std::size_t>(l)])
-                push(Event{EventKind::free, id, 0, 0,
-                           kDefaultStream});
-            push(Event{EventKind::free, grad, 0, 0,
-                       kDefaultStream});
-        }
-        push(Event{EventKind::streamSync, 0, 0, 0, kAnyStream});
-        ++mIteration;
-    }
-}
-
-const Event *
-TrainLoopSource::peek()
-{
-    if (mPending.empty())
-        refill();
-    return mPending.empty() ? nullptr : &mPending.front();
-}
-
-void
-TrainLoopSource::advance()
-{
-    GMLAKE_ASSERT(peek() != nullptr, "advance past end of stream");
-    mPending.pop_front();
-}
-
-std::size_t
-TrainLoopSource::sizeHint() const
-{
-    const std::size_t layers = static_cast<std::size_t>(
-        std::max(1, mCfg.model.layers));
-    const std::size_t perIteration =
-        layers * (static_cast<std::size_t>(mCfg.tensorsPerLayer) *
-                      2 + // activation alloc + free
-                  2 +     // gradient alloc + free
-                  3) +    // per-layer compute fwd/bwd, slack
-        2;
-    return 2 * (layers + 1) +
-           static_cast<std::size_t>(mCfg.iterations) * perIteration;
-}
-
-// ------------------------------------------------------------ fleet
-
-std::unique_ptr<EventSource>
-makeFleetSource(const FleetConfig &config)
-{
-    GMLAKE_ASSERT(config.serveTenants + config.trainTenants >= 1,
-                  "fleet has no tenants");
-    GMLAKE_ASSERT(
-        static_cast<StreamId>(config.serve.streams) + 1 <
-            config.streamStride,
-        "serving streams exceed the fleet stream stride");
-    std::vector<MergeInput> inputs;
-    std::uint64_t tenant = 0;
-    auto ns = [&](std::uint64_t index) {
-        return TraceNamespace{
-            index * config.tensorStride,
-            static_cast<StreamId>(index) * config.streamStride};
-    };
-    for (int i = 0; i < config.serveTenants; ++i, ++tenant) {
-        KvServeConfig c = config.serve;
-        c.seed = deriveSeed(config.seed, tenant);
-        MergeInput in;
-        in.source = std::make_unique<KvServeSource>(c);
-        in.ns = ns(tenant);
-        in.startTime =
-            static_cast<Tick>(tenant) * config.arrivalStaggerNs;
-        inputs.push_back(std::move(in));
-    }
-    for (int i = 0; i < config.trainTenants; ++i, ++tenant) {
-        TrainLoopConfig c = config.train;
-        c.seed = deriveSeed(config.seed, tenant);
-        MergeInput in;
-        in.source = std::make_unique<TrainLoopSource>(c);
-        in.ns = ns(tenant);
-        in.startTime =
-            static_cast<Tick>(tenant) * config.arrivalStaggerNs;
-        inputs.push_back(std::move(in));
-    }
-    return std::make_unique<MergeSource>(std::move(inputs));
-}
-
 } // namespace gmlake::workload

@@ -6,27 +6,16 @@
  * experiments replayable: the generator holds the live requests and
  * their KV blocks, not the event history.
  *
- * Two generators plus a fleet combinator:
- *
- *  - KvServeSource models paged-attention KV-cache serving (vLLM
- *    style, cf. the paper's Section 6 discussion): requests arrive
- *    into a continuous batch, their KV caches grow one fixed-size
- *    block at a time as tokens decode, finished requests free their
- *    blocks, memory pressure preempts victims (blocks evicted,
- *    prefill redone), and a resident prefix-cache pool absorbs a
- *    share of prompt prefixes (shared blocks are never reallocated).
- *    Compared to servegen.hh's realloc-and-copy model this trades
- *    large variable buffers for a churn of uniform blocks — the
- *    allocation pattern paging was invented for.
- *
- *  - TrainLoopSource streams a simplified training loop (persistent
- *    weights, per-layer activation/gradient churn per iteration) for
- *    mixing with serving tenants.
- *
- *  - makeFleetSource merges N serving + M training tenants into one
- *    stream via MergeSource, each tenant in its own tensor/stream
- *    namespace with a staggered arrival — a day in the life of a
- *    shared GPU.
+ * KvServeSource models paged-attention KV-cache serving (vLLM
+ * style, cf. the paper's Section 6 discussion): requests arrive into
+ * a continuous batch, their KV caches grow one fixed-size block at a
+ * time as tokens decode, finished requests free their blocks, memory
+ * pressure preempts victims (blocks evicted, prefill redone), and a
+ * resident prefix-cache pool absorbs a share of prompt prefixes
+ * (shared blocks are never reallocated). Compared to servegen.hh's
+ * realloc-and-copy model this trades large variable buffers for a
+ * churn of uniform blocks — the allocation pattern paging was
+ * invented for.
  */
 
 #ifndef GMLAKE_WORKLOAD_GENERATORS_HH
@@ -34,7 +23,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "support/rng.hh"
@@ -141,73 +129,6 @@ class KvServeSource final : public EventSource
     bool mWarmedUp = false;
     bool mShutdown = false;
 };
-
-struct TrainLoopConfig
-{
-    ModelSpec model;
-    int batchSize = 32;
-    int iterations = 20;
-    /** Activation tensors per layer per direction. */
-    int tensorsPerLayer = 2;
-    std::uint64_t seed = 42;
-};
-
-/**
- * Streaming simplified training loop: weights live for the whole
- * run, each iteration allocates forward activations layer by layer,
- * then gradients on the way back (activations freed as consumed).
- * One iteration of events is synthesized per refill, so memory use
- * is O(layers), not O(iterations).
- */
-class TrainLoopSource final : public EventSource
-{
-  public:
-    explicit TrainLoopSource(TrainLoopConfig config);
-
-    const Event *peek() override;
-    void advance() override;
-    std::size_t sizeHint() const override;
-    void reset() override;
-
-  private:
-    void init();
-    void refill();
-
-    void push(const Event &event) { mPending.push_back(event); }
-
-    TrainLoopConfig mCfg;
-    Rng mRng;
-    std::deque<Event> mPending;
-    std::vector<TensorId> mWeights;
-    TensorId mNextTensor = 1;
-    int mIteration = 0;
-    bool mWarmedUp = false;
-    bool mShutdown = false;
-};
-
-struct FleetConfig
-{
-    /** Serving tenants, cloned from this template (seeds derived). */
-    KvServeConfig serve;
-    int serveTenants = 2;
-    /** Training tenants, cloned from this template. */
-    TrainLoopConfig train;
-    int trainTenants = 1;
-    /** Local-time stagger between consecutive tenant arrivals. */
-    Tick arrivalStaggerNs = 0;
-    /** Per-tenant namespace strides. */
-    TensorId tensorStride = TensorId{1} << 40;
-    StreamId streamStride = 64;
-    std::uint64_t seed = 42;
-};
-
-/**
- * Mixed train/serve fleet: tenants interleaved by MergeSource, each
- * in a disjoint namespace, serving tenants first. The result is one
- * merged stream suitable for a single engine session (or packing).
- */
-std::unique_ptr<EventSource> makeFleetSource(
-    const FleetConfig &config);
 
 } // namespace gmlake::workload
 

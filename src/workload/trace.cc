@@ -198,15 +198,13 @@ mergeTraces(const std::vector<const Trace *> &traces)
     // The interleave itself lives in MergeSource (the streaming
     // cursor form); this wrapper merely adapts Trace pointers and
     // materializes the merged stream for callers that want one.
-    std::vector<MergeInput> inputs;
-    inputs.reserve(traces.size());
+    std::vector<std::unique_ptr<EventSource>> sources;
+    sources.reserve(traces.size());
     for (const Trace *trace : traces) {
         GMLAKE_ASSERT(trace != nullptr, "null trace in merge");
-        MergeInput in;
-        in.source = std::make_unique<VectorSource>(trace);
-        inputs.push_back(std::move(in));
+        sources.push_back(std::make_unique<VectorSource>(trace));
     }
-    MergeSource merge(std::move(inputs));
+    MergeSource merge(std::move(sources));
     return materialize(merge);
 }
 

@@ -1,0 +1,191 @@
+/**
+ * @file
+ * End-to-end checks of the gmlake_sim command line: every verb
+ * rejects an out-of-range number, a malformed spec value or an
+ * unusable output path with exit code 1 before it runs anything
+ * (nothing on stdout, no file written), and every verb's --help lists
+ * every flag it accepts. Each command runs the built binary in a
+ * fresh, empty working directory.
+ */
+
+#include <gtest/gtest.h>
+
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+namespace fs = std::filesystem;
+
+namespace
+{
+
+struct CliRun
+{
+    int code = -1;
+    std::string out;
+    std::string err;
+    /** Files the command left in its working directory. */
+    std::vector<std::string> files;
+};
+
+std::string
+slurp(const fs::path &path)
+{
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+/** Run gmlake_sim with @p args in an empty directory. */
+CliRun
+runCli(const std::vector<std::string> &args)
+{
+    static int serial = 0;
+    const fs::path root =
+        fs::temp_directory_path() /
+        ("gmlake_cli_test_" + std::to_string(::getpid()) + "_" +
+         std::to_string(serial++));
+    const fs::path work = root / "work";
+    fs::remove_all(root);
+    fs::create_directories(work);
+
+    std::string cmd = "cd '" + work.string() + "' && '" GMLAKE_SIM_BIN "'";
+    for (const std::string &arg : args)
+        cmd += " '" + arg + "'";
+    cmd += " > '" + (root / "out").string() + "' 2> '" +
+           (root / "err").string() + "'";
+    const int status = std::system(cmd.c_str());
+
+    CliRun run;
+    run.code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+    run.out = slurp(root / "out");
+    run.err = slurp(root / "err");
+    for (const auto &entry : fs::directory_iterator(work))
+        run.files.push_back(entry.path().filename().string());
+    fs::remove_all(root);
+    return run;
+}
+
+std::string
+joined(const std::vector<std::string> &args)
+{
+    std::string text;
+    for (const std::string &arg : args)
+        text += (text.empty() ? "" : " ") + arg;
+    return text;
+}
+
+} // namespace
+
+TEST(Cli, BadValuesExitOneBeforeRunning)
+{
+    const std::vector<std::vector<std::string>> bad = {
+        // Integers wider than the field they land in.
+        {"sweep", "smoke", "--iterations", "4294967297"},
+        {"chaos", "smoke", "--iterations", "4294967297",
+         "--kill-chance", "0"},
+        {"probe", "smoke", "--iterations", "4294967297"},
+        {"trace", "run", "--allocator", "gmlake", "--iterations", "1",
+         "--gpus", "4294967297"},
+        // Sizes whose byte count does not fit in 64 bits.
+        {"trace", "run", "--allocator", "caching", "--iterations", "1",
+         "--capacity", "17179869224"},
+        {"sweep", "smoke", "--iterations", "1", "--capacity",
+         "17179869224"},
+        {"trace", "run", "--allocator", "gmlake", "--iterations", "1",
+         "--frag-limit", "17592186044416"},
+        // Reals outside their range, NaN included.
+        {"chaos", "smoke", "--iterations", "1", "--kill-chance", "nan"},
+        {"sweep", "smoke", "--iterations", "1", "--grid", "tol=nan"},
+        {"sweep", "smoke", "--iterations", "1", "--grid",
+         "overscribe=-1"},
+        // Fault specs whose numbers overflow or are not numbers.
+        {"chaos", "smoke", "--iterations", "1", "--kill-chance", "0",
+         "--faults", "map:n=18446744073709551619"},
+        {"chaos", "smoke", "--iterations", "1", "--kill-chance", "0",
+         "--faults", "cap:t=1000,b=17179869185G"},
+        {"chaos", "smoke", "--iterations", "1", "--kill-chance", "0",
+         "--faults", "create:p=nan"},
+        // Output paths in a directory that does not exist.
+        {"sweep", "smoke", "--iterations", "1", "--out",
+         "/nonexistent/x.json"},
+        {"chaos", "smoke", "--iterations", "1", "--kill-chance", "0",
+         "--out", "/nonexistent/x.json"},
+        {"run", "headline", "--iterations", "1", "--json",
+         "/nonexistent/x.json"},
+        // The global flag goes after the verb.
+        {"--log-level", "error", "list"},
+        {"sweep", "smoke", "--iterations", "1", "--log-level", "loud"},
+    };
+    for (const auto &args : bad) {
+        const CliRun run = runCli(args);
+        EXPECT_EQ(run.code, 1) << joined(args) << "\n" << run.err;
+        EXPECT_EQ(run.out, "") << joined(args);
+        EXPECT_TRUE(run.files.empty()) << joined(args);
+        EXPECT_NE(run.err, "") << joined(args);
+    }
+}
+
+TEST(Cli, LogLevelAfterTheVerbIsAccepted)
+{
+    const CliRun run =
+        runCli({"trace", "record", "t.txt", "--model", "GPT-2",
+                "--iterations", "1", "--log-level", "error"});
+    EXPECT_EQ(run.code, 0) << run.err;
+    EXPECT_EQ(run.files, std::vector<std::string>{"t.txt"});
+}
+
+TEST(Cli, EveryVerbsHelpNamesEveryFlag)
+{
+    const std::vector<std::string> workload = {
+        "--model", "--list-models", "--strategies", "--platform",
+        "--gpus", "--batch", "--iterations", "--seq", "--seed",
+        "--serve", "--requests", "--max-batch"};
+    const std::vector<std::string> device = {
+        "--allocator", "--capacity", "--frag-limit", "--csv",
+        "--snapshot"};
+    std::vector<std::string> traceRun = workload;
+    traceRun.insert(traceRun.end(), device.begin(), device.end());
+
+    const std::vector<std::pair<std::vector<std::string>,
+                                std::vector<std::string>>>
+        verbs = {
+            {{"run", "headline", "--help"},
+             {"--iterations", "--capacity", "--seed", "--threads",
+              "--csv", "--json", "--out", "--timeline",
+              "--timeline-bin", "--no-banner"}},
+            {{"trace", "run", "--help"}, traceRun},
+            {{"trace", "record", "--help"}, workload},
+            {{"trace", "replay", "--help"}, device},
+            {{"trace", "pack", "--help"}, {}},
+            {{"trace", "info", "--help"}, {}},
+            {{"sweep", "--help"},
+             {"--allocator", "--grid", "--points", "--threads",
+              "--seed", "--iterations", "--capacity", "--cold",
+              "--out"}},
+            {{"chaos", "-h"},
+             {"--faults", "--fault-seed", "--soak", "--kill-chance",
+              "--allocator", "--seed", "--iterations", "--out"}},
+            {{"probe", "--help"},
+             {"--tensor", "--at", "--allocator", "--seed",
+              "--iterations", "--timeline", "--top"}},
+        };
+    for (const auto &[args, flags] : verbs) {
+        const CliRun run = runCli(args);
+        EXPECT_EQ(run.code, 0) << joined(args) << "\n" << run.err;
+        EXPECT_TRUE(run.files.empty()) << joined(args);
+        std::vector<std::string> expected = flags;
+        expected.push_back("--log-level");
+        for (const std::string &flag : expected) {
+            EXPECT_NE(run.out.find("  " + flag + " "), std::string::npos)
+                << joined(args) << " does not list " << flag;
+        }
+    }
+}

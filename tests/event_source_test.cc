@@ -2,10 +2,9 @@
  * @file
  * EventSource cursor tests: VectorSource is bit-identical to indexed
  * trace iteration (owned and borrowed, with the borrowed-lifetime
- * assert firing loudly in debug builds), RemapSource matches
- * remapEvent(), MergeSource replays deterministically across resets,
- * the generator sources (KV-cache serving, train loop, mixed fleet)
- * produce valid, seed-deterministic streams, and runSource() over a
+ * assert firing loudly in debug builds), MergeSource replays
+ * deterministically across resets, the KV-cache serving generator
+ * produces valid, seed-deterministic streams, and runSource() over a
  * VectorSource reproduces runTrace() exactly.
  */
 
@@ -122,74 +121,15 @@ TEST(EventSource, MaterializeRoundTrips)
     EXPECT_EQ(copy.stats().iterations, trace.stats().iterations);
 }
 
-TEST(EventSource, RemapSourceMatchesRemapEvent)
-{
-    const Trace trace = richTrace();
-    const TraceNamespace ns{1000, 32};
-
-    VectorSource inner(&trace);
-    RemapSource remapped(inner, ns);
-    EXPECT_EQ(remapped.sizeHint(), trace.size());
-
-    const auto events = drain(remapped);
-    ASSERT_EQ(events.size(), trace.size());
-    for (std::size_t i = 0; i < trace.size(); ++i)
-        expectSameEvent(events[i],
-                        remapEvent(trace.events()[i], ns), i);
-}
-
-TEST(EventSource, RemapSourcePreservesAnyStreamSentinel)
-{
-    TraceBuilder tb;
-    const auto a = tb.alloc(1_MiB, 3);
-    tb.streamSync(kAnyStream);
-    tb.free(a);
-    const Trace trace = tb.take();
-
-    VectorSource inner(&trace);
-    RemapSource remapped(inner, {500, 16});
-    const auto events = drain(remapped);
-    ASSERT_EQ(events.size(), 3u);
-    EXPECT_EQ(events[0].stream, 3u + 16u);
-    EXPECT_EQ(events[1].stream, kAnyStream);
-}
-
-TEST(EventSource, MergeSourceMatchesMergeTraces)
-{
-    workload::TrainConfig cfg;
-    cfg.model = findModel("GPT-2");
-    cfg.iterations = 2;
-    const Trace first = generateTrainingTrace(cfg);
-    cfg.seed = 77;
-    const Trace second = generateTrainingTrace(cfg);
-
-    const TraceNamespace nsB{TensorId{1} << 32, 64};
-    const Trace secondRemapped = remapTrace(second, nsB);
-    const Trace merged = mergeTraces({&first, &secondRemapped});
-
-    std::vector<MergeInput> inputs;
-    inputs.push_back({std::make_unique<VectorSource>(&first), {}, 0});
-    inputs.push_back(
-        {std::make_unique<VectorSource>(&second), nsB, 0});
-    MergeSource source(std::move(inputs));
-
-    const auto events = drain(source);
-    ASSERT_EQ(events.size(), merged.size());
-    for (std::size_t i = 0; i < merged.size(); ++i)
-        expectSameEvent(events[i], merged.events()[i], i);
-}
-
 TEST(EventSource, MergeSourceResetReplays)
 {
     const Trace first = richTrace();
-    const Trace second = richTrace();
+    const Trace second = remapTrace(richTrace(), {TensorId{1} << 32, 64});
 
-    std::vector<MergeInput> inputs;
-    inputs.push_back({std::make_unique<VectorSource>(&first), {}, 0});
-    inputs.push_back({std::make_unique<VectorSource>(&second),
-                      {TensorId{1} << 32, 64},
-                      5'000});
-    MergeSource source(std::move(inputs));
+    std::vector<std::unique_ptr<EventSource>> sources;
+    sources.push_back(std::make_unique<VectorSource>(&first));
+    sources.push_back(std::make_unique<VectorSource>(&second));
+    MergeSource source(std::move(sources));
 
     const auto firstPass = drain(source);
     EXPECT_FALSE(firstPass.empty());
@@ -281,64 +221,6 @@ TEST(EventSource, KvServeSourceResetReplaysIdentically)
     source.reset();
     const auto second = drain(source);
     expectSameStream(second, first);
-}
-
-TEST(EventSource, TrainLoopSourceIsValid)
-{
-    TrainLoopConfig cfg;
-    cfg.model = findModel("OPT-1.3B");
-    cfg.iterations = 4;
-
-    TrainLoopSource source(cfg);
-    const Trace trace = materialize(source);
-    trace.validate();
-
-    int marks = 0;
-    for (const Event &e : trace.events()) {
-        if (e.kind == EventKind::iterationMark)
-            ++marks;
-    }
-    EXPECT_EQ(marks, cfg.iterations);
-
-    TrainLoopSource again(cfg);
-    VectorSource wanted(trace);
-    expectSameStream(drain(again), drain(wanted));
-}
-
-TEST(EventSource, FleetSourceMergesDisjointTenants)
-{
-    FleetConfig cfg;
-    cfg.serve.model = findModel("OPT-1.3B");
-    cfg.serve.maxBatch = 4;
-    cfg.serve.requests = 16;
-    cfg.serveTenants = 2;
-    cfg.train.model = findModel("OPT-1.3B");
-    cfg.train.iterations = 2;
-    cfg.trainTenants = 1;
-    cfg.arrivalStaggerNs = 1'000'000;
-
-    const auto source = makeFleetSource(cfg);
-    const Trace trace = materialize(*source);
-    trace.validate();
-
-    // Tenants occupy disjoint tensor namespaces.
-    bool tenant0 = false, tenant1 = false, tenant2 = false;
-    for (const Event &e : trace.events()) {
-        if (e.kind != EventKind::alloc)
-            continue;
-        const auto tenant = e.tensor / cfg.tensorStride;
-        tenant0 |= tenant == 0;
-        tenant1 |= tenant == 1;
-        tenant2 |= tenant == 2;
-    }
-    EXPECT_TRUE(tenant0);
-    EXPECT_TRUE(tenant1);
-    EXPECT_TRUE(tenant2);
-
-    // Deterministic: a second fleet replays the same day.
-    const auto again = makeFleetSource(cfg);
-    VectorSource wanted(trace);
-    expectSameStream(drain(*again), drain(wanted));
 }
 
 // ----------------------------------------------- engine equivalence

@@ -136,6 +136,13 @@ TEST(FaultPlan, MalformedSpecsAreFatal)
     EXPECT_THROW(FaultPlan::parse("create:n=0"), FatalError);
     EXPECT_THROW(FaultPlan::parse("cap:t=5"), FatalError);
     EXPECT_THROW(FaultPlan::parse("create:code=bogus"), FatalError);
+    // Values that do not fit their field: an ordinal past 2^64, a
+    // suffixed byte count whose product wraps, a NaN probability.
+    EXPECT_THROW(FaultPlan::parse("map:n=18446744073709551619"),
+                 FatalError);
+    EXPECT_THROW(FaultPlan::parse("cap:t=1000,b=17179869185G"),
+                 FatalError);
+    EXPECT_THROW(FaultPlan::parse("create:p=nan"), FatalError);
 }
 
 // -------------------------------------------------- injector basics

@@ -324,6 +324,22 @@ TEST(ObsExport, ColumnarRejectsTruncation)
     std::filesystem::remove(path);
 }
 
+TEST(ObsExport, ColumnarRejectsOutOfRangeBlobReference)
+{
+    // 0xFFFFFFFF + 2 wraps to 1 in 32 bits, which would pass a check
+    // against the 4-word blob.
+    RecorderSnapshot snap;
+    snap.blob = {1, 2, 3, 4};
+    Event e;
+    e.blobOff = 0xFFFFFFFFu;
+    e.blobLen = 2;
+    snap.events.push_back(e);
+    const std::string path = tempPath("obs_bad_blob.gmo");
+    writeColumnarTrace(snap, path);
+    EXPECT_THROW((void)readColumnarTrace(path), FatalError);
+    std::filesystem::remove(path);
+}
+
 TEST(ObsExport, LooksLikeObsTraceRejectsOtherFiles)
 {
     const std::string path = tempPath("obs_not_a_trace.bin");

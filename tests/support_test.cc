@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the support library: units, logging, Expected,
- * RNG, histogram, table and CSV helpers.
+ * RNG, histogram, table and CSV helpers, and the flag parser.
  */
 
 #include <gtest/gtest.h>
@@ -10,10 +10,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "support/csv.hh"
 #include "support/expected.hh"
+#include "support/flags.hh"
 #include "support/histogram.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
@@ -286,4 +290,225 @@ TEST(Csv, WritesQuotedCells)
     std::getline(in, line);
     EXPECT_EQ(line, "2,\"he said \"\"hi\"\"\"");
     std::filesystem::remove(path);
+}
+
+// ---------------------------------------------------------------- flags
+
+namespace
+{
+
+constexpr std::uint64_t kU64Max =
+    std::numeric_limits<std::uint64_t>::max();
+
+/** parseFlags() over @p args, with "verb" as argv[0]. */
+ParsedArgs
+parseArgs(const FlagTable &flags, std::vector<std::string> args,
+          std::size_t minArgs = 0, std::size_t maxArgs = 0)
+{
+    args.insert(args.begin(), "verb");
+    std::vector<char *> argv;
+    for (std::string &arg : args)
+        argv.push_back(arg.data());
+    return parseFlags(flags, static_cast<int>(argv.size()),
+                      argv.data(), minArgs, maxArgs);
+}
+
+} // namespace
+
+TEST(Flags, IntegerRejectsMalformedText)
+{
+    for (const char *text :
+         {"", "-1", "+1", " 1", "1 ", "1x", "0x10", "1.5", "1e3", "K"}) {
+        EXPECT_THROW(parseInteger("n", text, 0, kU64Max, true),
+                     FatalError)
+            << "'" << text << "'";
+    }
+    // Suffixes only where the caller allows them.
+    EXPECT_THROW(parseInteger("n", "2K", 0, kU64Max), FatalError);
+}
+
+TEST(Flags, IntegerRangeIsInclusiveAndOverflowChecked)
+{
+    EXPECT_EQ(parseInteger("n", "0", 0, 10), 0u);
+    EXPECT_EQ(parseInteger("n", "10", 0, 10), 10u);
+    EXPECT_THROW(parseInteger("n", "11", 0, 10), FatalError);
+    EXPECT_THROW(parseInteger("n", "0", 1, 10), FatalError);
+    EXPECT_EQ(parseInteger("n", "18446744073709551615", 0, kU64Max),
+              kU64Max);
+    // 2^64 and beyond.
+    EXPECT_THROW(parseInteger("n", "18446744073709551616", 0, kU64Max),
+                 FatalError);
+    EXPECT_THROW(parseInteger("n", "99999999999999999999999", 0,
+                              kU64Max),
+                 FatalError);
+}
+
+TEST(Flags, IntegerSuffixScalesAndItsProductMustFit)
+{
+    EXPECT_EQ(parseInteger("n", "2k", 0, kU64Max, true), 2_KiB);
+    EXPECT_EQ(parseInteger("n", "3M", 0, kU64Max, true), 3_MiB);
+    EXPECT_EQ(parseInteger("n", "2G", 0, kU64Max, true), 2_GiB);
+    EXPECT_EQ(parseInteger("n", "16777215T", 0, kU64Max, true),
+              std::uint64_t{16777215} << 40);
+    // 2^24 T = 2^64; 17179869185 G wraps to 1 GiB in 64 bits.
+    EXPECT_THROW(parseInteger("n", "16777216T", 0, kU64Max, true),
+                 FatalError);
+    EXPECT_THROW(parseInteger("n", "17179869185G", 0, kU64Max, true),
+                 FatalError);
+    // The bound applies to the scaled value.
+    EXPECT_THROW(parseInteger("n", "1K", 0, 1023, true), FatalError);
+}
+
+TEST(Flags, RealMustBeFiniteAndInRange)
+{
+    EXPECT_DOUBLE_EQ(parseReal("p", "0.25", 0.0, 1.0), 0.25);
+    EXPECT_DOUBLE_EQ(parseReal("p", "0", 0.0, 1.0), 0.0);
+    EXPECT_DOUBLE_EQ(parseReal("p", "1", 0.0, 1.0), 1.0);
+    EXPECT_DOUBLE_EQ(parseReal("p", "1e2", 0.0, 1e3), 100.0);
+    for (const char *text :
+         {"", "nan", "NaN", "inf", "-inf", "1e400", "abc", "0.5x",
+          " 0.5", "+0.5", "1.0000001", "-0.1"}) {
+        EXPECT_THROW(parseReal("p", text, 0.0, 1.0), FatalError)
+            << "'" << text << "'";
+    }
+}
+
+TEST(Flags, RowsAreAppliedAndPositionalsCollected)
+{
+    int count = 0;
+    std::string name;
+    bool toggle = false;
+    const FlagTable flags = {
+        integerFlag("--count", "N", "a count", count),
+        {"--name", "S", "a name", [&](const char *v) { name = v; }},
+        {"--toggle", nullptr, "a toggle",
+         [&](const char *v) {
+             EXPECT_EQ(v, nullptr);
+             toggle = true;
+         }},
+    };
+    const ParsedArgs args = parseArgs(
+        flags, {"first", "--count", "7", "--toggle", "second", "--name",
+                "x"},
+        2, 2);
+    EXPECT_FALSE(args.help);
+    EXPECT_EQ(args.positionals,
+              (std::vector<std::string>{"first", "second"}));
+    EXPECT_EQ(count, 7);
+    EXPECT_EQ(name, "x");
+    EXPECT_TRUE(toggle);
+}
+
+TEST(Flags, IntegerRowBoundsDefaultToTheTargetType)
+{
+    int count = 0;
+    const FlagTable flags = {integerFlag("--count", "N", "", count)};
+    parseArgs(flags, {"--count", "2147483647"});
+    EXPECT_EQ(count, std::numeric_limits<int>::max());
+    EXPECT_THROW(parseArgs(flags, {"--count", "2147483648"}),
+                 FatalError);
+    EXPECT_THROW(parseArgs(flags, {"--count", "4294967297"}),
+                 FatalError);
+
+    Bytes capacity = 0;
+    const FlagTable sizes = {
+        sizeFlag("--capacity", "GiB", "", capacity, GiB)};
+    parseArgs(sizes, {"--capacity", "17179869183"});
+    EXPECT_EQ(capacity, Bytes{17179869183} * GiB);
+    EXPECT_THROW(parseArgs(sizes, {"--capacity", "17179869184"}),
+                 FatalError);
+}
+
+TEST(Flags, UnknownFlagsMissingValuesAndStrayArgumentsAreFatal)
+{
+    int count = 0;
+    const FlagTable flags = {integerFlag("--count", "N", "", count)};
+    EXPECT_THROW(parseArgs(flags, {"--bogus"}), FatalError);
+    EXPECT_THROW(parseArgs(flags, {"-x"}), FatalError);
+    EXPECT_THROW(parseArgs(flags, {"--count"}), FatalError);
+    EXPECT_THROW(parseArgs(flags, {"stray"}), FatalError);
+    EXPECT_THROW(parseArgs(flags, {"a", "b"}, 1, 1), FatalError);
+    EXPECT_THROW(parseArgs(flags, {}, 1, 1), FatalError);
+    EXPECT_EQ(count, 0);
+}
+
+TEST(Flags, OptionalValueTakesOnlyANonFlagArgument)
+{
+    std::string path = "unset";
+    bool toggle = false;
+    const FlagTable flags = {
+        {"--csv", "[FILE]", "",
+         [&](const char *v) { path = v ? v : "default"; }},
+        {"--toggle", nullptr, "", [&](const char *) { toggle = true; }},
+    };
+    parseArgs(flags, {"--csv", "out.csv"});
+    EXPECT_EQ(path, "out.csv");
+    parseArgs(flags, {"--csv"});
+    EXPECT_EQ(path, "default");
+    path = "unset";
+    parseArgs(flags, {"--csv", "--toggle"});
+    EXPECT_EQ(path, "default");
+    EXPECT_TRUE(toggle);
+}
+
+TEST(Flags, HelpStopsParsingAndSkipsTheCountCheck)
+{
+    int count = 0;
+    const FlagTable flags = {integerFlag("--count", "N", "", count)};
+    for (const char *help : {"--help", "-h"}) {
+        const ParsedArgs args =
+            parseArgs(flags, {"--count", "3", help, "--bogus"}, 1, 1);
+        EXPECT_TRUE(args.help);
+        EXPECT_EQ(count, 3);
+    }
+}
+
+TEST(Flags, OutputRowNeedsAFileInAnExistingDirectory)
+{
+    const auto dir = std::filesystem::temp_directory_path();
+    std::string path;
+    const FlagTable flags = {
+        outputFlag("--out", "FILE", "", path),
+        outputFlag("--json", "[FILE]", "", path, "fallback.json"),
+    };
+    parseArgs(flags, {"--out", (dir / "report.json").string()});
+    EXPECT_EQ(path, (dir / "report.json").string());
+    parseArgs(flags, {"--json"});
+    EXPECT_EQ(path, "fallback.json");
+    EXPECT_THROW(parseArgs(flags, {"--out", "/nonexistent/x.json"}),
+                 FatalError);
+    EXPECT_THROW(parseArgs(flags, {"--out", dir.string()}),
+                 FatalError);
+    EXPECT_THROW(parseArgs(flags, {"--out", ""}), FatalError);
+    EXPECT_FALSE(std::filesystem::exists(dir / "report.json"));
+}
+
+TEST(Flags, UsageListsEveryRow)
+{
+    int count = 0;
+    std::string path;
+    const FlagTable flags = {
+        integerFlag("--count", "N", "how many\nat most", count),
+        outputFlag("--a-rather-long-flag", "[FILE]", "long", path),
+        logLevelFlag(),
+    };
+    std::ostringstream out;
+    printUsage(out, "verb [options]", flags);
+    const std::string text = out.str();
+    EXPECT_EQ(text.rfind("usage: verb [options]\n", 0), 0u);
+    EXPECT_NE(text.find("  --count N"), std::string::npos);
+    EXPECT_NE(text.find("how many\n"), std::string::npos);
+    EXPECT_NE(text.find("  --a-rather-long-flag [FILE]\n"),
+              std::string::npos);
+    EXPECT_NE(text.find("  --log-level L"), std::string::npos);
+}
+
+TEST(Flags, LogLevelRowSetsTheThreshold)
+{
+    const LogLevel before = logLevel();
+    const FlagTable flags = {logLevelFlag()};
+    parseArgs(flags, {"--log-level", "error"});
+    EXPECT_EQ(logLevel(), LogLevel::error);
+    EXPECT_THROW(parseArgs(flags, {"--log-level", "loud"}), FatalError);
+    setLogLevel(before);
 }

@@ -226,29 +226,6 @@ TEST_F(MappingTest, UnmapSplitsCoalescedExtentAtChunkBoundary)
     EXPECT_EQ(table.unmap(base, 1_MiB).code(), Errc::invalidValue);
 }
 
-TEST_F(MappingTest, UnmapRangeIsAtomicAcrossRanges)
-{
-    const PhysHandle h1 = chunk();
-    const PhysHandle h2 = chunk();
-    ASSERT_TRUE(table.map(base, h1).ok());
-    ASSERT_TRUE(table.map(base + 4_MiB, h2).ok());
-
-    // Second range is unmapped: the whole batch must fail without
-    // touching the first range.
-    const std::pair<VirtAddr, Bytes> bad[] = {
-        {base, 2_MiB}, {base + 8_MiB, 2_MiB}};
-    EXPECT_EQ(table.unmapRange(bad).code(), Errc::notMapped);
-    EXPECT_EQ(table.mappingCount(), 2u);
-    EXPECT_EQ(phys.mapRefs(h1), 1u);
-
-    const std::pair<VirtAddr, Bytes> good[] = {
-        {base, 2_MiB}, {base + 4_MiB, 2_MiB}};
-    ASSERT_TRUE(table.unmapRange(good).ok());
-    EXPECT_EQ(table.mappingCount(), 0u);
-    EXPECT_EQ(phys.mapRefs(h1), 0u);
-    EXPECT_EQ(phys.mapRefs(h2), 0u);
-}
-
 TEST_F(MappingTest, SetAccessSplitsMixedStateExtent)
 {
     const PhysHandle h1 = chunk();
@@ -271,21 +248,6 @@ TEST_F(MappingTest, SetAccessSplitsMixedStateExtent)
 
     ASSERT_TRUE(table.setAccess(base, 6_MiB).ok());
     EXPECT_TRUE(table.accessible(base, 6_MiB));
-}
-
-TEST_F(MappingTest, SetAccessRangeIsAtomicAcrossRanges)
-{
-    const PhysHandle h1 = chunk();
-    ASSERT_TRUE(table.map(base, h1).ok());
-
-    const std::pair<VirtAddr, Bytes> bad[] = {
-        {base, 2_MiB}, {base + 8_MiB, 2_MiB}};
-    EXPECT_EQ(table.setAccessRange(bad).code(), Errc::notMapped);
-    EXPECT_FALSE(table.accessible(base, 2_MiB));
-
-    const std::pair<VirtAddr, Bytes> good[] = {{base, 2_MiB}};
-    ASSERT_TRUE(table.setAccessRange(good).ok());
-    EXPECT_TRUE(table.accessible(base, 2_MiB));
 }
 
 TEST_F(MappingTest, RangeStatsMatchMappingsIn)

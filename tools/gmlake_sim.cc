@@ -10,8 +10,8 @@
  *   gmlake_sim run all --iterations 1
  *
  * Trace mode generates, converts, inspects, and replays single
- * workloads under any of the allocators on a simulated GPU. All five
- * verbs share one option table:
+ * workloads under any of the allocators on a simulated GPU; the five
+ * verbs draw their flags from the same workload and device rows:
  *   gmlake_sim trace run --model OPT-13B --strategies LR --gpus 4
  *   gmlake_sim trace record trace.txt --model GPT-2
  *   gmlake_sim trace record trace.gmt --model GPT-2
@@ -23,13 +23,15 @@
  * BinaryTraceSource (multi-section files replay as co-located
  * sessions); anything else is parsed as a text trace.
  *
- * Run with --help for the full flag list.
+ * Every verb declares its flags as one table (support/flags.hh) and
+ * prints it with --help.
  */
 
 #include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -40,6 +42,7 @@
 #include "sim/runner.hh"
 #include "sim/session.hh"
 #include "sim/sweep.hh"
+#include "support/flags.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
 #include "support/table.hh"
@@ -72,201 +75,71 @@ struct Options
 
     // Device / allocator
     std::string allocator = "all";
-    Bytes capacityGiB = 80;
-    Bytes fragLimitMiB = 2;
+    Bytes capacity = 80_GiB;
+    Bytes fragLimit = 2_MiB;
 
     // Output
     std::string csvPath;
     bool snapshot = false;
 
     bool listModels = false;
-    bool help = false;
 };
 
-// ------------------------------------------------ shared option table
+// ------------------------------------------------ trace flag tables
 
-/** Which trace verbs a flag applies to. */
-enum FlagGroup : unsigned
+/** Workload selection rows (trace run | record). */
+FlagTable
+workloadFlags(Options &o)
 {
-    kWorkloadFlags = 1u << 0, //!< trace run | record
-    kDeviceFlags = 1u << 1,   //!< trace run | replay
-    kOutputFlags = 1u << 2,   //!< trace run | replay
-};
-
-unsigned long long
-parseNumber(const char *flag, const std::string &value)
-{
-    unsigned long long parsed = 0;
-    std::size_t consumed = 0;
-    if (!value.empty() && value[0] >= '0' && value[0] <= '9') {
-        try {
-            parsed = std::stoull(value, &consumed);
-        } catch (const std::exception &) {
-            consumed = 0;
-        }
-    }
-    if (consumed == 0 || consumed != value.size())
-        GMLAKE_FATAL("flag ", flag, " needs a non-negative number, "
-                     "got '", value, "'");
-    return parsed;
+    return {
+        {"--model", "NAME", "model from the zoo (default OPT-13B)",
+         [&o](const char *v) { o.model = v; }},
+        {"--list-models", nullptr, "print the model zoo and exit",
+         [&o](const char *) { o.listModels = true; }},
+        {"--strategies", "S", "N | R | LR | RO | LRO (default LR)",
+         [&o](const char *v) { o.strategies = v; }},
+        {"--platform", "P", "deepspeed | fsdp | colossalai | ddp",
+         [&o](const char *v) { o.platform = v; }},
+        integerFlag("--gpus", "N", "data-parallel degree (default 4)",
+                    o.gpus, 1),
+        integerFlag("--batch", "N", "per-GPU batch size (default 16)",
+                    o.batch, 1),
+        integerFlag("--iterations", "N",
+                    "training iterations (default 12)", o.iterations),
+        integerFlag("--seq", "N", "max sequence length (default 512)",
+                    o.seqLen),
+        integerFlag("--seed", "N", "workload RNG seed (default 42)",
+                    o.seed),
+        {"--serve", nullptr, "serving workload instead of training",
+         [&o](const char *) { o.serve = true; }},
+        integerFlag("--requests", "N",
+                    "serving: total requests (default 256)",
+                    o.serveRequests, 1),
+        integerFlag("--max-batch", "N",
+                    "serving: concurrent requests (default 32)",
+                    o.serveMaxBatch, 1),
+    };
 }
 
-struct FlagSpec
+/** Device, allocator and output rows (trace run | replay). */
+FlagTable
+deviceFlags(Options &o)
 {
-    const char *name;
-    const char *argName; //!< nullptr for boolean toggles
-    unsigned groups;
-    const char *help;
-    void (*apply)(Options &, const std::string &);
-};
-
-/**
- * The one option table every trace verb parses with; each verb
- * admits the groups that make sense for it and rejects the rest with
- * a pointed error.
- */
-const FlagSpec kFlags[] = {
-    // Workload selection
-    {"--model", "NAME", kWorkloadFlags,
-     "model from the zoo (default OPT-13B)",
-     [](Options &o, const std::string &v) { o.model = v; }},
-    {"--list-models", nullptr, kWorkloadFlags,
-     "print the model zoo and exit",
-     [](Options &o, const std::string &) { o.listModels = true; }},
-    {"--strategies", "S", kWorkloadFlags,
-     "N | R | LR | RO | LRO (default LR)",
-     [](Options &o, const std::string &v) { o.strategies = v; }},
-    {"--platform", "P", kWorkloadFlags,
-     "deepspeed | fsdp | colossalai | ddp",
-     [](Options &o, const std::string &v) { o.platform = v; }},
-    {"--gpus", "N", kWorkloadFlags,
-     "data-parallel degree (default 4)",
-     [](Options &o, const std::string &v) {
-         o.gpus = static_cast<int>(parseNumber("--gpus", v));
-     }},
-    {"--batch", "N", kWorkloadFlags,
-     "per-GPU batch size (default 16)",
-     [](Options &o, const std::string &v) {
-         o.batch = static_cast<int>(parseNumber("--batch", v));
-     }},
-    {"--iterations", "N", kWorkloadFlags,
-     "training iterations (default 12)",
-     [](Options &o, const std::string &v) {
-         o.iterations =
-             static_cast<int>(parseNumber("--iterations", v));
-     }},
-    {"--seq", "N", kWorkloadFlags,
-     "max sequence length (default 512)",
-     [](Options &o, const std::string &v) {
-         o.seqLen = static_cast<int>(parseNumber("--seq", v));
-     }},
-    {"--seed", "N", kWorkloadFlags, "workload RNG seed (default 42)",
-     [](Options &o, const std::string &v) {
-         o.seed = parseNumber("--seed", v);
-     }},
-    {"--serve", nullptr, kWorkloadFlags,
-     "serving workload instead of training",
-     [](Options &o, const std::string &) { o.serve = true; }},
-    {"--requests", "N", kWorkloadFlags,
-     "serving: total requests (default 256)",
-     [](Options &o, const std::string &v) {
-         o.serveRequests =
-             static_cast<int>(parseNumber("--requests", v));
-     }},
-    {"--max-batch", "N", kWorkloadFlags,
-     "serving: concurrent requests (32)",
-     [](Options &o, const std::string &v) {
-         o.serveMaxBatch =
-             static_cast<int>(parseNumber("--max-batch", v));
-     }},
-
-    // Device and allocator
-    {"--allocator", "A", kDeviceFlags,
-     "caching | gmlake | native | compacting | expandable | all",
-     [](Options &o, const std::string &v) { o.allocator = v; }},
-    {"--capacity", "GiB", kDeviceFlags, "device memory (default 80)",
-     [](Options &o, const std::string &v) {
-         o.capacityGiB = parseNumber("--capacity", v);
-     }},
-    {"--frag-limit", "MiB", kDeviceFlags,
-     "GMLake fragmentation limit (default 2)",
-     [](Options &o, const std::string &v) {
-         o.fragLimitMiB = parseNumber("--frag-limit", v);
-     }},
-
-    // Output
-    {"--csv", "FILE", kOutputFlags,
-     "append result rows to a CSV file",
-     [](Options &o, const std::string &v) { o.csvPath = v; }},
-    {"--snapshot", nullptr, kOutputFlags,
-     "print the allocator memory snapshot",
-     [](Options &o, const std::string &) { o.snapshot = true; }},
-};
-
-const FlagSpec *
-findFlag(const std::string &name)
-{
-    for (const FlagSpec &spec : kFlags) {
-        if (name == spec.name)
-            return &spec;
-    }
-    return nullptr;
-}
-
-/**
- * Parse argv[begin..] against the shared table, admitting only flags
- * in @p groups. Non-flag arguments land in @p positionals (rejected
- * when nullptr).
- */
-Options
-parseFlags(int argc, char **argv, int begin, unsigned groups,
-           std::vector<std::string> *positionals)
-{
-    Options opt;
-    for (int i = begin; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h") {
-            opt.help = true;
-            continue;
-        }
-        if (arg.size() >= 2 && arg[0] == '-' && arg[1] == '-') {
-            const FlagSpec *spec = findFlag(arg);
-            if (spec == nullptr)
-            GMLAKE_FATAL("unknown flag: ", arg, " (try --help)");
-            if ((spec->groups & groups) == 0)
-                GMLAKE_FATAL("flag ", arg, " does not apply to this "
-                             "subcommand (try --help)");
-            std::string value;
-            if (spec->argName != nullptr) {
-                if (i + 1 >= argc)
-                    GMLAKE_FATAL("flag ", arg, " needs a value");
-                value = argv[++i];
-            }
-            spec->apply(opt, value);
-        } else if (positionals != nullptr) {
-            positionals->push_back(arg);
-        } else {
-            GMLAKE_FATAL("unexpected argument: ", arg,
-                         " (try --help)");
-        }
-    }
-    return opt;
-}
-
-void
-printFlagGroup(unsigned group)
-{
-    for (const FlagSpec &spec : kFlags) {
-        if ((spec.groups & group) == 0)
-            continue;
-        std::string head = spec.name;
-        if (spec.argName != nullptr)
-            head += std::string(" ") + spec.argName;
-        std::cout << "  " << head
-                  << std::string(
-                         head.size() < 19 ? 19 - head.size() : 1, ' ')
-                  << spec.help << "\n";
-    }
+    return {
+        {"--allocator", "A",
+         "caching | gmlake | native | compacting |\n"
+         "expandable | all (default all)",
+         [&o](const char *v) { o.allocator = v; }},
+        sizeFlag("--capacity", "GiB", "device memory (default 80)",
+                 o.capacity, GiB),
+        sizeFlag("--frag-limit", "MiB",
+                 "GMLake fragmentation limit (default 2)", o.fragLimit,
+                 MiB),
+        outputFlag("--csv", "FILE", "append result rows to a CSV file",
+                   o.csvPath),
+        {"--snapshot", nullptr, "print the allocator memory snapshot",
+         [&o](const char *) { o.snapshot = true; }},
+    };
 }
 
 void
@@ -274,70 +147,29 @@ printHelp()
 {
     std::cout <<
         "gmlake_sim — GMLake reproduction experiment runner\n\n"
-        "Registered experiments (figures/tables via the shared "
-        "registry):\n"
-        "  list                print every registered scenario\n"
-        "  run NAME [opts]     run one scenario ('all' runs every "
-        "one)\n"
-        "      --iterations N  override training iterations\n"
-        "      --capacity GiB  override device capacity\n"
-        "      --seed N        override the workload seed\n"
-        "      --threads N     worker threads for cluster scenarios\n"
-        "                      (0 = all cores; results identical)\n"
-        "      --csv [FILE]    append run records as CSV\n"
-        "      --json [FILE]   write report (BENCH_<name>.json)\n"
-        "      --out FILE      write the JSON report to FILE instead\n"
-        "                      of the fixed BENCH_<name>.json\n"
-        "      --timeline FILE record the run and write a\n"
-        "                      Chrome-trace/Perfetto timeline (open\n"
-        "                      in ui.perfetto.dev); results are\n"
-        "                      bit-identical with or without it\n"
-        "      --timeline-bin FILE\n"
-        "                      also write the columnar binary event\n"
-        "                      dump (.gmo)\n\n"
-        "Policy sweeps (checkpoint/restore warm-starts):\n"
-        "  sweep SCENARIO [opts]\n"
-        "                      replay the warmup prefix once, fork\n"
-        "                      each policy point from the checkpoint\n"
-        "                      (smoke | train | colocate; see\n"
-        "                      gmlake_sim sweep --help)\n\n"
-        "Chaos / fault-injection soaks:\n"
-        "  chaos SCENARIO [opts]\n"
-        "                      replay under a deterministic fault\n"
-        "                      plan + randomized tenant kills, audit\n"
-        "                      invariants after every trial (see\n"
-        "                      gmlake_sim chaos --help; distinct\n"
-        "                      exit codes, see docs/BUILDING.md)\n\n"
-        "Allocation provenance (observability ledger):\n"
-        "  probe SCENARIO [opts]\n"
-        "                      replay with the recorder active and\n"
-        "                      answer provenance queries: --tensor T\n"
-        "                      (who backed tensor T and at what\n"
-        "                      device cost) or --at TICK (what was\n"
-        "                      live and why); see gmlake_sim probe\n"
-        "                      --help\n\n"
-        "Global flags (every verb):\n"
-        "  --log-level L       error | warn | info | debug (default\n"
-        "                      warn); unknown levels are fatal\n\n"
-        "Single workloads (trace subcommands):\n"
-        "  trace run [opts]          generate a workload and replay "
-        "it\n"
+        "  list                      print every registered scenario\n"
+        "  run NAME [opts]           run one registry scenario ('all'\n"
+        "                            runs every one)\n"
+        "  sweep SCENARIO [opts]     replay the warmup prefix once, fork\n"
+        "                            each policy point from the\n"
+        "                            checkpoint\n"
+        "  chaos SCENARIO [opts]     replay under a deterministic fault\n"
+        "                            plan + randomized tenant kills,\n"
+        "                            audit invariants after every trial\n"
+        "  probe SCENARIO [opts]     replay with the recorder active and\n"
+        "                            answer allocation provenance queries\n"
+        "  trace run [opts]          generate a workload and replay it\n"
         "  trace record OUT [opts]   generate and save a workload\n"
         "                            (.gmt packs binary columnar,\n"
         "                            anything else writes text)\n"
-        "  trace replay FILE [opts]  replay a saved trace (.gmt "
-        "streams,\n"
+        "  trace replay FILE [opts]  replay a saved trace (.gmt streams,\n"
         "                            multi-section files co-locate)\n"
-        "  trace pack IN... OUT.gmt  convert text traces to one "
-        "binary\n"
+        "  trace pack IN... OUT.gmt  convert text traces to one binary\n"
         "                            file, one section per input\n"
         "  trace info FILE.gmt       print sections and stats\n\n"
-        "Workload selection (trace run | record):\n";
-    printFlagGroup(kWorkloadFlags);
-    std::cout << "\nDevice and allocator (trace run | replay):\n";
-    printFlagGroup(kDeviceFlags);
-    std::cout << "\nOutput (trace run | replay):\n";
-    printFlagGroup(kOutputFlags);
+        "Each verb lists its flags with --help (run takes it after the\n"
+        "scenario: gmlake_sim run headline --help). Every verb accepts\n"
+        "--log-level error|warn|info|debug after the verb.\n";
 }
 
 // ----------------------------------------------------------- helpers
@@ -481,9 +313,9 @@ runAcrossAllocators(
                                        vmm::Device &)> &runOne)
 {
     vmm::DeviceConfig deviceCfg;
-    deviceCfg.capacity = opt.capacityGiB * GiB;
+    deviceCfg.capacity = opt.capacity;
     core::GMLakeConfig gmlakeCfg;
-    gmlakeCfg.fragLimit = opt.fragLimitMiB * MiB;
+    gmlakeCfg.fragLimit = opt.fragLimit;
 
     Table table({"Allocator", "Utilization", "Peak active",
                  "Peak reserved", "Sim time", "Throughput"});
@@ -696,101 +528,71 @@ cmdRun(int argc, char **argv)
 int
 cmdTrace(int argc, char **argv)
 {
-    const auto usage = [] {
-        std::cerr <<
-            "usage: gmlake_sim trace run    [options]\n"
-            "       gmlake_sim trace record OUT [options]\n"
-            "       gmlake_sim trace replay FILE [options]\n"
-            "       gmlake_sim trace pack   IN... OUT.gmt\n"
-            "       gmlake_sim trace info   FILE.gmt\n"
-            "       (gmlake_sim --help shows the options)\n";
-        return 1;
+    const char *verbs =
+        "gmlake_sim trace run    [options]\n"
+        "       gmlake_sim trace record OUT [options]\n"
+        "       gmlake_sim trace replay FILE [options]\n"
+        "       gmlake_sim trace pack   IN... OUT.gmt\n"
+        "       gmlake_sim trace info   FILE.gmt\n"
+        "       (gmlake_sim trace VERB --help lists its options)\n";
+    const std::string verb = argc < 3 ? "" : argv[2];
+    Options opt;
+    FlagTable flags;
+    const auto add = [&](FlagTable rows) {
+        flags.insert(flags.end(), rows.begin(), rows.end());
     };
-    if (argc < 3)
-        return usage();
-    const std::string verb = argv[2];
-
+    std::string usage = "gmlake_sim trace " + verb;
+    std::size_t minArgs = 1;
+    std::size_t maxArgs = 1;
     if (verb == "run") {
-        const Options opt = parseFlags(
-            argc, argv, 3,
-            kWorkloadFlags | kDeviceFlags | kOutputFlags, nullptr);
-        if (opt.help) {
-            printHelp();
-            return 0;
-        }
-        if (opt.listModels)
-            return doListModels();
+        add(workloadFlags(opt));
+        add(deviceFlags(opt));
+        usage += " [options]";
+        minArgs = maxArgs = 0;
+    } else if (verb == "record") {
+        add(workloadFlags(opt));
+        usage += " OUT [options]";
+    } else if (verb == "replay") {
+        add(deviceFlags(opt));
+        usage += " FILE [options]";
+    } else if (verb == "pack") {
+        usage += " IN... OUT.gmt";
+        minArgs = 2;
+        maxArgs = std::numeric_limits<std::size_t>::max();
+    } else if (verb == "info") {
+        usage += " FILE.gmt";
+    } else {
+        const bool help = verb == "--help" || verb == "-h";
+        (help ? std::cout : std::cerr) << "usage: " << verbs;
+        return help ? 0 : 1;
+    }
+    flags.push_back(logLevelFlag());
+    // --list-models runs without the verb's positionals, so their
+    // lower bound is checked after it.
+    const ParsedArgs args =
+        parseFlags(flags, argc - 2, argv + 2, 0, maxArgs);
+    if (args.help) {
+        printUsage(std::cout, usage, flags);
+        return 0;
+    }
+    if (opt.listModels)
+        return doListModels();
+    if (args.positionals.size() < minArgs)
+        GMLAKE_FATAL("trace ", verb, " is missing an argument (try "
+                     "--help)");
+    const std::vector<std::string> &paths = args.positionals;
+    if (verb == "run")
         return doTraceRun(opt);
-    }
-    if (verb == "record") {
-        std::vector<std::string> paths;
-        const Options opt =
-            parseFlags(argc, argv, 3, kWorkloadFlags, &paths);
-        if (opt.help) {
-            printHelp();
-            return 0;
-        }
-        if (opt.listModels)
-            return doListModels();
-        if (paths.size() != 1)
-            return usage();
+    if (verb == "record")
         return doTraceRecord(opt, paths[0]);
-    }
-    if (verb == "replay") {
-        std::vector<std::string> paths;
-        const Options opt = parseFlags(
-            argc, argv, 3, kDeviceFlags | kOutputFlags, &paths);
-        if (opt.help) {
-            printHelp();
-            return 0;
-        }
-        if (paths.size() != 1)
-            return usage();
+    if (verb == "replay")
         return doTraceReplay(opt, paths[0]);
-    }
-    if (verb == "pack") {
-        std::vector<std::string> paths;
-        const Options opt = parseFlags(argc, argv, 3, 0, &paths);
-        if (opt.help) {
-            printHelp();
-            return 0;
-        }
-        if (paths.size() < 2)
-            return usage();
+    if (verb == "pack")
         return doTracePack(paths);
-    }
-    if (verb == "info") {
-        std::vector<std::string> paths;
-        const Options opt = parseFlags(argc, argv, 3, 0, &paths);
-        if (opt.help) {
-            printHelp();
-            return 0;
-        }
-        if (paths.size() != 1)
-            return usage();
-        return doTraceInfo(paths[0]);
-    }
-    std::cerr << "unknown trace verb: " << verb << "\n";
-    return usage();
+    return doTraceInfo(paths[0]);
 }
 
 // -------------------------------------------------------- sweep verb
-
-/** `gmlake_sim sweep` options (separate from the trace table). */
-struct SweepCliOptions
-{
-    std::string scenario;
-    std::string allocator = "gmlake";
-    std::string gridSpec;
-    std::size_t randomPoints = 0;
-    std::size_t threads = 1;
-    std::uint64_t seed = 42;
-    int iterations = 0; //!< 0 = scenario default
-    Bytes capacityGiB = 0;
-    bool cold = false;
-    std::string outPath;
-    bool help = false;
-};
 
 std::vector<std::string>
 splitOn(const std::string &s, char sep)
@@ -809,19 +611,6 @@ splitOn(const std::string &s, char sep)
     return parts;
 }
 
-double
-parseReal(const char *what, const std::string &value)
-{
-    try {
-        std::size_t consumed = 0;
-        const double parsed = std::stod(value, &consumed);
-        if (consumed == value.size())
-            return parsed;
-    } catch (const std::exception &) {
-    }
-    GMLAKE_FATAL(what, ": bad real number '", value, "'");
-}
-
 /**
  * Parse "frag=2,16;tol=0,0.125;sblocks=4096;overscribe=4,8;
  * stitch=on,off" into grid axes (frag in MiB; unknown keys are a
@@ -830,6 +619,7 @@ parseReal(const char *what, const std::string &value)
 sim::SweepGrid
 parseGridSpec(const std::string &spec)
 {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
     sim::SweepGrid grid;
     for (const std::string &axis : splitOn(spec, ';')) {
         if (axis.empty())
@@ -844,20 +634,24 @@ parseGridSpec(const std::string &spec)
         if (values.empty() ||
             (values.size() == 1 && values[0].empty()))
             GMLAKE_FATAL("sweep grid axis '", key, "' has no values");
+        const std::string what = "sweep grid axis " + key;
         for (const std::string &value : values) {
             if (key == "frag") {
                 grid.fragLimits.push_back(
-                    parseNumber("frag", value) * MiB);
+                    parseInteger(what, value, 0,
+                                 std::numeric_limits<Bytes>::max() /
+                                     MiB) *
+                    MiB);
             } else if (key == "tol") {
                 grid.nearMatchTolerances.push_back(
-                    parseReal("tol", value));
+                    parseReal(what, value, 0.0, kInf));
             } else if (key == "sblocks") {
-                grid.maxCachedSBlocks.push_back(
-                    static_cast<std::size_t>(
-                        parseNumber("sblocks", value)));
+                grid.maxCachedSBlocks.push_back(parseInteger(
+                    what, value, 0,
+                    std::numeric_limits<std::size_t>::max()));
             } else if (key == "overscribe") {
                 grid.maxVaOverscribes.push_back(
-                    parseReal("overscribe", value));
+                    parseReal(what, value, 0.0, kInf));
             } else if (key == "stitch") {
                 if (value != "on" && value != "off")
                     GMLAKE_FATAL("sweep grid axis stitch: expected "
@@ -873,110 +667,86 @@ parseGridSpec(const std::string &spec)
     return grid;
 }
 
-SweepCliOptions
-parseSweepFlags(int argc, char **argv)
-{
-    SweepCliOptions opt;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                GMLAKE_FATAL("flag ", arg, " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--help" || arg == "-h")
-            opt.help = true;
-        else if (arg == "--allocator")
-            opt.allocator = value();
-        else if (arg == "--grid")
-            opt.gridSpec = value();
-        else if (arg == "--points")
-            opt.randomPoints = static_cast<std::size_t>(
-                parseNumber("--points", value()));
-        else if (arg == "--threads")
-            opt.threads = static_cast<std::size_t>(
-                parseNumber("--threads", value()));
-        else if (arg == "--seed")
-            opt.seed = parseNumber("--seed", value());
-        else if (arg == "--iterations")
-            opt.iterations = static_cast<int>(
-                parseNumber("--iterations", value()));
-        else if (arg == "--capacity")
-            opt.capacityGiB = parseNumber("--capacity", value());
-        else if (arg == "--cold")
-            opt.cold = true;
-        else if (arg == "--out")
-            opt.outPath = value();
-        else if (!arg.empty() && arg[0] == '-')
-            GMLAKE_FATAL("unknown sweep flag: ", arg,
-                         " (try --help)");
-        else if (opt.scenario.empty())
-            opt.scenario = arg;
-        else
-            GMLAKE_FATAL("unexpected argument: ", arg);
-    }
-    return opt;
-}
-
 int
 cmdSweep(int argc, char **argv)
 {
-    const SweepCliOptions opt = parseSweepFlags(argc, argv);
-    if (opt.help || opt.scenario.empty()) {
-        std::cerr <<
-            "usage: gmlake_sim sweep <scenario> [options]\n"
-            "  scenarios: smoke | train | colocate\n"
-            "  --allocator A       allocator kind (default gmlake)\n"
-            "  --grid SPEC         frag=2,16;tol=0,0.125;"
-            "sblocks=4096;overscribe=4,8;stitch=on,off\n"
-            "                      (frag in MiB; omitted axes keep "
-            "the base value)\n"
-            "  --points N          random search with N points "
-            "instead of a grid\n"
-            "  --threads N         per-point fork threads "
-            "(0 = all cores; results identical)\n"
-            "  --seed N            workload seed (default 42)\n"
-            "  --iterations N      scenario scale override\n"
-            "  --capacity GiB      device capacity override\n"
-            "  --cold              re-replay the warmup per point "
-            "(baseline; same results)\n"
-            "  --out FILE          report path (default "
-            "BENCH_sweep_<scenario>.json)\n";
-        return opt.help ? 0 : 1;
+    std::string allocator = "gmlake";
+    std::string gridSpec;
+    std::string outPath;
+    std::size_t randomPoints = 0;
+    sim::SweepJsonMeta meta;
+    const FlagTable flags = {
+        {"--allocator", "A", "allocator kind (default gmlake)",
+         [&](const char *v) { allocator = v; }},
+        {"--grid", "SPEC",
+         "frag=2,16;tol=0,0.125;sblocks=4096;\n"
+         "overscribe=4,8;stitch=on,off (frag in MiB;\n"
+         "omitted axes keep the base value)",
+         [&](const char *v) { gridSpec = v; }},
+        integerFlag("--points", "N",
+                    "random search with N points instead of a grid",
+                    randomPoints),
+        integerFlag("--threads", "N",
+                    "per-point fork threads (0 = all cores;\n"
+                    "results identical)",
+                    meta.threads, 0, 4096),
+        integerFlag("--seed", "N", "workload seed (default 42)",
+                    meta.seed),
+        integerFlag("--iterations", "N", "scenario scale override",
+                    meta.iterations),
+        sizeFlag("--capacity", "GiB", "device capacity override",
+                 meta.deviceCapacityBytes, GiB),
+        {"--cold", nullptr,
+         "re-replay the warmup per point (baseline;\nsame results)",
+         [&](const char *) { meta.warmStart = false; }},
+        outputFlag("--out", "FILE",
+                   "report path (default\n"
+                   "BENCH_sweep_<scenario>.json)",
+                   outPath),
+        logLevelFlag(),
+    };
+    const ParsedArgs args = parseFlags(flags, argc - 1, argv + 1, 1, 1);
+    if (args.help) {
+        printUsage(std::cout,
+                   "gmlake_sim sweep <scenario> [options]\n"
+                   "  scenarios: smoke | train | colocate",
+                   flags);
+        return 0;
     }
-    if (!opt.gridSpec.empty() && opt.randomPoints > 0)
+    const std::string &name = args.positionals[0];
+    if (!gridSpec.empty() && randomPoints > 0)
         GMLAKE_FATAL("--grid and --points are mutually exclusive");
-
-    const auto kind = sim::parseAllocatorKind(opt.allocator);
+    const auto kind = sim::parseAllocatorKind(allocator);
     if (!kind)
-        GMLAKE_FATAL("unknown allocator: ", opt.allocator);
+        GMLAKE_FATAL("unknown allocator: ", allocator);
+    const sim::SweepGrid grid = parseGridSpec(gridSpec);
 
-    sim::SweepScenario scenario = sim::buildSweepScenario(
-        opt.scenario, opt.seed, opt.iterations);
-    if (opt.capacityGiB != 0)
-        scenario.device.capacity = opt.capacityGiB * GiB;
+    sim::SweepScenario scenario =
+        sim::buildSweepScenario(name, meta.seed, meta.iterations);
+    if (meta.deviceCapacityBytes != 0)
+        scenario.device.capacity = meta.deviceCapacityBytes;
 
     std::vector<sim::SweepPoint> points;
-    if (opt.randomPoints > 0) {
-        points = sim::randomSweepPoints(scenario.base,
-                                        opt.randomPoints, opt.seed);
-    } else if (!opt.gridSpec.empty()) {
-        points = parseGridSpec(opt.gridSpec).expand(scenario.base);
-    } else {
-        sim::SweepGrid grid;
-        grid.fragLimits = {2_MiB, 16_MiB};
-        grid.nearMatchTolerances = {0.0, 0.125};
-        grid.enableStitching = {true, false};
+    if (randomPoints > 0) {
+        points = sim::randomSweepPoints(scenario.base, randomPoints,
+                                        meta.seed);
+    } else if (!gridSpec.empty()) {
         points = grid.expand(scenario.base);
+    } else {
+        sim::SweepGrid defaults;
+        defaults.fragLimits = {2_MiB, 16_MiB};
+        defaults.nearMatchTolerances = {0.0, 0.125};
+        defaults.enableStitching = {true, false};
+        points = defaults.expand(scenario.base);
     }
 
     sim::SweepRunOptions options;
     options.kind = *kind;
-    options.threads = opt.threads;
-    options.warmStart = !opt.cold;
+    options.threads = meta.threads;
+    options.warmStart = meta.warmStart;
 
-    std::cout << "sweep " << opt.scenario << ": " << points.size()
-              << " points, " << (opt.cold ? "cold" : "warm-start")
+    std::cout << "sweep " << name << ": " << points.size()
+              << " points, " << (meta.warmStart ? "warm-start" : "cold")
               << ", split at " << formatTime(scenario.splitTime)
               << "\n";
     const sim::SweepReport report =
@@ -1002,15 +772,8 @@ cmdSweep(int argc, char **argv)
               << " Pareto point"
               << (report.frontier().size() == 1 ? "" : "s") << ")\n";
 
-    const std::string outPath =
-        opt.outPath.empty() ? "BENCH_sweep_" + opt.scenario + ".json"
-                            : opt.outPath;
-    sim::SweepJsonMeta meta;
-    meta.seed = opt.seed;
-    meta.iterations = opt.iterations;
-    meta.deviceCapacityBytes = opt.capacityGiB * GiB;
-    meta.threads = opt.threads;
-    meta.warmStart = !opt.cold;
+    if (outPath.empty())
+        outPath = "BENCH_sweep_" + name + ".json";
     meta.splitTimeNs = scenario.splitTime;
     sim::writeSweepJson(report, meta, outPath);
     std::cout << "(report written to " << outPath << ")\n";
@@ -1019,116 +782,69 @@ cmdSweep(int argc, char **argv)
 
 // -------------------------------------------------------- chaos verb
 
-/** `gmlake_sim chaos` options. */
-struct ChaosCliOptions
-{
-    std::string scenario;
-    std::string allocator = "gmlake";
-    std::string faultSpec;
-    std::uint64_t faultSeed = 1;
-    std::uint64_t seed = 42; //!< workload seed
-    std::size_t soak = 1;
-    int iterations = 0;
-    double killChance = 0.25;
-    std::string outPath;
-    bool help = false;
-};
-
-ChaosCliOptions
-parseChaosFlags(int argc, char **argv)
-{
-    ChaosCliOptions opt;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                GMLAKE_FATAL("flag ", arg, " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--help" || arg == "-h")
-            opt.help = true;
-        else if (arg == "--allocator")
-            opt.allocator = value();
-        else if (arg == "--faults")
-            opt.faultSpec = value();
-        else if (arg == "--fault-seed")
-            opt.faultSeed = parseNumber("--fault-seed", value());
-        else if (arg == "--seed")
-            opt.seed = parseNumber("--seed", value());
-        else if (arg == "--soak")
-            opt.soak = static_cast<std::size_t>(
-                parseNumber("--soak", value()));
-        else if (arg == "--iterations")
-            opt.iterations = static_cast<int>(
-                parseNumber("--iterations", value()));
-        else if (arg == "--kill-chance")
-            opt.killChance = parseReal("--kill-chance", value());
-        else if (arg == "--out")
-            opt.outPath = value();
-        else if (!arg.empty() && arg[0] == '-')
-            GMLAKE_FATAL("unknown chaos flag: ", arg,
-                         " (try --help)");
-        else if (opt.scenario.empty())
-            opt.scenario = arg;
-        else
-            GMLAKE_FATAL("unexpected argument: ", arg);
-    }
-    return opt;
-}
-
 int
 cmdChaos(int argc, char **argv)
 {
-    const ChaosCliOptions opt = parseChaosFlags(argc, argv);
-    if (opt.help || opt.scenario.empty()) {
-        std::cerr <<
-            "usage: gmlake_sim chaos <scenario> [options]\n"
-            "  scenarios: smoke | train | colocate\n"
-            "  --faults SPEC       fault plan, e.g. "
-            "create:p=0.02;map:n=5;cap:t=1000000,b=2G\n"
-            "                      (apis: create map mapbatch "
-            "setaccess copyd2h copyh2d cap)\n"
-            "  --fault-seed N      fault/kill RNG seed (default 1)\n"
-            "  --soak K            randomized trials; trial k uses\n"
-            "                      a seed derived from --fault-seed\n"
-            "                      and printed for replay\n"
-            "  --kill-chance P     per-tenant scripted-kill "
-            "probability (default 0.25)\n"
-            "  --allocator A       allocator kind (default gmlake)\n"
-            "  --seed N            workload seed (default 42)\n"
-            "  --iterations N      scenario scale override\n"
-            "  --out FILE          report path (default "
-            "BENCH_chaos_<scenario>.json)\n"
-            "exit codes: 0 clean, 2 tenant OOM, 3 injected-fault "
-            "abort, 1 internal error\n";
-        return opt.help ? 0 : 1;
-    }
-    const auto kind = sim::parseAllocatorKind(opt.allocator);
-    if (!kind)
-        GMLAKE_FATAL("unknown allocator: ", opt.allocator);
-    if (opt.soak == 0)
-        GMLAKE_FATAL("--soak needs at least 1 trial");
-    if (opt.killChance < 0.0 || opt.killChance > 1.0)
-        GMLAKE_FATAL("--kill-chance needs a probability in [0, 1]");
-
     sim::ChaosOptions options;
-    options.scenario = opt.scenario;
-    options.kind = *kind;
-    options.workloadSeed = opt.seed;
-    options.faultSeed = opt.faultSeed;
-    options.faultSpec = opt.faultSpec;
-    options.trials = opt.soak;
-    options.iterations = opt.iterations;
-    options.killChance = opt.killChance;
-
-    std::cout << "chaos " << opt.scenario << ": " << opt.soak
-              << " trial" << (opt.soak == 1 ? "" : "s")
-              << ", fault seed " << opt.faultSeed;
-    if (!opt.faultSpec.empty()) {
-        std::cout << ", plan "
-                  << vmm::FaultPlan::parse(opt.faultSpec).describe();
+    std::string allocator = "gmlake";
+    std::string outPath;
+    const FlagTable flags = {
+        {"--faults", "SPEC",
+         "fault plan, e.g.\n"
+         "create:p=0.02;map:n=5;cap:t=1000000,b=2G\n"
+         "(apis: create map mapbatch setaccess\n"
+         "copyd2h copyh2d cap)",
+         [&](const char *v) { options.faultSpec = v; }},
+        integerFlag("--fault-seed", "N",
+                    "fault/kill RNG seed (default 1)",
+                    options.faultSeed),
+        integerFlag("--soak", "K",
+                    "randomized trials; trial k uses a seed\n"
+                    "derived from --fault-seed and printed for\n"
+                    "replay",
+                    options.trials, 1),
+        {"--kill-chance", "P",
+         "per-tenant scripted-kill probability\n(default 0.25)",
+         [&](const char *v) {
+             options.killChance =
+                 parseReal("flag --kill-chance", v, 0.0, 1.0);
+         }},
+        {"--allocator", "A", "allocator kind (default gmlake)",
+         [&](const char *v) { allocator = v; }},
+        integerFlag("--seed", "N", "workload seed (default 42)",
+                    options.workloadSeed),
+        integerFlag("--iterations", "N", "scenario scale override",
+                    options.iterations),
+        outputFlag("--out", "FILE",
+                   "report path (default\n"
+                   "BENCH_chaos_<scenario>.json)",
+                   outPath),
+        logLevelFlag(),
+    };
+    const ParsedArgs args = parseFlags(flags, argc - 1, argv + 1, 1, 1);
+    if (args.help) {
+        printUsage(std::cout,
+                   "gmlake_sim chaos <scenario> [options]\n"
+                   "  scenarios: smoke | train | colocate\n"
+                   "  exit codes: 0 clean, 2 tenant OOM, 3 "
+                   "injected-fault abort, 1 internal error",
+                   flags);
+        return 0;
     }
-    std::cout << "\n";
+    options.scenario = args.positionals[0];
+    const auto kind = sim::parseAllocatorKind(allocator);
+    if (!kind)
+        GMLAKE_FATAL("unknown allocator: ", allocator);
+    options.kind = *kind;
+    const std::string plan =
+        options.faultSpec.empty()
+            ? ""
+            : ", plan " +
+                  vmm::FaultPlan::parse(options.faultSpec).describe();
+
+    std::cout << "chaos " << options.scenario << ": " << options.trials
+              << " trial" << (options.trials == 1 ? "" : "s")
+              << ", fault seed " << options.faultSeed << plan << "\n";
 
     const sim::ChaosReport report = sim::runChaos(options);
 
@@ -1162,9 +878,8 @@ cmdChaos(int argc, char **argv)
               << (report.failures() == 1 ? "" : "s") << ", total "
               << formatTime(report.totalWallNs) << "\n";
 
-    const std::string outPath =
-        opt.outPath.empty() ? "BENCH_chaos_" + opt.scenario + ".json"
-                            : opt.outPath;
+    if (outPath.empty())
+        outPath = "BENCH_chaos_" + options.scenario + ".json";
     sim::writeChaosJson(report, options, outPath);
     std::cout << "(report written to " << outPath << ", exit code "
               << report.exitCode() << ")\n";
@@ -1182,95 +897,56 @@ cmdProbe(int argc, char **argv)
 {
     sim::ProbeOptions opt;
     std::string allocator = "gmlake";
-    std::string scenario;
-    bool help = false;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                GMLAKE_FATAL("flag ", arg, " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--help" || arg == "-h")
-            help = true;
-        else if (arg == "--allocator")
-            allocator = value();
-        else if (arg == "--seed")
-            opt.seed = parseNumber("--seed", value());
-        else if (arg == "--iterations")
-            opt.iterations = static_cast<int>(
-                parseNumber("--iterations", value()));
-        else if (arg == "--tensor")
-            opt.tensor = parseNumber("--tensor", value());
-        else if (arg == "--at")
-            opt.atTick = parseNumber("--at", value());
-        else if (arg == "--timeline")
-            opt.timelinePath = value();
-        else if (arg == "--top")
-            opt.topAllocs = static_cast<std::size_t>(
-                parseNumber("--top", value()));
-        else if (!arg.empty() && arg[0] == '-')
-            GMLAKE_FATAL("unknown probe flag: ", arg,
-                         " (try --help)");
-        else if (scenario.empty())
-            scenario = arg;
-        else
-            GMLAKE_FATAL("unexpected argument: ", arg);
-    }
-    if (help || scenario.empty()) {
-        std::cerr <<
-            "usage: gmlake_sim probe <scenario> [options]\n"
-            "  scenarios: smoke | train | colocate\n"
-            "  --tensor T          which allocations backed tensor "
-            "T, which pBlocks\n"
-            "                      back each, how they were obtained "
-            "(fresh / reuse /\n"
-            "                      stitch / post-spill), and the "
-            "device time charged\n"
-            "  --at TICK           every tensor live at simulated "
-            "time TICK, with\n"
-            "                      the same provenance per binding\n"
-            "  --allocator A       allocator kind (default gmlake)\n"
-            "  --seed N            workload seed (default 42)\n"
-            "  --iterations N      scenario scale override\n"
-            "  --timeline FILE     also export the recorded timeline "
-            "(Chrome JSON)\n"
-            "  --top N             summary lists the top-N "
-            "allocations (default 5)\n"
-            "(no selector prints the ledger summary)\n";
-        return help ? 0 : 1;
+    constexpr auto kAnyId = std::numeric_limits<std::uint64_t>::max();
+    const FlagTable flags = {
+        {"--tensor", "T",
+         "which allocations backed tensor T, which\n"
+         "pBlocks back each, how they were obtained\n"
+         "(fresh / reuse / stitch / post-spill), and\n"
+         "the device time charged",
+         [&](const char *v) {
+             opt.tensor = parseInteger("flag --tensor", v, 0, kAnyId);
+         }},
+        {"--at", "TICK",
+         "every tensor live at simulated time TICK,\n"
+         "with the same provenance per binding",
+         [&](const char *v) {
+             opt.atTick = parseInteger("flag --at", v, 0, kAnyId);
+         }},
+        {"--allocator", "A", "allocator kind (default gmlake)",
+         [&](const char *v) { allocator = v; }},
+        integerFlag("--seed", "N", "workload seed (default 42)",
+                    opt.seed),
+        integerFlag("--iterations", "N", "scenario scale override",
+                    opt.iterations),
+        outputFlag("--timeline", "FILE",
+                   "also export the recorded timeline (Chrome\n"
+                   "JSON)",
+                   opt.timelinePath),
+        integerFlag("--top", "N",
+                    "summary lists the top-N allocations\n"
+                    "(default 5)",
+                    opt.topAllocs),
+        logLevelFlag(),
+    };
+    const ParsedArgs args = parseFlags(flags, argc - 1, argv + 1, 1, 1);
+    if (args.help) {
+        printUsage(std::cout,
+                   "gmlake_sim probe <scenario> [options]\n"
+                   "  scenarios: smoke | train | colocate\n"
+                   "  (no selector prints the ledger summary)",
+                   flags);
+        return 0;
     }
     const auto kind = sim::parseAllocatorKind(allocator);
     if (!kind)
         GMLAKE_FATAL("unknown allocator: ", allocator);
     opt.kind = *kind;
-    opt.scenario = scenario;
+    opt.scenario = args.positionals[0];
     if (opt.tensor && opt.atTick)
         GMLAKE_FATAL("--tensor and --at are mutually exclusive");
     sim::runProbe(opt, std::cout);
     return 0;
-}
-
-/**
- * Flags every verb accepts, applied and stripped before dispatch so
- * each verb's own table stays focused. One definition serves
- * run/trace/sweep/chaos/probe alike; an invalid level is fatal
- * (parseLogLevel). Returns the new argc.
- */
-int
-stripGlobalFlags(int argc, char **argv)
-{
-    int kept = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--log-level") == 0) {
-            if (i + 1 >= argc)
-                GMLAKE_FATAL("flag --log-level needs a value");
-            setLogLevel(parseLogLevel(argv[++i]));
-            continue;
-        }
-        argv[kept++] = argv[i];
-    }
-    return kept;
 }
 
 } // namespace
@@ -1278,7 +954,6 @@ stripGlobalFlags(int argc, char **argv)
 int
 main(int argc, char **argv)
 try {
-    argc = stripGlobalFlags(argc, argv);
     if (argc < 2) {
         printHelp();
         return 0;
