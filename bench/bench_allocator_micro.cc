@@ -9,6 +9,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <set>
 #include <vector>
 
 #include "alloc/caching_allocator.hh"
@@ -127,18 +128,55 @@ BM_GmlakeStitchPath(benchmark::State &state)
 }
 BENCHMARK(BM_GmlakeStitchPath);
 
+/** A pBlock stand-in for BM_BestFitScaling's pool. */
+struct SizedBlock
+{
+    Bytes size;
+    std::size_t id;
+};
+
+/** The allocator's pool order: size descending, then id. */
+struct SizedBlockCmp
+{
+    using is_transparent = void;
+
+    bool
+    operator()(const SizedBlock *a, const SizedBlock *b) const
+    {
+        return a->size != b->size ? a->size > b->size : a->id < b->id;
+    }
+    bool operator()(const SizedBlock *a, Bytes size) const
+    {
+        return a->size > size;
+    }
+    bool operator()(Bytes size, const SizedBlock *a) const
+    {
+        return size > a->size;
+    }
+};
+
 void
 BM_BestFitScaling(benchmark::State &state)
 {
-    // BestFit over an inactive pool of the given size.
+    // BestFit over an inactive pool of the given size. The request
+    // exceeds the pool's total, so S2 finds nothing and S3 walks
+    // every block.
     Rng rng(42);
-    std::vector<Bytes> pool;
-    for (int i = 0; i < state.range(0); ++i)
-        pool.push_back(2_MiB * rng.uniformInt(1, 256));
-    std::sort(pool.rbegin(), pool.rend());
-    const Bytes want = 2_MiB * 300; // forces a full scan
+    std::vector<SizedBlock> blocks;
+    Bytes total = 0;
+    for (std::size_t i = 0; i < static_cast<std::size_t>(state.range(0));
+         ++i) {
+        blocks.push_back({2_MiB * rng.uniformInt(1, 256), i});
+        total += blocks.back().size;
+    }
+    std::set<const SizedBlock *, SizedBlockCmp> pool;
+    for (const SizedBlock &b : blocks)
+        pool.insert(&b);
+    std::vector<const SizedBlock *> candidates;
     for (auto _ : state) {
-        const auto r = core::bestFit(want, {}, pool, 0);
+        const auto r = core::bestFitOverPools(
+            total + 2_MiB, pool, 0,
+            [](const SizedBlock *) { return true; }, candidates);
         benchmark::DoNotOptimize(r.candidateBytes);
     }
 }

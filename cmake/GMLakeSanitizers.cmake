@@ -1,6 +1,8 @@
 # GMLAKE_SANITIZE=address|undefined|thread|leak (comma-separated).
 # Applied globally so first-party code and test binaries agree on the
 # runtime; ThreadSanitizer cannot be combined with the others.
+# `undefined` also turns on float-cast-overflow, which GCC leaves out
+# of -fsanitize=undefined: core scales double knobs into Bytes.
 
 if (NOT GMLAKE_SANITIZE)
     return()
@@ -22,6 +24,10 @@ if ("thread" IN_LIST _gmlake_sanitizers AND
     message(FATAL_ERROR
         "GMLAKE_SANITIZE: thread cannot be combined with other "
         "sanitizers")
+endif ()
+
+if ("undefined" IN_LIST _gmlake_sanitizers)
+    list(APPEND _gmlake_sanitizers float-cast-overflow)
 endif ()
 
 string(REPLACE ";" "," _gmlake_fsanitize "${_gmlake_sanitizers}")

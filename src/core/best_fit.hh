@@ -9,9 +9,7 @@
  * candidate vector as reusable scratch, and eligibility is a
  * predicate evaluated during the walk — so a miss costs work
  * proportional to the candidate set, not the pool, and allocates
- * nothing. A size-list adapter (bestFit) keeps the original
- * pure-function surface of all four states for exhaustive unit
- * testing.
+ * nothing.
  */
 
 #ifndef GMLAKE_CORE_BEST_FIT_HH
@@ -141,36 +139,6 @@ bestFitOverPools(Bytes bSize, const Pool &pool, Bytes fragLimit,
                        : FitState::insufficient;
     return result;
 }
-
-/** Index-based result of the size-list adapter (tests). */
-struct FitResult
-{
-    FitState state = FitState::insufficient;
-    /** S1 only: true when the exact match is an sBlock. */
-    bool useSBlock = false;
-    /** S1 with useSBlock: index into the sBlock size list. */
-    std::size_t sIndex = 0;
-    /** Candidate indices into the pBlock size list (all states). */
-    std::vector<std::size_t> pIndices;
-    /** Total size of the candidates in pIndices. */
-    Bytes candidateBytes = 0;
-};
-
-/**
- * Size-list adapter: answers S1 over the size lists (the first
- * exact-size sBlock, else the first exact-size pBlock), then runs
- * bestFitOverPools — the pure-function surface the unit tests
- * exercise exhaustively.
- *
- * @param bSize requested block size (already chunk-rounded)
- * @param sBlockSizes inactive, eligible sBlock sizes, descending
- * @param pBlockSizes inactive pBlock sizes, descending
- * @param fragLimit see bestFitOverPools
- */
-FitResult bestFit(Bytes bSize,
-                  const std::vector<Bytes> &sBlockSizes,
-                  const std::vector<Bytes> &pBlockSizes,
-                  Bytes fragLimit);
 
 } // namespace gmlake::core
 

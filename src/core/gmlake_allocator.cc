@@ -1,6 +1,7 @@
 #include "core/gmlake_allocator.hh"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -14,6 +15,25 @@
 namespace gmlake::core
 {
 
+namespace
+{
+
+/**
+ * @p v as Bytes, saturating: NaN and <= 0 give 0, >= 2^64 the max.
+ * The double knobs it scales are bounded only to finite and >= 0,
+ * and an out-of-range double-to-integer cast is undefined behaviour.
+ */
+Bytes
+saturatingBytes(double v)
+{
+    constexpr Bytes kMax = std::numeric_limits<Bytes>::max();
+    if (!(v > 0.0))
+        return 0;
+    return v >= static_cast<double>(kMax) ? kMax : static_cast<Bytes>(v);
+}
+
+} // namespace
+
 GMLakeAllocator::GMLakeAllocator(vmm::Device &device, GMLakeConfig config)
     : mDevice(device), mConfig(config), mSmallPath(device)
 {
@@ -23,9 +43,8 @@ GMLakeAllocator::GMLakeAllocator(vmm::Device &device, GMLakeConfig config)
                   "granularity");
     GMLAKE_ASSERT(mConfig.smallThreshold <= mConfig.chunkSize,
                   "small threshold cannot exceed the chunk size");
-    mVaCapBytes = static_cast<Bytes>(
-        mConfig.maxVaOverscribe *
-        static_cast<double>(device.capacity()));
+    mVaCapBytes = saturatingBytes(mConfig.maxVaOverscribe *
+                                  static_cast<double>(device.capacity()));
     // Steady-state hot path allocates nothing: size the hash maps
     // and the scratch buffers once, up front (block nodes themselves
     // come from the slab pools).
@@ -868,8 +887,8 @@ GMLakeAllocator::allocateLargeInner(Bytes size, StreamId stream,
     const Bytes rounded = roundUp(size, mConfig.chunkSize);
     // Largest acceptable over-allocation for a whole-block hand-out.
     const Bytes slack = roundDown(
-        std::min(static_cast<Bytes>(mConfig.nearMatchTolerance *
-                                    static_cast<double>(rounded)),
+        std::min(saturatingBytes(mConfig.nearMatchTolerance *
+                                 static_cast<double>(rounded)),
                  mConfig.nearMatchSlackCap),
         mConfig.chunkSize);
 

@@ -1,30 +1,17 @@
 /**
  * @file
- * Columnar binary dump of a recorder snapshot (`.gmo`).
+ * Columnar binary dump of a recorder snapshot (`.gmo`): a schema
+ * over the binary container (support/container.hh) that `.gmt`
+ * traces use too, so both formats share one writer, one hash and one
+ * validator.
  *
- * Same engineering as the workload `.gmt` format (binary_trace.hh),
- * re-stated here because obs sits below workload in the layer
- * diagram: a magic header, fixed-size chunks of per-column arrays
- * each carrying a folded FNV-1a payload hash, a footer with the
- * side tables (blob arena, track and run names), and a fixed-size
- * trailer holding the footer offset + hash so truncated or corrupt
- * files are rejected at open instead of decoding garbage.
- *
- *   ┌──────────────────────────────────────────────────┐
- *   │ Header   "GMOBSEV1" · u32 version · u32 0        │
- *   ├──────────────────────────────────────────────────┤
- *   │ Chunk*   u32 count · u32 payloadHash · columns:  │
- *   │          u64 simTime/dur/a0/a1/a2 ·              │
- *   │          u32 seq/track/blobOff/blobLen ·         │
- *   │          u16 name · u8 kind · u8 cat             │
- *   ├──────────────────────────────────────────────────┤
- *   │ Footer   u64 events · u64 chunks ·               │
- *   │          blob arena · track table · run table ·  │
- *   │          u64 dropped                             │
- *   ├──────────────────────────────────────────────────┤
- *   │ Trailer  u64 footerOffset · u64 footerHash ·     │
- *   │          "GMOFOOT1"                              │
- *   └──────────────────────────────────────────────────┘
+ *   magics    "GMOBSEV1" / "GMOFOOT1", version 2
+ *   columns   u64 simTime/dur/a0/a1/a2 · u32 seq/track/blobOff/
+ *             blobLen · u16 name · u8 kind · u8 cat
+ *   footer    u64 events · u64 blob words · blob arena ·
+ *             u32 tracks · (u32 run · u32 nameLen · name)* ·
+ *             u32 runs · (u32 nameLen · name)* · u64 dropped
+ *   count     the number of chunks
  */
 
 #ifndef GMLAKE_OBS_EXPORT_COLUMNAR_HH
@@ -45,9 +32,9 @@ void writeColumnarTrace(const RecorderSnapshot &snap,
                         const std::string &path);
 
 /**
- * Read a `.gmo` file back into a snapshot, verifying the trailer
- * magic, footer hash and every chunk's payload hash; GMLAKE_FATAL
- * on any defect.
+ * Read a `.gmo` file back into a snapshot, verifying the trailer,
+ * footer hash, every footer length and every chunk's payload hash;
+ * GMLAKE_FATAL on any defect.
  */
 RecorderSnapshot readColumnarTrace(const std::string &path);
 

@@ -56,7 +56,6 @@ MemorySampler::record(std::uint64_t now, const MemorySample &s)
             e, s.holeBuckets.data(),
             static_cast<std::uint32_t>(s.holeBuckets.size()));
     }
-    ++mSamples;
     mNext = now + mConfig.periodNs;
 }
 

@@ -58,13 +58,10 @@ class MemorySampler
     /** Emit counter events for @p s at @p now; advances the cadence. */
     void record(std::uint64_t now, const MemorySample &s);
 
-    std::uint64_t samplesTaken() const { return mSamples; }
-
   private:
     Recorder &mRecorder;
     SamplerConfig mConfig;
     std::uint64_t mNext = 0;
-    std::uint64_t mSamples = 0;
     std::uint32_t mTrackActive;
     std::uint32_t mTrackReserved;
     std::uint32_t mTrackInUse;

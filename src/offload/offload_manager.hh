@@ -143,7 +143,6 @@ class OffloadManager : public alloc::OffloadHook
     const OffloadStats &stats() const { return mStats; }
     const HostPool &hostPool() const { return mHostPool; }
     const OffloadConfig &config() const { return mConfig; }
-    const char *policyName() const { return mPolicy->name(); }
 
     /** Session-attributed eviction traffic (empty tag -> zeroes). */
     SessionOffloadStats sessionStats(std::size_t session) const;

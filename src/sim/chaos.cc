@@ -24,18 +24,6 @@ namespace gmlake::sim
 namespace
 {
 
-/** start + total compute of one session, i.e. its final local time. */
-Tick
-traceSpan(const workload::Trace &trace, Tick startTime)
-{
-    Tick local = startTime;
-    for (const workload::Event &event : trace.events()) {
-        if (event.kind == workload::EventKind::compute)
-            local += event.computeNs;
-    }
-    return local;
-}
-
 /**
  * Post-run accounting: the deep allocator audit plus a simulated-
  * device leak check. After a clean completion every trace frees what

@@ -1,7 +1,6 @@
 #include "sim/experiment.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -14,6 +13,7 @@
 #include "obs/recorder.hh"
 #include "support/flags.hh"
 #include "support/logging.hh"
+#include "support/strings.hh"
 #include "support/thread_pool.hh"
 #include "support/units.hh"
 
@@ -194,30 +194,6 @@ findExperiment(const std::string &name)
 
 namespace
 {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 /** @p s as a quoted JSON string. */
 std::string

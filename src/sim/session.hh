@@ -220,8 +220,6 @@ class SimEngine
      */
     void seedSession(std::size_t index, SessionSeed seed);
 
-    std::size_t sessionCount() const { return mSessions.size(); }
-
     /**
      * Replay every session to completion (or death). @p config, when
      * given, derives combined throughput the way runTrace() does.

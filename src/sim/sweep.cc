@@ -36,18 +36,6 @@ pointLabel(const core::GMLakeConfig &c)
         " stitch=", c.enableStitching ? "on" : "off");
 }
 
-/** start + total compute of one session, i.e. its final local time. */
-Tick
-traceSpan(const workload::Trace &trace, Tick startTime)
-{
-    Tick local = startTime;
-    for (const workload::Event &event : trace.events()) {
-        if (event.kind == workload::EventKind::compute)
-            local += event.computeNs;
-    }
-    return local;
-}
-
 workload::TrainConfig
 sweepTrainConfig(const char *model, const char *strategies, int gpus,
                  int batch, int iterations, std::uint64_t seed)
@@ -134,6 +122,17 @@ dominates(const RunResult &a, const RunResult &b)
 }
 
 } // namespace
+
+Tick
+traceSpan(const workload::Trace &trace, Tick startTime)
+{
+    Tick local = startTime;
+    for (const workload::Event &event : trace.events()) {
+        if (event.kind == workload::EventKind::compute)
+            local += event.computeNs;
+    }
+    return local;
+}
 
 std::pair<workload::Trace, workload::Trace>
 splitTraceAt(const workload::Trace &trace, Tick startTime,

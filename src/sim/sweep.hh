@@ -89,6 +89,10 @@ struct SweepScenario
 /** Names accepted by buildSweepScenario / `gmlake_sim sweep`. */
 const std::vector<std::string> &sweepScenarioNames();
 
+/** @p startTime plus the trace's total compute: the session's final
+ *  local time. */
+Tick traceSpan(const workload::Trace &trace, Tick startTime);
+
 /**
  * Split one session's trace at the virtual-time threshold. An event
  * belongs to the warmup prefix when the session's local time *before*

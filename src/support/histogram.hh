@@ -43,7 +43,6 @@ class SizeHistogram
     void add(std::uint64_t bytes);
 
     std::uint64_t count() const { return mStats.count(); }
-    double meanBytes() const { return mStats.mean(); }
     std::uint64_t totalBytes() const
     {
         return static_cast<std::uint64_t>(mStats.sum());

@@ -52,26 +52,6 @@ parseLogLevel(const std::string &text)
                  "' (expected error|warn|info|debug)");
 }
 
-const char *
-logLevelName(LogLevel level)
-{
-    switch (level) {
-      case LogLevel::error: return "error";
-      case LogLevel::warn: return "warn";
-      case LogLevel::info: return "info";
-      case LogLevel::debug: return "debug";
-    }
-    return "?";
-}
-
-void
-setVerbose(bool verbose)
-{
-    setLogLevel(verbose ? LogLevel::info : LogLevel::warn);
-}
-
-bool verbose() { return logLevel() >= LogLevel::info; }
-
 void
 setLogCapture(std::vector<std::pair<LogLevel, std::string>> *sink)
 {

@@ -84,16 +84,6 @@ LogLevel logLevel();
  */
 LogLevel parseLogLevel(const std::string &text);
 
-/** Level → canonical spelling. */
-const char *logLevelName(LogLevel level);
-
-/**
- * Global verbosity switch for inform(); warn() is always printed.
- * Compatibility shim over setLogLevel: true → info, false → warn.
- */
-void setVerbose(bool verbose);
-bool verbose();
-
 /**
  * Test hook: when non-null, every warn()/inform() message is also
  * appended here (regardless of the threshold) so tests can assert on

@@ -32,24 +32,6 @@ LatencyHistogram::add(std::uint64_t ns)
     ++mBuckets[std::bit_width(ns)];
 }
 
-void
-LatencyHistogram::merge(const LatencyHistogram &other)
-{
-    if (other.mCount == 0)
-        return;
-    if (mCount == 0) {
-        mMin = other.mMin;
-        mMax = other.mMax;
-    } else {
-        mMin = std::min(mMin, other.mMin);
-        mMax = std::max(mMax, other.mMax);
-    }
-    mCount += other.mCount;
-    mTotal += other.mTotal;
-    for (std::size_t b = 0; b < mBuckets.size(); ++b)
-        mBuckets[b] += other.mBuckets[b];
-}
-
 double
 LatencyHistogram::meanNs() const
 {

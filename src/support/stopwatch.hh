@@ -52,15 +52,6 @@ class LatencyHistogram
   public:
     void add(std::uint64_t ns);
 
-    /**
-     * Fold @p other into this histogram, bucket by bucket — the
-     * lock-free aggregation path for per-thread histograms: each
-     * engine worker records into its own instance and the run merges
-     * them once at the end. Exact for count/total/min/max; quantiles
-     * are as approximate as they were on the inputs.
-     */
-    void merge(const LatencyHistogram &other);
-
     std::uint64_t count() const { return mCount; }
     std::uint64_t totalNs() const { return mTotal; }
     std::uint64_t minNs() const { return mCount ? mMin : 0; }

@@ -25,6 +25,9 @@ std::string formatPercent(double ratio, int digits = 1);
 /** "1.23 ms" / "45.6 us" / "789 ns" from nanoseconds. */
 std::string formatTime(Tick ns);
 
+/** @p text escaped for a JSON string literal (quotes not added). */
+std::string jsonEscape(const std::string &text);
+
 } // namespace gmlake
 
 #endif // GMLAKE_SUPPORT_STRINGS_HH

@@ -1,17 +1,8 @@
 #include "workload/binary_trace.hh"
 
-#include <cstring>
 #include <utility>
 
 #include "support/logging.hh"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define GMLAKE_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
 
 namespace gmlake::workload
 {
@@ -19,83 +10,9 @@ namespace gmlake::workload
 namespace
 {
 
-constexpr char kFileMagic[8] = {'G', 'M', 'T', 'R',
-                                'A', 'C', 'E', '1'};
-constexpr char kFootMagic[8] = {'G', 'M', 'T', 'F',
-                                'O', 'O', 'T', '1'};
-/** v2 repurposed the chunk header's reserved word as a payload hash. */
-constexpr std::uint32_t kVersion = 2;
-constexpr std::uint64_t kHeaderBytes = 16;
-constexpr std::uint64_t kTrailerBytes = 32;
-/** Bytes one event occupies across the five columns. */
-constexpr std::uint64_t kEventBytes = 1 + 8 + 8 + 8 + 4;
-constexpr std::uint64_t kChunkHeaderBytes = 8;
-
-/** FNV-1a 64, the same function the decision digests use. The seed
- *  parameter chains multi-buffer hashes (writer-side column buffers
- *  vs the reader's one contiguous span hash identically). */
-std::uint64_t
-fnv1a(const std::uint8_t *data, std::size_t size,
-      std::uint64_t hash = 0xcbf29ce484222325ULL)
-{
-    for (std::size_t i = 0; i < size; ++i) {
-        hash ^= data[i];
-        hash *= 0x100000001b3ULL;
-    }
-    return hash;
-}
-
-template <typename T>
-T
-loadAt(const std::uint8_t *data, std::uint64_t offset)
-{
-    T v;
-    std::memcpy(&v, data + offset, sizeof v);
-    return v;
-}
-
-template <typename T>
-void
-appendRaw(std::string &out, T v)
-{
-    out.append(reinterpret_cast<const char *>(&v), sizeof v);
-}
-
-/**
- * Word-wise FNV-1a over one column span: eight bytes per multiply
- * instead of one, so verifying a chunk costs a fraction of decoding
- * it (the byte-wise variant ate the loader's 5x-over-text margin).
- * Word grouping restarts at each span, so writer-side per-column
- * buffers and the reader's mapped columns hash identically as long
- * as both sides chain span by span.
- */
-std::uint64_t
-hashSpan(const std::uint8_t *data, std::size_t size,
-         std::uint64_t hash)
-{
-    std::size_t i = 0;
-    for (; i + 8 <= size; i += 8) {
-        hash ^= loadAt<std::uint64_t>(data, i);
-        hash *= 0x100000001b3ULL;
-    }
-    for (; i < size; ++i) {
-        hash ^= data[i];
-        hash *= 0x100000001b3ULL;
-    }
-    return hash;
-}
-
-/**
- * Truncate a chained 64-bit FNV to the chunk header's hash word. The
- * footer hash only covers the section index, so this is what catches
- * a flipped bit in event data itself (trace_fuzz_test exercises
- * exactly that).
- */
-std::uint32_t
-foldHash(std::uint64_t hash)
-{
-    return static_cast<std::uint32_t>(hash ^ (hash >> 32));
-}
+constexpr std::uint8_t kWidths[] = {1, 8, 8, 8, 4};
+constexpr ContainerSchema kSchema{".gmt", "GMTRACE1", "GMTFOOT1", 2,
+                                  kWidths};
 
 } // namespace
 
@@ -103,20 +20,9 @@ foldHash(std::uint64_t hash)
 
 GmtWriter::GmtWriter(const std::string &path,
                      std::size_t chunkEvents)
-    : mPath(path),
-      mOut(path, std::ios::binary | std::ios::trunc),
-      mChunkEvents(chunkEvents)
+    : mOut(path, kSchema), mChunkEvents(chunkEvents)
 {
     GMLAKE_ASSERT(chunkEvents > 0, "zero-event chunks");
-    if (!mOut)
-        GMLAKE_FATAL("cannot open trace file for writing: ", path);
-    mOut.write(kFileMagic, sizeof kFileMagic);
-    const std::uint32_t version = kVersion;
-    const std::uint32_t reserved = 0;
-    mOut.write(reinterpret_cast<const char *>(&version),
-               sizeof version);
-    mOut.write(reinterpret_cast<const char *>(&reserved),
-               sizeof reserved);
     mKind.reserve(chunkEvents);
     mTensor.reserve(chunkEvents);
     mBytes.reserve(chunkEvents);
@@ -128,7 +34,7 @@ GmtWriter::~GmtWriter()
 {
     // Best effort on the unwound path; explicit finish() reports
     // write failures, the destructor must not throw.
-    if (!mFinished && mOut.is_open()) {
+    if (!mFinished) {
         try {
             finish();
         } catch (...) {
@@ -145,8 +51,7 @@ GmtWriter::beginSection(const std::string &name)
         endSection();
     mCurrent = GmtSection{};
     mCurrent.name = name;
-    mCurrent.offset =
-        static_cast<std::uint64_t>(mOut.tellp());
+    mCurrent.offset = mOut.offset();
     mInSection = true;
 }
 
@@ -186,32 +91,10 @@ GmtWriter::flushChunk()
 {
     if (mKind.empty())
         return;
-    const std::uint32_t count =
-        static_cast<std::uint32_t>(mKind.size());
-    // Hash the columns in file order, chained span by span — the
-    // reader hashes the mapped column extents the same way.
-    std::uint64_t hash =
-        hashSpan(mKind.data(), count, 0xcbf29ce484222325ULL);
-    const auto mix = [&hash](const void *p, std::size_t n) {
-        hash = hashSpan(static_cast<const std::uint8_t *>(p), n,
-                        hash);
-    };
-    mix(mTensor.data(), count * sizeof mTensor[0]);
-    mix(mBytes.data(), count * sizeof mBytes[0]);
-    mix(mComputeNs.data(), count * sizeof mComputeNs[0]);
-    mix(mStream.data(), count * sizeof mStream[0]);
-    const std::uint32_t payloadHash = foldHash(hash);
-    auto write = [this](const void *p, std::size_t n) {
-        mOut.write(static_cast<const char *>(p),
-                   static_cast<std::streamsize>(n));
-    };
-    write(&count, sizeof count);
-    write(&payloadHash, sizeof payloadHash);
-    write(mKind.data(), count * sizeof mKind[0]);
-    write(mTensor.data(), count * sizeof mTensor[0]);
-    write(mBytes.data(), count * sizeof mBytes[0]);
-    write(mComputeNs.data(), count * sizeof mComputeNs[0]);
-    write(mStream.data(), count * sizeof mStream[0]);
+    const void *const columns[] = {mKind.data(), mTensor.data(),
+                                   mBytes.data(), mComputeNs.data(),
+                                   mStream.data()};
+    mOut.chunk(static_cast<std::uint32_t>(mKind.size()), columns);
     mKind.clear();
     mTensor.clear();
     mBytes.clear();
@@ -224,8 +107,7 @@ void
 GmtWriter::endSection()
 {
     flushChunk();
-    mCurrent.byteLength =
-        static_cast<std::uint64_t>(mOut.tellp()) - mCurrent.offset;
+    mCurrent.byteLength = mOut.offset() - mCurrent.offset;
     mSections.push_back(std::move(mCurrent));
     mInSection = false;
 }
@@ -239,167 +121,54 @@ GmtWriter::finish()
         endSection();
     mFinished = true;
 
-    // The footer is built in memory so its hash can ride in the
-    // trailer; sections are few, so this stays tiny.
-    std::string footer;
     for (const GmtSection &s : mSections) {
-        appendRaw(footer, s.offset);
-        appendRaw(footer, s.byteLength);
-        appendRaw(footer, s.events);
-        appendRaw(footer, s.chunks);
-        appendRaw(footer, s.stats.allocCount);
-        appendRaw(footer,
-                  static_cast<std::uint64_t>(
-                      s.stats.totalAllocBytes));
-        appendRaw(footer,
-                  static_cast<std::uint64_t>(s.stats.maxAllocBytes));
-        appendRaw(footer,
-                  static_cast<std::uint64_t>(s.stats.iterations));
-        appendRaw(footer,
-                  static_cast<std::uint32_t>(s.name.size()));
-        footer.append(s.name);
+        mOut.put(s.offset);
+        mOut.put(s.byteLength);
+        mOut.put(s.events);
+        mOut.put(s.chunks);
+        mOut.put(s.stats.allocCount);
+        mOut.put(static_cast<std::uint64_t>(s.stats.totalAllocBytes));
+        mOut.put(static_cast<std::uint64_t>(s.stats.maxAllocBytes));
+        mOut.put(static_cast<std::uint64_t>(s.stats.iterations));
+        mOut.putString(s.name);
     }
-    const std::uint64_t footerOffset =
-        static_cast<std::uint64_t>(mOut.tellp());
-    mOut.write(footer.data(),
-               static_cast<std::streamsize>(footer.size()));
-    const std::uint64_t sectionCount = mSections.size();
-    const std::uint64_t hash = fnv1a(
-        reinterpret_cast<const std::uint8_t *>(footer.data()),
-        footer.size());
-    mOut.write(reinterpret_cast<const char *>(&footerOffset),
-               sizeof footerOffset);
-    mOut.write(reinterpret_cast<const char *>(&sectionCount),
-               sizeof sectionCount);
-    mOut.write(reinterpret_cast<const char *>(&hash), sizeof hash);
-    mOut.write(kFootMagic, sizeof kFootMagic);
-    mOut.flush();
-    if (!mOut)
-        GMLAKE_FATAL("write failed on trace file: ", mPath);
-    mOut.close();
+    mOut.finish(mSections.size());
 }
 
 // ----------------------------------------------------------- reader
 
-GmtFile::~GmtFile()
+GmtFile::GmtFile(const std::string &path) : mFile(path, kSchema)
 {
-#ifdef GMLAKE_HAVE_MMAP
-    if (mMapped && mData != nullptr)
-        ::munmap(const_cast<std::uint8_t *>(mData), mSize);
-#endif
+    ContainerFile::Footer footer = mFile.footer();
+    for (std::uint64_t i = 0; i < mFile.count(); ++i) {
+        GmtSection s;
+        s.offset = footer.get<std::uint64_t>();
+        s.byteLength = footer.get<std::uint64_t>();
+        s.events = footer.get<std::uint64_t>();
+        s.chunks = footer.get<std::uint64_t>();
+        s.stats.allocCount = footer.get<std::uint64_t>();
+        s.stats.totalAllocBytes =
+            static_cast<Bytes>(footer.get<std::uint64_t>());
+        s.stats.maxAllocBytes =
+            static_cast<Bytes>(footer.get<std::uint64_t>());
+        s.stats.iterations =
+            static_cast<int>(footer.get<std::uint64_t>());
+        s.name = footer.getString();
+        const std::uint64_t end = mFile.footerOffset();
+        if (s.offset < kContainerHeaderBytes || s.offset > end ||
+            s.byteLength > end - s.offset)
+            GMLAKE_FATAL("corrupt .gmt section extent '", s.name,
+                         "': ", path);
+        mSections.push_back(std::move(s));
+    }
+    footer.finish();
 }
 
 std::shared_ptr<const GmtFile>
 GmtFile::open(const std::string &path)
 {
     // make_shared needs a public constructor; this does not.
-    std::shared_ptr<GmtFile> file(new GmtFile());
-    file->mPath = path;
-
-#ifdef GMLAKE_HAVE_MMAP
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0)
-        GMLAKE_FATAL("cannot open trace file: ", path);
-    struct stat st = {};
-    if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-        ::close(fd);
-        GMLAKE_FATAL("cannot stat trace file: ", path);
-    }
-    file->mSize = static_cast<std::uint64_t>(st.st_size);
-    if (file->mSize > 0) {
-        void *map = ::mmap(nullptr, file->mSize, PROT_READ,
-                           MAP_PRIVATE, fd, 0);
-        ::close(fd);
-        if (map == MAP_FAILED)
-            GMLAKE_FATAL("cannot map trace file: ", path);
-        file->mData = static_cast<const std::uint8_t *>(map);
-        file->mMapped = true;
-    } else {
-        ::close(fd);
-    }
-#else
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    if (!in)
-        GMLAKE_FATAL("cannot open trace file: ", path);
-    file->mSize = static_cast<std::uint64_t>(in.tellg());
-    in.seekg(0);
-    file->mBuffer.resize(file->mSize);
-    in.read(reinterpret_cast<char *>(file->mBuffer.data()),
-            static_cast<std::streamsize>(file->mSize));
-    if (!in)
-        GMLAKE_FATAL("cannot read trace file: ", path);
-    file->mData = file->mBuffer.data();
-#endif
-
-    file->validate();
-    return file;
-}
-
-void
-GmtFile::validate()
-{
-    if (mSize < kHeaderBytes + kTrailerBytes)
-        GMLAKE_FATAL("truncated binary trace (", mSize,
-                     " bytes): ", mPath);
-    if (std::memcmp(mData, kFileMagic, sizeof kFileMagic) != 0)
-        GMLAKE_FATAL("not a .gmt binary trace: ", mPath);
-    mVersion = loadAt<std::uint32_t>(mData, 8);
-    if (mVersion != kVersion)
-        GMLAKE_FATAL("unsupported .gmt version ", mVersion, ": ",
-                     mPath);
-
-    const std::uint64_t trailer = mSize - kTrailerBytes;
-    if (std::memcmp(mData + trailer + 24, kFootMagic,
-                    sizeof kFootMagic) != 0)
-        GMLAKE_FATAL("missing .gmt trailer (truncated?): ", mPath);
-    const auto footerOffset = loadAt<std::uint64_t>(mData, trailer);
-    const auto sectionCount =
-        loadAt<std::uint64_t>(mData, trailer + 8);
-    const auto footerHash =
-        loadAt<std::uint64_t>(mData, trailer + 16);
-    if (footerOffset < kHeaderBytes || footerOffset > trailer)
-        GMLAKE_FATAL("corrupt .gmt trailer (footer offset ",
-                     footerOffset, "): ", mPath);
-    if (fnv1a(mData + footerOffset, trailer - footerOffset) !=
-        footerHash)
-        GMLAKE_FATAL("corrupt .gmt footer (hash mismatch): ", mPath);
-
-    std::uint64_t cursor = footerOffset;
-    auto take = [&](std::uint64_t n) {
-        if (trailer - cursor < n)
-            GMLAKE_FATAL("corrupt .gmt footer (short index): ",
-                         mPath);
-        const std::uint64_t at = cursor;
-        cursor += n;
-        return at;
-    };
-    for (std::uint64_t i = 0; i < sectionCount; ++i) {
-        GmtSection s;
-        s.offset = loadAt<std::uint64_t>(mData, take(8));
-        s.byteLength = loadAt<std::uint64_t>(mData, take(8));
-        s.events = loadAt<std::uint64_t>(mData, take(8));
-        s.chunks = loadAt<std::uint64_t>(mData, take(8));
-        s.stats.allocCount = loadAt<std::uint64_t>(mData, take(8));
-        s.stats.totalAllocBytes = static_cast<Bytes>(
-            loadAt<std::uint64_t>(mData, take(8)));
-        s.stats.maxAllocBytes = static_cast<Bytes>(
-            loadAt<std::uint64_t>(mData, take(8)));
-        s.stats.iterations = static_cast<int>(
-            loadAt<std::uint64_t>(mData, take(8)));
-        const auto nameLen = loadAt<std::uint32_t>(mData, take(4));
-        const std::uint64_t nameAt = take(nameLen);
-        s.name.assign(
-            reinterpret_cast<const char *>(mData + nameAt),
-            nameLen);
-        if (s.offset < kHeaderBytes || s.offset > footerOffset ||
-            s.byteLength > footerOffset - s.offset)
-            GMLAKE_FATAL("corrupt .gmt section extent '", s.name,
-                         "': ", mPath);
-        mSections.push_back(std::move(s));
-    }
-    if (cursor != trailer)
-        GMLAKE_FATAL("corrupt .gmt footer (trailing bytes): ",
-                     mPath);
+    return std::shared_ptr<const GmtFile>(new GmtFile(path));
 }
 
 // ----------------------------------------------------------- cursor
@@ -438,47 +207,6 @@ BinaryTraceSource::reset()
     mHave = false;
 }
 
-void
-BinaryTraceSource::loadChunk(std::uint64_t offset)
-{
-    const GmtSection &s = section();
-    const std::uint64_t end = s.offset + s.byteLength;
-    if (end - offset < kChunkHeaderBytes)
-        GMLAKE_FATAL("corrupt .gmt chunk header at ", offset, ": ",
-                     mFile->path());
-    const auto count =
-        loadAt<std::uint32_t>(mFile->data(), offset);
-    if (count == 0 || count > mRemaining ||
-        (end - offset - kChunkHeaderBytes) / kEventBytes < count)
-        GMLAKE_FATAL("corrupt .gmt chunk (", count, " events) at ",
-                     offset, ": ", mFile->path());
-    mCount = count;
-    mIndex = 0;
-    mKindCol = offset + kChunkHeaderBytes;
-    mTensorCol = mKindCol + count;
-    mBytesCol = mTensorCol + std::uint64_t{8} * count;
-    mComputeCol = mBytesCol + std::uint64_t{8} * count;
-    mStreamCol = mComputeCol + std::uint64_t{8} * count;
-    mNextChunk = mStreamCol + std::uint64_t{4} * count;
-
-    // The footer hash does not cover event payload; the per-chunk
-    // hash in the header's second word does. Hash column extents in
-    // file order, chained, mirroring GmtWriter::flushChunk.
-    const auto expected =
-        loadAt<std::uint32_t>(mFile->data(), offset + 4);
-    const std::uint8_t *data = mFile->data();
-    std::uint64_t hash = hashSpan(data + mKindCol, count,
-                                  0xcbf29ce484222325ULL);
-    hash = hashSpan(data + mTensorCol, std::size_t{8} * count, hash);
-    hash = hashSpan(data + mBytesCol, std::size_t{8} * count, hash);
-    hash = hashSpan(data + mComputeCol, std::size_t{8} * count, hash);
-    hash = hashSpan(data + mStreamCol, std::size_t{4} * count, hash);
-    const std::uint32_t actual = foldHash(hash);
-    if (actual != expected)
-        GMLAKE_FATAL("corrupt .gmt chunk (payload hash mismatch) at ",
-                     offset, ": ", mFile->path());
-}
-
 const Event *
 BinaryTraceSource::peek()
 {
@@ -486,22 +214,22 @@ BinaryTraceSource::peek()
         return &mCurrent;
     if (mRemaining == 0)
         return nullptr;
-    if (mIndex >= mCount)
-        loadChunk(mNextChunk);
-    const std::uint8_t *data = mFile->data();
-    const std::uint8_t kind = data[mKindCol + mIndex];
+    if (mIndex >= mCount) {
+        const GmtSection &s = section();
+        mCount = mFile->container().chunk(
+            mNextChunk, s.offset + s.byteLength, mRemaining, mCols);
+        mIndex = 0;
+    }
+    const std::uint8_t kind = mCols[0][mIndex];
     if (kind > static_cast<std::uint8_t>(EventKind::prefetch))
         GMLAKE_FATAL("corrupt .gmt event kind ", kind, ": ",
                      mFile->path());
     mCurrent.kind = static_cast<EventKind>(kind);
-    mCurrent.tensor = loadAt<std::uint64_t>(
-        data, mTensorCol + std::uint64_t{8} * mIndex);
-    mCurrent.bytes = static_cast<Bytes>(loadAt<std::uint64_t>(
-        data, mBytesCol + std::uint64_t{8} * mIndex));
-    mCurrent.computeNs = loadAt<std::int64_t>(
-        data, mComputeCol + std::uint64_t{8} * mIndex);
-    mCurrent.stream = loadAt<std::uint32_t>(
-        data, mStreamCol + std::uint64_t{4} * mIndex);
+    mCurrent.tensor = loadRaw<std::uint64_t>(mCols[1] + 8 * mIndex);
+    mCurrent.bytes =
+        static_cast<Bytes>(loadRaw<std::uint64_t>(mCols[2] + 8 * mIndex));
+    mCurrent.computeNs = loadRaw<std::int64_t>(mCols[3] + 8 * mIndex);
+    mCurrent.stream = loadRaw<std::uint32_t>(mCols[4] + 4 * mIndex);
     mHave = true;
     return &mCurrent;
 }
@@ -526,11 +254,7 @@ BinaryTraceSource::sizeHint() const
 bool
 looksLikeGmtFile(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    char magic[8] = {};
-    in.read(magic, sizeof magic);
-    return in.gcount() == sizeof magic &&
-           std::memcmp(magic, kFileMagic, sizeof magic) == 0;
+    return looksLikeContainer(path, kSchema);
 }
 
 void

@@ -7,51 +7,33 @@
  * field, so replay cost is a few unaligned loads per event and the
  * resident footprint is the page cache's problem.
  *
- * On-disk layout (little-endian, no alignment padding):
+ * A `.gmt` is a schema over the binary container
+ * (support/container.hh), which owns the header, chunk hashes,
+ * footer hash, trailer and every bounds check:
  *
- *   ┌───────────────────────────────────────────────┐
- *   │ FileHeader   "GMTRACE1" · u32 version · u32 0 │
- *   ├───────────────────────────────────────────────┤
- *   │ Section 0:  Chunk · Chunk · …                 │  event data
- *   │ Section 1:  Chunk · …                         │  (per-session
- *   │ …                                             │   sections)
- *   ├───────────────────────────────────────────────┤
- *   │ Footer: per-section index records             │
- *   │   offset/bytes/events/chunks · TraceStats ·   │
- *   │   nameLen · name                              │
- *   ├───────────────────────────────────────────────┤
- *   │ Trailer  u64 footerOffset · u64 sectionCount  │
- *   │          u64 footerHash(FNV-1a) · "GMTFOOT1"  │
- *   └───────────────────────────────────────────────┘
+ *   magics    "GMTRACE1" / "GMTFOOT1", version 2
+ *   columns   u8 kind · u64 tensor · u64 bytes · i64 computeNs ·
+ *             u32 stream (kGmtChunkEvents rows per chunk by default)
+ *   footer    per section: u64 offset/bytes/events/chunks ·
+ *             TraceStats as 4 × u64 · u32 nameLen · name
+ *   count     the number of sections
  *
- * Each chunk holds up to kGmtChunkEvents events as per-column arrays
- * (structure-of-arrays, the columnar part):
- *
- *   u32 count · u32 payloadHash · u8 kind[count] · u64 tensor[count]
- *   · u64 bytes[count] · i64 computeNs[count] · u32 stream[count]
- *
- * The footer lives at the end so the writer streams: events are
- * appended chunk by chunk with O(chunk) memory, and the index is
- * emitted only at finish(). Readers locate it through the
- * fixed-size trailer, verify the footer hash, and bounds-check every
- * chunk against the section extent — truncated or corrupt files are
- * rejected at open (or first touch) instead of replaying garbage.
- * The footer hash does not cover event data, so each chunk header
- * carries a folded FNV-1a of its own columns (format v2), verified
- * when the chunk is first decoded: a flipped bit anywhere in a
- * payload fails loudly instead of replaying a silently different
- * workload.
+ * A section is one session's run of chunks. The writer streams
+ * events chunk by chunk with O(chunk) memory and emits the section
+ * index at finish(); readers bounds-check every section against the
+ * chunk region at open and every chunk against its section when
+ * they first decode it.
  */
 
 #ifndef GMLAKE_WORKLOAD_BINARY_TRACE_HH
 #define GMLAKE_WORKLOAD_BINARY_TRACE_HH
 
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "support/container.hh"
 #include "workload/event_source.hh"
 #include "workload/trace.hh"
 
@@ -88,31 +70,21 @@ class GmtFile
     static std::shared_ptr<const GmtFile> open(
         const std::string &path);
 
-    ~GmtFile();
-    GmtFile(const GmtFile &) = delete;
-    GmtFile &operator=(const GmtFile &) = delete;
-
-    const std::string &path() const { return mPath; }
-    std::uint32_t version() const { return mVersion; }
-    std::uint64_t fileBytes() const { return mSize; }
+    const std::string &path() const { return mFile.path(); }
+    std::uint32_t version() const { return mFile.version(); }
+    std::uint64_t fileBytes() const { return mFile.size(); }
     const std::vector<GmtSection> &sections() const
     {
         return mSections;
     }
 
-    /** Raw mapped bytes (valid for [0, fileBytes())). */
-    const std::uint8_t *data() const { return mData; }
+    /** The mapped container, for chunk reads. */
+    const ContainerFile &container() const { return mFile; }
 
   private:
-    GmtFile() = default;
-    void validate();
+    explicit GmtFile(const std::string &path);
 
-    std::string mPath;
-    const std::uint8_t *mData = nullptr;
-    std::uint64_t mSize = 0;
-    bool mMapped = false;            //!< mmap vs fallback buffer
-    std::vector<std::uint8_t> mBuffer;
-    std::uint32_t mVersion = 0;
+    ContainerFile mFile;
     std::vector<GmtSection> mSections;
 };
 
@@ -146,8 +118,7 @@ class GmtWriter
     void flushChunk();
     void endSection();
 
-    std::string mPath;
-    std::ofstream mOut;
+    ContainerWriter mOut;
     std::size_t mChunkEvents;
     bool mFinished = false;
     bool mInSection = false;
@@ -187,18 +158,15 @@ class BinaryTraceSource final : public EventSource
     const GmtSection &section() const;
 
   private:
-    void loadChunk(std::uint64_t offset);
-
     std::shared_ptr<const GmtFile> mFile;
     std::size_t mSection = 0;
 
     std::uint64_t mNextChunk = 0;   //!< file offset of next chunk
     std::uint64_t mRemaining = 0;   //!< events left in the section
     std::uint32_t mCount = 0;       //!< events in the loaded chunk
-    std::uint32_t mIndex = 0;       //!< cursor within the chunk
-    // Column base offsets of the loaded chunk.
-    std::uint64_t mKindCol = 0, mTensorCol = 0, mBytesCol = 0,
-                  mComputeCol = 0, mStreamCol = 0;
+    std::size_t mIndex = 0;         //!< cursor within the chunk
+    /** Column bases of the loaded chunk, in schema order. */
+    const std::uint8_t *mCols[5] = {};
     Event mCurrent;
     bool mHave = false;
 };

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -130,6 +131,23 @@ TEST(BinaryTrace, PackRoundTripPreservesEvents)
     EXPECT_EQ(source.section().stats.iterations,
               trace.stats().iterations);
     expectSourceEqualsTrace(source, trace);
+}
+
+TEST(BinaryTrace, PackedBytesArePinned)
+{
+    // FNV-1a 64 of the bytes packTrace(richTrace()) writes, recorded
+    // before `.gmt` became a schema over support/container: no
+    // container change may move a `.gmt` byte.
+    ScopedFile file(scratchPath("pinned.gmt"));
+    packTrace(richTrace(), file.path);
+    const std::vector<char> bytes = readAll(file.path);
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const char c : bytes) {
+        hash ^= static_cast<std::uint8_t>(c);
+        hash *= 0x100000001b3ULL;
+    }
+    EXPECT_EQ(bytes.size(), 506u);
+    EXPECT_EQ(hash, 0xa80aa5de3d7262eaULL);
 }
 
 TEST(BinaryTrace, EveryTextVersionRoundTrips)

@@ -237,6 +237,39 @@ TEST(GMLake, NearMatchHandsOutWholeBlock)
     lake.checkConsistency();
 }
 
+TEST(GMLake, HugeScaleKnobsSaturate)
+{
+    // Both double knobs are bounded only to finite and >= 0. At 1e300
+    // the VA cap and the near-match slack overflow Bytes and must
+    // saturate (an unbounded cap; slack clamped to nearMatchSlackCap)
+    // instead of casting out of range.
+    GMLakeConfig cfg;
+    cfg.fragLimit = 2_MiB;
+    cfg.nearMatchTolerance = 1e300;
+    cfg.maxVaOverscribe = 1e300;
+    vmm::Device dev(smallDevice());
+    GMLakeAllocator lake(dev, cfg);
+    const auto a = lake.allocate(8_MiB);
+    const auto b = lake.allocate(8_MiB);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    ASSERT_TRUE(lake.deallocate(a->id).ok());
+    ASSERT_TRUE(lake.deallocate(b->id).ok());
+
+    // No single block within 64 MiB of slack: stitch both.
+    const auto big = lake.allocate(16_MiB);
+    ASSERT_TRUE(big.ok());
+    EXPECT_EQ(lake.strategy().s3MultiBlocks, 1u);
+    ASSERT_TRUE(lake.deallocate(big->id).ok());
+
+    // 10 MiB is within the saturated slack of the 16 MiB sBlock.
+    const auto near = lake.allocate(10_MiB);
+    ASSERT_TRUE(near.ok());
+    EXPECT_EQ(lake.strategy().s1ExactMatch, 1u);
+    EXPECT_EQ(lake.stats().activeBytes(), 16_MiB);
+    lake.checkConsistency();
+}
+
 TEST(GMLake, SmallRequestsUseSplittingPath)
 {
     vmm::Device dev(smallDevice());

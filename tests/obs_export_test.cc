@@ -289,6 +289,30 @@ TEST(ObsExport, ColumnarRoundTripsExactly)
     std::filesystem::remove(path);
 }
 
+TEST(ObsExport, ColumnarRoundTripsAcrossChunks)
+{
+    // Two and a half chunks: the reader must walk every chunk in
+    // order and stop exactly at the footer.
+    RecorderSnapshot snap;
+    for (std::size_t i = 0; i < kObsChunkEvents * 5 / 2; ++i) {
+        Event e;
+        e.simTime = i;
+        e.a0 = 7 * i;
+        e.seq = static_cast<std::uint32_t>(i);
+        snap.events.push_back(e);
+    }
+    const std::string path = tempPath("obs_chunks.gmo");
+    writeColumnarTrace(snap, path);
+    const RecorderSnapshot back = readColumnarTrace(path);
+    ASSERT_EQ(back.events.size(), snap.events.size());
+    for (std::size_t i = 0; i < snap.events.size(); ++i) {
+        ASSERT_EQ(back.events[i].simTime, i);
+        ASSERT_EQ(back.events[i].a0, 7 * i);
+        ASSERT_EQ(back.events[i].seq, i);
+    }
+    std::filesystem::remove(path);
+}
+
 TEST(ObsExport, ColumnarRejectsCorruption)
 {
     const RecorderSnapshot snap = sampleSnapshot();

@@ -1,24 +1,32 @@
 /**
  * @file
- * Fuzz-lite robustness corpus over the two trace formats: a seeded,
+ * Fuzz-lite robustness corpus over the trace formats: a seeded,
  * deterministic sweep of truncations and bit flips applied to a
- * generated text trace and its packed `.gmt` twin. The property is
- * the loader contract, not any particular diagnostic — every mutated
- * input either loads (the text format tolerates benign whitespace /
- * comment damage) or is rejected with FatalError/PanicError. Nothing
- * may crash, hang, or replay silently different data: a `.gmt` whose
- * event payload was tampered with must be rejected via the per-chunk
- * payload hash introduced in format v2.
+ * generated text trace, its packed `.gmt` twin and a `.gmo` recorder
+ * dump. The property is the loader contract, not any particular
+ * diagnostic — every mutated input either loads (the text format
+ * tolerates benign whitespace / comment damage) or is rejected with
+ * FatalError/PanicError. Nothing may crash, hang, or replay silently
+ * different data: a `.gmt` whose event payload was tampered with must
+ * be rejected via the per-chunk payload hash, and a mutated `.gmo`
+ * must throw FatalError or load the identical snapshot. Both are
+ * schemas over one container (support/container.hh), so this corpus
+ * covers its one validator twice. Forged `.gmo` footers, each with
+ * the footer hash recomputed after one edit, pin that every length is
+ * checked against the bytes left before anything is allocated.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "obs/export_columnar.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
 #include "support/units.hh"
@@ -118,6 +126,113 @@ expectGmtContract(const std::string &path, const char *what)
     } catch (...) {
         FAIL() << what << ": escaped a non-gmlake exception";
     }
+}
+
+/** Small `.gmo` corpus: every kind and category, blobs, two runs. */
+const obs::RecorderSnapshot &
+corpusSnapshot()
+{
+    static const obs::RecorderSnapshot snap = [] {
+        obs::RecorderSnapshot s;
+        Rng rng(77);
+        for (int i = 0; i < 48; ++i)
+            s.blob.push_back(rng.uniformInt(0, 1u << 30));
+        s.runs = {"train [gmlake]", "serve [caching]"};
+        for (std::uint32_t t = 0; t < 6; ++t)
+            s.tracks.push_back({"track-" + std::to_string(t), t % 2});
+        for (std::uint32_t i = 0; i < 240; ++i) {
+            obs::Event e;
+            e.simTime = 1000 * i + rng.uniformInt(0, 999);
+            e.dur = rng.uniformInt(0, 5000);
+            e.a0 = rng.uniformInt(0, 1u << 31);
+            e.a1 = i;
+            e.a2 = ~std::uint64_t{i};
+            e.seq = i;
+            e.track = i % 6;
+            if (i % 5 == 0) {
+                e.blobLen = static_cast<std::uint32_t>(
+                    rng.uniformInt(1, 8));
+                e.blobOff = static_cast<std::uint32_t>(
+                    rng.uniformInt(0, 48 - e.blobLen));
+            }
+            e.name = static_cast<obs::EvName>(i % 10);
+            e.kind = static_cast<obs::EventKind>(i % 3);
+            e.cat = static_cast<obs::EventCat>(i % 5);
+            s.events.push_back(e);
+        }
+        s.dropped = 3;
+        return s;
+    }();
+    return snap;
+}
+
+bool
+sameEvent(const obs::Event &a, const obs::Event &b)
+{
+    return a.simTime == b.simTime && a.dur == b.dur && a.a0 == b.a0 &&
+           a.a1 == b.a1 && a.a2 == b.a2 && a.seq == b.seq &&
+           a.track == b.track && a.blobOff == b.blobOff &&
+           a.blobLen == b.blobLen && a.name == b.name &&
+           a.kind == b.kind && a.cat == b.cat;
+}
+
+bool
+sameSnapshot(const obs::RecorderSnapshot &a,
+             const obs::RecorderSnapshot &b)
+{
+    if (a.events.size() != b.events.size() || a.blob != b.blob ||
+        a.runs != b.runs || a.dropped != b.dropped ||
+        a.tracks.size() != b.tracks.size())
+        return false;
+    for (std::size_t i = 0; i < a.tracks.size(); ++i) {
+        if (a.tracks[i].name != b.tracks[i].name ||
+            a.tracks[i].run != b.tracks[i].run)
+            return false;
+    }
+    for (std::size_t i = 0; i < a.events.size(); ++i) {
+        if (!sameEvent(a.events[i], b.events[i]))
+            return false;
+    }
+    return true;
+}
+
+/**
+ * The `.gmo` contract is stricter than the others: a mutated dump
+ * throws FatalError or loads the very snapshot that was written.
+ */
+void
+expectGmoContract(const std::string &path, const char *what)
+{
+    try {
+        const obs::RecorderSnapshot got = obs::readColumnarTrace(path);
+        EXPECT_TRUE(sameSnapshot(got, corpusSnapshot()))
+            << what << ": loaded a different snapshot";
+    } catch (const FatalError &) {
+    } catch (...) {
+        FAIL() << what << ": escaped a non-FatalError exception";
+    }
+}
+
+/**
+ * Overwrite @p size bytes at @p at with @p value, then recompute the
+ * footer hash (FNV-1a 64 over [footerOffset, trailer)) so the edit
+ * itself is the only defect left for the reader to find.
+ */
+std::vector<char>
+forgeGmo(std::vector<char> bytes, std::size_t at, std::uint64_t value,
+         std::size_t size)
+{
+    std::memcpy(bytes.data() + at, &value, size);
+    const std::size_t trailer = bytes.size() - 32;
+    std::uint64_t footerOffset = 0;
+    std::memcpy(&footerOffset, bytes.data() + trailer, 8);
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (std::size_t i = footerOffset; i < trailer; ++i) {
+        hash ^= static_cast<std::uint8_t>(bytes[i]);
+        hash *= 0x100000001b3ULL;
+    }
+    std::memcpy(bytes.data() + trailer + 16, &hash, 8);
+    return bytes;
 }
 
 } // namespace
@@ -247,4 +362,95 @@ TEST(TraceFuzz, UnmutatedCorpusStillLoadsEquivalently)
         ++i;
     }
     EXPECT_EQ(i, original.size());
+
+    ScopedFile dump(scratchPath("pristine.gmo"));
+    obs::writeColumnarTrace(corpusSnapshot(), dump.path);
+    EXPECT_TRUE(sameSnapshot(obs::readColumnarTrace(dump.path),
+                             corpusSnapshot()));
+}
+
+TEST(TraceFuzz, GmoTruncationNeverCrashes)
+{
+    ScopedFile whole(scratchPath("trunc_src.gmo"));
+    obs::writeColumnarTrace(corpusSnapshot(), whole.path);
+    const std::vector<char> bytes = readAll(whole.path);
+    ASSERT_GT(bytes.size(), 4096u);
+
+    ScopedFile cut(scratchPath("trunc_cut.gmo"));
+    const std::size_t stride = bytes.size() / 450 + 1;
+    for (std::size_t len = 0; len < bytes.size(); len += stride) {
+        writeAll(cut.path,
+                 std::vector<char>(bytes.begin(),
+                                   bytes.begin() +
+                                       static_cast<std::ptrdiff_t>(
+                                           len)));
+        expectGmoContract(cut.path, "gmo truncation");
+    }
+    for (std::size_t back = 1; back <= 50; ++back) {
+        writeAll(cut.path,
+                 std::vector<char>(bytes.begin(),
+                                   bytes.end() -
+                                       static_cast<std::ptrdiff_t>(
+                                           back)));
+        expectGmoContract(cut.path, "gmo tail truncation");
+    }
+}
+
+TEST(TraceFuzz, GmoBitFlipsNeverCrash)
+{
+    ScopedFile whole(scratchPath("flip_src.gmo"));
+    obs::writeColumnarTrace(corpusSnapshot(), whole.path);
+    const std::vector<char> bytes = readAll(whole.path);
+
+    ScopedFile flipped(scratchPath("flip_mut.gmo"));
+    Rng rng(4343);
+    for (int round = 0; round < 2000; ++round) {
+        std::vector<char> mutated = bytes;
+        const std::size_t flips = rng.uniformInt(1, 3);
+        for (std::size_t f = 0; f < flips; ++f) {
+            const std::size_t at =
+                rng.uniformInt(0, mutated.size() - 1);
+            mutated[at] = static_cast<char>(
+                mutated[at] ^
+                static_cast<char>(1u << rng.uniformInt(0, 7)));
+        }
+        writeAll(flipped.path, mutated);
+        expectGmoContract(flipped.path, "gmo bit flip");
+    }
+}
+
+TEST(TraceFuzz, GmoForgedFootersThrowFatalError)
+{
+    ScopedFile whole(scratchPath("forge_src.gmo"));
+    obs::writeColumnarTrace(corpusSnapshot(), whole.path);
+    const std::vector<char> bytes = readAll(whole.path);
+    std::uint64_t footer = 0;
+    std::memcpy(&footer, bytes.data() + bytes.size() - 32, 8);
+    const std::size_t blobWords = corpusSnapshot().blob.size();
+
+    // Footer: u64 events · u64 blob words · blob · u32 tracks · …;
+    // the trailer's second word is the chunk count.
+    struct Forgery
+    {
+        const char *what;
+        std::size_t at;
+        std::uint64_t value;
+        std::size_t size;
+    };
+    const Forgery forgeries[] = {
+        {"event count 2^60", footer, std::uint64_t{1} << 60, 8},
+        {"blob length 2^61+1", footer + 8,
+         (std::uint64_t{1} << 61) + 1, 8},
+        {"track count 0xFFFFFFFF", footer + 16 + 8 * blobWords,
+         0xFFFFFFFFu, 4},
+        {"chunk count 2^40", bytes.size() - 24, std::uint64_t{1} << 40,
+         8},
+    };
+    ScopedFile forged(scratchPath("forge_mut.gmo"));
+    for (const Forgery &f : forgeries) {
+        writeAll(forged.path, forgeGmo(bytes, f.at, f.value, f.size));
+        EXPECT_THROW((void)obs::readColumnarTrace(forged.path),
+                     FatalError)
+            << f.what;
+    }
 }
