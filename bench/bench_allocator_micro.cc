@@ -5,6 +5,10 @@
  * pool-search scaling, and BestFit over growing pools. These measure
  * real wall-clock time of the bookkeeping code (the simulated device
  * latencies are separate: `gmlake_sim run table1` and `run fig6`).
+ *
+ * benchmark::DoNotOptimize gets non-const lvalues or temporaries:
+ * google-benchmark 1.8 deprecates its const-reference overload, and
+ * this target builds with -Werror.
  */
 
 #include <benchmark/benchmark.h>
@@ -44,7 +48,7 @@ BM_CachingAllocateFree(benchmark::State &state)
     const auto warm = allocator.allocate(size);
     (void)allocator.deallocate(warm->id);
     for (auto _ : state) {
-        const auto a = allocator.allocate(size);
+        auto a = allocator.allocate(size);
         benchmark::DoNotOptimize(a.value().addr);
         (void)allocator.deallocate(a->id);
     }
@@ -60,7 +64,7 @@ BM_GmlakeAllocateFree(benchmark::State &state)
     const auto warm = allocator.allocate(size);
     (void)allocator.deallocate(warm->id);
     for (auto _ : state) {
-        const auto a = allocator.allocate(size);
+        auto a = allocator.allocate(size);
         benchmark::DoNotOptimize(a.value().addr);
         (void)allocator.deallocate(a->id);
     }
@@ -89,7 +93,7 @@ BM_GmlakeExactHitDeepPool(benchmark::State &state)
 
     StreamId s = 0;
     for (auto _ : state) {
-        const auto a = allocator.allocate(8_MiB, 1 + s);
+        auto a = allocator.allocate(8_MiB, 1 + s);
         benchmark::DoNotOptimize(a.value().addr);
         (void)allocator.deallocate(a->id);
         s = (s + 1) % kStreams;
@@ -108,7 +112,7 @@ BM_GmlakeStitchPath(benchmark::State &state)
     vmm::Device dev(bigDevice());
     core::GMLakeConfig gc;
     gc.restitchOnSplit = false;
-    gc.maxCachedSBlocks = 1; // evict immediately: always re-stitch
+    gc.maxCachedSBlocks = 0; // evict before every search: always re-stitch
     core::GMLakeAllocator allocator(dev, gc);
 
     const auto a = allocator.allocate(16_MiB);
@@ -119,14 +123,59 @@ BM_GmlakeStitchPath(benchmark::State &state)
     (void)allocator.deallocate(b->id);
 
     for (auto _ : state) {
-        const auto big = allocator.allocate(32_MiB);
+        auto big = allocator.allocate(32_MiB);
         benchmark::DoNotOptimize(big.value().addr);
         (void)allocator.deallocate(big->id);
     }
-    state.counters["stitches"] = static_cast<double>(
-        allocator.strategy().stitches);
+    const std::uint64_t stitches = allocator.strategy().stitches;
+    state.counters["stitches"] = static_cast<double>(stitches);
+    if (stitches < static_cast<std::uint64_t>(state.iterations()))
+        state.SkipWithError("an iteration did not stitch");
 }
 BENCHMARK(BM_GmlakeStitchPath);
+
+void
+BM_GmlakeSBlockHit(benchmark::State &state)
+{
+    // S1 hit + free of one cached sBlock of k 2 MiB members beside
+    // 512 other inactive pBlocks: the hit takes the sBlock and its
+    // members out of the inactive pools, the free puts them back.
+    vmm::Device dev(bigDevice());
+    core::GMLakeAllocator allocator(dev);
+    const auto members = static_cast<std::size_t>(state.range(0));
+    const Bytes size = members * 2_MiB;
+
+    // The bystanders stay live while the members are stitched, so the
+    // stitch takes exactly the members; 6 MiB keeps them out of every
+    // S1 window the benchmark asks for.
+    std::vector<alloc::AllocId> bystanders;
+    for (int i = 0; i < 512; ++i)
+        bystanders.push_back(allocator.allocate(6_MiB).value().id);
+    std::vector<alloc::AllocId> parts;
+    for (std::size_t i = 0; i < members; ++i)
+        parts.push_back(allocator.allocate(2_MiB).value().id);
+    for (const alloc::AllocId id : parts)
+        (void)allocator.deallocate(id);
+    (void)allocator.deallocate(allocator.allocate(size).value().id);
+    for (const alloc::AllocId id : bystanders)
+        (void)allocator.deallocate(id);
+
+    const std::uint64_t hitsBefore = allocator.strategy().s1ExactMatch;
+    for (auto _ : state) {
+        auto a = allocator.allocate(size);
+        benchmark::DoNotOptimize(a.value().addr);
+        (void)allocator.deallocate(a->id);
+    }
+    const std::uint64_t hits =
+        allocator.strategy().s1ExactMatch - hitsBefore;
+    state.counters["members"] = static_cast<double>(members);
+    state.counters["pool"] =
+        static_cast<double>(allocator.inactivePBlockCount());
+    if (hits < static_cast<std::uint64_t>(state.iterations()) ||
+        allocator.strategy().stitches != 1)
+        state.SkipWithError("an iteration was not an sBlock S1 hit");
+}
+BENCHMARK(BM_GmlakeSBlockHit)->Arg(2)->Arg(16)->Arg(128);
 
 /** A pBlock stand-in for BM_BestFitScaling's pool. */
 struct SizedBlock
@@ -174,7 +223,7 @@ BM_BestFitScaling(benchmark::State &state)
         pool.insert(&b);
     std::vector<const SizedBlock *> candidates;
     for (auto _ : state) {
-        const auto r = core::bestFitOverPools(
+        auto r = core::bestFitOverPools(
             total + 2_MiB, pool, 0,
             [](const SizedBlock *) { return true; }, candidates);
         benchmark::DoNotOptimize(r.candidateBytes);
@@ -223,7 +272,7 @@ BM_CachingMultiStreamHit(benchmark::State &state)
     }
     StreamId s = 0;
     for (auto _ : state) {
-        const auto a = allocator.allocate(2_MiB, s);
+        auto a = allocator.allocate(2_MiB, s);
         benchmark::DoNotOptimize(a.value().addr);
         (void)allocator.deallocate(a->id);
         s = (s + 1) % streams;

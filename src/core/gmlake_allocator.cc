@@ -45,9 +45,11 @@ GMLakeAllocator::GMLakeAllocator(vmm::Device &device, GMLakeConfig config)
                   "small threshold cannot exceed the chunk size");
     mVaCapBytes = saturatingBytes(mConfig.maxVaOverscribe *
                                   static_cast<double>(device.capacity()));
-    // Steady-state hot path allocates nothing: size the hash maps
-    // and the scratch buffers once, up front (block nodes themselves
-    // come from the slab pools).
+    // Size the live table and the scratch buffers once, up front.
+    // Block nodes come from the slab pools and keep their own index
+    // nodes (IndexSlot), so a steady-state allocate/free pair makes
+    // one heap allocation: the live table's hash node. Recycling that
+    // node the same way measured slower.
     mLive.reserve(4096);
     mScratch = &arenaFor(kDefaultStream);
 }
@@ -364,7 +366,7 @@ GMLakeAllocator::stitch(const std::vector<PBlock *> &members,
         // Empty -> non-empty sharer transition: the member leaves
         // the unshared index (it is inactive, asserted above).
         if (m->sharers.empty())
-            mInactivePFree.erase(m);
+            m->unsharedSlot.erase(mInactivePFree);
         m->sharers.push_back(sblock);
     }
 
@@ -407,7 +409,7 @@ GMLakeAllocator::destroySBlock(SBlock *sblock)
         // unshared again (members of an inactive sBlock may still be
         // active through another composition).
         if (m->sharers.empty() && !m->active)
-            mInactivePFree.insert(m);
+            m->unsharedSlot.insert(mInactivePFree, m);
     }
     mStitchedVaBytes -= sblock->size;
     eraseInactiveS(sblock);
@@ -1474,18 +1476,23 @@ GMLakeAllocator::restoreState(const alloc::Checkpoint &checkpoint)
     mDevice.restoreState(checkpoint.device);
 
     // Tear down the current metadata graph — pure bookkeeping, the
-    // device was already replaced wholesale above.
+    // device was already replaced wholesale above. Indexed blocks
+    // leave their indices first, so no stored position outlives its
+    // node and every recycled block keeps its nodes parked.
     std::vector<PBlock *> oldP;
     mPPool.forEachLive([&](PBlock *p) { oldP.push_back(p); });
     std::vector<SBlock *> oldS;
     mSPool.forEachLive([&](SBlock *s) { oldS.push_back(s); });
-    for (SBlock *s : oldS)
+    for (SBlock *s : oldS) {
+        if (s->inactiveSlot.indexed)
+            eraseInactiveS(s);
         mSPool.release(s);
-    for (PBlock *p : oldP)
+    }
+    for (PBlock *p : oldP) {
+        if (p->inactiveSlot.indexed)
+            eraseInactiveP(p);
         mPPool.release(p);
-    mInactiveP.clear();
-    mInactivePFree.clear();
-    mInactiveS.clear();
+    }
     mClasses.clear();
     mLive.clear();
 
@@ -1494,8 +1501,8 @@ GMLakeAllocator::restoreState(const alloc::Checkpoint &checkpoint)
     // identity differs from the checkpointed run, but every ordered
     // structure keys on (size, id) or (lastUse, id), never on
     // addresses.
-    std::vector<PBlock *> inactiveP;
-    std::vector<SBlock *> inactiveS;
+    std::vector<PBlock *> restoredP;
+    std::vector<SBlock *> restoredS;
     std::unordered_map<std::uint64_t, PBlock *> pById;
     pById.reserve(state->pblocks.size());
     for (const State::PRec &rec : state->pblocks) {
@@ -1526,30 +1533,40 @@ GMLakeAllocator::restoreState(const alloc::Checkpoint &checkpoint)
         s->lastUse = rec.lastUse;
         s->stream = rec.stream;
         sById.emplace(rec.id, s);
-        if (!rec.active)
-            inactiveS.push_back(s);
+        restoredS.push_back(s);
     }
     for (const State::PRec &rec : state->pblocks) {
         PBlock *p = pById.at(rec.id);
         p->sharers.reserve(rec.sharerIds.size());
         for (const std::uint64_t sid : rec.sharerIds)
             p->sharers.push_back(sById.at(sid));
-        if (!rec.active)
-            inactiveP.push_back(p);
+        restoredP.push_back(p);
     }
     // Index insertion needs the final sharers lists (the
     // unshared-inactive index tests sharers.empty()), and the
     // recency lists need lastUse order: the records come in id order.
+    // Every block is indexed and the active ones taken out again, so
+    // the indices hold the inactive blocks in the same order as if
+    // only those went in, and each active block parks the nodes it
+    // will re-enter with, as if it had been activated here.
     const auto byRecency = [](const auto *a, const auto *b) {
         return a->lastUse != b->lastUse ? a->lastUse < b->lastUse
                                         : a->id < b->id;
     };
-    std::sort(inactiveP.begin(), inactiveP.end(), byRecency);
-    std::sort(inactiveS.begin(), inactiveS.end(), byRecency);
-    for (PBlock *p : inactiveP)
+    std::sort(restoredP.begin(), restoredP.end(), byRecency);
+    std::sort(restoredS.begin(), restoredS.end(), byRecency);
+    for (PBlock *p : restoredP)
         insertInactiveP(p);
-    for (SBlock *s : inactiveS)
+    for (SBlock *s : restoredS)
         insertInactiveS(s);
+    for (PBlock *p : restoredP) {
+        if (p->active)
+            eraseInactiveP(p);
+    }
+    for (SBlock *s : restoredS) {
+        if (s->active)
+            eraseInactiveS(s);
+    }
     mLive.reserve(state->live.size());
     for (const State::LiveRec &rec : state->live) {
         Live live;
@@ -1586,6 +1603,27 @@ GMLakeAllocator::checkConsistency() const
                       "block not indexed under its size class");
         ++classRefs[block->cls];
     };
+    // Own index nodes (IndexSlot): the flag says whether the block
+    // belongs in the index; an indexed block's position dereferences
+    // to itself and it parks no node; a block out of the index parks
+    // none or its own, and an active block parks the node it left
+    // its inactive pool with.
+    const auto slotted = [](const auto &slot, const auto *block,
+                            bool member) {
+        GMLAKE_ASSERT(slot.indexed == member, "index flag mismatch");
+        if (member) {
+            GMLAKE_ASSERT(*slot.pos == block && slot.parked.empty(),
+                          "stale index position");
+        } else {
+            GMLAKE_ASSERT(slot.parked.empty() ||
+                              slot.parked.value() == block,
+                          "block parks another block's node");
+        }
+    };
+    const auto parksNode = [](const auto *block) {
+        GMLAKE_ASSERT(!block->active || !block->inactiveSlot.parked.empty(),
+                      "active block lost its parked index node");
+    };
 
     Bytes pTotal = 0;
     Bytes spilledTotal = 0;
@@ -1613,6 +1651,9 @@ GMLakeAllocator::checkConsistency() const
             mInactivePFree.count(const_cast<PBlock *>(p)) ==
             ((!p->active && p->sharers.empty()) ? 1u : 0u),
             "unshared-inactive index membership mismatch");
+        slotted(p->inactiveSlot, p, !p->active);
+        slotted(p->unsharedSlot, p, !p->active && p->sharers.empty());
+        parksNode(p);
         for (const SBlock *s : p->sharers) {
             GMLAKE_ASSERT(s->poolLive,
                           "sharer points to a dead sBlock");
@@ -1642,6 +1683,8 @@ GMLakeAllocator::checkConsistency() const
         GMLAKE_ASSERT(mInactiveS.count(const_cast<SBlock *>(s)) ==
                       (s->active ? 0u : 1u),
                       "inactive sPool membership mismatch");
+        slotted(s->inactiveSlot, s, !s->active);
+        parksNode(s);
     });
     GMLAKE_ASSERT(sVaTotal == mStitchedVaBytes,
                   "stitched VA accounting drifted");

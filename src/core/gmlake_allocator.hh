@@ -145,84 +145,10 @@ class GMLakeAllocator : public alloc::Allocator
     std::uint64_t rollbackCount() const { return mRollbacks; }
 
   private:
+    struct PBlock;
     struct SBlock;
     struct SizeClass;
     struct State;
-
-    /** Primitive block: owns physical chunks and a VA of its own. */
-    struct PBlock
-    {
-        std::uint64_t id = 0;
-        VirtAddr va = kNullAddr;
-        Bytes size = 0;
-        /** Recency index: the class of `size`, and the list
-         *  neighbours while inactive (see SizeClass). */
-        SizeClass *cls = nullptr;
-        PBlock *older = nullptr;
-        PBlock *newer = nullptr;
-        std::vector<PhysHandle> chunks;
-        bool active = false;
-        /**
-         * Physical backing present. A spilled (offloaded) block keeps
-         * its VA, its stitched sBlock memberships, and its place in
-         * the inactive indices — only the chunks are released, so a
-         * fault-in is remap-only and never re-stitches. Always true
-         * without an offload hook attached.
-         */
-        bool resident = true;
-        /** ObjectPool live flag (support/object_pool.hh). */
-        bool poolLive = false;
-        Tick lastUse = 0;
-        /** Stream that may reuse this block (kAnyStream after sync). */
-        StreamId stream = kDefaultStream;
-        /**
-         * sBlocks whose VA also maps this block's chunks. A small
-         * unordered vector: the set is tiny, and keeping it flat
-         * means recycled nodes retain capacity (no per-stitch node
-         * allocations).
-         */
-        std::vector<SBlock *> sharers;
-
-        bool
-        sharedBy(const SBlock *sblock) const
-        {
-            for (const SBlock *s : sharers) {
-                if (s == sblock)
-                    return true;
-            }
-            return false;
-        }
-        void
-        dropSharer(SBlock *sblock)
-        {
-            for (SBlock *&s : sharers) {
-                if (s == sblock) {
-                    s = sharers.back();
-                    sharers.pop_back();
-                    return;
-                }
-            }
-        }
-    };
-
-    /** Stitched block: a VA spanning the chunks of several pBlocks. */
-    struct SBlock
-    {
-        std::uint64_t id = 0;
-        VirtAddr va = kNullAddr;
-        Bytes size = 0;
-        /** Recency index, as for PBlock. */
-        SizeClass *cls = nullptr;
-        SBlock *older = nullptr;
-        SBlock *newer = nullptr;
-        std::vector<PBlock *> members;
-        bool active = false;
-        /** ObjectPool live flag (support/object_pool.hh). */
-        bool poolLive = false;
-        Tick lastUse = 0;
-        /** Stream that may reuse this block (kAnyStream after sync). */
-        StreamId stream = kDefaultStream;
-    };
 
     /**
      * Descending size order; ties broken by id for determinism.
@@ -272,6 +198,126 @@ class GMLakeAllocator : public alloc::Allocator
         {
             return size > a->size;
         }
+    };
+
+    /** The inactive pools' types (see mInactiveP). */
+    using PIndex = std::set<PBlock *, PBlockCmp>;
+    using SIndex = std::set<SBlock *, SBlockCmp>;
+
+    /**
+     * A block's own node in one inactive index, kept for the block's
+     * whole life (the resource-allocator caches of McKenney's "Is
+     * Parallel Programming Hard", ch. 6). While the block is indexed,
+     * `pos` is its position; while it is out, `parked` holds the node
+     * extract() returned. Leaving the index is then an unlink with no
+     * search and no free, and re-entering it one descent with no
+     * allocation. ObjectPool recycling keeps the parked node, as it
+     * keeps a block's vectors.
+     */
+    template <typename Index>
+    struct IndexSlot
+    {
+        typename Index::iterator pos{};
+        typename Index::node_type parked;
+        bool indexed = false;
+
+        void
+        insert(Index &index, typename Index::value_type block)
+        {
+            GMLAKE_ASSERT(!indexed, "block indexed twice");
+            if (parked.empty())
+                pos = index.insert(block).first;
+            else
+                pos = index.insert(std::move(parked)).position;
+            indexed = true;
+        }
+        void
+        erase(Index &index)
+        {
+            GMLAKE_ASSERT(indexed, "erase of a block that is not indexed");
+            parked = index.extract(pos);
+            indexed = false;
+        }
+    };
+
+    /** Primitive block: owns physical chunks and a VA of its own. */
+    struct PBlock
+    {
+        std::uint64_t id = 0;
+        VirtAddr va = kNullAddr;
+        Bytes size = 0;
+        /** Recency index: the class of `size`, and the list
+         *  neighbours while inactive (see SizeClass). */
+        SizeClass *cls = nullptr;
+        PBlock *older = nullptr;
+        PBlock *newer = nullptr;
+        std::vector<PhysHandle> chunks;
+        bool active = false;
+        /**
+         * Physical backing present. A spilled (offloaded) block keeps
+         * its VA, its stitched sBlock memberships, and its place in
+         * the inactive indices — only the chunks are released, so a
+         * fault-in is remap-only and never re-stitches. Always true
+         * without an offload hook attached.
+         */
+        bool resident = true;
+        /** ObjectPool live flag (support/object_pool.hh). */
+        bool poolLive = false;
+        Tick lastUse = 0;
+        /** Stream that may reuse this block (kAnyStream after sync). */
+        StreamId stream = kDefaultStream;
+        /**
+         * sBlocks whose VA also maps this block's chunks. A small
+         * unordered vector: the set is tiny, and keeping it flat
+         * means recycled nodes retain capacity (no per-stitch node
+         * allocations).
+         */
+        std::vector<SBlock *> sharers;
+        /** Own nodes of mInactiveP and mInactivePFree. */
+        IndexSlot<PIndex> inactiveSlot;
+        IndexSlot<PIndex> unsharedSlot;
+
+        bool
+        sharedBy(const SBlock *sblock) const
+        {
+            for (const SBlock *s : sharers) {
+                if (s == sblock)
+                    return true;
+            }
+            return false;
+        }
+        void
+        dropSharer(SBlock *sblock)
+        {
+            for (SBlock *&s : sharers) {
+                if (s == sblock) {
+                    s = sharers.back();
+                    sharers.pop_back();
+                    return;
+                }
+            }
+        }
+    };
+
+    /** Stitched block: a VA spanning the chunks of several pBlocks. */
+    struct SBlock
+    {
+        std::uint64_t id = 0;
+        VirtAddr va = kNullAddr;
+        Bytes size = 0;
+        /** Recency index, as for PBlock. */
+        SizeClass *cls = nullptr;
+        SBlock *older = nullptr;
+        SBlock *newer = nullptr;
+        std::vector<PBlock *> members;
+        bool active = false;
+        /** ObjectPool live flag (support/object_pool.hh). */
+        bool poolLive = false;
+        Tick lastUse = 0;
+        /** Stream that may reuse this block (kAnyStream after sync). */
+        StreamId stream = kDefaultStream;
+        /** Own node of mInactiveS. */
+        IndexSlot<SIndex> inactiveSlot;
     };
 
     /**
@@ -351,9 +397,10 @@ class GMLakeAllocator : public alloc::Allocator
 
     /**
      * Ownership of all block metadata: slab pools that recycle
-     * nodes (with their vectors' grown capacity) through a
-     * freelist, so steady-state stitch/split/free churn performs no
-     * heap allocation for block objects.
+     * nodes (with their vectors' grown capacity and their parked
+     * index nodes) through a freelist, so steady-state
+     * stitch/split/free churn performs no heap allocation for block
+     * objects or their index entries.
      */
     ObjectPool<PBlock> mPPool;
     ObjectPool<SBlock> mSPool;
@@ -367,9 +414,9 @@ class GMLakeAllocator : public alloc::Allocator
      * inactive-pool insert/erase, so the preference phase needs no
      * per-request rebuild.
      */
-    std::set<PBlock *, PBlockCmp> mInactiveP;
-    std::set<PBlock *, PBlockCmp> mInactivePFree;
-    std::set<SBlock *, SBlockCmp> mInactiveS;
+    PIndex mInactiveP;
+    PIndex mInactivePFree;
+    SIndex mInactiveS;
 
     /**
      * Recency index over the same inactive blocks, by size: S1 walks
@@ -500,16 +547,17 @@ class GMLakeAllocator : public alloc::Allocator
     void
     insertInactiveP(PBlock *block)
     {
-        mInactiveP.insert(block);
+        block->inactiveSlot.insert(mInactiveP, block);
         if (block->sharers.empty())
-            mInactivePFree.insert(block);
+            block->unsharedSlot.insert(mInactivePFree, block);
         block->cls->p.append(block);
     }
     void
     eraseInactiveP(PBlock *block)
     {
-        mInactiveP.erase(block);
-        mInactivePFree.erase(block);
+        block->inactiveSlot.erase(mInactiveP);
+        if (block->unsharedSlot.indexed)
+            block->unsharedSlot.erase(mInactivePFree);
         block->cls->p.unlink(block);
     }
 
@@ -517,13 +565,13 @@ class GMLakeAllocator : public alloc::Allocator
     void
     insertInactiveS(SBlock *sblock)
     {
-        mInactiveS.insert(sblock);
+        sblock->inactiveSlot.insert(mInactiveS, sblock);
         sblock->cls->s.append(sblock);
     }
     void
     eraseInactiveS(SBlock *sblock)
     {
-        mInactiveS.erase(sblock);
+        sblock->inactiveSlot.erase(mInactiveS);
         sblock->cls->s.unlink(sblock);
     }
 

@@ -158,6 +158,10 @@ restoredTailDigest(const SweepScenario &scenario,
                    alloc::Allocator &allocator, vmm::Device &device)
 {
     allocator.restoreState(warmup.checkpoint);
+    // The restored books (for gmlake: the pools, the recency lists
+    // and every block's own index nodes) pass the audit before and
+    // after the tail replays on them.
+    allocator.auditInvariants();
     EngineOptions options;
     options.recordSeries = false;
     options.startFrontier = warmup.resume->frontier;
@@ -168,6 +172,7 @@ restoredTailDigest(const SweepScenario &scenario,
         engine.seedSession(i, warmup.resume->sessions[i]);
     }
     engine.run();
+    allocator.auditInvariants();
     return finalStateDigest(allocator, device);
 }
 

@@ -2,14 +2,18 @@
  * @file
  * GMLake allocator tests: the stitching mechanism, the allocation
  * strategy states of Fig 9, deallocation-as-update, StitchFree LRU,
- * the small-allocation path and the OOM fallback, and the S1
- * exact-match choices against a scan model.
+ * the small-allocation path and the OOM fallback, the heap traffic of
+ * the S1 hot path, and the S1 exact-match choices against a scan
+ * model.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <iterator>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -23,6 +27,67 @@ using namespace gmlake;
 using namespace gmlake::literals;
 using core::GMLakeAllocator;
 using core::GMLakeConfig;
+
+// ------------------------------------------- heap-allocation counter
+
+namespace
+{
+
+/** Calls of the global operator new in this binary. */
+std::atomic<std::uint64_t> gHeapAllocs{0};
+
+void *
+countedMalloc(std::size_t size) noexcept
+{
+    gHeapAllocs.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size != 0 ? size : 1);
+}
+
+// Out of line: inlined into an operator delete, its free() would meet
+// an operator new result at the call site and trip
+// -Wmismatched-new-delete.
+[[gnu::noinline]] void
+heapFree(void *p) noexcept
+{
+    std::free(p);
+}
+
+} // namespace
+
+// Every replaceable non-aligned form, so each block allocated here is
+// also freed here (a sanitizer runtime pairs its own forms).
+void *
+operator new(std::size_t size)
+{
+    if (void *p = countedMalloc(size))
+        return p;
+    throw std::bad_alloc();
+}
+void *operator new[](std::size_t size) { return ::operator new(size); }
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    return countedMalloc(size);
+}
+void *
+operator new[](std::size_t size, const std::nothrow_t &) noexcept
+{
+    return countedMalloc(size);
+}
+void operator delete(void *p) noexcept { heapFree(p); }
+void operator delete[](void *p) noexcept { heapFree(p); }
+void operator delete(void *p, std::size_t) noexcept { heapFree(p); }
+void operator delete[](void *p, std::size_t) noexcept { heapFree(p); }
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    heapFree(p);
+}
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    heapFree(p);
+}
 
 namespace
 {
@@ -514,6 +579,67 @@ TEST(GMLakeAllocator, PoolCountersSurviveSplitChurn)
     lake.checkConsistency();
 }
 
+namespace
+{
+
+/**
+ * Heap allocations per S1 hit + free, after warmup, of a cached
+ * block: an sBlock stitched from @p members 2 MiB pBlocks, or a lone
+ * 2 MiB pBlock when @p members is 0.
+ */
+std::uint64_t
+heapAllocsPerS1Cycle(std::size_t members)
+{
+    vmm::Device dev(smallDevice());
+    GMLakeAllocator lake(dev, tightConfig());
+    std::vector<alloc::AllocId> ids;
+    for (std::size_t i = 0; i < std::max<std::size_t>(members, 1); ++i)
+        ids.push_back(lake.allocate(2_MiB).value().id);
+    for (const alloc::AllocId id : ids)
+        EXPECT_TRUE(lake.deallocate(id).ok());
+
+    // The first request stitches the members (S3); every later one
+    // is an S1 hit on the cached block.
+    const Bytes size = members == 0 ? 2_MiB : members * 2_MiB;
+    bool ok = true;
+    const auto cycle = [&] {
+        const auto a = lake.allocate(size);
+        ok = ok && a.ok() && lake.deallocate(a->id).ok();
+    };
+    for (int i = 0; i < 8; ++i)
+        cycle();
+    constexpr std::uint64_t kCycles = 64;
+    const auto hitsBefore = lake.strategy().s1ExactMatch;
+    const auto before = gHeapAllocs.load();
+    for (std::uint64_t i = 0; i < kCycles; ++i)
+        cycle();
+    const auto allocs = gHeapAllocs.load() - before;
+
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(lake.strategy().s1ExactMatch, hitsBefore + kCycles);
+    EXPECT_EQ(lake.sBlockCount(), members == 0 ? 0u : 1u);
+    EXPECT_EQ(allocs % kCycles, 0u) << "uneven heap traffic per cycle";
+    lake.checkConsistency();
+    return allocs / kCycles;
+}
+
+} // namespace
+
+TEST(GMLakeAllocator, S1HitsAndFreesAllocateOnlyTheLiveNode)
+{
+    // A hit on a cached sBlock takes it and its k members out of the
+    // inactive pools, and the free puts them back. Each block keeps
+    // its own index nodes, so neither direction searches for, frees
+    // or allocates a node: the cycle's only heap allocation is the
+    // live table's hash node, whatever k is.
+    const std::uint64_t two = heapAllocsPerS1Cycle(2);
+    const std::uint64_t many = heapAllocsPerS1Cycle(32);
+    const std::uint64_t plain = heapAllocsPerS1Cycle(0);
+    EXPECT_EQ(two, many);
+    EXPECT_LE(two, 1u);
+    EXPECT_LE(plain, 1u);
+}
+
 // ------------------------------------------------- S1 selection oracle
 
 namespace
@@ -807,6 +933,12 @@ TEST(GMLakeRecency, S1ChoicesMatchTheScanModel)
     for (int i = 0; i < 1500; ++i)
         ASSERT_NO_FATAL_FAILURE(step(nullptr));
 
+    // The checkpoint holds live sBlocks, so the restore has active
+    // blocks to park index nodes for (auditInvariants checks them
+    // after every step).
+    ASSERT_TRUE(std::any_of(held.begin(), held.end(), [&](const Held &h) {
+        return model.blocks[h.block].stitched;
+    }));
     // The restored lists must come back in lastUse order: the
     // restored allocator repeats the original's picks, which keep
     // matching the model.
