@@ -284,8 +284,10 @@ BENCHMARK(BM_CachingMultiStreamHit)->Arg(1)->Arg(4)->Arg(16);
 void
 BM_DeviceStitchTeardown(benchmark::State &state)
 {
-    // One batched map + one unmap of an sBlock-shaped range: the
-    // extent table makes both O(extents), not O(chunks)-tree-ops.
+    // The device side of a stitch and its teardown: one batched map,
+    // the setAccess every stitch pays, and one unmap of an
+    // sBlock-shaped range. Each chunk costs one slot lookup and one
+    // append; the whole-range setAccess and unmap are O(extents).
     vmm::Device dev(bigDevice());
     const std::size_t chunks = static_cast<std::size_t>(state.range(0));
     std::vector<PhysHandle> handles;
@@ -293,16 +295,20 @@ BM_DeviceStitchTeardown(benchmark::State &state)
         handles.push_back(*dev.memCreate(2_MiB));
     const auto va = dev.memAddressReserve(chunks * 2_MiB);
     std::vector<std::pair<VirtAddr, PhysHandle>> batch(chunks);
+    bool failed = false;
     for (auto _ : state) {
         for (std::size_t i = 0; i < chunks; ++i) {
             batch[i] = {*va + static_cast<VirtAddr>(i) * 2_MiB,
                         handles[i]};
         }
-        benchmark::DoNotOptimize(dev.memMapBatch(batch).ok());
-        benchmark::DoNotOptimize(
-            dev.memUnmap(*va, chunks * 2_MiB).ok());
+        failed |= !dev.memMapBatch(batch).ok();
+        failed |= !dev.memSetAccess(*va, chunks * 2_MiB).ok();
+        failed |= !dev.memUnmap(*va, chunks * 2_MiB).ok();
+        benchmark::DoNotOptimize(failed);
     }
     state.counters["chunks"] = static_cast<double>(chunks);
+    if (failed)
+        state.SkipWithError("a device call failed");
 }
 BENCHMARK(BM_DeviceStitchTeardown)->Arg(64)->Arg(1024);
 
@@ -316,16 +322,17 @@ BM_DeviceChunkRun(benchmark::State &state)
     const std::size_t chunks = static_cast<std::size_t>(state.range(0));
     const auto va = dev.memAddressReserve(chunks * 2_MiB);
     std::vector<PhysHandle> handles(chunks);
+    bool failed = false;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            dev.memCreateMapRun(*va, 2_MiB, handles).ok());
-        benchmark::DoNotOptimize(
-            dev.memSetAccess(*va, chunks * 2_MiB).ok());
-        benchmark::DoNotOptimize(
-            dev.memUnmap(*va, chunks * 2_MiB).ok());
-        benchmark::DoNotOptimize(dev.memReleaseRun(handles).ok());
+        failed |= !dev.memCreateMapRun(*va, 2_MiB, handles).ok();
+        failed |= !dev.memSetAccess(*va, chunks * 2_MiB).ok();
+        failed |= !dev.memUnmap(*va, chunks * 2_MiB).ok();
+        failed |= !dev.memReleaseRun(handles).ok();
+        benchmark::DoNotOptimize(failed);
     }
     state.counters["chunks"] = static_cast<double>(chunks);
+    if (failed)
+        state.SkipWithError("a device call failed");
 }
 BENCHMARK(BM_DeviceChunkRun)->Arg(8)->Arg(64)->Arg(512);
 

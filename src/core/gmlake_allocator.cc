@@ -1773,11 +1773,34 @@ GMLakeAllocator::auditInvariants() const
     // pBlock plus every stitched sharer.
     const vmm::PhysMemory &phys = mDevice.phys();
     const vmm::VaSpace &va = mDevice.vaSpace();
+
+    // Which chunk each VA maps, not just how many times: a pBlock's
+    // range at @p base holds exactly its chunks, in order, each
+    // chunkSize bytes and accessible; a spilled one's holds nothing.
+    std::vector<vmm::MappingTable::Entry> mapped;
+    const auto checkMapped = [&](VirtAddr base, const PBlock *p) {
+        mDevice.mappings().mappingsIn(base, p->size, mapped);
+        if (!p->resident) {
+            GMLAKE_ASSERT(mapped.empty(), "spilled pBlock still mapped");
+            return;
+        }
+        GMLAKE_ASSERT(mapped.size() == p->chunks.size(),
+                      "block range maps the wrong chunk count");
+        for (std::size_t i = 0; i < mapped.size(); ++i) {
+            const vmm::MappingTable::Entry &e = mapped[i];
+            GMLAKE_ASSERT(e.va == base + static_cast<VirtAddr>(i) *
+                                             mConfig.chunkSize &&
+                              e.size == mConfig.chunkSize &&
+                              e.handle == p->chunks[i] && e.accessible,
+                          "block range maps the wrong chunk at a VA");
+        }
+    };
     mPPool.forEachLive([&](const PBlock *p) {
         const auto res = va.containing(p->va, p->size);
         GMLAKE_ASSERT(res.ok(), "pBlock VA not reserved");
         GMLAKE_ASSERT(res->base == p->va && res->size == p->size,
                       "pBlock reservation geometry mismatch");
+        checkMapped(p->va, p);
         if (!p->resident)
             return;
         const auto expectedRefs =
@@ -1796,6 +1819,13 @@ GMLakeAllocator::auditInvariants() const
         GMLAKE_ASSERT(res.ok(), "sBlock VA not reserved");
         GMLAKE_ASSERT(res->base == s->va && res->size == s->size,
                       "sBlock reservation geometry mismatch");
+        // Each member's chunks sit at its running offset.
+        Bytes offset = 0;
+        for (const PBlock *m : s->members) {
+            checkMapped(s->va + offset, m);
+            offset += m->size;
+        }
+        GMLAKE_ASSERT(offset == s->size, "sBlock size != its members");
     });
 }
 

@@ -127,7 +127,10 @@ class GMLakeAllocator : public alloc::Allocator
     /**
      * checkConsistency() plus cross-checks against the device:
      * reservation geometry for every block VA, chunk liveness, chunk
-     * size, and mapRefs == 1 + sharers for every resident chunk.
+     * size, mapRefs == 1 + sharers for every resident chunk, and the
+     * chunk each block VA maps: a pBlock's range holds its chunks in
+     * order (nothing when spilled), an sBlock's its members' chunks
+     * at their running offsets.
      */
     void auditInvariants() const override;
 

@@ -248,11 +248,13 @@ Device::memCreateMapRun(VirtAddr va, Bytes size,
             mCounters.map += fresh.size();
             charge(mCost.memMap(size) * static_cast<Tick>(fresh.size()));
             mRunBatch.clear();
+            mSlotBatch.clear();
             for (std::size_t i = 0; i < fresh.size(); ++i) {
                 mRunBatch.emplace_back(
                     at + static_cast<VirtAddr>(i) * size, fresh[i]);
+                mSlotBatch.push_back(mPhys.slot(fresh[i]));
             }
-            const Status s = mMap.mapRange(mRunBatch);
+            const Status s = mMap.mapSlots(mRunBatch, mSlotBatch);
             GMLAKE_ASSERT(s.ok(), "fresh chunks failed to map into a "
                                   "free target");
         }
@@ -347,20 +349,21 @@ Device::mapOne(VirtAddr va, PhysHandle handle)
             return *err;
         }
     }
-    const auto size = mPhys.sizeOf(handle);
-    if (!size.ok()) {
+    PhysMemory::Slot *const slot = mPhys.slot(handle);
+    if (slot == nullptr) {
         charge(mCost.memMap(granularity()));
-        return size.error();
+        return PhysMemory::unknownHandle();
     }
-    span.arg(*size);
-    charge(mCost.memMap(*size));
+    span.arg(slot->size);
+    charge(mCost.memMap(slot->size));
     // The whole mapped range must live inside one reservation.
-    if (const auto res = mVa.containing(va, *size); !res.ok())
+    if (const auto res = mVa.containing(va, slot->size); !res.ok())
         return res.error();
     if (!isAligned(va, granularity()))
         return makeError(Errc::invalidValue,
                          "cuMemMap target not granularity aligned");
-    return mMap.map(va, handle);
+    const std::pair<VirtAddr, PhysHandle> entry{va, handle};
+    return mMap.mapSlots({&entry, 1}, {&slot, 1});
 }
 
 Status
@@ -384,21 +387,29 @@ Device::memMapBatch(
     }
     // One simulated driver call per chunk: count and charge each
     // entry as it is inspected, exactly like a loop of memMap()
-    // calls up to (and including) the first invalid entry.
+    // calls up to (and including) the first invalid entry. Each
+    // handle is resolved once here and the table maps from the
+    // kept slots; a run of equal chunk sizes is priced once.
     Tick total = 0;
     std::size_t calls = 0;
-    Bytes lastSize = 0;
+    Bytes pricedSize = 0; // no slot has size 0
+    Tick price = 0;
     Status bad = Status::success();
+    mSlotBatch.clear();
     for (const auto &[va, handle] : batch) {
         ++calls;
-        const auto size = mPhys.sizeOf(handle);
-        if (!size.ok()) {
+        PhysMemory::Slot *const slot = mPhys.slot(handle);
+        if (slot == nullptr) {
             total += mCost.memMap(granularity());
-            bad = size.error();
+            bad = PhysMemory::unknownHandle();
             break;
         }
-        lastSize = *size;
-        total += mCost.memMap(lastSize);
+        mSlotBatch.push_back(slot);
+        if (slot->size != pricedSize) {
+            pricedSize = slot->size;
+            price = mCost.memMap(pricedSize);
+        }
+        total += price;
         if (!isAligned(va, granularity())) {
             bad = makeError(Errc::invalidValue,
                             "cuMemMap target not granularity "
@@ -412,21 +423,18 @@ Device::memMapBatch(
         return bad;
     // Reservation containment. The common batch (a stitch) lands in
     // one fresh reservation, checked with a single probe; otherwise
-    // fall back to a per-chunk check. mapRange() re-resolves the
-    // handle sizes for its own validation — a deliberate redundancy
-    // (the table stands alone) that costs one O(1) slot read per
-    // entry.
+    // fall back to a per-chunk check.
     const VirtAddr lo = batch.front().first;
-    const VirtAddr hi = batch.back().first + lastSize;
+    const VirtAddr hi = batch.back().first + mSlotBatch.back()->size;
     if (const auto res = mVa.containing(lo, hi - lo); !res.ok()) {
-        for (const auto &[va, handle] : batch) {
+        for (std::size_t i = 0; i < batch.size(); ++i) {
             const auto each =
-                mVa.containing(va, *mPhys.sizeOf(handle));
+                mVa.containing(batch[i].first, mSlotBatch[i]->size);
             if (!each.ok())
                 return each.error();
         }
     }
-    return mMap.mapRange(batch);
+    return mMap.mapSlots(batch, mSlotBatch);
 }
 
 Status

@@ -162,12 +162,15 @@ class Device
      * charged per entry, identically to a loop of memMap() calls;
      * a bad handle or misaligned target counts and charges entries
      * up to and including the failing one, again like the loop —
-     * but the simulator validates once and splices the mapping
-     * table once, so the host-side cost is O(batch + log extents)
-     * instead of O(batch x log chunks). Unlike the loop it is
-     * atomic: on any error no mapping is installed (reservation or
-     * overlap failures charge the whole batch, which models one
-     * rejected vectored submission rather than a partial loop).
+     * but the simulator resolves each handle once (its size prices
+     * the entry, and the table maps from the same slot), prices a
+     * run of equal chunk sizes once, validates once and splices the
+     * mapping table once, so the host-side cost is
+     * O(batch + log extents) instead of O(batch x log chunks).
+     * Unlike the loop it is atomic: on any error no mapping is
+     * installed (reservation or overlap failures charge the whole
+     * batch, which models one rejected vectored submission rather
+     * than a partial loop).
      */
     Status memMapBatch(
         std::span<const std::pair<VirtAddr, PhysHandle>> batch);
@@ -333,6 +336,11 @@ class Device
 
     /** Reusable (va, handle) buffer of a batched create+map step. */
     std::vector<std::pair<VirtAddr, PhysHandle>> mRunBatch;
+    /**
+     * Reusable slots of a batch's handles, resolved once by the
+     * device and mapped from by the table (MappingTable::mapSlots).
+     */
+    std::vector<PhysMemory::Slot *> mSlotBatch;
 
     void charge(Tick t);
     /** Realize any capacity loss that has come due by @p at. */

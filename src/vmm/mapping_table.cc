@@ -78,7 +78,8 @@ MappingTable::splitExtent(std::map<VirtAddr, Extent>::iterator it,
 // ------------------------------------------------------------- map
 
 std::map<VirtAddr, MappingTable::Extent>::iterator
-MappingTable::installChunk(VirtAddr va, PhysHandle handle, Bytes size)
+MappingTable::installChunk(VirtAddr va, PhysHandle handle, Bytes size,
+                           std::size_t room)
 {
     auto it = mExtents.upper_bound(va);
     if (it != mExtents.begin()) {
@@ -96,6 +97,7 @@ MappingTable::installChunk(VirtAddr va, PhysHandle handle, Bytes size)
     Extent extent;
     extent.size = size;
     extent.accessible = false;
+    extent.chunks.reserve(room);
     extent.chunks.push_back(Chunk{handle, size});
     const auto inserted =
         mExtents.emplace_hint(it, va, std::move(extent));
@@ -106,42 +108,45 @@ MappingTable::installChunk(VirtAddr va, PhysHandle handle, Bytes size)
 Status
 MappingTable::map(VirtAddr va, PhysHandle handle)
 {
-    const auto size = mPhys.sizeOf(handle);
-    if (!size.ok())
-        return size.error();
-    if (overlaps(va, *size))
-        return makeError(Errc::alreadyMapped,
-                         "cuMemMap target VA range already mapped");
-    if (auto s = mPhys.addMapRef(handle); !s.ok())
-        return s;
-    installChunk(va, handle, *size);
-    return Status::success();
+    const std::pair<VirtAddr, PhysHandle> entry{va, handle};
+    PhysMemory::Slot *const slot = mPhys.slot(handle);
+    return mapSlots({&entry, 1}, {&slot, 1});
 }
 
 Status
 MappingTable::mapRange(
     std::span<const std::pair<VirtAddr, PhysHandle>> batch)
 {
+    std::vector<PhysMemory::Slot *> slots;
+    slots.reserve(batch.size());
+    for (const auto &entry : batch)
+        slots.push_back(mPhys.slot(entry.second));
+    return mapSlots(batch, slots);
+}
+
+Status
+MappingTable::mapSlots(
+    std::span<const std::pair<VirtAddr, PhysHandle>> batch,
+    std::span<PhysMemory::Slot *const> slots)
+{
+    GMLAKE_ASSERT(slots.size() == batch.size(),
+                  "one resolved slot per batch entry");
     if (batch.empty())
         return Status::success();
 
-    // Validate everything first: handle liveness and sizes, batch
-    // ordering, and overlap against the existing extents. Nothing
-    // below this block may fail.
-    mSizeScratch.clear();
-    mSizeScratch.reserve(batch.size());
+    // Validate everything first: handle liveness, batch ordering,
+    // and overlap against the existing extents. Nothing below this
+    // block may fail.
     VirtAddr prevEnd = 0;
     for (std::size_t i = 0; i < batch.size(); ++i) {
-        const auto size = mPhys.sizeOf(batch[i].second);
-        if (!size.ok())
-            return size.error();
+        if (slots[i] == nullptr)
+            return PhysMemory::unknownHandle();
         if (i > 0 && batch[i].first < prevEnd) {
             return makeError(Errc::invalidValue,
                              "cuMemMap batch targets overlap or are "
                              "unsorted");
         }
-        mSizeScratch.push_back(*size);
-        prevEnd = batch[i].first + *size;
+        prevEnd = batch[i].first + slots[i]->size;
     }
     {
         // One merge-walk over the extents covering the batch span
@@ -156,7 +161,7 @@ MappingTable::mapRange(
             const VirtAddr extentLo = it->first;
             const VirtAddr extentHi = extentLo + it->second.size;
             while (i < batch.size() &&
-                   batch[i].first + mSizeScratch[i] <= extentLo)
+                   batch[i].first + slots[i]->size <= extentLo)
                 ++i;
             if (i < batch.size() && batch[i].first < extentHi) {
                 return makeError(
@@ -173,9 +178,8 @@ MappingTable::mapRange(
     for (std::size_t i = 0; i < batch.size(); ++i) {
         const VirtAddr va = batch[i].first;
         const PhysHandle handle = batch[i].second;
-        const Bytes size = mSizeScratch[i];
-        const Status s = mPhys.addMapRef(handle);
-        GMLAKE_ASSERT(s.ok(), "validated handle lost its slot");
+        const Bytes size = slots[i]->size;
+        ++slots[i]->mapRefs;
         if (cur != mExtents.end() && !cur->second.accessible &&
             cur->first + cur->second.size == va) {
             cur->second.chunks.push_back(Chunk{handle, size});
@@ -183,7 +187,7 @@ MappingTable::mapRange(
             ++mChunkCount;
             continue;
         }
-        cur = installChunk(va, handle, size);
+        cur = installChunk(va, handle, size, batch.size() - i);
     }
     return Status::success();
 }
@@ -382,9 +386,12 @@ MappingTable::rangeStats(VirtAddr va, Bytes size) const
         stats.bytes += chunk.size;
         return true;
     };
-    auto it = mExtents.upper_bound(va);
+    // Only an extent straddling va or the range end is walked; one
+    // that starts at or after va and ends inside the range (a whole
+    // block's) counts in O(1).
+    auto it = mExtents.lower_bound(va);
     if (it != mExtents.begin()) {
-        auto prev = std::prev(it);
+        auto prev = std::prev(it); // prev->first < va
         if (prev->first + prev->second.size > va) {
             forEachChunkStartingIn(prev->first, prev->second, va,
                                    end, tally);
@@ -392,7 +399,6 @@ MappingTable::rangeStats(VirtAddr va, Bytes size) const
     }
     for (; it != mExtents.end() && it->first < end; ++it) {
         if (it->first + it->second.size <= end) {
-            // Interior extent: aggregate in O(1).
             stats.chunks += it->second.chunks.size();
             stats.bytes += it->second.size;
             continue;

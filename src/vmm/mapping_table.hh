@@ -32,11 +32,10 @@
 
 #include "support/expected.hh"
 #include "support/types.hh"
+#include "vmm/phys_memory.hh"
 
 namespace gmlake::vmm
 {
-
-class PhysMemory;
 
 class MappingTable
 {
@@ -82,7 +81,10 @@ class MappingTable
         mChunkCount = state.chunkCount;
     }
 
-    /** Map @p handle (whole) at @p va. The VA range must be free. */
+    /**
+     * Map @p handle (whole) at @p va — the one-element mapRange().
+     * The VA range must be free.
+     */
     Status map(VirtAddr va, PhysHandle handle);
 
     /**
@@ -91,9 +93,21 @@ class MappingTable
      * targets are validated against the table (and each other)
      * before any mapping is installed — on error nothing changes.
      * Consecutive pairs whose ranges abut coalesce into one extent.
+     * Resolves each handle once, then runs mapSlots().
      */
     Status mapRange(
         std::span<const std::pair<VirtAddr, PhysHandle>> batch);
+
+    /**
+     * mapRange() over handles the caller has already resolved:
+     * @p slots[i] is what PhysMemory::slot() returned for
+     * batch[i].second (nullptr: unknown or stale). Each entry's size
+     * comes from its slot and its mapping reference goes on it, so
+     * the table looks no handle up again.
+     */
+    Status mapSlots(
+        std::span<const std::pair<VirtAddr, PhysHandle>> batch,
+        std::span<PhysMemory::Slot *const> slots);
 
     /**
      * Remove all mappings inside [va, va+size). The range boundary
@@ -125,8 +139,10 @@ class MappingTable
 
     /**
      * Count and total bytes of the mappings starting inside
-     * [va, va+size) without materializing them — O(extents touched)
-     * (interior extents contribute in O(1)).
+     * [va, va+size) without materializing them — O(extents touched):
+     * an extent that starts at or after va and ends inside the range
+     * contributes in O(1); only the extents straddling va or the
+     * range end are walked.
      */
     struct RangeStats
     {
@@ -151,8 +167,6 @@ class MappingTable
     /** va -> extent; extents are disjoint, never empty. */
     std::map<VirtAddr, Extent> mExtents;
     std::size_t mChunkCount = 0;
-    /** Reusable scratch for batch validation (handle sizes). */
-    std::vector<Bytes> mSizeScratch;
 
     /**
      * Visit every chunk of @p extent whose start VA lies in
@@ -196,10 +210,12 @@ class MappingTable
     /**
      * Install one validated (va, handle, size) mapping, coalescing
      * with an adjacent still-assembling extent; returns the extent
-     * that received the chunk.
+     * that received the chunk. An extent this opens reserves room
+     * for @p room chunks.
      */
     std::map<VirtAddr, Extent>::iterator
-    installChunk(VirtAddr va, PhysHandle handle, Bytes size);
+    installChunk(VirtAddr va, PhysHandle handle, Bytes size,
+                 std::size_t room);
 };
 
 } // namespace gmlake::vmm

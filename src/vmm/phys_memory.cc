@@ -18,25 +18,10 @@ PhysMemory::PhysMemory(Bytes capacity, Bytes granularity)
     mHoles.insert(0, capacity);
 }
 
-const PhysMemory::Slot *
-PhysMemory::find(PhysHandle handle) const
+Error
+PhysMemory::unknownHandle()
 {
-    const auto slot = static_cast<std::uint32_t>(handle);
-    const auto generation =
-        static_cast<std::uint32_t>(handle >> 32);
-    if (slot >= mSlots.size())
-        return nullptr;
-    const Slot &s = mSlots[slot];
-    if (!s.live || s.generation != generation)
-        return nullptr;
-    return &s;
-}
-
-PhysMemory::Slot *
-PhysMemory::find(PhysHandle handle)
-{
-    return const_cast<Slot *>(
-        static_cast<const PhysMemory *>(this)->find(handle));
+    return makeError(Errc::invalidValue, "sizeOf unknown handle");
 }
 
 PhysHandle
@@ -147,7 +132,7 @@ PhysMemory::releaseRun(std::span<const PhysHandle> handles)
 {
     RunStatus run;
     while (run.done < handles.size()) {
-        const Slot *first = find(handles[run.done]);
+        const Slot *first = slot(handles[run.done]);
         run.status = releasable(first);
         if (!run.ok())
             return run;
@@ -160,7 +145,7 @@ PhysMemory::releaseRun(std::span<const PhysHandle> handles)
         int direction = 0; // +1 ascending, -1 descending
         std::size_t end = run.done + 1;
         for (; end < handles.size(); ++end) {
-            const Slot *s = find(handles[end]);
+            const Slot *s = slot(handles[end]);
             if (!releasable(s).ok())
                 break;
             if (direction >= 0 && s->base == hi) {
@@ -174,7 +159,7 @@ PhysMemory::releaseRun(std::span<const PhysHandle> handles)
             }
         }
         for (std::size_t i = run.done; i < end; ++i) {
-            Slot *s = find(handles[i]);
+            Slot *s = slot(handles[i]);
             mInUse -= s->size;
             s->live = false;
             --mLiveHandles;
@@ -204,7 +189,7 @@ PhysMemory::releaseRun(std::span<const PhysHandle> handles)
 Status
 PhysMemory::addMapRef(PhysHandle handle)
 {
-    Slot *s = find(handle);
+    Slot *s = slot(handle);
     if (s == nullptr)
         return makeError(Errc::invalidValue, "map of unknown handle");
     ++s->mapRefs;
@@ -214,7 +199,7 @@ PhysMemory::addMapRef(PhysHandle handle)
 Status
 PhysMemory::dropMapRef(PhysHandle handle)
 {
-    Slot *s = find(handle);
+    Slot *s = slot(handle);
     if (s == nullptr)
         return makeError(Errc::invalidValue, "unmap of unknown handle");
     if (s->mapRefs == 0)
@@ -227,22 +212,22 @@ PhysMemory::dropMapRef(PhysHandle handle)
 Expected<Bytes>
 PhysMemory::sizeOf(PhysHandle handle) const
 {
-    const Slot *s = find(handle);
+    const Slot *s = slot(handle);
     if (s == nullptr)
-        return makeError(Errc::invalidValue, "sizeOf unknown handle");
+        return unknownHandle();
     return s->size;
 }
 
 bool
 PhysMemory::isLive(PhysHandle handle) const
 {
-    return find(handle) != nullptr;
+    return slot(handle) != nullptr;
 }
 
 std::uint32_t
 PhysMemory::mapRefs(PhysHandle handle) const
 {
-    const Slot *s = find(handle);
+    const Slot *s = slot(handle);
     return s == nullptr ? 0 : s->mapRefs;
 }
 

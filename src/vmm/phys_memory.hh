@@ -148,6 +148,33 @@ class PhysMemory
     /** Size of a live handle; invalidValue for unknown handles. */
     Expected<Bytes> sizeOf(PhysHandle handle) const;
 
+    /**
+     * The live slot of @p handle — an array index and a generation
+     * compare — or nullptr for an unknown or stale handle. The
+     * pointer stays valid only until the next create(), which may
+     * grow the slot vector.
+     */
+    const Slot *
+    slot(PhysHandle handle) const
+    {
+        const auto index = static_cast<std::uint32_t>(handle);
+        const auto generation =
+            static_cast<std::uint32_t>(handle >> 32);
+        if (index >= mSlots.size())
+            return nullptr;
+        const Slot &s = mSlots[index];
+        return s.live && s.generation == generation ? &s : nullptr;
+    }
+    Slot *
+    slot(PhysHandle handle)
+    {
+        return const_cast<Slot *>(
+            static_cast<const PhysMemory *>(this)->slot(handle));
+    }
+
+    /** The error sizeOf() returns for a handle that does not resolve. */
+    static Error unknownHandle();
+
     bool isLive(PhysHandle handle) const;
     std::uint32_t mapRefs(PhysHandle handle) const;
 
@@ -187,10 +214,6 @@ class PhysMemory
     std::vector<std::uint32_t> mFreeSlots;
     /** Free holes of the physical address space. */
     FreeExtentMap mHoles;
-
-    /** Resolve a handle to its live slot; nullptr when invalid. */
-    const Slot *find(PhysHandle handle) const;
-    Slot *find(PhysHandle handle);
 
     /**
      * Why the handle that resolved to @p slot (nullptr: unknown or

@@ -2,9 +2,10 @@
  * @file
  * Device facade tests: the CUDA-driver-like API surface, the native
  * cudaMalloc path, time charging and API counters, and the chunk-run
- * entry points checked on twin devices against the per-chunk call
- * loops they stand for — fault-free, out of memory, under fault
- * plans, and under an active obs recorder.
+ * entry points and memMapBatch checked on twin devices against the
+ * per-chunk call loops they stand for — fault-free, out of memory,
+ * on bad entries, under fault plans, and under an active obs
+ * recorder.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/recorder.hh"
@@ -547,5 +549,148 @@ TEST(DeviceRuns, RecorderSeesTheSameSpansAsTheLoops)
         EXPECT_EQ(runs[i].a0, loops[i].a0);
         EXPECT_EQ(runs[i].a1, loops[i].a1);
         EXPECT_EQ(runs[i].a2, loops[i].a2);
+    }
+}
+
+// ---------------------------------------------- memMapBatch vs loops
+
+namespace
+{
+
+using MapBatch = std::vector<std::pair<VirtAddr, PhysHandle>>;
+
+/** Chunk sizes of the batch: runs of equal sizes and size changes. */
+constexpr Bytes kBatchSizes[] = {2_MiB, 2_MiB, 6_MiB, 2_MiB,
+                                 6_MiB, 6_MiB, 6_MiB, 2_MiB};
+/** Twice what the batch maps, so shifted targets stay inside. */
+constexpr Bytes kBatchReserve = 64_MiB;
+
+/**
+ * Create one handle per kBatchSizes entry and a reservation, and lay
+ * the handles back to back from its base. Identical calls on twin
+ * devices give identical handles and addresses.
+ */
+MapBatch
+mixedBatch(Device &dev)
+{
+    MapBatch batch;
+    std::vector<PhysHandle> handles;
+    for (const Bytes size : kBatchSizes)
+        handles.push_back(*dev.memCreate(size));
+    VirtAddr va = *dev.memAddressReserve(kBatchReserve);
+    for (std::size_t i = 0; i < handles.size(); ++i) {
+        batch.emplace_back(va, handles[i]);
+        va += kBatchSizes[i];
+    }
+    return batch;
+}
+
+/** The loop memMapBatch stands for: memMap() until the first error. */
+Status
+mapLoop(Device &dev, const MapBatch &batch)
+{
+    for (const auto &[va, handle] : batch) {
+        if (const Status s = dev.memMap(va, handle); !s.ok())
+            return s;
+    }
+    return Status::success();
+}
+
+void
+expectNothingMapped(const Device &dev, const MapBatch &batch)
+{
+    for (const auto &[va, handle] : batch) {
+        (void)va;
+        EXPECT_EQ(dev.phys().mapRefs(handle), 0u);
+    }
+}
+
+} // namespace
+
+TEST(DeviceMapBatch, MixedSizesMatchTheLoop)
+{
+    Device batched(smallDevice(64_MiB));
+    Device looped(smallDevice(64_MiB));
+    const MapBatch a = mixedBatch(batched);
+    const MapBatch b = mixedBatch(looped);
+    ASSERT_EQ(a, b);
+    ASSERT_TRUE(batched.memMapBatch(a).ok());
+    ASSERT_TRUE(mapLoop(looped, b).ok());
+    expectSameDevice(batched, looped);
+    EXPECT_EQ(batched.counters().map, a.size());
+}
+
+TEST(DeviceMapBatch, PerEntryFailureChargesLikeTheLoop)
+{
+    for (const bool stale : {true, false}) {
+        for (const std::size_t k : {0u, 3u, 7u}) {
+            SCOPED_TRACE(std::string(stale ? "stale" : "misaligned") +
+                         " entry " + std::to_string(k));
+            Device batched(smallDevice(64_MiB));
+            Device looped(smallDevice(64_MiB));
+            MapBatch batches[2];
+            for (int side = 0; side < 2; ++side) {
+                Device &dev = side == 0 ? batched : looped;
+                MapBatch &batch = batches[side];
+                batch = mixedBatch(dev);
+                if (stale) {
+                    const auto dead = dev.memCreate(4_MiB);
+                    ASSERT_TRUE(dev.memRelease(*dead).ok());
+                    batch[k].second = *dead;
+                } else {
+                    // Misaligned, but inside the reservation.
+                    batch[k].first += 1_MiB;
+                }
+            }
+            ASSERT_EQ(batches[0], batches[1]);
+            const Status sa = batched.memMapBatch(batches[0]);
+            const Status sb = mapLoop(looped, batches[1]);
+            ASSERT_FALSE(sa.ok());
+            ASSERT_FALSE(sb.ok());
+            EXPECT_EQ(sa.code(), Errc::invalidValue);
+            EXPECT_EQ(sa.code(), sb.code());
+            EXPECT_EQ(sa.error().message, sb.error().message);
+            EXPECT_EQ(batched.counters().map, k + 1);
+            EXPECT_EQ(batched.counters().map, looped.counters().map);
+            EXPECT_EQ(batched.counters().apiTime,
+                      looped.counters().apiTime);
+            EXPECT_EQ(batched.now(), looped.now());
+            // Unlike the loop, the batch installs nothing.
+            EXPECT_EQ(looped.mappings().mappingCount(), k);
+            EXPECT_EQ(batched.mappings().mappingCount(), 0u);
+            expectNothingMapped(batched, batches[0]);
+        }
+    }
+}
+
+TEST(DeviceMapBatch, WholeBatchFailureChargesEveryEntry)
+{
+    for (const bool overlap : {false, true}) {
+        SCOPED_TRACE(overlap ? "overlap" : "outside the reservation");
+        Device dev(smallDevice(64_MiB));
+        MapBatch batch = mixedBatch(dev);
+        if (overlap) {
+            // An existing mapping under entry 3's target.
+            const auto h = dev.memCreate(2_MiB);
+            ASSERT_TRUE(dev.memMap(batch[3].first, *h).ok());
+        } else {
+            // The last target lies past the reservation's end.
+            batch.back().first = batch.front().first + kBatchReserve;
+        }
+        Tick price = 0;
+        for (const Bytes size : kBatchSizes)
+            price += dev.costs().memMap(size);
+        const vmm::ApiCounters before = dev.counters();
+        const Tick t0 = dev.now();
+        const std::size_t mapped = dev.mappings().mappingCount();
+
+        const Status s = dev.memMapBatch(batch);
+        EXPECT_EQ(s.code(),
+                  overlap ? Errc::alreadyMapped : Errc::notReserved);
+        EXPECT_EQ(dev.counters().map - before.map, batch.size());
+        EXPECT_EQ(dev.counters().apiTime - before.apiTime, price);
+        EXPECT_EQ(dev.now() - t0, price);
+        EXPECT_EQ(dev.mappings().mappingCount(), mapped);
+        expectNothingMapped(dev, batch);
     }
 }
