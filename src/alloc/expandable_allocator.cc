@@ -275,18 +275,24 @@ ExpandableSegmentsAllocator::allocate(Bytes size, StreamId stream)
 
     // 2. Extend the tail. If the mapped range ends in a free gap, the
     // growth only needs the difference.
-    Bytes tailStart = segment.mapped;
-    if (!segment.free.empty()) {
-        const auto last = std::prev(segment.free.end());
-        if (last->first + last->second.size == segment.mapped)
-            tailStart = last->first;
-    }
-    const Bytes oldMapped = segment.mapped;
+    auto tailGapStart = [&segment] {
+        if (!segment.free.empty()) {
+            const auto last = std::prev(segment.free.end());
+            if (last->first + last->second.size == segment.mapped)
+                return last->first;
+        }
+        return segment.mapped;
+    };
+    Bytes tailStart = tailGapStart();
+    Bytes oldMapped = segment.mapped;
     Status grown = growMapping(segment, tailStart + rounded);
     if (!grown.ok()) {
-        // Give back every other segment's free tail and retry.
+        // Give back every segment's free tail, this one's included,
+        // and retry from where this tail ends now.
         for (auto &other : mSegments)
             trimTail(other);
+        tailStart = tailGapStart();
+        oldMapped = segment.mapped;
         grown = growMapping(segment, tailStart + rounded);
         if (!grown.ok())
             return grown.error();

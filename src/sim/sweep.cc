@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <utility>
 
 #include "alloc/allocator.hh"
 #include "sim/session.hh"
+#include "support/flags.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
 #include "support/stopwatch.hh"
@@ -23,6 +25,23 @@ namespace
 {
 
 using namespace gmlake::literals;
+
+std::vector<std::string>
+splitOn(const std::string &s, char sep)
+{
+    std::vector<std::string> parts;
+    std::size_t begin = 0;
+    while (begin <= s.size()) {
+        const std::size_t end = s.find(sep, begin);
+        if (end == std::string::npos) {
+            parts.push_back(s.substr(begin));
+            break;
+        }
+        parts.push_back(s.substr(begin, end - begin));
+        begin = end + 1;
+    }
+    return parts;
+}
 
 std::string
 pointLabel(const core::GMLakeConfig &c)
@@ -192,6 +211,57 @@ SweepGrid::expand(const core::GMLakeConfig &base) const
         }
     }
     return points;
+}
+
+SweepGrid
+parseGridSpec(const std::string &spec)
+{
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    SweepGrid grid;
+    for (const std::string &axis : splitOn(spec, ';')) {
+        if (axis.empty())
+            continue;
+        const std::size_t eq = axis.find('=');
+        if (eq == std::string::npos)
+            GMLAKE_FATAL("sweep grid axis '", axis,
+                         "' has no '=' (expected KEY=V1,V2,...)");
+        const std::string key = axis.substr(0, eq);
+        const std::vector<std::string> values =
+            splitOn(axis.substr(eq + 1), ',');
+        if (values.empty() ||
+            (values.size() == 1 && values[0].empty()))
+            GMLAKE_FATAL("sweep grid axis '", key, "' has no values");
+        const std::string what = "sweep grid axis " + key;
+        for (const std::string &value : values) {
+            if (key == "frag") {
+                grid.fragLimits.push_back(
+                    parseInteger(what, value, 0,
+                                 std::numeric_limits<Bytes>::max() /
+                                     MiB) *
+                    MiB);
+            } else if (key == "tol") {
+                grid.nearMatchTolerances.push_back(
+                    parseReal(what, value, 0.0, kInf));
+            } else if (key == "sblocks") {
+                grid.maxCachedSBlocks.push_back(parseInteger(
+                    what, value, 0,
+                    std::numeric_limits<std::size_t>::max()));
+            } else if (key == "overscribe") {
+                grid.maxVaOverscribes.push_back(
+                    parseReal(what, value, 0.0, kInf));
+            } else if (key == "stitch") {
+                if (value != "on" && value != "off")
+                    GMLAKE_FATAL("sweep grid axis stitch: expected "
+                                 "on/off, got '", value, "'");
+                grid.enableStitching.push_back(value == "on");
+            } else {
+                GMLAKE_FATAL("unknown sweep grid axis '", key,
+                             "' (frag | tol | sblocks | overscribe "
+                             "| stitch)");
+            }
+        }
+    }
+    return grid;
 }
 
 std::vector<SweepPoint>

@@ -57,6 +57,14 @@ struct SweepGrid
 };
 
 /**
+ * Parse a `--grid` spec, "frag=2,16;tol=0,0.125;sblocks=4096;
+ * overscribe=4,8;stitch=on,off", into grid axes (frag in MiB). An
+ * axis without values, an unknown axis or a bad value is fatal
+ * (FatalError), so a typo does not silently sweep nothing.
+ */
+SweepGrid parseGridSpec(const std::string &spec);
+
+/**
  * Random search: @p count policy points drawn deterministically from
  * @p seed (ranges span the same knobs SweepGrid exposes).
  */

@@ -51,12 +51,25 @@ deviceTrack(obs::Recorder &recorder)
 }
 
 /**
+ * Writes one device-category span on the device's track, carrying
+ * the provenance scope token set by the allocator so the ledger can
+ * attribute the cost to an allocation. Single calls and chunk runs
+ * both emit through here. A fault of Errc::ok means none.
+ */
+void
+emitDeviceSpan(obs::Recorder &recorder, obs::EvName name, Tick t0, Tick dur,
+               std::uint64_t arg, Errc fault)
+{
+    recorder.span(name, obs::EventCat::device, deviceTrack(recorder), t0,
+                  dur, arg, static_cast<std::uint64_t>(fault),
+                  obs::scopeToken());
+}
+
+/**
  * RAII span over one device API call: captures the simulated clock
- * on entry and emits a device-category span on exit, covering
- * exactly the tick the call charged (plus any copy stall). With no
- * recorder installed the whole thing is one predictable branch.
- * The provenance scope token set by the allocator rides along so
- * the ledger can attribute the cost to an allocation.
+ * on entry and emits a device span on exit, covering exactly the
+ * tick the call charged (plus any copy stall). With no recorder
+ * installed the whole thing is one predictable branch.
  */
 class ObsApiSpan
 {
@@ -70,12 +83,9 @@ class ObsApiSpan
 
     ~ObsApiSpan()
     {
-        if (mRecorder == nullptr)
-            return;
-        mRecorder->span(mName, obs::EventCat::device,
-                        deviceTrack(*mRecorder), mT0,
-                        mClock.now() - mT0, mArg, mFault,
-                        obs::scopeToken());
+        if (mRecorder != nullptr)
+            emitDeviceSpan(*mRecorder, mName, mT0, mClock.now() - mT0,
+                           mArg, mFault);
     }
 
     ObsApiSpan(const ObsApiSpan &) = delete;
@@ -94,7 +104,7 @@ class ObsApiSpan
     fault(const Error &error)
     {
         if (mRecorder != nullptr)
-            mFault = static_cast<std::uint64_t>(error.code);
+            mFault = error.code;
     }
 
   private:
@@ -103,7 +113,39 @@ class ObsApiSpan
     obs::EvName mName;
     Tick mT0 = 0;
     std::uint64_t mArg = 0;
-    std::uint64_t mFault = 0;
+    Errc mFault = Errc::ok;
+};
+
+/**
+ * The device spans of a chunk run: one span per driver call the run
+ * stands for, laid back to back from the clock at the run's start so
+ * each covers exactly its call's charge — the spans the loop of
+ * single calls emitted, in its order. With no recorder installed
+ * on() is false and the run emits nothing.
+ */
+class RunSpans
+{
+  public:
+    explicit RunSpans(const SimClock &clock)
+        : mRecorder(obs::active()),
+          mAt(mRecorder != nullptr ? clock.now() : 0)
+    {
+    }
+
+    bool on() const { return mRecorder != nullptr; }
+
+    /** The next call's span, with its argument and failure. */
+    void
+    call(obs::EvName name, Tick dur, std::uint64_t arg = 0,
+         const Status &failed = Status::success())
+    {
+        emitDeviceSpan(*mRecorder, name, mAt, dur, arg, failed.code());
+        mAt += dur;
+    }
+
+  private:
+    obs::Recorder *mRecorder;
+    Tick mAt;
 };
 
 } // namespace
@@ -156,12 +198,6 @@ Device::memAddressFree(VirtAddr va)
     return mVa.free(va);
 }
 
-std::size_t
-Device::runStride(std::size_t count) const
-{
-    return (mFaults || obs::active() != nullptr) ? 1 : count;
-}
-
 Expected<PhysHandle>
 Device::memCreate(Bytes size)
 {
@@ -176,44 +212,7 @@ RunStatus
 Device::memCreateRun(Bytes size, std::span<PhysHandle> out)
 {
     const WallScope wall(mCounters);
-    return createChunks(size, out);
-}
-
-RunStatus
-Device::createChunks(Bytes size, std::span<PhysHandle> out)
-{
-    if (out.empty())
-        return {};
-    const Tick each = mCost.memCreate(size);
-    const std::size_t stride = runStride(out.size());
-    RunStatus run;
-    while (run.done < out.size() && run.ok()) {
-        ObsApiSpan span(obs::EvName::devCreate, mClock);
-        span.arg(size);
-        RunStatus step;
-        if (mFaults) {
-            // The loss comes due against the clock after this call's
-            // own charge, which lands below.
-            applyCapacityLoss(now() + each);
-            if (auto err = mFaults->onCall(FaultApi::memCreate))
-                step.status = *err;
-        }
-        if (step.ok()) {
-            step = mPhys.createRun(
-                size, out.subspan(run.done, std::min(
-                                                stride,
-                                                out.size() - run.done)));
-        }
-        // One API call per chunk, the failing one included.
-        const std::size_t calls = step.done + (step.ok() ? 0 : 1);
-        mCounters.create += calls;
-        charge(each * static_cast<Tick>(calls));
-        if (!step.ok())
-            span.fault(step.status.error());
-        run.done += step.done;
-        run.status = step.status;
-    }
-    return run;
+    return buildChunks(0, size, out, false);
 }
 
 Status
@@ -221,50 +220,118 @@ Device::memCreateMapRun(VirtAddr va, Bytes size,
                         std::span<PhysHandle> out)
 {
     const WallScope wall(mCounters);
-    // A step of several chunks maps them with one table splice,
-    // which needs the whole target to be free space inside one
-    // reservation. Any other target steps chunk by chunk, so its
-    // error lands on the chunk where the loop would have failed.
+    // The run maps its chunks with one table splice, so its target
+    // must be free space inside one reservation: every caller maps
+    // into reservation space it has just taken or never mapped.
     const Bytes total = static_cast<Bytes>(out.size()) * size;
-    const bool freeTarget = isAligned(va, granularity()) &&
-                            mVa.containing(va, total).ok() &&
-                            !mMap.overlaps(va, total);
-    const std::size_t stride = freeTarget ? runStride(out.size()) : 1;
-    std::size_t mapped = 0;
-    while (mapped < out.size()) {
-        const auto step =
-            out.subspan(mapped, std::min(stride, out.size() - mapped));
-        const RunStatus created = createChunks(size, step);
-        const auto fresh = step.first(created.done);
-        const VirtAddr at = va + static_cast<VirtAddr>(mapped) * size;
-        if (fresh.size() == 1) {
-            if (const Status s = mapOne(at, fresh[0]); !s.ok()) {
-                unmapReleaseChunks(va, size, out.first(mapped));
-                const RunStatus undo = releaseChunks(fresh);
-                GMLAKE_ASSERT(undo.ok(), "run unwind release failed");
-                return s;
+    GMLAKE_ASSERT(out.empty() || (isAligned(va, granularity()) &&
+                                  mVa.containing(va, total).ok() &&
+                                  !mMap.overlaps(va, total)),
+                  "create+map run target is not free space in one "
+                  "reservation");
+    return buildChunks(va, size, out, true).status;
+}
+
+RunStatus
+Device::buildChunks(VirtAddr va, Bytes size, std::span<PhysHandle> out,
+                    bool map)
+{
+    static constexpr FaultApi kChunkCalls[] = {FaultApi::memCreate,
+                                               FaultApi::memMap};
+    const std::span<const FaultApi> calls(kChunkCalls, map ? 2 : 1);
+    const Tick createCost = mCost.memCreate(size);
+    const Tick mapCost = map ? mCost.memMap(size) : 0;
+    RunStatus run;
+    bool mapFailed = false;
+    // One step per stretch of chunks up to the next split: the first
+    // failing call, or a chunk whose create a capacity loss falls due
+    // at. Chunk i is created, then (with @p map) mapped at
+    // va + i * size.
+    while (run.ok() && run.done < out.size()) {
+        RunSpans spans(mClock);
+        std::size_t ask = out.size() - run.done; // creates to carve
+        Status injected;
+        if (mFaults) {
+            // Each create first realizes the losses due by the clock
+            // after its own charge. Loss debt left uncarved needs no
+            // check at later chunks: a run only shrinks the holes.
+            applyCapacityLoss(now() + createCost);
+            // Chunk j of the step checks at now + j * perChunk +
+            // createCost; the step ends before the first chunk the
+            // next loss falls due at (after chunk 0's check).
+            std::size_t n = ask;
+            const Tick perChunk = createCost + mapCost;
+            if (const auto at = mFaults->nextLossAt(); at && perChunk > 0) {
+                const Tick ahead = *at - now() - createCost;
+                GMLAKE_ASSERT(ahead > 0, "a due capacity loss was left "
+                                         "unrealized");
+                n = std::min(n, static_cast<std::size_t>(
+                                    ahead / perChunk +
+                                    (ahead % perChunk != 0 ? 1 : 0)));
             }
-        } else if (!fresh.empty()) {
-            mCounters.map += fresh.size();
-            charge(mCost.memMap(size) * static_cast<Tick>(fresh.size()));
+            // Draw every call of the chunks that fit, then the create
+            // of the first one that does not: the loop stops there.
+            const std::size_t fit = mPhys.fitCount(size, n);
+            const auto draw = mFaults->drawRun(
+                calls, fit * calls.size() + (fit < n ? 1 : 0));
+            ask = std::min(n, fit + 1);
+            if (draw.error) {
+                injected = *draw.error;
+                mapFailed = draw.passed % calls.size() == 1;
+                ask = draw.passed / calls.size() + (mapFailed ? 1 : 0);
+            }
+        }
+        const RunStatus made =
+            mPhys.createRun(size, out.subspan(run.done, ask));
+        GMLAKE_ASSERT(made.ok() ? made.done == ask : injected.ok(),
+                      "fault draws passed a chunk that did not fit");
+        const Status failed = made.ok() ? injected : made.status;
+        const bool createFailed = !failed.ok() && !mapFailed;
+        // Chunks whose every call succeeded.
+        const std::size_t whole = made.done - (mapFailed ? 1 : 0);
+        const std::size_t creates = made.done + (createFailed ? 1 : 0);
+        mCounters.create += creates;
+        mCounters.map += map ? made.done : 0;
+        charge(createCost * static_cast<Tick>(creates) +
+               mapCost * static_cast<Tick>(whole) +
+               (mapFailed ? mCost.memMap(granularity()) : 0));
+        if (map && whole > 0) {
             mRunBatch.clear();
             mSlotBatch.clear();
-            for (std::size_t i = 0; i < fresh.size(); ++i) {
+            for (std::size_t i = run.done; i < run.done + whole; ++i) {
                 mRunBatch.emplace_back(
-                    at + static_cast<VirtAddr>(i) * size, fresh[i]);
-                mSlotBatch.push_back(mPhys.slot(fresh[i]));
+                    va + static_cast<VirtAddr>(i) * size, out[i]);
+                mSlotBatch.push_back(mPhys.slot(out[i]));
             }
             const Status s = mMap.mapSlots(mRunBatch, mSlotBatch);
             GMLAKE_ASSERT(s.ok(), "fresh chunks failed to map into a "
                                   "free target");
         }
-        mapped += fresh.size();
-        if (!created.ok()) {
-            unmapReleaseChunks(va, size, out.first(mapped));
-            return created.status;
+        if (spans.on()) {
+            for (std::size_t i = 0; i < whole; ++i) {
+                spans.call(obs::EvName::devCreate, createCost, size);
+                if (map)
+                    spans.call(obs::EvName::devMap, mapCost, size);
+            }
+            if (!failed.ok())
+                spans.call(obs::EvName::devCreate, createCost, size,
+                           mapFailed ? Status::success() : failed);
+            if (mapFailed)
+                spans.call(obs::EvName::devMap,
+                           mCost.memMap(granularity()), 0, failed);
         }
+        run.done += whole;
+        run.status = failed;
     }
-    return Status::success();
+    if (map && !run.ok()) {
+        // Unwind with the loop's own teardown calls: the mapped
+        // chunks, then a created chunk whose map failed.
+        unmapReleaseChunks(va, size, out.first(run.done));
+        const RunStatus undo =
+            releaseChunks(out.subspan(run.done, mapFailed ? 1 : 0));
+        GMLAKE_ASSERT(undo.ok(), "run unwind release failed");
+    }
+    return run;
 }
 
 Status
@@ -283,17 +350,16 @@ Device::memReleaseRun(std::span<const PhysHandle> handles)
 RunStatus
 Device::releaseChunks(std::span<const PhysHandle> handles)
 {
-    const std::size_t stride = runStride(handles.size());
-    RunStatus run;
-    while (run.done < handles.size() && run.ok()) {
-        const ObsApiSpan span(obs::EvName::devRelease, mClock);
-        const RunStatus step = mPhys.releaseRun(handles.subspan(
-            run.done, std::min(stride, handles.size() - run.done)));
-        const std::size_t calls = step.done + (step.ok() ? 0 : 1);
-        mCounters.release += calls;
-        charge(mCost.memRelease() * static_cast<Tick>(calls));
-        run.done += step.done;
-        run.status = step.status;
+    RunSpans spans(mClock);
+    const RunStatus run = mPhys.releaseRun(handles);
+    // One API call per handle, the failing one included.
+    const std::size_t calls = run.done + (run.ok() ? 0 : 1);
+    const Tick each = mCost.memRelease();
+    mCounters.release += calls;
+    charge(each * static_cast<Tick>(calls));
+    if (spans.on()) {
+        for (std::size_t i = 0; i < calls; ++i)
+            spans.call(obs::EvName::devRelease, each);
     }
     return run;
 }
@@ -310,37 +376,32 @@ void
 Device::unmapReleaseChunks(VirtAddr va, Bytes size,
                            std::span<const PhysHandle> handles)
 {
-    const std::size_t stride = runStride(handles.size());
-    for (std::size_t i = 0; i < handles.size(); i += stride) {
-        const auto step =
-            handles.subspan(i, std::min(stride, handles.size() - i));
-        const VirtAddr at = va + static_cast<VirtAddr>(i) * size;
-        if (step.size() == 1) {
-            const Status s = unmapOne(at, size);
-            GMLAKE_ASSERT(s.ok(), "run unwind unmap failed");
-        } else {
-            // One memUnmap of a single chunk per handle.
-            mCounters.unmap += step.size();
-            charge(mCost.memUnmap(1) * static_cast<Tick>(step.size()));
-            const Status s = mMap.unmap(at, step.size() * size);
-            GMLAKE_ASSERT(s.ok(), "run unwind unmap failed");
+    if (handles.empty())
+        return;
+    RunSpans spans(mClock);
+    // One memUnmap of a single chunk, then its memRelease, per handle.
+    const Status unmapped = mMap.unmap(va, handles.size() * size);
+    GMLAKE_ASSERT(unmapped.ok(), "run unwind unmap failed");
+    const RunStatus released = mPhys.releaseRun(handles);
+    GMLAKE_ASSERT(released.ok(), "run unwind release failed");
+    const Tick unmapCost = mCost.memUnmap(1);
+    const Tick releaseCost = mCost.memRelease();
+    mCounters.unmap += handles.size();
+    mCounters.release += handles.size();
+    charge((unmapCost + releaseCost) * static_cast<Tick>(handles.size()));
+    if (spans.on()) {
+        for (std::size_t i = 0; i < handles.size(); ++i) {
+            spans.call(obs::EvName::devUnmap, unmapCost, 1);
+            spans.call(obs::EvName::devRelease, releaseCost);
         }
-        const RunStatus released = releaseChunks(step);
-        GMLAKE_ASSERT(released.ok(), "run unwind release failed");
     }
 }
 
 Status
 Device::memMap(VirtAddr va, PhysHandle handle)
 {
-    const WallScope wall(mCounters);
-    return mapOne(va, handle);
-}
-
-Status
-Device::mapOne(VirtAddr va, PhysHandle handle)
-{
     ++mCounters.map;
+    const WallScope wall(mCounters);
     ObsApiSpan span(obs::EvName::devMap, mClock);
     if (mFaults) {
         if (auto err = mFaults->onCall(FaultApi::memMap)) {
@@ -440,14 +501,8 @@ Device::memMapBatch(
 Status
 Device::memUnmap(VirtAddr va, Bytes size)
 {
-    const WallScope wall(mCounters);
-    return unmapOne(va, size);
-}
-
-Status
-Device::unmapOne(VirtAddr va, Bytes size)
-{
     ++mCounters.unmap;
+    const WallScope wall(mCounters);
     ObsApiSpan span(obs::EvName::devUnmap, mClock);
     const auto stats = mMap.rangeStats(va, size);
     span.arg(stats.chunks);
@@ -608,7 +663,6 @@ Device::applyCapacityLoss(Tick at)
             break; // too fragmented now; retried on the next create
         const auto handle = mPhys.create(take);
         GMLAKE_ASSERT(handle.ok(), "capacity-loss carve failed");
-        mLostChunks.push_back(*handle);
         mFaults->noteCapacityLost(take);
         due -= take;
     }

@@ -19,12 +19,14 @@
  * memUnmapReleaseRun) stand for the per-chunk CUDA call loops GMLake
  * and the expandable allocator run over their 2 MiB chunks: every
  * chunk is counted, charged and fault-checked exactly as a loop of
- * single calls would, but the run enters the device once and the
+ * single calls would, but the run enters the device once, the
  * physical memory manager carves or returns each contiguous stretch
- * in one step. While a fault injector is installed or an obs
- * recorder is active, a run advances one chunk at a time instead —
- * fault plans draw per API call and the timeline shows one span
- * per call — so both see exactly what the loop produced.
+ * in one step and the mapping table takes one splice. A fault plan
+ * draws the run's calls in one go, the fates a loop would have
+ * drawn; the run splits only at its first failing call and at a
+ * chunk a scheduled capacity loss falls due at. An obs recorder
+ * gets the loop's spans, one per call, laid out from the run's
+ * per-chunk clock.
  *
  * Nothing here locks: one thread owns a device and the allocator on
  * it, as one training process drives one GPU. Parallel runs give
@@ -125,11 +127,12 @@ class Device
     /**
      * Create out.size() chunks of @p size bytes and map chunk i at
      * va + i * size: a memCreate() then a memMap() call per chunk,
-     * like the loop building a block. Atomic: on a failed create or
-     * map, the run unwinds what it built with the loop's own
-     * teardown calls (memUnmapReleaseRun over the mapped chunks,
-     * then a memRelease of a created but unmapped one) and returns
-     * the error.
+     * like the loop building a block. The target must be unmapped,
+     * granularity-aligned space inside one reservation (a panic
+     * otherwise). Atomic: on a failed create or map, the run unwinds
+     * what it built with the loop's own teardown calls
+     * (memUnmapReleaseRun over the mapped chunks, then a memRelease
+     * of a created but unmapped one) and returns the error.
      */
     Status memCreateMapRun(VirtAddr va, Bytes size,
                            std::span<PhysHandle> out);
@@ -331,8 +334,6 @@ class Device
      * device, not the sabotage plan.
      */
     std::unique_ptr<FaultInjector> mFaults;
-    /** Physical extents carved out by capacity losses (never freed). */
-    std::vector<PhysHandle> mLostChunks;
 
     /** Reusable (va, handle) buffer of a batched create+map step. */
     std::vector<std::pair<VirtAddr, PhysHandle>> mRunBatch;
@@ -346,20 +347,14 @@ class Device
     /** Realize any capacity loss that has come due by @p at. */
     void applyCapacityLoss(Tick at);
 
-    /**
-     * Chunks a run handles per step: one while a fault injector or a
-     * recorder watches the device, else the whole run.
-     */
-    std::size_t runStride(std::size_t count) const;
-
-    // Bodies of the entry points, without the wall-clock scope, so
-    // runs compose them and are still timed once.
-    RunStatus createChunks(Bytes size, std::span<PhysHandle> out);
+    // Bodies of the run entry points, without the wall-clock scope,
+    // so runs compose them and are still timed once.
+    /** memCreateRun, and with @p map memCreateMapRun at @p va. */
+    RunStatus buildChunks(VirtAddr va, Bytes size,
+                          std::span<PhysHandle> out, bool map);
     RunStatus releaseChunks(std::span<const PhysHandle> handles);
     void unmapReleaseChunks(VirtAddr va, Bytes size,
                             std::span<const PhysHandle> handles);
-    Status mapOne(VirtAddr va, PhysHandle handle);
-    Status unmapOne(VirtAddr va, Bytes size);
 };
 
 } // namespace gmlake::vmm

@@ -213,26 +213,33 @@ FaultInjector::FaultInjector(FaultPlan plan, std::uint64_t seed)
 {
 }
 
-std::optional<Error>
-FaultInjector::onCall(FaultApi api)
+FaultInjector::RunDraw
+FaultInjector::drawRun(std::span<const FaultApi> apis, std::size_t calls)
 {
-    const std::size_t idx = static_cast<std::size_t>(api);
-    const std::uint64_t ordinal = ++mCounters.calls[idx];
-    const FaultRule &rule = mPlan.rules[idx];
-    bool fail = std::binary_search(rule.nthCalls.begin(),
-                                   rule.nthCalls.end(), ordinal);
-    // Draw the RNG only when the rule is probabilistic, so plans with
-    // pure nth-call triggers consume no randomness and two plans that
-    // differ only in triggers share the same probabilistic stream.
-    if (!fail && rule.probability > 0.0)
-        fail = mRng.chance(rule.probability);
-    if (!fail)
-        return std::nullopt;
-    ++mCounters.injected[idx];
-    std::ostringstream what;
-    what << "injected fault: " << faultApiName(api) << " call #"
-         << ordinal;
-    return makeError(rule.code, what.str());
+    RunDraw draw;
+    for (; draw.passed < calls; ++draw.passed) {
+        const FaultApi api = apis[draw.passed % apis.size()];
+        const std::size_t idx = static_cast<std::size_t>(api);
+        const std::uint64_t ordinal = ++mCounters.calls[idx];
+        const FaultRule &rule = mPlan.rules[idx];
+        bool fail = std::binary_search(rule.nthCalls.begin(),
+                                       rule.nthCalls.end(), ordinal);
+        // Draw the RNG only when the rule is probabilistic, so plans
+        // with pure nth-call triggers consume no randomness and two
+        // plans that differ only in triggers share the same
+        // probabilistic stream.
+        if (!fail && rule.probability > 0.0)
+            fail = mRng.chance(rule.probability);
+        if (!fail)
+            continue;
+        ++mCounters.injected[idx];
+        std::ostringstream what;
+        what << "injected fault: " << faultApiName(api) << " call #"
+             << ordinal;
+        draw.error = makeError(rule.code, what.str());
+        break;
+    }
+    return draw;
 }
 
 Bytes
@@ -253,6 +260,14 @@ FaultInjector::noteCapacityLost(Bytes bytes)
                   "capacity loss over-acknowledged");
     mPendingLoss -= bytes;
     mCounters.capacityLost += bytes;
+}
+
+std::optional<Tick>
+FaultInjector::nextLossAt() const
+{
+    if (mNextLoss == mPlan.capacityLosses.size())
+        return std::nullopt;
+    return mPlan.capacityLosses[mNextLoss].at;
 }
 
 } // namespace gmlake::vmm

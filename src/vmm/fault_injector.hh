@@ -10,7 +10,9 @@
  *
  * The Device consults its injector (when one is installed) after the
  * usual counter bump and cost charge but before the real operation, and
- * returns the injected error instead of succeeding. With no injector
+ * returns the injected error instead of succeeding. A chunk run draws
+ * all its calls at once (drawRun), exactly the draws of the loop of
+ * single calls it stands for. With no injector
  * installed the check is a single null test — zero overhead and
  * bit-identical behavior to a build without this file.
  */
@@ -21,6 +23,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -130,13 +133,34 @@ class FaultInjector
         std::uint64_t totalInjected() const;
     };
 
+    /** Outcome of drawRun(): calls that passed, then the failure. */
+    struct RunDraw
+    {
+        std::size_t passed = 0;
+        /** Error of call @c passed, which failed; nullopt if none. */
+        std::optional<Error> error;
+    };
+
     FaultInjector(FaultPlan plan, std::uint64_t seed);
+
+    /**
+     * Record @p calls calls that cycle through @p apis in order (a
+     * chunk run: each chunk calls every API of @p apis once) and
+     * decide their fate, consuming exactly the ordinals and RNG
+     * draws of that many onCall()s, up to and including the first
+     * call that fails. Nothing is drawn past it.
+     */
+    RunDraw drawRun(std::span<const FaultApi> apis, std::size_t calls);
 
     /**
      * Record one call of @p api and decide its fate: the error to
      * inject, or nullopt to let the real operation proceed.
      */
-    std::optional<Error> onCall(FaultApi api);
+    std::optional<Error>
+    onCall(FaultApi api)
+    {
+        return drawRun({&api, 1}, 1).error;
+    }
 
     /**
      * Bytes of scheduled capacity loss that have come due by @p now
@@ -147,6 +171,9 @@ class FaultInjector
 
     /** Report @p bytes successfully carved (reduces the pending debt). */
     void noteCapacityLost(Bytes bytes);
+
+    /** When the next scheduled loss comes due; nullopt if none is left. */
+    std::optional<Tick> nextLossAt() const;
 
     const Counters &counters() const { return mCounters; }
     const FaultPlan &plan() const { return mPlan; }

@@ -110,6 +110,21 @@ PhysMemory::createRun(Bytes size, std::span<PhysHandle> out)
     return run;
 }
 
+std::size_t
+PhysMemory::fitCount(Bytes size, std::size_t limit) const
+{
+    if (size == 0 || !isAligned(size, mGranularity))
+        return 0;
+    // createRun() fills the lowest-base fitting hole until what is
+    // left of it is too small, then moves on to the next fitting
+    // hole above it.
+    std::size_t fits = 0;
+    for (auto hole = mHoles.firstFit(size); hole && fits < limit;
+         hole = mHoles.nextFit(hole->base, size))
+        fits += static_cast<std::size_t>(hole->size / size);
+    return std::min(fits, limit);
+}
+
 Status
 PhysMemory::releasable(const Slot *slot) const
 {

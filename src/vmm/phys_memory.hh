@@ -129,6 +129,13 @@ class PhysMemory
      */
     RunStatus createRun(Bytes size, std::span<PhysHandle> out);
 
+    /**
+     * How many of @p limit create(@p size) calls in a row would
+     * succeed: what createRun() would create, without creating
+     * anything. Walks the same holes createRun() would carve.
+     */
+    std::size_t fitCount(Bytes size, std::size_t limit) const;
+
     /** Release a handle; fails with handleInUse while mapped. */
     Status release(PhysHandle handle);
 

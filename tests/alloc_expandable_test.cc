@@ -158,6 +158,29 @@ TEST(Expandable, OomRetryTrimsOtherSegments)
     allocator.checkConsistency();
 }
 
+TEST(Expandable, OomRetryRegrowsFromItsOwnTrimmedTail)
+{
+    // The retry trims the allocating segment's own free tail too, so
+    // it must regrow from the trimmed end and place the block at the
+    // start of the gap that is left.
+    vmm::Device dev(smallDevice(16_MiB));
+    ExpandableSegmentsAllocator allocator(dev);
+    const auto a = allocator.allocate(2_MiB, 0);
+    const auto b = allocator.allocate(4_MiB, 0);
+    ASSERT_TRUE(a.ok() && b.ok());
+    ASSERT_TRUE(allocator.deallocate(b->id).ok());
+    const auto c = allocator.allocate(8_MiB, 1);
+    const auto d = allocator.allocate(2_MiB, 1);
+    ASSERT_TRUE(c.ok() && d.ok());
+    ASSERT_TRUE(allocator.deallocate(d->id).ok());
+    // All 16 MiB are mapped; stream 0's 4 MiB tail gap is too small.
+    const auto e = allocator.allocate(6_MiB, 0);
+    ASSERT_TRUE(e.ok());
+    EXPECT_EQ(e->addr, a->addr + 2_MiB);
+    EXPECT_EQ(allocator.stats().reservedBytes(), 16_MiB);
+    allocator.checkConsistency();
+}
+
 TEST(Expandable, UnknownIdAndZeroByteRejected)
 {
     vmm::Device dev(smallDevice());

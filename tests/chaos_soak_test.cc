@@ -54,6 +54,39 @@ expectSameTrial(const ChaosTrialRecord &a, const ChaosTrialRecord &b)
     EXPECT_EQ(a.result.peakReserved, b.result.peakReserved);
 }
 
+/** Every RunResult field except the host wall-clock ones. */
+void
+expectSameResult(const sim::RunResult &a, const sim::RunResult &b)
+{
+    EXPECT_EQ(a.allocator, b.allocator);
+    EXPECT_EQ(a.oom, b.oom);
+    EXPECT_EQ(a.oomAt, b.oomAt);
+    EXPECT_EQ(a.iterationsDone, b.iterationsDone);
+    EXPECT_EQ(a.simTime, b.simTime);
+    EXPECT_EQ(a.peakActive, b.peakActive);
+    EXPECT_EQ(a.peakReserved, b.peakReserved);
+    EXPECT_EQ(a.utilization, b.utilization);
+    EXPECT_EQ(a.fragmentation, b.fragmentation);
+    EXPECT_EQ(a.samplesPerSec, b.samplesPerSec);
+    EXPECT_EQ(a.allocCount, b.allocCount);
+    EXPECT_EQ(a.freeCount, b.freeCount);
+    EXPECT_EQ(a.deviceApiTime, b.deviceApiTime);
+    EXPECT_EQ(a.evictedBytes, b.evictedBytes);
+    EXPECT_EQ(a.faultedBytes, b.faultedBytes);
+    EXPECT_EQ(a.stallNs, b.stallNs);
+    EXPECT_EQ(a.commitStallNs, b.commitStallNs);
+    EXPECT_EQ(a.injectedFaults, b.injectedFaults);
+    EXPECT_EQ(a.recovered, b.recovered);
+    EXPECT_EQ(a.rollbacks, b.rollbacks);
+    EXPECT_EQ(a.abortedSessions, b.abortedSessions);
+    ASSERT_EQ(a.series.size(), b.series.size());
+    for (std::size_t i = 0; i < a.series.size(); ++i) {
+        EXPECT_EQ(a.series[i].time, b.series[i].time);
+        EXPECT_EQ(a.series[i].active, b.series[i].active);
+        EXPECT_EQ(a.series[i].reserved, b.series[i].reserved);
+    }
+}
+
 } // namespace
 
 TEST(ChaosSoak, FaultFreeRunIsCleanWithZeroCounters)
@@ -200,4 +233,36 @@ TEST(ChaosSoak, MalformedSpecFailsBeforeAnyTrial)
     options.faultSpec = "create:p=2.0";
     options.trials = 5;
     EXPECT_THROW(sim::runChaos(options), FatalError);
+}
+
+TEST(ChaosSoak, ArmedPlanThatCannotFireChangesNothing)
+{
+    // Call ordinals no run reaches and a loss due at the end of time:
+    // unlike an all-p=0 plan, which chaos does not install, this one
+    // arms an injector that draws for every call and never fires.
+    const std::string never =
+        "create:n=18446744073709551615;map:n=18446744073709551615;"
+        "mapbatch:n=18446744073709551615;"
+        "setaccess:n=18446744073709551615;"
+        "cap:t=9223372036854775807,b=2M";
+    ASSERT_FALSE(vmm::FaultPlan::parse(never).empty());
+    for (const char *scenario : {"smoke", "train", "colocate"}) {
+        for (const sim::AllocatorKind kind :
+             {sim::AllocatorKind::gmlake, sim::AllocatorKind::expandable}) {
+            SCOPED_TRACE(std::string(scenario) + " " +
+                         sim::allocatorKindName(kind));
+            ChaosOptions plain = quickOptions();
+            plain.scenario = scenario;
+            plain.kind = kind;
+            ChaosOptions armed = plain;
+            armed.faultSpec = never;
+            const ChaosTrialRecord a =
+                sim::runChaosTrial(plain, plain.faultSeed);
+            const ChaosTrialRecord b =
+                sim::runChaosTrial(armed, armed.faultSeed);
+            EXPECT_TRUE(a.auditPassed) << a.error;
+            expectSameTrial(a, b);
+            expectSameResult(a.result, b.result);
+        }
+    }
 }

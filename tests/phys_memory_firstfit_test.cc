@@ -8,7 +8,8 @@
  * never a behaviour change. Handle-recycling properties (slot reuse
  * with unique handle values) are asserted on the side. The run calls
  * (createRun / releaseRun) are driven in lockstep with a twin taking
- * the same steps as single calls, and must match it bit for bit.
+ * the same steps as single calls, and must match it bit for bit;
+ * fitCount must predict every createRun's stop without carving.
  */
 
 #include <gtest/gtest.h>
@@ -404,9 +405,11 @@ TEST(PhysMemoryFirstFit, RunCallsMatchSingleCallsInLockstep)
                 const std::size_t n = rng.uniformInt(1, 24);
                 std::vector<PhysHandle> got(n, kNullHandle);
                 std::vector<PhysHandle> want(n, kNullHandle);
+                const std::size_t fits = runs.fitCount(size, n);
                 const auto r = runs.createRun(size, got);
                 const auto w = createLoop(twin, size, want);
                 ASSERT_EQ(r.done, w.done) << "seed " << seed << " op " << op;
+                ASSERT_EQ(fits, r.done) << "seed " << seed << " op " << op;
                 ASSERT_EQ(r.status.code(), w.status.code());
                 if (!r.ok()) {
                     ASSERT_EQ(r.status.error().message,

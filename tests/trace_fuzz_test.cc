@@ -13,7 +13,11 @@
  * schemas over one container (support/container.hh), so this corpus
  * covers its one validator twice. Forged `.gmo` footers, each with
  * the footer hash recomputed after one edit, pin that every length is
- * checked against the bytes left before anything is allocated.
+ * checked against the bytes left before anything is allocated. The
+ * same seeded mutations run over the two spec parsers, FaultPlan::parse
+ * (`--faults`) and parseGridSpec (`--grid`): every mutated spec
+ * parses or throws FatalError, and every plan that parses drives a
+ * FaultInjector.
  */
 
 #include <gtest/gtest.h>
@@ -27,9 +31,11 @@
 #include <vector>
 
 #include "obs/export_columnar.hh"
+#include "sim/sweep.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
 #include "support/units.hh"
+#include "vmm/fault_injector.hh"
 #include "workload/binary_trace.hh"
 #include "workload/trace.hh"
 #include "workload/tracegen.hh"
@@ -453,4 +459,123 @@ TEST(TraceFuzz, GmoForgedFootersThrowFatalError)
                      FatalError)
             << f.what;
     }
+}
+
+// ------------------------------------------------------ spec parsers
+
+namespace
+{
+
+/**
+ * Seeded mutations of each of @p seeds: every prefix, then @p rounds
+ * of one to three edits each — a byte replaced, inserted or deleted
+ * (drawn from the spec grammar and a few bytes outside it), or a run
+ * of up to 40 digits spliced in, past every 64-bit field.
+ */
+std::vector<std::string>
+mutateSpecs(const std::vector<std::string> &seeds, std::uint64_t seed,
+            int rounds)
+{
+    static constexpr char kBytes[] = "0123456789.,;:=-+eEpnbtKMGTx _\xff";
+    Rng rng(seed);
+    std::vector<std::string> out;
+    for (const std::string &spec : seeds) {
+        for (std::size_t len = 0; len <= spec.size(); ++len)
+            out.push_back(spec.substr(0, len));
+        for (int round = 0; round < rounds; ++round) {
+            std::string m = spec;
+            const std::size_t edits = rng.uniformInt(1, 3);
+            for (std::size_t e = 0; e < edits; ++e) {
+                const std::size_t at = rng.uniformInt(0, m.size());
+                const char byte = kBytes[rng.uniformInt(
+                    0, sizeof(kBytes) - 2)];
+                switch (rng.uniformInt(0, 3)) {
+                case 0:
+                    if (at < m.size())
+                        m[at] = byte;
+                    break;
+                case 1:
+                    m.insert(at, 1, byte);
+                    break;
+                case 2:
+                    if (at < m.size())
+                        m.erase(at, 1);
+                    break;
+                default:
+                    m.insert(at, std::string(rng.uniformInt(1, 40),
+                                             static_cast<char>(
+                                                 '0' + rng.uniformInt(
+                                                           0, 9))));
+                    break;
+                }
+            }
+            out.push_back(m);
+        }
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(SpecFuzz, FaultPlansParseOrThrowFatalError)
+{
+    const auto specs = mutateSpecs(
+        {"create:p=0.02;map:n=5,n=9;cap:t=1000000,b=2G",
+         "mapbatch:n=4;setaccess:p=0.005,code=oom",
+         "copyd2h:p=0.5;copyh2d:n=1K,code=fault",
+         "create:n=18446744073709551615;cap:t=9223372036854775807,b=2M"},
+        77, 2000);
+    std::size_t parsed = 0;
+    std::size_t rejected = 0;
+    for (const std::string &spec : specs) {
+        SCOPED_TRACE("spec '" + spec + "'");
+        vmm::FaultPlan plan;
+        try {
+            plan = vmm::FaultPlan::parse(spec);
+        } catch (const FatalError &) {
+            ++rejected;
+            continue;
+        } catch (...) {
+            FAIL() << "escaped a non-FatalError exception";
+        }
+        ++parsed;
+        // A parsed plan must drive an injector.
+        EXPECT_FALSE(plan.describe().empty());
+        vmm::FaultInjector injector(plan, 1);
+        static constexpr vmm::FaultApi kRun[] = {vmm::FaultApi::memCreate,
+                                                 vmm::FaultApi::memMap};
+        for (std::size_t i = 0; i < vmm::kFaultApiCount; ++i)
+            (void)injector.onCall(static_cast<vmm::FaultApi>(i));
+        const auto draw = injector.drawRun(kRun, 8);
+        EXPECT_LE(draw.passed, 8u);
+        EXPECT_EQ(draw.error.has_value(), draw.passed < 8);
+        (void)injector.pendingCapacityLoss(1'000'000'000);
+        (void)injector.nextLossAt();
+    }
+    EXPECT_GT(parsed, 100u);
+    EXPECT_GT(rejected, 100u);
+}
+
+TEST(SpecFuzz, SweepGridsParseOrThrowFatalError)
+{
+    const auto specs = mutateSpecs(
+        {"frag=2,16;tol=0,0.125;sblocks=4096;overscribe=4,8;"
+         "stitch=on,off",
+         "frag=0;tol=1e-3;stitch=off"},
+        78, 2000);
+    std::size_t parsed = 0;
+    std::size_t rejected = 0;
+    for (const std::string &spec : specs) {
+        SCOPED_TRACE("grid '" + spec + "'");
+        try {
+            (void)sim::parseGridSpec(spec);
+            ++parsed;
+        } catch (const FatalError &) {
+            ++rejected;
+        } catch (...) {
+            FAIL() << "escaped a non-FatalError exception";
+        }
+    }
+    EXPECT_GT(parsed, 100u);
+    EXPECT_GT(rejected, 100u);
 }

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -424,30 +426,151 @@ runScript(ChunkCalls calls, const std::function<void()> &check)
     return log;
 }
 
-/** Run the script on twins, one with runs and one with loops. */
-void
-expectRunsMatchLoops(const std::string &plan)
+/**
+ * Rounds of 5-chunk runs on a 3-chunk device, create+map and plain
+ * creates in turn: a run that gets past its fault draws runs out of
+ * memory at its fourth chunk. The log keeps each error's message, so
+ * an injected stop and an organic one cannot pass for each other.
+ */
+std::vector<std::string>
+tightScript(ChunkCalls calls, const std::function<void()> &check)
 {
-    Device runs(smallDevice(64_MiB));
-    Device loops(smallDevice(64_MiB));
-    if (!plan.empty()) {
-        runs.installFaultInjector(vmm::FaultPlan::parse(plan), 7);
-        loops.installFaultInjector(vmm::FaultPlan::parse(plan), 7);
+    Device &dev = calls.dev;
+    std::vector<std::string> log;
+    const auto va = dev.memAddressReserve(5 * 2_MiB);
+    EXPECT_TRUE(va.ok());
+    auto text = [](const Status &s) {
+        return s.ok() ? std::string("ok") : s.error().message;
+    };
+    for (int round = 0; round < 24; ++round) {
+        std::vector<PhysHandle> chunks(5, kNullHandle);
+        if (round % 2 == 0) {
+            log.push_back("createMap " +
+                          text(calls.createMap(*va, 2_MiB, chunks)));
+        } else {
+            const RunStatus r = calls.create(2_MiB, chunks);
+            log.push_back("create " + std::to_string(r.done) + " " +
+                          text(r.status));
+            EXPECT_TRUE(calls.release(std::span(chunks).first(r.done))
+                            .ok());
+        }
+        check();
     }
-    const auto logLoops = runScript({loops, false}, [] {});
-    const auto logRuns = runScript({runs, true}, [] {});
-    SCOPED_TRACE("plan '" + plan + "'");
-    EXPECT_EQ(logRuns, logLoops);
-    expectSameDevice(runs, loops);
-    if (!plan.empty()) {
-        const auto &fa = runs.faultInjector()->counters();
-        const auto &fb = loops.faultInjector()->counters();
+    return log;
+}
+
+using Script = std::vector<std::string> (*)(
+    ChunkCalls, const std::function<void()> &);
+
+/** A fault plan and the script and device size it runs with. */
+struct FaultCase
+{
+    std::string plan;
+    Script script = runScript;
+    Bytes capacity = 64_MiB;
+};
+
+/**
+ * The plans the twin tests run: fault-free; n= faults on creates and
+ * maps, most of them inside a multi-chunk run; random create and map
+ * faults, also on a device that keeps running out of memory
+ * organically; capacity losses, one falling due inside runScript's
+ * first create+map run and one larger than all free memory, whose
+ * debt stays pending across later runs.
+ */
+std::vector<FaultCase>
+faultCases()
+{
+    // runScript starts with a reservation, then its first run builds
+    // 12 chunks; chunk k checks for a due loss after its create, at
+    // reserve + k * (create + map) + create.
+    const Device probe(smallDevice(64_MiB));
+    const Tick reserve = probe.costs().memAddressReserve(40 * 2_MiB);
+    const Tick create = probe.costs().memCreate(2_MiB);
+    const Tick map = probe.costs().memMap(2_MiB);
+    auto dueAtChunk = [&](Tick k) {
+        return std::to_string(reserve + k * (create + map) + create);
+    };
+    return {
+        {""},
+        {"create:n=3"},
+        {"create:n=17"},
+        {"create:n=25"},
+        {"map:n=3"},
+        {"map:n=14"},
+        {"map:n=20"},
+        {"create:n=5;map:n=9"},
+        {"cap:t=20000,b=8M"},
+        {"create:p=0.1;map:p=0.1"},
+        {"create:n=2;cap:t=60000,b=20M"},
+        {"cap:t=" + dueAtChunk(5) + ",b=8M"},
+        {"cap:t=" + dueAtChunk(3) + ",b=60M"},
+        {"create:p=0.3;map:p=0.2", tightScript, 6_MiB},
+    };
+}
+
+/** One side of a twin run: its device and what the script logged. */
+struct Side
+{
+    std::unique_ptr<Device> dev;
+    std::vector<std::string> log;
+    /** Device spans, when the side ran under a recorder. */
+    std::vector<obs::Event> spans;
+};
+
+/** Run @p fc with runs or with loops, optionally under a recorder. */
+Side
+runSide(const FaultCase &fc, bool runs, bool record)
+{
+    Side side;
+    side.dev = std::make_unique<Device>(smallDevice(fc.capacity));
+    if (!fc.plan.empty())
+        side.dev->installFaultInjector(vmm::FaultPlan::parse(fc.plan), 7);
+    obs::Recorder recorder;
+    if (record) {
+        recorder.activate();
+        recorder.beginRun("runs");
+    }
+    side.log = fc.script({*side.dev, runs}, [] {});
+    if (!record)
+        return side;
+    recorder.deactivate();
+    for (const obs::Event &e : recorder.snapshot().events) {
+        if (e.cat == obs::EventCat::device)
+            side.spans.push_back(e);
+    }
+    return side;
+}
+
+/** Run @p fc on twins, one with runs and one with loops. */
+std::vector<std::string>
+expectRunsMatchLoops(const FaultCase &fc)
+{
+    SCOPED_TRACE("plan '" + fc.plan + "'");
+    const Side loops = runSide(fc, false, false);
+    const Side runs = runSide(fc, true, false);
+    EXPECT_EQ(runs.log, loops.log);
+    expectSameDevice(*runs.dev, *loops.dev);
+    if (!fc.plan.empty()) {
+        const auto &fa = runs.dev->faultInjector()->counters();
+        const auto &fb = loops.dev->faultInjector()->counters();
         EXPECT_EQ(fa.calls, fb.calls);
         EXPECT_EQ(fa.injected, fb.injected);
         EXPECT_EQ(fa.capacityLost, fb.capacityLost);
+        // Every create and map call the device counted drew its fate
+        // once, a failing one included (the scripts make no batch
+        // maps): the loop itself is held to the per-call contract.
+        const auto drawn = [&](vmm::FaultApi api) {
+            return fb.calls[static_cast<std::size_t>(api)];
+        };
+        EXPECT_EQ(drawn(vmm::FaultApi::memCreate),
+                  loops.dev->counters().create);
+        EXPECT_EQ(drawn(vmm::FaultApi::memMap),
+                  loops.dev->counters().map);
         // Every plan bites: a fault fired or capacity went missing.
         EXPECT_GT(fa.totalInjected() + fa.capacityLost, 0u);
     }
+    return runs.log;
 }
 
 } // namespace
@@ -498,18 +621,35 @@ TEST(DeviceRuns, OutOfMemoryStopsAtTheSameChunk)
 
 TEST(DeviceRuns, MatchPerChunkLoopsUnderFaultPlans)
 {
-    for (const char *plan :
-         {"", "create:n=3", "create:n=17", "map:n=3", "map:n=14",
-          "cap:t=20000,b=8M", "create:p=0.1;map:p=0.1",
-          "create:n=2;cap:t=60000,b=20M"}) {
-        expectRunsMatchLoops(plan);
+    for (const FaultCase &fc : faultCases())
+        expectRunsMatchLoops(fc);
+}
+
+TEST(DeviceRuns, FaultDrawsStopAtAnOrganicOutOfMemory)
+{
+    // Runs that pass their draws stop organically; both kinds of run
+    // must also stop on injected faults, so the plan really draws.
+    const FaultCase tight = faultCases().back();
+    ASSERT_EQ(tight.script, tightScript);
+    const auto log = expectRunsMatchLoops(tight);
+    std::size_t organic[2] = {0, 0};
+    std::size_t injected[2] = {0, 0};
+    for (const std::string &line : log) {
+        const std::size_t kind = line.starts_with("createMap") ? 0 : 1;
+        organic[kind] += line.find("no contiguous space") !=
+                         std::string::npos;
+        injected[kind] += line.find("injected") != std::string::npos;
+    }
+    for (std::size_t kind : {0, 1}) {
+        EXPECT_GT(organic[kind], 0u) << kind;
+        EXPECT_GT(injected[kind], 0u) << kind;
     }
 }
 
 TEST(DeviceRuns, ZeroProbabilityPlanLeavesTheSameDevice)
 {
-    // An installed but silent injector makes the runs step chunk by
-    // chunk; they must end where the batched runs end.
+    // An installed but silent injector still draws for every call;
+    // the runs must end where the unwatched runs end.
     Device plain(smallDevice(64_MiB));
     Device watched(smallDevice(64_MiB));
     const auto silent = vmm::FaultPlan::parse("create:p=0;map:p=0");
@@ -522,33 +662,36 @@ TEST(DeviceRuns, ZeroProbabilityPlanLeavesTheSameDevice)
 
 TEST(DeviceRuns, RecorderSeesTheSameSpansAsTheLoops)
 {
-    auto deviceSpans = [](bool runs) {
-        obs::Recorder recorder;
-        recorder.activate();
-        recorder.beginRun("runs");
-        Device dev(smallDevice(64_MiB));
-        runScript({dev, runs}, [] {});
-        recorder.deactivate();
-        std::vector<obs::Event> spans;
-        for (const obs::Event &e : recorder.snapshot().events) {
-            if (e.cat == obs::EventCat::device)
-                spans.push_back(e);
+    for (const FaultCase &fc : faultCases()) {
+        SCOPED_TRACE("plan '" + fc.plan + "'");
+        const Side loops = runSide(fc, false, true);
+        const Side runs = runSide(fc, true, true);
+        EXPECT_EQ(runs.log, loops.log);
+        // A plan that kills the device early leaves about 40 spans.
+        ASSERT_GT(loops.spans.size(), fc.plan.empty() ? 100u : 10u);
+        // Single creates and releases emit through the run code too,
+        // so a run that dropped spans would drop them on both twins:
+        // every call the loop device counted must have its span.
+        const auto spansOf = [&](obs::EvName name) {
+            return static_cast<std::uint64_t>(std::ranges::count(
+                loops.spans, name, &obs::Event::name));
+        };
+        const vmm::ApiCounters &calls = loops.dev->counters();
+        EXPECT_EQ(spansOf(obs::EvName::devCreate), calls.create);
+        EXPECT_EQ(spansOf(obs::EvName::devMap), calls.map);
+        EXPECT_EQ(spansOf(obs::EvName::devUnmap), calls.unmap);
+        EXPECT_EQ(spansOf(obs::EvName::devRelease), calls.release);
+        ASSERT_EQ(runs.spans.size(), loops.spans.size());
+        for (std::size_t i = 0; i < runs.spans.size(); ++i) {
+            SCOPED_TRACE("span " + std::to_string(i));
+            EXPECT_EQ(runs.spans[i].name, loops.spans[i].name);
+            EXPECT_EQ(runs.spans[i].kind, loops.spans[i].kind);
+            EXPECT_EQ(runs.spans[i].simTime, loops.spans[i].simTime);
+            EXPECT_EQ(runs.spans[i].dur, loops.spans[i].dur);
+            EXPECT_EQ(runs.spans[i].a0, loops.spans[i].a0);
+            EXPECT_EQ(runs.spans[i].a1, loops.spans[i].a1);
+            EXPECT_EQ(runs.spans[i].a2, loops.spans[i].a2);
         }
-        return spans;
-    };
-    const auto loops = deviceSpans(false);
-    const auto runs = deviceSpans(true);
-    ASSERT_GT(loops.size(), 100u);
-    ASSERT_EQ(runs.size(), loops.size());
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        SCOPED_TRACE("span " + std::to_string(i));
-        EXPECT_EQ(runs[i].name, loops[i].name);
-        EXPECT_EQ(runs[i].kind, loops[i].kind);
-        EXPECT_EQ(runs[i].simTime, loops[i].simTime);
-        EXPECT_EQ(runs[i].dur, loops[i].dur);
-        EXPECT_EQ(runs[i].a0, loops[i].a0);
-        EXPECT_EQ(runs[i].a1, loops[i].a1);
-        EXPECT_EQ(runs[i].a2, loops[i].a2);
     }
 }
 
