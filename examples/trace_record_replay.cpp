@@ -50,9 +50,9 @@ main()
     // 3. Replay under each allocator.
     for (const auto kind :
          {sim::AllocatorKind::caching, sim::AllocatorKind::gmlake}) {
-        vmm::Device device;
-        const auto allocator = sim::makeAllocator(kind, device);
-        const auto r = sim::runTrace(*allocator, device, loaded, &cfg);
+        sim::Rig rig(kind);
+        const auto r =
+            rig.run({sim::Session("main", &loaded)}, &cfg).combined;
         std::cout << "  " << r.allocator << ": utilization "
                   << formatPercent(r.utilization) << ", reserved "
                   << formatBytes(r.peakReserved)

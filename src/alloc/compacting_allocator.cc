@@ -70,21 +70,6 @@ CompactingAllocator::Slab::usedBytes() const
     return total;
 }
 
-Bytes
-CompactingAllocator::Slab::largestGap() const
-{
-    Bytes largest = 0;
-    Bytes cursor = 0;
-    for (const auto &[off, blk] : blocks) {
-        if (off > cursor)
-            largest = std::max(largest, off - cursor);
-        cursor = off + blk.first;
-    }
-    if (size > cursor)
-        largest = std::max(largest, size - cursor);
-    return largest;
-}
-
 CompactingAllocator::CompactingAllocator(vmm::Device &device,
                                          CompactingConfig config)
     : mDevice(device), mConfig(config)

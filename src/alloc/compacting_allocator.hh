@@ -79,8 +79,6 @@ class CompactingAllocator : public Allocator
         std::map<Bytes, std::pair<Bytes, AllocId>> blocks;
 
         Bytes usedBytes() const;
-        /** Largest free gap, considering blocks in offset order. */
-        Bytes largestGap() const;
     };
 
     vmm::Device &mDevice;

@@ -398,8 +398,15 @@ void
 GMLakeAllocator::destroySBlock(SBlock *sblock)
 {
     GMLAKE_ASSERT(!sblock->active, "destroy of an active sBlock");
-    Status s = mDevice.memUnmap(sblock->va, sblock->size);
-    GMLAKE_ASSERT(s.ok(), "sBlock unmap failed");
+    // A spilled member is already unmapped from every sharer
+    // (spillPBlock). memUnmap skips such holes but fails on a range
+    // with no mapping left, so a fully spilled sBlock skips it.
+    Status s;
+    if (std::any_of(sblock->members.begin(), sblock->members.end(),
+                    [](const PBlock *m) { return m->resident; })) {
+        s = mDevice.memUnmap(sblock->va, sblock->size);
+        GMLAKE_ASSERT(s.ok(), "sBlock unmap failed");
+    }
     s = mDevice.memAddressFree(sblock->va);
     GMLAKE_ASSERT(s.ok(), "sBlock addressFree failed");
 

@@ -21,27 +21,14 @@
 namespace gmlake::sim
 {
 
-namespace
-{
-
-/**
- * Post-run accounting: the deep allocator audit plus a simulated-
- * device leak check. After a clean completion every trace frees what
- * it allocated, so once the cache is flushed the device must hold
- * exactly the bytes the injector destroyed. A trial whose *last*
- * surviving session died keeps that tenant's allocations live (the
- * engine skips reclaim with nobody left to benefit), so the strict
- * check only applies when nothing is live.
- */
 void
-auditTrial(alloc::Allocator &allocator, vmm::Device &device,
-           const ChaosTrialRecord &record)
+auditTeardown(Rig &rig, bool anyDeath)
 {
+    alloc::Allocator &allocator = rig.allocator();
+    vmm::Device &device = rig.device();
     allocator.auditInvariants();
 
     const Bytes active = allocator.stats().activeBytes();
-    const bool anyDeath = record.oomSessions > 0 ||
-                          record.result.abortedSessions > 0;
     if (active != 0 && !anyDeath)
         GMLAKE_PANIC("chaos leak check: ", formatBytes(active),
                      " still active after a clean completion");
@@ -51,19 +38,20 @@ auditTrial(alloc::Allocator &allocator, vmm::Device &device,
     allocator.deviceSynchronize();
     allocator.emptyCache();
     allocator.auditInvariants();
+    const Bytes lost = device.faultInjector() != nullptr
+                           ? device.faultInjector()->counters().capacityLost
+                           : 0;
     const Bytes residual = device.phys().inUse();
-    if (residual != record.capacityLost)
+    if (residual != lost)
         GMLAKE_PANIC("chaos leak check: device holds ",
                      formatBytes(residual), " after teardown, "
                      "expected exactly the injected capacity loss (",
-                     formatBytes(record.capacityLost), ")");
+                     formatBytes(lost), ")");
     const std::size_t reservations = device.vaSpace().reservationCount();
     if (reservations != 0)
         GMLAKE_PANIC("chaos leak check: ", reservations,
                      " VA reservations survived teardown");
 }
-
-} // namespace
 
 ChaosTrialRecord
 runChaosTrial(const ChaosOptions &options, std::uint64_t trialSeed)
@@ -72,13 +60,29 @@ runChaosTrial(const ChaosOptions &options, std::uint64_t trialSeed)
     record.faultSeed = trialSeed;
     const Stopwatch wall;
     try {
-        SweepScenario scenario = buildSweepScenario(
+        const SweepScenario scenario = buildSweepScenario(
             options.scenario, options.workloadSeed,
             options.iterations);
-        vmm::Device device(scenario.device);
-        const auto allocator =
-            makeAllocator(options.kind, device, scenario.base);
+        ScenarioOptions rigOptions = scenario.rigOptions();
+        rigOptions.engine.abortSessionOnFault = true;
+        // Scripted kills: each tenant dies with killChance at an
+        // instant uniform over the scenario span — a deterministic
+        // function of the trial seed, like the fault plan draws.
+        Rng rng(deriveSeed(trialSeed, 0xC4A05ULL));
+        const Tick span = tenantsSpan(scenario.tenants);
+        for (std::size_t i = 0; i < scenario.tenants.size(); ++i) {
+            if (!rng.chance(options.killChance))
+                continue;
+            const Tick at = static_cast<Tick>(rng.uniformInt(
+                1, span > 0 ? static_cast<std::uint64_t>(span) : 1));
+            rigOptions.engine.tenantKills.emplace_back(i, at);
+        }
+        record.scriptedKills = rigOptions.engine.tenantKills.size();
 
+        // The plan goes in after the allocator is built, so only the
+        // replay sees it.
+        Rig rig(options.kind, rigOptions);
+        vmm::Device &device = rig.device();
         if (!options.faultSpec.empty()) {
             vmm::FaultPlan plan =
                 vmm::FaultPlan::parse(options.faultSpec);
@@ -87,34 +91,7 @@ runChaosTrial(const ChaosOptions &options, std::uint64_t trialSeed)
                                             trialSeed);
         }
 
-        EngineOptions engineOptions;
-        engineOptions.recordSeries = false;
-        engineOptions.abortSessionOnFault = true;
-        // Scripted kills: each tenant dies with killChance at an
-        // instant uniform over the scenario span — a deterministic
-        // function of the trial seed, like the fault plan draws.
-        Rng rng(deriveSeed(trialSeed, 0xC4A05ULL));
-        Tick span = 0;
-        for (std::size_t i = 0; i < scenario.traces.size(); ++i) {
-            span = std::max(span, traceSpan(scenario.traces[i],
-                                            scenario.startTimes[i]));
-        }
-        for (std::size_t i = 0; i < scenario.traces.size(); ++i) {
-            if (!rng.chance(options.killChance))
-                continue;
-            const Tick at = static_cast<Tick>(rng.uniformInt(
-                1, span > 0 ? static_cast<std::uint64_t>(span) : 1));
-            engineOptions.tenantKills.emplace_back(i, at);
-        }
-        record.scriptedKills = engineOptions.tenantKills.size();
-
-        SimEngine engine(*allocator, device, engineOptions);
-        for (std::size_t i = 0; i < scenario.traces.size(); ++i) {
-            engine.addSession(Session(scenario.sessionNames[i],
-                                      &scenario.traces[i],
-                                      scenario.startTimes[i]));
-        }
-        MultiRunResult multi = engine.run();
+        MultiRunResult multi = rig.run(borrowSessions(scenario.tenants));
         record.result = std::move(multi.combined);
         for (const SessionResult &session : multi.sessions) {
             if (session.oom)
@@ -124,7 +101,8 @@ runChaosTrial(const ChaosOptions &options, std::uint64_t trialSeed)
             record.capacityLost =
                 device.faultInjector()->counters().capacityLost;
 
-        auditTrial(*allocator, device, record);
+        auditTeardown(rig, record.oomSessions > 0 ||
+                               record.result.abortedSessions > 0);
         record.auditPassed = true;
     } catch (const PanicError &e) {
         record.internalError = true;

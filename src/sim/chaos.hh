@@ -116,6 +116,18 @@ inline constexpr int kChaosExitAborted = 3;
 ChaosTrialRecord runChaosTrial(const ChaosOptions &options,
                                std::uint64_t trialSeed);
 
+/**
+ * The post-trial check: the allocator's deep audit, then a leak
+ * check. After a clean completion every trace frees what it
+ * allocated, so once the cache is flushed the device must hold
+ * exactly the bytes the injector destroyed and no VA reservation. A
+ * run whose *last* surviving session died (@p anyDeath) may keep
+ * that tenant's allocations live (the engine skips reclaim with
+ * nobody left to benefit), so the strict check only applies when
+ * nothing is live. Panics on a violation.
+ */
+void auditTeardown(Rig &rig, bool anyDeath);
+
 /** Run the full soak: options.trials trials, derived seeds. */
 ChaosReport runChaos(const ChaosOptions &options);
 

@@ -31,6 +31,8 @@ class OffloadManager;
 namespace gmlake::sim
 {
 
+struct ResumeState;
+
 struct SamplePoint
 {
     Tick time = 0;
@@ -152,16 +154,16 @@ struct EngineOptions
      * trailing compute only when the *tail* replays past it, exactly
      * like the uninterrupted run would.
      *
-     * startFrontier — initial merged-time frontier. A tail run
-     * resumed from a ResumeState passes the captured frontier here
-     * (and keeps sessions' absolute local times as their seeds'
-     * localTime): events whose local time is below the frontier
-     * replay in (localTime, session) order without advancing the
-     * clock — time up to the frontier was already charged by the
-     * warmup run.
+     * resume — continue a captured run: session i starts from
+     * resume->sessions[i] instead of a cold start, and the merged
+     * time from resume->frontier. Events whose local time is below
+     * the frontier replay in (localTime, session) order without
+     * advancing the clock — the warmup run already charged that
+     * time. Restore the matching alloc::Checkpoint first, so the
+     * seeds' allocator ids are live.
      */
     bool captureResume = false;
-    Tick startFrontier = 0;
+    std::shared_ptr<const ResumeState> resume;
     /**
      * Chaos mode: a session hitting a non-OOM device failure —
      * Errc::faultInjected from an installed FaultPlan — is killed

@@ -16,6 +16,7 @@
 #include "support/strings.hh"
 #include "support/thread_pool.hh"
 #include "support/units.hh"
+#include "workload/tracegen.hh"
 
 namespace gmlake::sim
 {
@@ -81,6 +82,22 @@ ExperimentContext::adjust(ScenarioOptions scenario) const
     return scenario;
 }
 
+MultiRunResult
+ExperimentContext::run(Rig &rig, std::vector<Session> sessions,
+                       const std::string &label,
+                       const workload::TrainConfig *config,
+                       const std::string &allocatorName)
+{
+    const std::string allocator = allocatorName.empty()
+                                      ? allocatorKindName(rig.kind())
+                                      : allocatorName;
+    if (mRecorder != nullptr)
+        mRecorder->beginRun(label + " [" + allocator + "]");
+    MultiRunResult multi = rig.run(std::move(sessions), config);
+    record(label, allocator, multi.combined);
+    return multi;
+}
+
 RunResult
 ExperimentContext::run(const workload::TrainConfig &cfg,
                        AllocatorKind kind,
@@ -88,16 +105,21 @@ ExperimentContext::run(const workload::TrainConfig &cfg,
                        const std::string &label)
 {
     const workload::TrainConfig adjusted = adjust(cfg);
-    const ScenarioOptions opts = adjust(scenario);
-    const std::string row =
-        label.empty() ? adjusted.describe() : label;
-    if (mRecorder != nullptr) {
-        mRecorder->beginRun(row + " [" +
-                            allocatorKindName(kind) + "]");
-    }
-    RunResult result = runScenario(adjusted, kind, opts);
-    record(row, result.allocator, result);
-    return result;
+    Rig rig(kind, adjust(scenario));
+    const workload::Trace trace =
+        workload::generateTrainingTrace(adjusted);
+    return run(rig, {Session("main", &trace)},
+               label.empty() ? adjusted.describe() : label, &adjusted)
+        .combined;
+}
+
+RunResult
+ExperimentContext::run(AllocatorKind kind,
+                       const workload::Trace &trace,
+                       const std::string &label)
+{
+    Rig rig(kind, adjust(ScenarioOptions{}));
+    return run(rig, {Session("main", &trace)}, label).combined;
 }
 
 BenchPair
@@ -109,25 +131,6 @@ ExperimentContext::runPair(const workload::TrainConfig &cfg,
         run(cfg, AllocatorKind::caching, scenario, label),
         run(cfg, AllocatorKind::gmlake, scenario, label),
     };
-}
-
-RunResult
-ExperimentContext::runTrace(AllocatorKind kind,
-                            const workload::Trace &trace,
-                            const std::string &label,
-                            const ScenarioOptions &scenario)
-{
-    const ScenarioOptions opts = adjust(scenario);
-    if (mRecorder != nullptr) {
-        mRecorder->beginRun(label + " [" +
-                            allocatorKindName(kind) + "]");
-    }
-    vmm::Device device(opts.device);
-    const auto allocator = makeAllocator(kind, device, opts.gmlake);
-    RunResult result = sim::runTrace(*allocator, device, trace,
-                                     nullptr, opts.engine);
-    record(label, result.allocator, result);
-    return result;
 }
 
 void
@@ -444,9 +447,9 @@ runExperiment(const Experiment &experiment,
     experimentOptions.plotFiles = !options.csvPath.empty();
     ExperimentContext context(experimentOptions, out);
     // Timeline capture: the recorder is activated for the whole
-    // scenario; the run helpers call beginRun() per allocator run so
-    // each gets its own process lane. Deactivated before export so
-    // nothing emits while the segments merge.
+    // scenario; every ExperimentContext::run() calls beginRun() so
+    // each recorded run gets its own process lane. Deactivated before
+    // export so nothing emits while the segments merge.
     std::unique_ptr<obs::Recorder> recorder;
     if (!options.timelinePath.empty() ||
         !options.timelineBinPath.empty()) {

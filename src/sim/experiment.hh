@@ -104,23 +104,33 @@ class ExperimentContext
     vmm::DeviceConfig adjust(vmm::DeviceConfig cfg) const;
     ScenarioOptions adjust(ScenarioOptions scenario) const;
 
+    /**
+     * The one recording call: open the timeline lane "<label>
+     * [<allocator>]", replay @p sessions on @p rig and record the
+     * combined result. @p allocatorName overrides the allocator
+     * column (default: the rig's allocator kind).
+     */
+    MultiRunResult run(Rig &rig, std::vector<Session> sessions,
+                       const std::string &label,
+                       const workload::TrainConfig *config = nullptr,
+                       const std::string &allocatorName = "");
+
     /** Run one adjusted training scenario and record the result. */
     RunResult run(const workload::TrainConfig &cfg, AllocatorKind kind,
                   const ScenarioOptions &scenario = {},
                   const std::string &label = "");
+
+    /** Replay an explicit trace (serving scenarios) and record. */
+    RunResult run(AllocatorKind kind, const workload::Trace &trace,
+                  const std::string &label);
 
     /** run() under both paper allocators (caching, gmlake). */
     BenchPair runPair(const workload::TrainConfig &cfg,
                       const ScenarioOptions &scenario = {},
                       const std::string &label = "");
 
-    /** Replay an explicit trace (serving scenarios) and record. */
-    RunResult runTrace(AllocatorKind kind,
-                       const workload::Trace &trace,
-                       const std::string &label = "",
-                       const ScenarioOptions &scenario = {});
-
-    /** Record a run produced outside the helpers (custom knobs). */
+    /** Record a result computed outside run() (cluster and sweep
+     *  sub-runs on worker threads); opens no timeline lane. */
     void record(const std::string &label, const std::string &allocator,
                 const RunResult &result);
 
@@ -129,9 +139,9 @@ class ExperimentContext
                 double value);
 
     /**
-     * Attach an observability recorder (borrowed). The run helpers
-     * call beginRun() per scenario row so every allocator run gets
-     * its own process lane in the exported timeline. nullptr (the
+     * Attach an observability recorder (borrowed). Every run() opens
+     * its own process lane in the exported timeline; results passed
+     * to record() share the lane open at the time. nullptr (the
      * default) records nothing.
      */
     void setRecorder(obs::Recorder *recorder) { mRecorder = recorder; }

@@ -7,11 +7,9 @@
 #include "obs/export_chrome.hh"
 #include "obs/ledger.hh"
 #include "obs/recorder.hh"
-#include "sim/session.hh"
 #include "sim/sweep.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
-#include "vmm/device.hh"
 
 namespace gmlake::sim
 {
@@ -69,19 +67,9 @@ runProbe(const ProbeOptions &options, std::ostream &out)
     obs::Recorder recorder;
     recorder.beginRun("probe:" + scenario.name);
     recorder.activate();
-
-    vmm::Device device(scenario.device);
-    const auto allocator =
-        makeAllocator(options.kind, device, scenario.base);
-    EngineOptions engineOptions;
-    engineOptions.recordSeries = false;
-    SimEngine engine(*allocator, device, engineOptions);
-    for (std::size_t i = 0; i < scenario.traces.size(); ++i) {
-        engine.addSession(Session(scenario.sessionNames[i],
-                                  &scenario.traces[i],
-                                  scenario.startTimes[i]));
-    }
-    const MultiRunResult multi = engine.run();
+    Rig rig(options.kind, scenario.rigOptions());
+    const MultiRunResult multi =
+        rig.run(borrowSessions(scenario.tenants));
     recorder.deactivate();
 
     const obs::RecorderSnapshot snap = recorder.snapshot();

@@ -13,12 +13,9 @@
 #include <array>
 #include <vector>
 
-#include "alloc/caching_allocator.hh"
 #include "alloc/compacting_allocator.hh"
 #include "core/gmlake_allocator.hh"
-#include "offload/offload_manager.hh"
 #include "sim/cluster.hh"
-#include "sim/session.hh"
 #include "sim/sweep.hh"
 #include "support/csv.hh"
 #include "support/logging.hh"
@@ -55,18 +52,7 @@ oomOr(const RunResult &r, const std::string &value)
     return r.oom ? "OOM" : value;
 }
 
-workload::TrainConfig
-trainConfig(const char *model, const char *strategies, int gpus,
-            int batch, int iterations)
-{
-    workload::TrainConfig cfg;
-    cfg.model = workload::findModel(model);
-    cfg.strategies = workload::Strategies::parse(strategies);
-    cfg.gpus = gpus;
-    cfg.batchSize = batch;
-    cfg.iterations = iterations;
-    return cfg;
-}
+using workload::trainConfig;
 
 // ------------------------------------------------------ Section 5
 
@@ -173,12 +159,15 @@ runFig3(ExperimentContext &ctx)
         constexpr int kSeeds = 5;
         for (int s = 0; s < kSeeds; ++s) {
             cfg.seed = seedBase + static_cast<std::uint64_t>(s);
-            const auto run = runScenario(
-                cfg, AllocatorKind::caching,
-                ctx.adjust(ScenarioOptions{}));
-            ctx.record(std::string(r.paperLabel) + "/seed" +
-                           std::to_string(cfg.seed),
-                       run.allocator, run);
+            Rig rig(AllocatorKind::caching,
+                    ctx.adjust(ScenarioOptions{}));
+            const auto trace = workload::generateTrainingTrace(cfg);
+            const auto run =
+                ctx.run(rig, {Session("main", &trace)},
+                        std::string(r.paperLabel) + "/seed" +
+                            std::to_string(cfg.seed),
+                        &cfg)
+                    .combined;
             util += run.utilization / kSeeds;
             reserved += run.peakReserved / kSeeds;
             active += run.peakActive / kSeeds;
@@ -335,7 +324,76 @@ runFig6(ExperimentContext &ctx)
     table.print(ctx.out());
 }
 
-// ------------------------------------------------------ Figure 10
+// --------------------------------------------------- Figures 10-13
+
+/** What follows the reserved/utilization columns of a pair table. */
+enum class PairTail
+{
+    saved,           //!< reserved memory GMLake saved
+    throughput,      //!< samples/s under both allocators
+    throughputOrOom, //!< the same, "OOM" for a run that died
+};
+
+/**
+ * The caching-vs-GMLake table of Figures 10-13: one row per
+ * workload, reserved memory and utilization under both allocators,
+ * then the figure's @p tail columns.
+ */
+class PairTable
+{
+  public:
+    PairTable(const std::string &firstColumn, PairTail tail)
+        : mTail(tail), mTable(header(firstColumn, tail))
+    {
+    }
+
+    void
+    add(const std::string &first, const BenchPair &pair)
+    {
+        const RunResult &c = pair.caching;
+        const RunResult &g = pair.gmlake;
+        std::vector<std::string> row = {
+            first,
+            oomOr(c, gb(c.peakReserved) + " GB"),
+            oomOr(g, gb(g.peakReserved) + " GB"),
+            oomOr(c, formatPercent(c.utilization)),
+            oomOr(g, formatPercent(g.utilization))};
+        if (mTail == PairTail::saved) {
+            row.push_back(gb(c.peakReserved > g.peakReserved
+                                 ? c.peakReserved - g.peakReserved
+                                 : 0) +
+                          " GB");
+        }
+        for (const RunResult *r : {&c, &g}) {
+            const std::string thr = formatDouble(r->samplesPerSec, 1);
+            if (mTail == PairTail::throughput)
+                row.push_back(thr);
+            else if (mTail == PairTail::throughputOrOom)
+                row.push_back(oomOr(*r, thr));
+        }
+        mTable.addRow(std::move(row));
+    }
+
+    void print(std::ostream &out) const { mTable.print(out); }
+
+  private:
+    static std::vector<std::string>
+    header(const std::string &firstColumn, PairTail tail)
+    {
+        std::vector<std::string> columns = {
+            firstColumn, "RM w/o GML", "RM w/ GML", "UR w/o GML",
+            "UR w/ GML"};
+        if (tail == PairTail::saved)
+            columns.push_back("Saved");
+        else
+            columns.insert(columns.end(),
+                           {"Thr w/o (s/s)", "Thr w/ (s/s)"});
+        return columns;
+    }
+
+    PairTail mTail;
+    Table mTable;
+};
 
 void
 runFig10(ExperimentContext &ctx)
@@ -351,8 +409,7 @@ runFig10(ExperimentContext &ctx)
     for (const auto &m : models) {
         ctx.out() << "\n--- " << m.model << " (4 GPUs, batch "
                   << m.batch << ") ---\n";
-        Table table({"Strategy", "RM w/o GML", "RM w/ GML",
-                     "UR w/o GML", "UR w/ GML", "Saved"});
+        PairTable table("Strategy", PairTail::saved);
         for (const char *strat : {"N", "R", "LR", "RO", "LRO"}) {
             // N keeps full optimizer state resident; use a batch the
             // device can hold, like the paper's common batch size.
@@ -360,30 +417,13 @@ runFig10(ExperimentContext &ctx)
                                                         : m.batch;
             const auto cfg =
                 trainConfig(m.model, strat, 4, batch, 12);
-            const auto pair = ctx.runPair(
-                cfg, {}, std::string(m.model) + "/" + strat);
-            const Bytes saved =
-                pair.caching.peakReserved > pair.gmlake.peakReserved
-                    ? pair.caching.peakReserved -
-                          pair.gmlake.peakReserved
-                    : 0;
-            table.addRow(
-                {strat,
-                 oomOr(pair.caching,
-                       gb(pair.caching.peakReserved) + " GB"),
-                 oomOr(pair.gmlake,
-                       gb(pair.gmlake.peakReserved) + " GB"),
-                 oomOr(pair.caching,
-                       formatPercent(pair.caching.utilization)),
-                 oomOr(pair.gmlake,
-                       formatPercent(pair.gmlake.utilization)),
-                 gb(saved) + " GB"});
+            table.add(strat,
+                      ctx.runPair(cfg, {},
+                                  std::string(m.model) + "/" + strat));
         }
         table.print(ctx.out());
     }
 }
-
-// ------------------------------------------------------ Figure 11
 
 void
 runFig11(ExperimentContext &ctx)
@@ -399,32 +439,18 @@ runFig11(ExperimentContext &ctx)
     for (const auto &m : models) {
         ctx.out() << "\n--- " << m.model << " (LR, batch " << m.batch
                   << " per GPU) ---\n";
-        Table table({"GPUs", "RM w/o GML", "RM w/ GML", "UR w/o GML",
-                     "UR w/ GML", "Thr w/o (s/s)", "Thr w/ (s/s)"});
+        PairTable table("GPUs", PairTail::throughput);
         for (const int gpus : {1, 2, 4, 8, 16}) {
             const auto cfg =
                 trainConfig(m.model, "LR", gpus, m.batch, 10);
-            const auto pair = ctx.runPair(
-                cfg, {},
-                std::string(m.model) + "/g" + std::to_string(gpus));
-            table.addRow(
-                {std::to_string(gpus),
-                 oomOr(pair.caching,
-                       gb(pair.caching.peakReserved) + " GB"),
-                 oomOr(pair.gmlake,
-                       gb(pair.gmlake.peakReserved) + " GB"),
-                 oomOr(pair.caching,
-                       formatPercent(pair.caching.utilization)),
-                 oomOr(pair.gmlake,
-                       formatPercent(pair.gmlake.utilization)),
-                 formatDouble(pair.caching.samplesPerSec, 1),
-                 formatDouble(pair.gmlake.samplesPerSec, 1)});
+            table.add(std::to_string(gpus),
+                      ctx.runPair(cfg, {},
+                                  std::string(m.model) + "/g" +
+                                      std::to_string(gpus)));
         }
         table.print(ctx.out());
     }
 }
-
-// ------------------------------------------------------ Figure 12
 
 void
 runFig12(ExperimentContext &ctx)
@@ -442,32 +468,14 @@ runFig12(ExperimentContext &ctx)
         {"CAI-GPT-2", "GPT-2", workload::Platform::colossalAi, 48},
     };
 
-    Table table({"Platform-Model", "RM w/o GML", "RM w/ GML",
-                 "UR w/o GML", "UR w/ GML", "Saved"});
+    PairTable table("Platform-Model", PairTail::saved);
     for (const auto &r : rows) {
         auto cfg = trainConfig(r.model, "LR", 4, r.batch, 12);
         cfg.platform = r.platform;
-        const auto pair = ctx.runPair(cfg, {}, r.label);
-        const Bytes saved =
-            pair.caching.peakReserved > pair.gmlake.peakReserved
-                ? pair.caching.peakReserved - pair.gmlake.peakReserved
-                : 0;
-        table.addRow(
-            {r.label,
-             oomOr(pair.caching,
-                   gb(pair.caching.peakReserved) + " GB"),
-             oomOr(pair.gmlake,
-                   gb(pair.gmlake.peakReserved) + " GB"),
-             oomOr(pair.caching,
-                   formatPercent(pair.caching.utilization)),
-             oomOr(pair.gmlake,
-                   formatPercent(pair.gmlake.utilization)),
-             gb(saved) + " GB"});
+        table.add(r.label, ctx.runPair(cfg, {}, r.label));
     }
     table.print(ctx.out());
 }
-
-// ------------------------------------------------------ Figure 13
 
 void
 runFig13(ExperimentContext &ctx)
@@ -484,30 +492,14 @@ runFig13(ExperimentContext &ctx)
 
     for (const auto &sweep : sweeps) {
         ctx.out() << "\n--- " << sweep.model << " ---\n";
-        Table table({"Batch", "RM w/o GML", "RM w/ GML",
-                     "UR w/o GML", "UR w/ GML", "Thr w/o (s/s)",
-                     "Thr w/ (s/s)"});
+        PairTable table("Batch", PairTail::throughputOrOom);
         for (const int batch : sweep.batches) {
             const auto cfg =
                 trainConfig(sweep.model, "LR", 4, batch, 8);
-            const auto pair = ctx.runPair(
-                cfg, {},
-                std::string(sweep.model) + "/b" +
-                    std::to_string(batch));
-            table.addRow(
-                {std::to_string(batch),
-                 oomOr(pair.caching,
-                       gb(pair.caching.peakReserved) + " GB"),
-                 oomOr(pair.gmlake,
-                       gb(pair.gmlake.peakReserved) + " GB"),
-                 oomOr(pair.caching,
-                       formatPercent(pair.caching.utilization)),
-                 oomOr(pair.gmlake,
-                       formatPercent(pair.gmlake.utilization)),
-                 oomOr(pair.caching,
-                       formatDouble(pair.caching.samplesPerSec, 1)),
-                 oomOr(pair.gmlake,
-                       formatDouble(pair.gmlake.samplesPerSec, 1))});
+            table.add(std::to_string(batch),
+                      ctx.runPair(cfg, {},
+                                  std::string(sweep.model) + "/b" +
+                                      std::to_string(batch)));
         }
         table.print(ctx.out());
     }
@@ -537,10 +529,10 @@ void
 runFig14(ExperimentContext &ctx)
 {
     // The paper runs batch 72; our synthetic activations are a bit
-    // leaner, so the baseline's OOM boundary sits at batch ~96
-    // (see EXPERIMENTS.md). Use the boundary batch so the figure
-    // shows the same phenomenon: the baseline dies mid-run, GMLake
-    // completes the job with reserved ~= active.
+    // leaner, so the baseline's OOM boundary sits at batch ~96 (the
+    // fig13 GPT-NeoX-20B sweep shows where). Use the boundary batch
+    // so the figure shows the same phenomenon: the baseline dies
+    // mid-run, GMLake completes the job with reserved ~= active.
     const auto cfg = trainConfig("GPT-NeoX-20B", "LR", 4, 96, 10);
     const auto pair = ctx.runPair(cfg, {}, "GPT-NeoX-20B/b96");
 
@@ -732,13 +724,10 @@ runPytorchKnobs(ExperimentContext &ctx)
     };
     auto runCaching = [&](const std::string &label,
                           const alloc::CachingConfig &knobs) {
-        const auto cfg = ctx.adjust(base);
-        vmm::Device device(ctx.adjust(vmm::DeviceConfig{}));
-        alloc::CachingAllocator allocator(device, knobs);
-        const auto trace = workload::generateTrainingTrace(cfg);
-        const auto r = runTrace(allocator, device, trace, &cfg);
-        ctx.record(label, r.allocator, r);
-        row(label, r);
+        ScenarioOptions scenario;
+        scenario.caching = knobs;
+        row(label,
+            ctx.run(base, AllocatorKind::caching, scenario, label));
     };
 
     runCaching("caching, defaults", {});
@@ -794,7 +783,7 @@ runServing(ExperimentContext &ctx)
                                 AllocatorKind::gmlake}) {
             const std::string label = "batch " +
                                       std::to_string(batch);
-            const auto r = ctx.runTrace(kind, gen.trace, label);
+            const auto r = ctx.run(kind, gen.trace, label);
             const double tokensPerSec =
                 static_cast<double>(gen.generatedTokens) /
                 (static_cast<double>(r.simTime) * 1e-9);
@@ -828,13 +817,19 @@ runStitchVsMove(ExperimentContext &ctx)
                   gb(caching.peakReserved) + " GB",
                   formatDouble(caching.samplesPerSec, 2), "-"});
 
+    // Two manual rigs, so the allocators' own work counters can be
+    // read after the replay.
+    const auto cfg = ctx.adjust(base);
+    const auto trace = workload::generateTrainingTrace(cfg);
     {
-        const auto cfg = ctx.adjust(base);
-        vmm::Device device(ctx.adjust(vmm::DeviceConfig{}));
-        alloc::CompactingAllocator compacting(device);
-        const auto trace = workload::generateTrainingTrace(cfg);
-        const auto r = runTrace(compacting, device, trace, &cfg);
-        ctx.record("OPT-13B/LR", r.allocator, r);
+        Rig rig(AllocatorKind::compacting,
+                ctx.adjust(ScenarioOptions{}));
+        const auto r =
+            ctx.run(rig, {Session("main", &trace)}, "OPT-13B/LR", &cfg)
+                .combined;
+        const auto &compacting =
+            static_cast<const alloc::CompactingAllocator &>(
+                rig.allocator());
         ctx.metric("compacting", "compaction_cycles",
                    static_cast<double>(compacting.compactions()));
         ctx.metric("compacting", "bytes_moved",
@@ -846,14 +841,13 @@ runStitchVsMove(ExperimentContext &ctx)
              std::to_string(compacting.compactions()) + " cycles, " +
                  formatBytes(compacting.bytesMoved()) + " copied"});
     }
-
     {
-        const auto cfg = ctx.adjust(base);
-        vmm::Device device(ctx.adjust(vmm::DeviceConfig{}));
-        core::GMLakeAllocator lake(device);
-        const auto trace = workload::generateTrainingTrace(cfg);
-        const auto r = runTrace(lake, device, trace, &cfg);
-        ctx.record("OPT-13B/LR", r.allocator, r);
+        Rig rig(AllocatorKind::gmlake, ctx.adjust(ScenarioOptions{}));
+        const auto r =
+            ctx.run(rig, {Session("main", &trace)}, "OPT-13B/LR", &cfg)
+                .combined;
+        const auto &lake =
+            static_cast<const core::GMLakeAllocator &>(rig.allocator());
         ctx.metric("gmlake", "stitches",
                    static_cast<double>(lake.strategy().stitches));
         table.addRow(
@@ -917,8 +911,7 @@ runVmmDesigns(ExperimentContext &ctx)
         for (const auto kind : {AllocatorKind::caching,
                                 AllocatorKind::expandable,
                                 AllocatorKind::gmlake}) {
-            const auto r =
-                ctx.runTrace(kind, gen.trace, "serve/b32");
+            const auto r = ctx.run(kind, gen.trace, "serve/b32");
             table.addRow(
                 {allocatorKindName(kind),
                  oomOr(r, formatPercent(r.utilization)),
@@ -935,22 +928,17 @@ runVmmDesigns(ExperimentContext &ctx)
 // --------------------------------------------- colocation (sessions)
 
 /**
- * Run @p sessions co-located on one adjusted device under @p kind and
- * record the combined result as @p label.
+ * Run @p sessions co-located on one adjusted rig under @p kind and
+ * record the combined result as @p label, with each tenant's fate as
+ * metrics.
  */
 MultiRunResult
 runColocated(ExperimentContext &ctx, AllocatorKind kind,
              std::vector<Session> sessions, const std::string &label,
              const ScenarioOptions &scenario = {})
 {
-    const ScenarioOptions opts = ctx.adjust(scenario);
-    vmm::Device device(opts.device);
-    const auto allocator = makeAllocator(kind, device, opts.gmlake);
-    SimEngine engine(*allocator, device, opts.engine);
-    for (Session &session : sessions)
-        engine.addSession(std::move(session));
-    MultiRunResult multi = engine.run();
-    ctx.record(label, multi.combined.allocator, multi.combined);
+    Rig rig(kind, ctx.adjust(scenario));
+    MultiRunResult multi = ctx.run(rig, std::move(sessions), label);
     for (const SessionResult &s : multi.sessions) {
         ctx.metric(label + "/" + s.name,
                    std::string(allocatorKindName(kind)) + "_oom",
@@ -973,6 +961,34 @@ sessionCell(const MultiRunResult &multi, const std::string &name)
     return "ok, peak " + formatBytes(s->peakLiveBytes);
 }
 
+/**
+ * Both paper allocators on one two-tenant colocation, replaying the
+ * same (borrowed) traces — the same-workload comparison the paper
+ * makes: utilization, reserved memory and each tenant's fate.
+ */
+void
+runTwoTenants(ExperimentContext &ctx, const std::vector<Tenant> &tenants,
+              const std::string &label, const char *firstColumn,
+              const char *secondColumn)
+{
+    Table table({"Allocator", "Utilization", "Peak reserved",
+                 firstColumn, secondColumn});
+    for (const auto kind :
+         {AllocatorKind::caching, AllocatorKind::gmlake}) {
+        const auto multi =
+            runColocated(ctx, kind, borrowSessions(tenants), label);
+        table.addRow(
+            {allocatorKindName(kind),
+             formatPercent(multi.combined.utilization),
+             gb(multi.combined.peakReserved) + " GB",
+             sessionCell(multi, tenants[0].name),
+             sessionCell(multi, tenants[1].name)});
+        ctx.metric(label, allocatorKindName(kind),
+                   multi.combined.utilization);
+    }
+    table.print(ctx.out());
+}
+
 void
 runColocateTrainServe(ExperimentContext &ctx)
 {
@@ -987,32 +1003,12 @@ runColocateTrainServe(ExperimentContext &ctx)
     serve.maxBatch = 24;
     serve = ctx.adjust(serve);
 
-    // One trace per tenant, replayed (borrowed) under every
-    // allocator — the same-workload comparison the paper makes.
-    const workload::Trace trainTrace =
-        workload::generateTrainingTrace(train);
-    const workload::Trace serveTrace =
-        workload::generateServingTrace(serve).trace;
-
-    Table table({"Allocator", "Utilization", "Peak reserved",
-                 "Train session", "Serve session"});
-    for (const auto kind :
-         {AllocatorKind::caching, AllocatorKind::gmlake}) {
-        std::vector<Session> sessions;
-        sessions.emplace_back("train", &trainTrace);
-        sessions.emplace_back("serve", &serveTrace);
-        const auto multi = runColocated(
-            ctx, kind, std::move(sessions), "OPT-13B train+serve");
-        table.addRow(
-            {allocatorKindName(kind),
-             formatPercent(multi.combined.utilization),
-             gb(multi.combined.peakReserved) + " GB",
-             sessionCell(multi, "train"),
-             sessionCell(multi, "serve")});
-        ctx.metric("OPT-13B train+serve", allocatorKindName(kind),
-                   multi.combined.utilization);
-    }
-    table.print(ctx.out());
+    std::vector<Tenant> tenants;
+    tenants.push_back({"train", workload::generateTrainingTrace(train)});
+    tenants.push_back(
+        {"serve", workload::generateServingTrace(serve).trace});
+    runTwoTenants(ctx, tenants, "OPT-13B train+serve", "Train session",
+                  "Serve session");
     ctx.out() << "(per-session verdicts: a dead tenant OOMed and was "
                  "reclaimed; the survivor replayed on)\n";
 }
@@ -1035,33 +1031,16 @@ runColocateTwoServing(ExperimentContext &ctx)
     small.maxBatch = 16;
     small.seed = deriveSeed(big.seed, 1);
 
-    const workload::Trace bigTrace =
-        workload::generateServingTrace(big).trace;
-    const workload::Trace smallTrace =
-        workload::generateServingTrace(small).trace;
-
-    Table table({"Allocator", "Utilization", "Peak reserved",
-                 "OPT-13B tenant", "GLM-10B tenant"});
-    for (const auto kind :
-         {AllocatorKind::caching, AllocatorKind::gmlake}) {
-        std::vector<Session> sessions;
-        sessions.emplace_back("opt-13b", &bigTrace);
-        // The second tenant spins up after the first has been
-        // decoding for a while.
-        sessions.emplace_back("glm-10b", &smallTrace,
-                              Tick{2'000'000'000});
-        const auto multi = runColocated(
-            ctx, kind, std::move(sessions), "two-tenant serving");
-        table.addRow(
-            {allocatorKindName(kind),
-             formatPercent(multi.combined.utilization),
-             gb(multi.combined.peakReserved) + " GB",
-             sessionCell(multi, "opt-13b"),
-             sessionCell(multi, "glm-10b")});
-        ctx.metric("two-tenant serving", allocatorKindName(kind),
-                   multi.combined.utilization);
-    }
-    table.print(ctx.out());
+    std::vector<Tenant> tenants;
+    tenants.push_back(
+        {"opt-13b", workload::generateServingTrace(big).trace});
+    // The second tenant spins up after the first has been decoding
+    // for a while.
+    tenants.push_back({"glm-10b",
+                       workload::generateServingTrace(small).trace,
+                       Tick{2'000'000'000}});
+    runTwoTenants(ctx, tenants, "two-tenant serving", "OPT-13B tenant",
+                  "GLM-10B tenant");
 }
 
 void
@@ -1077,38 +1056,31 @@ runColocateOversub(ExperimentContext &ctx)
     scenario.device.capacity = 32_GiB;
 
     constexpr int kMaxTenants = 4;
-    std::vector<workload::Trace> tenantTraces;
-    tenantTraces.reserve(kMaxTenants);
+    std::vector<Tenant> tenants;
     for (int t = 0; t < kMaxTenants; ++t) {
         auto cfg = base;
         cfg.seed =
             deriveSeed(base.seed, static_cast<std::uint64_t>(t));
-        tenantTraces.push_back(workload::generateTrainingTrace(cfg));
+        tenants.push_back({"tenant" + std::to_string(t),
+                           workload::generateTrainingTrace(cfg)});
     }
 
     Table table({"Tenants", "Allocator", "Utilization",
                  "Peak reserved", "Survivors"});
-    for (int tenants = 1; tenants <= kMaxTenants; ++tenants) {
-        const std::string label =
-            "oversub x" + std::to_string(tenants);
+    for (int n = 1; n <= kMaxTenants; ++n) {
+        const std::string label = "oversub x" + std::to_string(n);
         for (const auto kind :
              {AllocatorKind::caching, AllocatorKind::gmlake}) {
-            std::vector<Session> sessions;
-            for (int t = 0; t < tenants; ++t) {
-                sessions.emplace_back("tenant" + std::to_string(t),
-                                      &tenantTraces[t]);
-            }
             const auto multi = runColocated(
-                ctx, kind, std::move(sessions), label, scenario);
+                ctx, kind, borrowSessions(tenants, n), label, scenario);
             int survivors = 0;
             for (const auto &s : multi.sessions)
                 survivors += s.oom ? 0 : 1;
-            table.addRow({std::to_string(tenants),
-                          allocatorKindName(kind),
+            table.addRow({std::to_string(n), allocatorKindName(kind),
                           formatPercent(multi.combined.utilization),
                           gb(multi.combined.peakReserved) + " GB",
                           std::to_string(survivors) + "/" +
-                              std::to_string(tenants)});
+                              std::to_string(n)});
             ctx.metric(label, std::string(allocatorKindName(kind)) +
                                   "_survivors",
                        survivors);
@@ -1118,6 +1090,57 @@ runColocateOversub(ExperimentContext &ctx)
 }
 
 // --------------------------------------------- allocator stress
+
+/**
+ * @p row followed by the host wall-clock cells of @p r — allocator
+ * time, p50 (when @p withP50), p99, VMM time and run time — each
+ * also recorded as a metric under the allocator's name.
+ */
+std::vector<std::string>
+wallRow(ExperimentContext &ctx, const RunResult &r,
+        std::vector<std::string> row, bool withP50)
+{
+    auto cell = [&](const char *metric, std::uint64_t ns, double scale,
+                    const char *unit) {
+        row.push_back(
+            formatDouble(static_cast<double>(ns) * scale, 1) + unit);
+        ctx.metric(r.allocator, metric, static_cast<double>(ns));
+    };
+    cell("alloc_wall_ns", r.allocWallNs, 1e-6, " ms");
+    if (withP50)
+        cell("alloc_wall_p50_ns", r.allocWallP50Ns, 1e-3, " us");
+    cell("alloc_wall_p99_ns", r.allocWallP99Ns, 1e-3, " us");
+    cell("vmm_wall_ns", r.vmmWallNs, 1e-6, " ms");
+    cell("run_wall_ns", r.runWallNs, 1e-6, " ms");
+    return row;
+}
+
+/**
+ * GMLake's pool depth and strategy counters after a run: metrics
+ * (splits only when @p withSplits) and one summary line.
+ */
+void
+poolReport(ExperimentContext &ctx, const alloc::Allocator &allocator,
+           bool withSplits)
+{
+    const auto &lake =
+        static_cast<const core::GMLakeAllocator &>(allocator);
+    const auto &s = lake.strategy();
+    ctx.metric("gmlake", "stitches", static_cast<double>(s.stitches));
+    if (withSplits)
+        ctx.metric("gmlake", "splits", static_cast<double>(s.splits));
+    ctx.metric("gmlake", "s3_multi_blocks",
+               static_cast<double>(s.s3MultiBlocks));
+    ctx.metric("gmlake", "pblocks",
+               static_cast<double>(lake.pBlockCount()));
+    ctx.metric("gmlake", "sblocks",
+               static_cast<double>(lake.sBlockCount()));
+    ctx.out() << "gmlake pools at end: " << lake.pBlockCount()
+              << " pBlocks, " << lake.sBlockCount()
+              << " sBlocks; strategy: " << s.s1ExactMatch << " exact, "
+              << s.s2SingleBlock << " single, " << s.s3MultiBlocks
+              << " stitched, " << s.s4Insufficient << " grown\n";
+}
 
 /**
  * Deep-pool stress trace for the allocator hot path. Phase 1 builds
@@ -1205,65 +1228,20 @@ runStressAllocator(ExperimentContext &ctx)
     Table table({"Allocator", "Utilization", "Peak reserved",
                  "Alloc wall", "p50", "p99", "VMM wall",
                  "Run wall"});
-    auto wallRow = [&](const RunResult &r) {
-        table.addRow(
-            {r.allocator,
-             oomOr(r, formatPercent(r.utilization)),
-             oomOr(r, gb(r.peakReserved) + " GB"),
-             formatDouble(static_cast<double>(r.allocWallNs) * 1e-6,
-                          1) + " ms",
-             formatDouble(
-                 static_cast<double>(r.allocWallP50Ns) * 1e-3, 1) +
-                 " us",
-             formatDouble(
-                 static_cast<double>(r.allocWallP99Ns) * 1e-3, 1) +
-                 " us",
-             formatDouble(static_cast<double>(r.vmmWallNs) * 1e-6,
-                          1) + " ms",
-             formatDouble(static_cast<double>(r.runWallNs) * 1e-6,
-                          1) + " ms"});
-        ctx.metric(r.allocator, "alloc_wall_ns",
-                   static_cast<double>(r.allocWallNs));
-        ctx.metric(r.allocator, "alloc_wall_p50_ns",
-                   static_cast<double>(r.allocWallP50Ns));
-        ctx.metric(r.allocator, "alloc_wall_p99_ns",
-                   static_cast<double>(r.allocWallP99Ns));
-        ctx.metric(r.allocator, "vmm_wall_ns",
-                   static_cast<double>(r.vmmWallNs));
-        ctx.metric(r.allocator, "run_wall_ns",
-                   static_cast<double>(r.runWallNs));
-    };
-
-    wallRow(ctx.runTrace(AllocatorKind::caching, trace, "stress",
-                         scenario));
-
-    {
-        // Manual gmlake run so the pool depth and strategy counters
-        // land in the report alongside the wallclock.
-        const ScenarioOptions opts = ctx.adjust(scenario);
-        vmm::Device device(opts.device);
-        core::GMLakeAllocator lake(device, opts.gmlake);
+    for (const auto kind :
+         {AllocatorKind::caching, AllocatorKind::gmlake}) {
+        Rig rig(kind, ctx.adjust(scenario));
         const auto r =
-            runTrace(lake, device, trace, nullptr, opts.engine);
-        ctx.record("stress", r.allocator, r);
-        wallRow(r);
-        const auto &s = lake.strategy();
-        ctx.metric("gmlake", "stitches",
-                   static_cast<double>(s.stitches));
-        ctx.metric("gmlake", "splits",
-                   static_cast<double>(s.splits));
-        ctx.metric("gmlake", "s3_multi_blocks",
-                   static_cast<double>(s.s3MultiBlocks));
-        ctx.metric("gmlake", "pblocks",
-                   static_cast<double>(lake.pBlockCount()));
-        ctx.metric("gmlake", "sblocks",
-                   static_cast<double>(lake.sBlockCount()));
-        ctx.out() << "gmlake pools at end: " << lake.pBlockCount()
-                  << " pBlocks, " << lake.sBlockCount()
-                  << " sBlocks; strategy: " << s.s1ExactMatch
-                  << " exact, " << s.s2SingleBlock << " single, "
-                  << s.s3MultiBlocks << " stitched, "
-                  << s.s4Insufficient << " grown\n";
+            ctx.run(rig, {Session("main", &trace)}, "stress").combined;
+        table.addRow(wallRow(ctx, r,
+                             {r.allocator,
+                              oomOr(r, formatPercent(r.utilization)),
+                              oomOr(r, gb(r.peakReserved) + " GB")},
+                             true));
+        // The pool depth and strategy counters land in the report
+        // alongside the wallclock.
+        if (kind == AllocatorKind::gmlake)
+            poolReport(ctx, rig.allocator(), true);
     }
     table.print(ctx.out());
 }
@@ -1371,148 +1349,34 @@ runFragChurn(ExperimentContext &ctx)
 
     Table table({"Allocator", "Utilization", "Peak holes",
                  "Alloc wall", "p99", "VMM wall", "Run wall"});
-    auto wallRow = [&](const RunResult &r, std::size_t peakHoles) {
-        table.addRow(
-            {r.allocator,
-             oomOr(r, formatPercent(r.utilization)),
-             std::to_string(peakHoles),
-             formatDouble(static_cast<double>(r.allocWallNs) * 1e-6,
-                          1) + " ms",
-             formatDouble(
-                 static_cast<double>(r.allocWallP99Ns) * 1e-3, 1) +
-                 " us",
-             formatDouble(static_cast<double>(r.vmmWallNs) * 1e-6,
-                          1) + " ms",
-             formatDouble(static_cast<double>(r.runWallNs) * 1e-6,
-                          1) + " ms"});
-        ctx.metric(r.allocator, "alloc_wall_ns",
-                   static_cast<double>(r.allocWallNs));
-        ctx.metric(r.allocator, "alloc_wall_p99_ns",
-                   static_cast<double>(r.allocWallP99Ns));
-        ctx.metric(r.allocator, "vmm_wall_ns",
-                   static_cast<double>(r.vmmWallNs));
-        ctx.metric(r.allocator, "run_wall_ns",
-                   static_cast<double>(r.runWallNs));
+    for (const auto kind :
+         {AllocatorKind::native, AllocatorKind::caching,
+          AllocatorKind::gmlake}) {
+        // The rig outlives the replay, so the device's hole
+        // statistics can be reported.
+        Rig rig(kind, ctx.adjust(scenario));
+        const auto r = ctx.run(rig, {Session("main", &trace)},
+                               "frag-churn")
+                           .combined;
+        const std::size_t peakHoles =
+            rig.device().phys().peakHoleCount();
+        table.addRow(wallRow(ctx, r,
+                             {r.allocator,
+                              oomOr(r, formatPercent(r.utilization)),
+                              std::to_string(peakHoles)},
+                             false));
         // Deterministic fragmentation shape: pinned by the decision
         // digests, so a hole-structure rewrite that changes
         // placement is caught immediately.
         ctx.metric(r.allocator, "phys_peak_holes",
                    static_cast<double>(peakHoles));
-    };
-
-    // Manual runs (not ctx.runTrace) so the device outlives the
-    // replay and its hole statistics can be reported.
-    const ScenarioOptions opts = ctx.adjust(scenario);
-    for (const auto kind :
-         {AllocatorKind::native, AllocatorKind::caching,
-          AllocatorKind::gmlake}) {
-        vmm::Device device(opts.device);
-        const auto allocator =
-            makeAllocator(kind, device, opts.gmlake);
-        const auto r = runTrace(*allocator, device, trace, nullptr,
-                                opts.engine);
-        ctx.record("frag-churn", r.allocator, r);
-        wallRow(r, device.phys().peakHoleCount());
-        if (kind == AllocatorKind::gmlake) {
-            const auto &lake = static_cast<
-                const core::GMLakeAllocator &>(*allocator);
-            const auto &s = lake.strategy();
-            ctx.metric("gmlake", "stitches",
-                       static_cast<double>(s.stitches));
-            ctx.metric("gmlake", "s3_multi_blocks",
-                       static_cast<double>(s.s3MultiBlocks));
-            ctx.metric("gmlake", "pblocks",
-                       static_cast<double>(lake.pBlockCount()));
-            ctx.metric("gmlake", "sblocks",
-                       static_cast<double>(lake.sBlockCount()));
-            ctx.out() << "gmlake pools at end: "
-                      << lake.pBlockCount() << " pBlocks, "
-                      << lake.sBlockCount()
-                      << " sBlocks; strategy: " << s.s1ExactMatch
-                      << " exact, " << s.s2SingleBlock
-                      << " single, " << s.s3MultiBlocks
-                      << " stitched, " << s.s4Insufficient
-                      << " grown\n";
-        }
+        if (kind == AllocatorKind::gmlake)
+            poolReport(ctx, rig.allocator(), false);
     }
     table.print(ctx.out());
 }
 
 // ------------------------------------------- host offload (tiered)
-
-/**
- * Deterministic heterogeneous split of @p total into @p n chunk-
- * aligned sizes growing linearly (1, 2, ..., n units): the spread is
- * what lets the LRU and size-aware eviction policies diverge.
- */
-std::vector<Bytes>
-residentSplit(Bytes total, int n)
-{
-    const Bytes units =
-        static_cast<Bytes>(n) * static_cast<Bytes>(n + 1) / 2;
-    std::vector<Bytes> sizes;
-    sizes.reserve(static_cast<std::size_t>(n));
-    for (int i = 1; i <= n; ++i) {
-        sizes.push_back(roundUp(
-            total * static_cast<Bytes>(i) / units, 2_MiB));
-    }
-    return sizes;
-}
-
-/**
- * One oversubscription tenant: a resident set of large, long-lived
- * tensors (weights + optimizer state) touched phase by phase every
- * iteration, plus transient activations churned inside each phase.
- * With prefetch hints on, the next phase's resident tensor is
- * announced one compute phase ahead, so a spilled tensor's H2D can
- * overlap the current phase instead of stalling the touch.
- * Deterministic in @p seed.
- */
-workload::Trace
-makeOffloadTenantTrace(std::uint64_t seed, Bytes residentBytes,
-                       int residentTensors, int iterations,
-                       int transientsPerPhase, Tick phaseNs,
-                       bool prefetchHints)
-{
-    Rng rng(seed);
-    workload::TraceBuilder builder;
-
-    std::vector<workload::TensorId> resident;
-    resident.reserve(static_cast<std::size_t>(residentTensors));
-    for (const Bytes size :
-         residentSplit(residentBytes, residentTensors)) {
-        resident.push_back(builder.alloc(size, 0));
-        builder.compute(phaseNs / 8);
-    }
-
-    std::vector<workload::TensorId> transients;
-    for (int iter = 0; iter < iterations; ++iter) {
-        for (std::size_t phase = 0; phase < resident.size();
-             ++phase) {
-            if (prefetchHints) {
-                builder.prefetch(
-                    resident[(phase + 1) % resident.size()]);
-            }
-            builder.touch(resident[phase]);
-            transients.clear();
-            for (int t = 0; t < transientsPerPhase; ++t) {
-                const Bytes size =
-                    2_MiB * rng.uniformInt(32, 128); // 64-256 MiB
-                const auto stream = static_cast<StreamId>(
-                    1 + rng.uniformInt(0, 2));
-                transients.push_back(builder.alloc(size, stream));
-                builder.compute(phaseNs /
-                                (2 * transientsPerPhase));
-            }
-            builder.compute(phaseNs / 2);
-            for (const workload::TensorId id : transients)
-                builder.free(id);
-        }
-        builder.iterationMark();
-    }
-    builder.freeAll();
-    return builder.take();
-}
 
 /**
  * One serving tenant for the burst scenario: model weights touched
@@ -1533,7 +1397,7 @@ makeServeOffloadTrace(std::uint64_t seed, Bytes weightBytes,
     std::vector<workload::TensorId> weights;
     weights.reserve(static_cast<std::size_t>(weightTensors));
     for (const Bytes size :
-         residentSplit(weightBytes, weightTensors)) {
+         workload::residentSplit(weightBytes, weightTensors)) {
         weights.push_back(builder.alloc(size, 0));
         builder.compute(roundNs / 8);
     }
@@ -1565,70 +1429,68 @@ makeServeOffloadTrace(std::uint64_t seed, Bytes weightBytes,
     return builder.take();
 }
 
-/** One allocator x offload-tier configuration of a scenario row. */
+/** One allocator x host-tier configuration of an offload table row. */
 struct OffloadRunSpec
 {
     AllocatorKind kind;
-    bool offload = false;
-    offload::PolicyKind policy = offload::PolicyKind::lru;
+    std::optional<offload::PolicyKind> hostTier;
     const char *rowName; //!< allocator column, e.g. "gmlake+offload"
 };
 
 /**
- * Run borrowed tenant traces co-located on one adjusted device under
- * @p spec, with an OffloadManager attached when the spec asks for
- * one, and record combined + per-tenant results.
+ * The offload scenarios' table: the borrowed @p tenants co-located on
+ * one adjusted device under each spec (native first when
+ * @p withNative), with per-spec kills and tier traffic as metrics.
  */
-MultiRunResult
-runOffloadSpec(ExperimentContext &ctx, const OffloadRunSpec &spec,
-               const std::vector<const workload::Trace *> &traces,
-               const std::vector<Tick> &starts,
-               const std::string &label,
-               const ScenarioOptions &scenario)
+void
+runOffloadTable(ExperimentContext &ctx,
+                const std::vector<Tenant> &tenants,
+                const std::string &label,
+                const ScenarioOptions &scenario, bool withNative)
 {
-    const ScenarioOptions opts = ctx.adjust(scenario);
-    vmm::Device device(opts.device);
-    const auto allocator =
-        makeAllocator(spec.kind, device, opts.gmlake);
-    std::unique_ptr<offload::OffloadManager> tier;
-    EngineOptions engineOptions = opts.engine;
-    if (spec.offload) {
-        offload::OffloadConfig cfg;
-        cfg.policy = spec.policy;
-        tier = std::make_unique<offload::OffloadManager>(
-            device, *allocator, cfg);
-        engineOptions.offload = tier.get();
+    using offload::PolicyKind;
+    static const OffloadRunSpec kSpecs[] = {
+        {AllocatorKind::native, std::nullopt, "native"},
+        {AllocatorKind::caching, std::nullopt, "caching"},
+        {AllocatorKind::gmlake, std::nullopt, "gmlake"},
+        {AllocatorKind::caching, PolicyKind::lru, "caching+offload"},
+        {AllocatorKind::gmlake, PolicyKind::lru,
+         "gmlake+offload(lru)"},
+        {AllocatorKind::gmlake, PolicyKind::sizeAware,
+         "gmlake+offload(size-aware)"},
+    };
+    Table table({"Allocator", "Survivors", "Peak reserved",
+                 "Evicted", "Faulted", "Copy stall", "Sim time"});
+    for (const OffloadRunSpec &spec : kSpecs) {
+        if (spec.kind == AllocatorKind::native && !withNative)
+            continue;
+        ScenarioOptions options = ctx.adjust(scenario);
+        options.hostTier = spec.hostTier;
+        Rig rig(spec.kind, options);
+        const MultiRunResult multi = ctx.run(
+            rig, borrowSessions(tenants), label, nullptr, spec.rowName);
+        const RunResult &r = multi.combined;
+        int kills = 0;
+        for (const SessionResult &s : multi.sessions)
+            kills += s.oom ? 1 : 0;
+        const std::string row = spec.rowName;
+        ctx.metric(label, row + "_kills", kills);
+        ctx.metric(label, row + "_evicted_bytes",
+                   static_cast<double>(r.evictedBytes));
+        ctx.metric(label, row + "_faulted_bytes",
+                   static_cast<double>(r.faultedBytes));
+        ctx.metric(label, row + "_stall_ns",
+                   static_cast<double>(r.stallNs));
+        table.addRow(
+            {row,
+             std::to_string(tenants.size() -
+                            static_cast<std::size_t>(kills)) +
+                 "/" + std::to_string(tenants.size()),
+             gb(r.peakReserved) + " GB", formatBytes(r.evictedBytes),
+             formatBytes(r.faultedBytes), formatTime(r.stallNs),
+             formatTime(r.simTime)});
     }
-    SimEngine engine(*allocator, device, engineOptions);
-    for (std::size_t i = 0; i < traces.size(); ++i) {
-        engine.addSession(Session("tenant" + std::to_string(i),
-                                  traces[i], starts[i]));
-    }
-    MultiRunResult multi = engine.run();
-    ctx.record(label, spec.rowName, multi.combined);
-
-    int kills = 0;
-    for (const SessionResult &s : multi.sessions)
-        kills += s.oom ? 1 : 0;
-    ctx.metric(label, std::string(spec.rowName) + "_kills", kills);
-    ctx.metric(label, std::string(spec.rowName) + "_evicted_bytes",
-               static_cast<double>(multi.combined.evictedBytes));
-    ctx.metric(label, std::string(spec.rowName) + "_faulted_bytes",
-               static_cast<double>(multi.combined.faultedBytes));
-    ctx.metric(label, std::string(spec.rowName) + "_stall_ns",
-               static_cast<double>(multi.combined.stallNs));
-    return multi;
-}
-
-std::string
-offloadRow(const MultiRunResult &multi)
-{
-    int kills = 0;
-    for (const SessionResult &s : multi.sessions)
-        kills += s.oom ? 1 : 0;
-    return std::to_string(
-               static_cast<int>(multi.sessions.size()) - kills) +
-           "/" + std::to_string(multi.sessions.size());
+    table.print(ctx.out());
 }
 
 void
@@ -1647,54 +1509,23 @@ runOversubOffload(ExperimentContext &ctx)
     ScenarioOptions scenario;
     scenario.device.capacity = 32_GiB;
 
-    std::vector<workload::Trace> traces;
-    std::vector<const workload::Trace *> borrowed;
-    std::vector<Tick> starts;
-    traces.reserve(kTenants);
+    std::vector<Tenant> tenants;
     for (int t = 0; t < kTenants; ++t) {
-        traces.push_back(makeOffloadTenantTrace(
-            deriveSeed(seed, static_cast<std::uint64_t>(t)),
-            12_GiB, /*residentTensors=*/6, iterations,
-            /*transientsPerPhase=*/3,
-            /*phaseNs=*/Tick{40'000'000}, /*prefetchHints=*/true));
-    }
-    for (int t = 0; t < kTenants; ++t) {
-        borrowed.push_back(&traces[static_cast<std::size_t>(t)]);
-        starts.push_back(static_cast<Tick>(t) * Tick{25'000'000});
+        tenants.push_back(
+            {"tenant" + std::to_string(t),
+             workload::makeOffloadTenantTrace(
+                 deriveSeed(seed, static_cast<std::uint64_t>(t)),
+                 12_GiB, /*residentTensors=*/6, iterations,
+                 /*transientsPerPhase=*/3,
+                 /*phaseNs=*/Tick{40'000'000},
+                 /*prefetchHints=*/true),
+             static_cast<Tick>(t) * Tick{25'000'000}});
     }
     ctx.out() << "oversub workload: " << kTenants << " tenants x "
               << "12 GiB resident on 32 GiB (1.5x capacity), "
               << iterations << " iterations each\n\n";
 
-    const OffloadRunSpec specs[] = {
-        {AllocatorKind::native, false, offload::PolicyKind::lru,
-         "native"},
-        {AllocatorKind::caching, false, offload::PolicyKind::lru,
-         "caching"},
-        {AllocatorKind::gmlake, false, offload::PolicyKind::lru,
-         "gmlake"},
-        {AllocatorKind::caching, true, offload::PolicyKind::lru,
-         "caching+offload"},
-        {AllocatorKind::gmlake, true, offload::PolicyKind::lru,
-         "gmlake+offload(lru)"},
-        {AllocatorKind::gmlake, true, offload::PolicyKind::sizeAware,
-         "gmlake+offload(size-aware)"},
-    };
-
-    Table table({"Allocator", "Survivors", "Peak reserved",
-                 "Evicted", "Faulted", "Copy stall", "Sim time"});
-    for (const OffloadRunSpec &spec : specs) {
-        const auto multi = runOffloadSpec(
-            ctx, spec, borrowed, starts, "oversub 1.5x", scenario);
-        table.addRow(
-            {spec.rowName, offloadRow(multi),
-             gb(multi.combined.peakReserved) + " GB",
-             formatBytes(multi.combined.evictedBytes),
-             formatBytes(multi.combined.faultedBytes),
-             formatTime(multi.combined.stallNs),
-             formatTime(multi.combined.simTime)});
-    }
-    table.print(ctx.out());
+    runOffloadTable(ctx, tenants, "oversub 1.5x", scenario, true);
     ctx.out() << "(a host tier only helps an allocator that can "
                  "release physical memory under live\n virtual "
                  "addresses: gmlake+offload keeps every tenant, the "
@@ -1712,58 +1543,31 @@ runServeBurstOffload(ExperimentContext &ctx)
     // the burst borrows the steady tenant's idle weights' backing
     // and gives it back when the spike ends.
     const int iterations = ctx.iterations(4);
-    const int steadyRounds = 24 * iterations;
-    const int burstRounds = 10 * iterations;
     const std::uint64_t seed =
         ctx.options().seed != 0 ? ctx.options().seed : 1234;
 
     ScenarioOptions scenario;
     scenario.device.capacity = 16_GiB;
 
-    const workload::Trace steady = makeServeOffloadTrace(
-        deriveSeed(seed, 0), 10_GiB, /*weightTensors=*/5,
-        steadyRounds, /*kvWindow=*/6,
-        /*roundNs=*/Tick{20'000'000}, /*prefetchHints=*/true);
-    const workload::Trace burst = makeServeOffloadTrace(
-        deriveSeed(seed, 1), 10_GiB, /*weightTensors=*/5,
-        burstRounds, /*kvWindow=*/4,
-        /*roundNs=*/Tick{20'000'000}, /*prefetchHints=*/true);
-
-    const std::vector<const workload::Trace *> borrowed = {&steady,
-                                                           &burst};
+    std::vector<Tenant> tenants;
+    tenants.push_back(
+        {"tenant0",
+         makeServeOffloadTrace(
+             deriveSeed(seed, 0), 10_GiB, /*weightTensors=*/5,
+             24 * iterations, /*kvWindow=*/6,
+             /*roundNs=*/Tick{20'000'000}, /*prefetchHints=*/true)});
     // The burst lands once the steady tenant is warmed up.
-    const std::vector<Tick> starts = {0, Tick{150'000'000}};
+    tenants.push_back(
+        {"tenant1",
+         makeServeOffloadTrace(
+             deriveSeed(seed, 1), 10_GiB, /*weightTensors=*/5,
+             10 * iterations, /*kvWindow=*/4,
+             /*roundNs=*/Tick{20'000'000}, /*prefetchHints=*/true),
+         Tick{150'000'000}});
     ctx.out() << "serve-burst workload: steady 10 GiB + burst 10 GiB "
                  "on 16 GiB (~1.7x during the burst)\n\n";
 
-    const OffloadRunSpec specs[] = {
-        {AllocatorKind::caching, false, offload::PolicyKind::lru,
-         "caching"},
-        {AllocatorKind::gmlake, false, offload::PolicyKind::lru,
-         "gmlake"},
-        {AllocatorKind::caching, true, offload::PolicyKind::lru,
-         "caching+offload"},
-        {AllocatorKind::gmlake, true, offload::PolicyKind::lru,
-         "gmlake+offload(lru)"},
-        {AllocatorKind::gmlake, true, offload::PolicyKind::sizeAware,
-         "gmlake+offload(size-aware)"},
-    };
-
-    Table table({"Allocator", "Survivors", "Peak reserved",
-                 "Evicted", "Faulted", "Copy stall", "Sim time"});
-    for (const OffloadRunSpec &spec : specs) {
-        const auto multi = runOffloadSpec(ctx, spec, borrowed,
-                                          starts, "serve burst",
-                                          scenario);
-        table.addRow(
-            {spec.rowName, offloadRow(multi),
-             gb(multi.combined.peakReserved) + " GB",
-             formatBytes(multi.combined.evictedBytes),
-             formatBytes(multi.combined.faultedBytes),
-             formatTime(multi.combined.stallNs),
-             formatTime(multi.combined.simTime)});
-    }
-    table.print(ctx.out());
+    runOffloadTable(ctx, tenants, "serve burst", scenario, false);
 }
 
 // --------------------------------------------- cluster (thread pool)
@@ -1853,17 +1657,15 @@ runServeDay(ExperimentContext &ctx)
     for (const auto kind :
          {AllocatorKind::gmlake, AllocatorKind::caching,
           AllocatorKind::native}) {
-        const ScenarioOptions opts = ctx.adjust(base);
-        vmm::Device device(opts.device);
-        const auto allocator =
-            makeAllocator(kind, device, opts.gmlake);
+        Rig rig(kind, ctx.adjust(base));
         // Shared ownership: the engine run tears its sessions down
-        // before runSource returns, and the counters are read after.
+        // before it returns, and the counters are read after.
         const auto source =
             std::make_shared<workload::KvServeSource>(cfg);
         const Bytes rssBefore = currentRssBytes();
-        const auto r = runSource(*allocator, device, source, nullptr,
-                                 opts.engine);
+        const auto r =
+            ctx.run(rig, {Session("main", source)}, "serve-day")
+                .combined;
         const Bytes rssPeak = peakRssBytes();
         const Bytes rssGrowth =
             rssPeak > rssBefore ? rssPeak - rssBefore : 0;
@@ -1873,7 +1675,6 @@ runServeDay(ExperimentContext &ctx)
                 ? static_cast<double>(counters.emitted) /
                       (static_cast<double>(r.runWallNs) * 1e-9)
                 : 0.0;
-        ctx.record("serve-day", r.allocator, r);
         // Deterministic workload facts (digest-pinned).
         ctx.metric(r.allocator, "events",
                    static_cast<double>(counters.emitted));
@@ -1945,7 +1746,7 @@ runSweepSmoke(ExperimentContext &ctx)
     ctx.metric("sweep", "frontier_points",
                static_cast<double>(report.frontier().size()));
 
-    ctx.out() << "sweep workload: " << scenario.sessionNames.size()
+    ctx.out() << "sweep workload: " << scenario.tenants.size()
               << " co-located sessions, split at "
               << formatTime(scenario.splitTime)
               << " of virtual time; " << report.points.size()

@@ -47,13 +47,15 @@ allAllocatorKinds()
 
 std::unique_ptr<alloc::Allocator>
 makeAllocator(AllocatorKind kind, vmm::Device &device,
-              const core::GMLakeConfig &gmlakeConfig)
+              const core::GMLakeConfig &gmlakeConfig,
+              const alloc::CachingConfig &cachingConfig)
 {
     switch (kind) {
       case AllocatorKind::native:
         return std::make_unique<alloc::NativeAllocator>(device);
       case AllocatorKind::caching:
-        return std::make_unique<alloc::CachingAllocator>(device);
+        return std::make_unique<alloc::CachingAllocator>(
+            device, cachingConfig);
       case AllocatorKind::gmlake:
         return std::make_unique<core::GMLakeAllocator>(device,
                                                        gmlakeConfig);
@@ -66,17 +68,40 @@ makeAllocator(AllocatorKind kind, vmm::Device &device,
     GMLAKE_PANIC("unknown allocator kind");
 }
 
+Rig::Rig(AllocatorKind kind, const ScenarioOptions &options)
+    : mKind(kind),
+      mEngine(options.engine),
+      mDevice(options.device),
+      mAllocator(makeAllocator(kind, mDevice, options.gmlake,
+                               options.caching))
+{
+    if (options.hostTier) {
+        offload::OffloadConfig config;
+        config.policy = *options.hostTier;
+        mHostTier = std::make_unique<offload::OffloadManager>(
+            mDevice, *mAllocator, config);
+        mEngine.offload = mHostTier.get();
+    }
+}
+
+MultiRunResult
+Rig::run(std::vector<Session> sessions,
+         const workload::TrainConfig *config)
+{
+    SimEngine engine(*mAllocator, mDevice, mEngine);
+    for (Session &session : sessions)
+        engine.addSession(std::move(session));
+    return engine.run(config);
+}
+
 RunResult
 runScenario(const workload::TrainConfig &config, AllocatorKind kind,
             const ScenarioOptions &options)
 {
-    vmm::Device device(options.device);
-    const auto allocator =
-        makeAllocator(kind, device, options.gmlake);
+    Rig rig(kind, options);
     const workload::Trace trace =
         workload::generateTrainingTrace(config);
-    return runTrace(*allocator, device, trace, &config,
-                    options.engine);
+    return rig.run({Session("main", &trace)}, &config).combined;
 }
 
 } // namespace gmlake::sim

@@ -1,8 +1,9 @@
 /**
  * @file
- * One-call experiment runner: build device + allocator + trace from a
- * training configuration and replay it. This is the entry point the
- * examples and every benchmark harness use.
+ * The one run primitive: a Rig builds a fresh device, allocator and
+ * optional host tier, and replays sessions on them. Every replay —
+ * registry rows, sweep points, chaos trials, probes and `gmlake_sim
+ * trace` — runs on one.
  */
 
 #ifndef GMLAKE_SIM_RUNNER_HH
@@ -15,8 +16,10 @@
 #include <vector>
 
 #include "alloc/allocator.hh"
+#include "alloc/caching_allocator.hh"
 #include "core/gmlake_config.hh"
-#include "sim/engine.hh"
+#include "offload/offload_manager.hh"
+#include "sim/session.hh"
 #include "vmm/device.hh"
 #include "workload/train_config.hh"
 
@@ -48,17 +51,56 @@ const std::vector<AllocatorKind> &allAllocatorKinds();
 /** Construct an allocator of @p kind bound to @p device. */
 std::unique_ptr<alloc::Allocator>
 makeAllocator(AllocatorKind kind, vmm::Device &device,
-              const core::GMLakeConfig &gmlakeConfig = {});
+              const core::GMLakeConfig &gmlakeConfig = {},
+              const alloc::CachingConfig &cachingConfig = {});
 
 struct ScenarioOptions
 {
     vmm::DeviceConfig device{};
     core::GMLakeConfig gmlake{};
+    /** Knobs of AllocatorKind::caching (PyTorch's allocator conf). */
+    alloc::CachingConfig caching{};
+    /** Eviction policy of an OffloadManager on the rig; unset =
+     *  no host tier. */
+    std::optional<offload::PolicyKind> hostTier;
     EngineOptions engine{};
 };
 
 /**
- * Run one training scenario end to end on a fresh device and return
+ * One replay set-up: a device, an allocator on it and, when
+ * ScenarioOptions::hostTier is set, a host tier on both. device()
+ * and allocator() serve set-up before a run (fault plans, restores)
+ * and inspection after it (audits, counters, saveState).
+ */
+class Rig
+{
+  public:
+    explicit Rig(AllocatorKind kind, const ScenarioOptions &options = {});
+
+    AllocatorKind kind() const { return mKind; }
+    vmm::Device &device() { return mDevice; }
+    alloc::Allocator &allocator() { return *mAllocator; }
+
+    /**
+     * Replay @p sessions in one SimEngine run with the options'
+     * EngineOptions; @p config, when given, derives throughput. A
+     * later run continues from the state this one left.
+     */
+    MultiRunResult run(std::vector<Session> sessions,
+                       const workload::TrainConfig *config = nullptr);
+
+  private:
+    AllocatorKind mKind;
+    EngineOptions mEngine;
+    vmm::Device mDevice;
+    std::unique_ptr<alloc::Allocator> mAllocator;
+    // Declared last so it is destroyed first: the manager detaches
+    // itself from the allocator on destruction.
+    std::unique_ptr<offload::OffloadManager> mHostTier;
+};
+
+/**
+ * Run one training scenario end to end on a fresh rig and return
  * the metrics. The same generated trace is used for any allocator
  * kind given the same config (generation is seed-deterministic).
  */

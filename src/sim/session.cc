@@ -44,6 +44,17 @@ Session::Session(std::string name,
                   "session streams a null source");
 }
 
+std::vector<Session>
+borrowSessions(const std::vector<Tenant> &tenants, std::size_t count)
+{
+    std::vector<Session> sessions;
+    for (std::size_t i = 0; i < std::min(count, tenants.size()); ++i) {
+        sessions.emplace_back(tenants[i].name, &tenants[i].trace,
+                              tenants[i].startTime);
+    }
+    return sessions;
+}
+
 bool
 MultiRunResult::anyOom() const
 {
@@ -74,15 +85,6 @@ SimEngine::addSession(Session session)
                   "session start time is negative");
     mSessions.push_back(std::move(session));
     return mSessions.size() - 1;
-}
-
-void
-SimEngine::seedSession(std::size_t index, SessionSeed seed)
-{
-    GMLAKE_ASSERT(!mRan, "session seeded after run()");
-    GMLAKE_ASSERT(index < mSessions.size(),
-                  "seed for unknown session index ", index);
-    mSeeds.emplace_back(index, std::move(seed));
 }
 
 namespace
@@ -226,9 +228,15 @@ SimEngine::run(const workload::TrainConfig *config)
 
     // Resume seeds: warm-start cursors mid-timeline. The seeded
     // local time overrides the session's startTime — seeds carry
-    // absolute local times, paired with options.startFrontier.
-    for (const auto &[seedIndex, seed] : mSeeds) {
-        Cursor &c = cursors[seedIndex];
+    // absolute local times, paired with the resumed frontier.
+    const ResumeState *resume = mOptions.resume.get();
+    GMLAKE_ASSERT(resume == nullptr ||
+                      resume->sessions.size() == mSessions.size(),
+                  "resume state does not match the run's sessions");
+    for (std::size_t i = 0; resume != nullptr && i < cursors.size();
+         ++i) {
+        const SessionSeed &seed = resume->sessions[i];
+        Cursor &c = cursors[i];
         c.localTime = seed.localTime;
         c.dead = seed.dead;
         c.seenStreams = seed.seenStreams;
@@ -324,7 +332,7 @@ SimEngine::run(const workload::TrainConfig *config)
     };
 
     //! Merged virtual time already charged (resumes carry it over).
-    Tick frontier = mOptions.startFrontier;
+    Tick frontier = resume != nullptr ? resume->frontier : 0;
     bool sawFirstOom = false;
 
     // Tenant kill + OOM post-mortem: which allocator, what the

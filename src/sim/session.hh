@@ -29,9 +29,9 @@
 #ifndef GMLAKE_SIM_SESSION_HH
 #define GMLAKE_SIM_SESSION_HH
 
+#include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "sim/engine.hh"
@@ -94,6 +94,25 @@ class Session
     Tick mStartTime;
 };
 
+/**
+ * One tenant of a co-located workload: a named trace it owns and its
+ * arrival time. Scenarios keep their tenants for every run they
+ * compare, and each run borrows them into fresh sessions.
+ */
+struct Tenant
+{
+    std::string name;
+    workload::Trace trace;
+    Tick startTime = 0;
+};
+
+/**
+ * Sessions borrowing the first @p count of @p tenants (all of them by
+ * default); the tenants must outlive the run.
+ */
+std::vector<Session> borrowSessions(const std::vector<Tenant> &tenants,
+                                    std::size_t count = SIZE_MAX);
+
 /** Per-session outcome of a multi-session run. */
 struct SessionResult
 {
@@ -139,7 +158,7 @@ struct SessionResult
 /**
  * Mid-run state of one session, captured by a run with
  * EngineOptions::captureResume and re-injected into a tail run via
- * SimEngine::seedSession. Pure bookkeeping — the allocator/device
+ * EngineOptions::resume. Pure bookkeeping — the allocator/device
  * state travels separately as an alloc::Checkpoint.
  */
 struct SessionSeed
@@ -211,16 +230,6 @@ class SimEngine
     std::size_t addSession(Session session);
 
     /**
-     * Inject a captured SessionSeed into session @p index before the
-     * run: the session resumes with the seed's local time, live
-     * tensors, seen streams and death flag instead of a cold start.
-     * Call after addSession, before run(); deterministic mode only.
-     * The allocator ids in the seed must be live in the allocator —
-     * restore the matching alloc::Checkpoint first.
-     */
-    void seedSession(std::size_t index, SessionSeed seed);
-
-    /**
      * Replay every session to completion (or death). @p config, when
      * given, derives combined throughput the way runTrace() does.
      * The engine is single-shot: run it once.
@@ -236,7 +245,6 @@ class SimEngine
     vmm::Device &mDevice;
     EngineOptions mOptions;
     std::vector<Session> mSessions;
-    std::vector<std::pair<std::size_t, SessionSeed>> mSeeds;
     bool mRan = false;
 };
 

@@ -25,6 +25,7 @@ namespace
 {
 
 using namespace gmlake::literals;
+using workload::trainConfig;
 
 std::vector<std::string>
 splitOn(const std::string &s, char sep)
@@ -55,20 +56,6 @@ pointLabel(const core::GMLakeConfig &c)
         " stitch=", c.enableStitching ? "on" : "off");
 }
 
-workload::TrainConfig
-sweepTrainConfig(const char *model, const char *strategies, int gpus,
-                 int batch, int iterations, std::uint64_t seed)
-{
-    workload::TrainConfig cfg;
-    cfg.model = workload::findModel(model);
-    cfg.strategies = workload::Strategies::parse(strategies);
-    cfg.gpus = gpus;
-    cfg.batchSize = batch;
-    cfg.iterations = iterations;
-    cfg.seed = seed;
-    return cfg;
-}
-
 /** What the warmup replay leaves behind for the per-point forks. */
 struct WarmupArtifacts
 {
@@ -80,53 +67,36 @@ struct WarmupArtifacts
 
 WarmupArtifacts
 replayWarmup(const SweepScenario &scenario,
-             const std::vector<workload::Trace> &warmupTraces,
+             const std::vector<Tenant> &warmupTenants,
              const SweepRunOptions &options)
 {
-    vmm::Device device(scenario.device);
-    const auto allocator =
-        makeAllocator(options.kind, device, scenario.base);
-    EngineOptions engineOptions;
-    engineOptions.recordSeries = false;
-    engineOptions.captureResume = true;
-    SimEngine engine(*allocator, device, engineOptions);
-    for (std::size_t i = 0; i < warmupTraces.size(); ++i) {
-        engine.addSession(Session(scenario.sessionNames[i],
-                                  &warmupTraces[i],
-                                  scenario.startTimes[i]));
-    }
-    MultiRunResult multi = engine.run();
+    ScenarioOptions rigOptions = scenario.rigOptions();
+    rigOptions.engine.captureResume = true;
+    Rig rig(options.kind, rigOptions);
+    MultiRunResult multi = rig.run(borrowSessions(warmupTenants));
     GMLAKE_ASSERT(multi.resume != nullptr,
                   "warmup run captured no resume state");
-    return WarmupArtifacts{allocator->saveState(), multi.resume,
+    return WarmupArtifacts{rig.allocator().saveState(), multi.resume,
                            std::move(multi.combined),
                            multi.anyOom()};
 }
 
 RunResult
 replayTail(const SweepScenario &scenario,
-           const std::vector<workload::Trace> &tailTraces,
+           const std::vector<Tenant> &tailTenants,
            const core::GMLakeConfig &config,
            const WarmupArtifacts &warmup,
            const SweepRunOptions &options)
 {
-    vmm::Device device(scenario.device);
-    const auto allocator =
-        makeAllocator(options.kind, device, config);
-    allocator->restoreState(warmup.checkpoint);
-    EngineOptions engineOptions;
-    engineOptions.recordSeries = false;
-    engineOptions.startFrontier = warmup.resume->frontier;
-    SimEngine engine(*allocator, device, engineOptions);
+    ScenarioOptions rigOptions = scenario.rigOptions();
+    rigOptions.gmlake = config;
+    rigOptions.engine.resume = warmup.resume;
+    Rig rig(options.kind, rigOptions);
+    rig.allocator().restoreState(warmup.checkpoint);
     // Every session rides along — even one whose tail is empty or
     // that died during warmup — so stream namespacing and reclaim's
     // survivor scan match the uninterrupted replay.
-    for (std::size_t i = 0; i < tailTraces.size(); ++i) {
-        engine.addSession(
-            Session(scenario.sessionNames[i], &tailTraces[i]));
-        engine.seedSession(i, warmup.resume->sessions[i]);
-    }
-    return engine.run().combined;
+    return rig.run(borrowSessions(tailTenants)).combined;
 }
 
 /** a dominates b on (fragmentation, deviceApiTime, simTime). */
@@ -143,32 +113,47 @@ dominates(const RunResult &a, const RunResult &b)
 } // namespace
 
 Tick
-traceSpan(const workload::Trace &trace, Tick startTime)
+tenantsSpan(const std::vector<Tenant> &tenants)
 {
-    Tick local = startTime;
-    for (const workload::Event &event : trace.events()) {
-        if (event.kind == workload::EventKind::compute)
-            local += event.computeNs;
+    Tick span = 0;
+    for (const Tenant &tenant : tenants) {
+        Tick local = tenant.startTime;
+        for (const workload::Event &event : tenant.trace.events()) {
+            if (event.kind == workload::EventKind::compute)
+                local += event.computeNs;
+        }
+        span = std::max(span, local);
     }
-    return local;
+    return span;
 }
 
-std::pair<workload::Trace, workload::Trace>
-splitTraceAt(const workload::Trace &trace, Tick startTime,
-             Tick splitTime)
+std::pair<std::vector<Tenant>, std::vector<Tenant>>
+splitTenantsAt(const std::vector<Tenant> &tenants, Tick splitTime)
 {
-    workload::Trace warmup;
-    workload::Trace tail;
-    Tick local = startTime;
-    for (const workload::Event &event : trace.events()) {
-        if (local < splitTime)
-            warmup.append(event);
-        else
-            tail.append(event);
-        if (event.kind == workload::EventKind::compute)
-            local += event.computeNs;
+    std::vector<Tenant> warmups;
+    std::vector<Tenant> tails;
+    for (const Tenant &tenant : tenants) {
+        Tenant &warmup = warmups.emplace_back(
+            Tenant{tenant.name, {}, tenant.startTime});
+        Tenant &tail = tails.emplace_back(Tenant{tenant.name, {}, 0});
+        Tick local = tenant.startTime;
+        for (const workload::Event &event : tenant.trace.events()) {
+            (local < splitTime ? warmup : tail).trace.append(event);
+            if (event.kind == workload::EventKind::compute)
+                local += event.computeNs;
+        }
     }
-    return {std::move(warmup), std::move(tail)};
+    return {std::move(warmups), std::move(tails)};
+}
+
+ScenarioOptions
+SweepScenario::rigOptions() const
+{
+    ScenarioOptions options;
+    options.device = device;
+    options.gmlake = base;
+    options.engine.recordSeries = false;
+    return options;
 }
 
 std::vector<SweepPoint>
@@ -309,40 +294,35 @@ buildSweepScenario(const std::string &name, std::uint64_t seed,
         const int iters = iterations > 0 ? iterations : 2;
         scenario.device.capacity = 16_GiB;
         for (int t = 0; t < 2; ++t) {
-            scenario.traces.push_back(
-                workload::generateTrainingTrace(sweepTrainConfig(
-                    "GPT-2", "LR", 2, 8, iters,
-                    deriveSeed(seed,
-                               static_cast<std::uint64_t>(t)))));
-            scenario.sessionNames.push_back(
-                detail::concat("train-", t));
-            scenario.startTimes.push_back(static_cast<Tick>(t) *
-                                          Tick{5'000'000});
+            const auto cfg = trainConfig(
+                "GPT-2", "LR", 2, 8, iters,
+                deriveSeed(seed, static_cast<std::uint64_t>(t)));
+            scenario.tenants.push_back(
+                {detail::concat("train-", t),
+                 workload::generateTrainingTrace(cfg),
+                 static_cast<Tick>(t) * Tick{5'000'000}});
         }
     } else if (name == "train") {
         const int iters = iterations > 0 ? iterations : 6;
         scenario.device.capacity = 24_GiB;
-        scenario.traces.push_back(workload::generateTrainingTrace(
-            sweepTrainConfig("OPT-1.3B", "LR", 4, 32, iters,
-                             deriveSeed(seed, 0))));
-        scenario.sessionNames.push_back("train");
-        scenario.startTimes.push_back(0);
+        scenario.tenants.push_back(
+            {"train", workload::generateTrainingTrace(trainConfig(
+                          "OPT-1.3B", "LR", 4, 32, iters,
+                          deriveSeed(seed, 0)))});
     } else if (name == "colocate") {
         const int iters = iterations > 0 ? iterations : 4;
         scenario.device.capacity = 24_GiB;
-        scenario.traces.push_back(workload::generateTrainingTrace(
-            sweepTrainConfig("OPT-1.3B", "LR", 2, 32, iters,
-                             deriveSeed(seed, 0))));
-        scenario.sessionNames.push_back("train");
-        scenario.startTimes.push_back(0);
+        scenario.tenants.push_back(
+            {"train", workload::generateTrainingTrace(trainConfig(
+                          "OPT-1.3B", "LR", 2, 32, iters,
+                          deriveSeed(seed, 0)))});
         workload::ServeConfig serveCfg;
         serveCfg.model = workload::findModel("OPT-1.3B");
         serveCfg.requests = 64 * iters;
         serveCfg.seed = deriveSeed(seed, 1);
-        scenario.traces.push_back(
-            workload::generateServingTrace(serveCfg).trace);
-        scenario.sessionNames.push_back("serve");
-        scenario.startTimes.push_back(Tick{20'000'000});
+        scenario.tenants.push_back(
+            {"serve", workload::generateServingTrace(serveCfg).trace,
+             Tick{20'000'000}});
     } else {
         GMLAKE_FATAL("unknown sweep scenario: ", name,
                      " (available: smoke, train, colocate)");
@@ -351,12 +331,7 @@ buildSweepScenario(const std::string &name, std::uint64_t seed,
     // Default split: 75% into the longest session's timeline. The
     // shared warmup prefix is the expensive part a warm start
     // amortizes; the swept tail is the divergent endgame.
-    Tick span = 0;
-    for (std::size_t i = 0; i < scenario.traces.size(); ++i) {
-        span = std::max(span, traceSpan(scenario.traces[i],
-                                        scenario.startTimes[i]));
-    }
-    scenario.splitTime = span * 3 / 4;
+    scenario.splitTime = tenantsSpan(scenario.tenants) * 3 / 4;
     return scenario;
 }
 
@@ -377,13 +352,8 @@ runSweep(const SweepScenario &scenario,
          const SweepRunOptions &options)
 {
     GMLAKE_ASSERT(!points.empty(), "sweep has no points");
-    GMLAKE_ASSERT(!scenario.traces.empty(),
+    GMLAKE_ASSERT(!scenario.tenants.empty(),
                   "sweep scenario has no sessions");
-    GMLAKE_ASSERT(scenario.traces.size() ==
-                          scenario.sessionNames.size() &&
-                      scenario.traces.size() ==
-                          scenario.startTimes.size(),
-                  "sweep scenario session lists disagree");
     for (const SweepPoint &point : points) {
         GMLAKE_ASSERT(
             point.config.chunkSize == scenario.base.chunkSize &&
@@ -399,18 +369,8 @@ runSweep(const SweepScenario &scenario,
     report.scenario = scenario.name;
     report.allocator = allocatorKindName(options.kind);
 
-    std::vector<workload::Trace> warmupTraces;
-    std::vector<workload::Trace> tailTraces;
-    warmupTraces.reserve(scenario.traces.size());
-    tailTraces.reserve(scenario.traces.size());
-    for (std::size_t i = 0; i < scenario.traces.size(); ++i) {
-        auto [warmup, tail] =
-            splitTraceAt(scenario.traces[i],
-                         scenario.startTimes[i],
-                         scenario.splitTime);
-        warmupTraces.push_back(std::move(warmup));
-        tailTraces.push_back(std::move(tail));
-    }
+    const auto [warmupTenants, tailTenants] =
+        splitTenantsAt(scenario.tenants, scenario.splitTime);
 
     // Warm start: one shared warmup replay, checkpointed; every
     // point restores from the same immutable Checkpoint value
@@ -420,7 +380,7 @@ runSweep(const SweepScenario &scenario,
     if (options.warmStart) {
         const Stopwatch warmupWall;
         shared = std::make_unique<WarmupArtifacts>(
-            replayWarmup(scenario, warmupTraces, options));
+            replayWarmup(scenario, warmupTenants, options));
         report.warmupWallNs = warmupWall.elapsedNs();
         report.warmup = shared->result;
         report.warmupOom = shared->oom;
@@ -434,13 +394,13 @@ runSweep(const SweepScenario &scenario,
             record.point = points[i];
             if (shared != nullptr) {
                 record.tail =
-                    replayTail(scenario, tailTraces,
+                    replayTail(scenario, tailTenants,
                                points[i].config, *shared, options);
             } else {
                 const WarmupArtifacts warmup =
-                    replayWarmup(scenario, warmupTraces, options);
+                    replayWarmup(scenario, warmupTenants, options);
                 record.tail =
-                    replayTail(scenario, tailTraces,
+                    replayTail(scenario, tailTenants,
                                points[i].config, warmup, options);
                 if (i == 0) {
                     // Every cold point replays the identical,

@@ -25,7 +25,6 @@
 
 #include "core/gmlake_config.hh"
 #include "sim/runner.hh"
-#include "workload/trace.hh"
 
 namespace gmlake::sim
 {
@@ -84,34 +83,37 @@ struct SweepScenario
     /** Warmup-phase allocator configuration (and structural knobs
      *  every sweep point inherits). */
     core::GMLakeConfig base{};
-    std::vector<std::string> sessionNames;
-    std::vector<workload::Trace> traces;
-    std::vector<Tick> startTimes;
+    std::vector<Tenant> tenants;
     /**
      * Warmup/tail boundary on the merged virtual timeline: events
      * whose local time is below it belong to the warmup prefix.
      */
     Tick splitTime = 0;
+
+    /** Rig options of a run of this scenario: its device, the base
+     *  allocator config and no time series. */
+    ScenarioOptions rigOptions() const;
 };
 
 /** Names accepted by buildSweepScenario / `gmlake_sim sweep`. */
 const std::vector<std::string> &sweepScenarioNames();
 
-/** @p startTime plus the trace's total compute: the session's final
- *  local time. */
-Tick traceSpan(const workload::Trace &trace, Tick startTime);
+/** The latest final local time of @p tenants: each one's start time
+ *  plus its trace's total compute. */
+Tick tenantsSpan(const std::vector<Tenant> &tenants);
 
 /**
- * Split one session's trace at the virtual-time threshold. An event
- * belongs to the warmup prefix when the session's local time *before*
+ * Split every tenant's trace at the virtual-time threshold into a
+ * warmup tenant (same start time) and a tail tenant (start 0: a
+ * resumed run takes local times from its ResumeState). An event
+ * belongs to the warmup prefix when the tenant's local time *before*
  * executing it is below @p splitTime (compute advances local time
  * after the event — the engine's merge-key convention), so the
  * warmup half is always a prefix. Exposed for checkpoint_restore_test
  * to drive the exact split the harness replays.
  */
-std::pair<workload::Trace, workload::Trace>
-splitTraceAt(const workload::Trace &trace, Tick startTime,
-             Tick splitTime);
+std::pair<std::vector<Tenant>, std::vector<Tenant>>
+splitTenantsAt(const std::vector<Tenant> &tenants, Tick splitTime);
 
 /**
  * Build a named sweep scenario ("smoke", "train" or "colocate"),

@@ -13,6 +13,8 @@
 namespace gmlake::workload
 {
 
+using namespace gmlake::literals;
+
 namespace
 {
 
@@ -507,6 +509,66 @@ generateTrainingTrace(const TrainConfig &cfg)
 
     tb.freeAll();
     return tb.take();
+}
+
+std::vector<Bytes>
+residentSplit(Bytes total, int n)
+{
+    const Bytes units =
+        static_cast<Bytes>(n) * static_cast<Bytes>(n + 1) / 2;
+    std::vector<Bytes> sizes;
+    sizes.reserve(static_cast<std::size_t>(n));
+    for (int i = 1; i <= n; ++i) {
+        sizes.push_back(roundUp(
+            total * static_cast<Bytes>(i) / units, 2_MiB));
+    }
+    return sizes;
+}
+
+Trace
+makeOffloadTenantTrace(std::uint64_t seed, Bytes residentBytes,
+                       int residentTensors, int iterations,
+                       int transientsPerPhase, Tick phaseNs,
+                       bool prefetchHints)
+{
+    Rng rng(seed);
+    TraceBuilder builder;
+
+    std::vector<TensorId> resident;
+    resident.reserve(static_cast<std::size_t>(residentTensors));
+    for (const Bytes size :
+         residentSplit(residentBytes, residentTensors)) {
+        resident.push_back(builder.alloc(size, 0));
+        builder.compute(phaseNs / 8);
+    }
+
+    std::vector<TensorId> transients;
+    for (int iter = 0; iter < iterations; ++iter) {
+        for (std::size_t phase = 0; phase < resident.size();
+             ++phase) {
+            if (prefetchHints) {
+                builder.prefetch(
+                    resident[(phase + 1) % resident.size()]);
+            }
+            builder.touch(resident[phase]);
+            transients.clear();
+            for (int t = 0; t < transientsPerPhase; ++t) {
+                const Bytes size =
+                    2_MiB * rng.uniformInt(32, 128); // 64-256 MiB
+                const auto stream = static_cast<StreamId>(
+                    1 + rng.uniformInt(0, 2));
+                transients.push_back(builder.alloc(size, stream));
+                builder.compute(phaseNs /
+                                (2 * transientsPerPhase));
+            }
+            builder.compute(phaseNs / 2);
+            for (const TensorId id : transients)
+                builder.free(id);
+        }
+        builder.iterationMark();
+    }
+    builder.freeAll();
+    return builder.take();
 }
 
 } // namespace gmlake::workload

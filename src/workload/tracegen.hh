@@ -27,6 +27,9 @@
 #ifndef GMLAKE_WORKLOAD_TRACEGEN_HH
 #define GMLAKE_WORKLOAD_TRACEGEN_HH
 
+#include <cstdint>
+#include <vector>
+
 #include "workload/trace.hh"
 #include "workload/train_config.hh"
 
@@ -41,6 +44,27 @@ Trace generateTrainingTrace(const TrainConfig &config);
  * exposed for capacity planning in benches and tests.
  */
 Bytes estimatePersistentBytes(const TrainConfig &config);
+
+/**
+ * Deterministic heterogeneous split of @p total into @p n chunk-
+ * aligned sizes growing linearly (1, 2, ..., n units): the spread is
+ * what lets the LRU and size-aware eviction policies diverge.
+ */
+std::vector<Bytes> residentSplit(Bytes total, int n);
+
+/**
+ * One oversubscription tenant for the host-offload tier: a resident
+ * set of large, long-lived tensors (weights + optimizer state)
+ * touched phase by phase every iteration, plus transient activations
+ * churned inside each phase. With prefetch hints on, the next
+ * phase's resident tensor is announced one compute phase ahead, so a
+ * spilled tensor's H2D can overlap the current phase instead of
+ * stalling the touch. Deterministic in @p seed.
+ */
+Trace makeOffloadTenantTrace(std::uint64_t seed, Bytes residentBytes,
+                             int residentTensors, int iterations,
+                             int transientsPerPhase, Tick phaseNs,
+                             bool prefetchHints);
 
 } // namespace gmlake::workload
 

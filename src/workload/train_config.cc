@@ -49,6 +49,20 @@ Strategies::label() const
     return out.empty() ? "N" : out;
 }
 
+TrainConfig
+trainConfig(const std::string &model, const std::string &strategies,
+            int gpus, int batch, int iterations, std::uint64_t seed)
+{
+    TrainConfig cfg;
+    cfg.model = findModel(model);
+    cfg.strategies = Strategies::parse(strategies);
+    cfg.gpus = gpus;
+    cfg.batchSize = batch;
+    cfg.iterations = iterations;
+    cfg.seed = seed;
+    return cfg;
+}
+
 std::string
 TrainConfig::describe() const
 {

@@ -69,6 +69,15 @@ struct TrainConfig
     std::string describe() const;
 };
 
+/**
+ * @p model from the zoo under @p strategies ("N", "LR", ...) on
+ * @p gpus ranks; every other field keeps its default.
+ */
+TrainConfig trainConfig(const std::string &model,
+                        const std::string &strategies, int gpus,
+                        int batch, int iterations,
+                        std::uint64_t seed = 42);
+
 } // namespace gmlake::workload
 
 #endif // GMLAKE_WORKLOAD_TRAIN_CONFIG_HH

@@ -103,19 +103,9 @@ finalStateDigest(const alloc::Allocator &allocator,
 std::uint64_t
 straightDigest(const SweepScenario &scenario, AllocatorKind kind)
 {
-    vmm::Device device(scenario.device);
-    const auto allocator =
-        makeAllocator(kind, device, scenario.base);
-    EngineOptions options;
-    options.recordSeries = false;
-    SimEngine engine(*allocator, device, options);
-    for (std::size_t i = 0; i < scenario.traces.size(); ++i) {
-        engine.addSession(Session(scenario.sessionNames[i],
-                                  &scenario.traces[i],
-                                  scenario.startTimes[i]));
-    }
-    engine.run();
-    return finalStateDigest(*allocator, device);
+    Rig rig(kind, scenario.rigOptions());
+    rig.run(borrowSessions(scenario.tenants));
+    return finalStateDigest(rig.allocator(), rig.device());
 }
 
 struct WarmupCapture
@@ -127,23 +117,14 @@ struct WarmupCapture
 
 WarmupCapture
 runWarmup(const SweepScenario &scenario, AllocatorKind kind,
-          const std::vector<workload::Trace> &warmupTraces)
+          const std::vector<Tenant> &warmupTenants)
 {
-    vmm::Device device(scenario.device);
-    const auto allocator =
-        makeAllocator(kind, device, scenario.base);
-    EngineOptions options;
-    options.recordSeries = false;
-    options.captureResume = true;
-    SimEngine engine(*allocator, device, options);
-    for (std::size_t i = 0; i < warmupTraces.size(); ++i) {
-        engine.addSession(Session(scenario.sessionNames[i],
-                                  &warmupTraces[i],
-                                  scenario.startTimes[i]));
-    }
-    const MultiRunResult multi = engine.run();
+    ScenarioOptions options = scenario.rigOptions();
+    options.engine.captureResume = true;
+    Rig rig(kind, options);
+    const MultiRunResult multi = rig.run(borrowSessions(warmupTenants));
     EXPECT_NE(multi.resume, nullptr);
-    return WarmupCapture{allocator->saveState(), multi.resume,
+    return WarmupCapture{rig.allocator().saveState(), multi.resume,
                          multi.anyOom()};
 }
 
@@ -152,8 +133,7 @@ runWarmup(const SweepScenario &scenario, AllocatorKind kind,
  * the tail on @p device.
  */
 std::uint64_t
-restoredTailDigest(const SweepScenario &scenario,
-                   const std::vector<workload::Trace> &tailTraces,
+restoredTailDigest(const std::vector<Tenant> &tailTenants,
                    const WarmupCapture &warmup,
                    alloc::Allocator &allocator, vmm::Device &device)
 {
@@ -164,13 +144,10 @@ restoredTailDigest(const SweepScenario &scenario,
     allocator.auditInvariants();
     EngineOptions options;
     options.recordSeries = false;
-    options.startFrontier = warmup.resume->frontier;
+    options.resume = warmup.resume;
     SimEngine engine(allocator, device, options);
-    for (std::size_t i = 0; i < tailTraces.size(); ++i) {
-        engine.addSession(
-            Session(scenario.sessionNames[i], &tailTraces[i]));
-        engine.seedSession(i, warmup.resume->sessions[i]);
-    }
+    for (Session &session : borrowSessions(tailTenants))
+        engine.addSession(std::move(session));
     engine.run();
     allocator.auditInvariants();
     return finalStateDigest(allocator, device);
@@ -179,22 +156,13 @@ restoredTailDigest(const SweepScenario &scenario,
 std::uint64_t
 splitDigest(const SweepScenario &scenario, AllocatorKind kind)
 {
-    std::vector<workload::Trace> warmupTraces;
-    std::vector<workload::Trace> tailTraces;
-    for (std::size_t i = 0; i < scenario.traces.size(); ++i) {
-        auto [head, tail] =
-            splitTraceAt(scenario.traces[i], scenario.startTimes[i],
-                         scenario.splitTime);
-        warmupTraces.push_back(std::move(head));
-        tailTraces.push_back(std::move(tail));
-    }
+    const auto [warmupTenants, tailTenants] =
+        splitTenantsAt(scenario.tenants, scenario.splitTime);
     const WarmupCapture warmup =
-        runWarmup(scenario, kind, warmupTraces);
-    vmm::Device device(scenario.device);
-    const auto allocator =
-        makeAllocator(kind, device, scenario.base);
-    return restoredTailDigest(scenario, tailTraces, warmup,
-                              *allocator, device);
+        runWarmup(scenario, kind, warmupTenants);
+    Rig rig(kind, scenario.rigOptions());
+    return restoredTailDigest(tailTenants, warmup, rig.allocator(),
+                              rig.device());
 }
 
 // ------------------------------------------------------------ tests
@@ -242,25 +210,16 @@ TEST(CheckpointRestore, DoubleRestoreFromOneCheckpoint)
 {
     const SweepScenario scenario =
         buildSweepScenario("smoke", 42, 2);
-    std::vector<workload::Trace> warmupTraces;
-    std::vector<workload::Trace> tailTraces;
-    for (std::size_t i = 0; i < scenario.traces.size(); ++i) {
-        auto [head, tail] =
-            splitTraceAt(scenario.traces[i], scenario.startTimes[i],
-                         scenario.splitTime);
-        warmupTraces.push_back(std::move(head));
-        tailTraces.push_back(std::move(tail));
-    }
+    const auto [warmupTenants, tailTenants] =
+        splitTenantsAt(scenario.tenants, scenario.splitTime);
     const WarmupCapture warmup =
-        runWarmup(scenario, AllocatorKind::gmlake, warmupTraces);
+        runWarmup(scenario, AllocatorKind::gmlake, warmupTenants);
 
     std::uint64_t digests[2];
     for (auto &digest : digests) {
-        vmm::Device device(scenario.device);
-        const auto allocator = makeAllocator(
-            AllocatorKind::gmlake, device, scenario.base);
-        digest = restoredTailDigest(scenario, tailTraces, warmup,
-                                    *allocator, device);
+        Rig rig(AllocatorKind::gmlake, scenario.rigOptions());
+        digest = restoredTailDigest(tailTenants, warmup,
+                                    rig.allocator(), rig.device());
     }
     EXPECT_EQ(digests[0], digests[1]);
     EXPECT_EQ(digests[0],
@@ -276,40 +235,23 @@ TEST(CheckpointRestore, RestoreIntoDirtyAllocator)
 {
     const SweepScenario scenario =
         buildSweepScenario("smoke", 42, 2);
-    std::vector<workload::Trace> warmupTraces;
-    std::vector<workload::Trace> tailTraces;
-    for (std::size_t i = 0; i < scenario.traces.size(); ++i) {
-        auto [head, tail] =
-            splitTraceAt(scenario.traces[i], scenario.startTimes[i],
-                         scenario.splitTime);
-        warmupTraces.push_back(std::move(head));
-        tailTraces.push_back(std::move(tail));
-    }
+    const auto [warmupTenants, tailTenants] =
+        splitTenantsAt(scenario.tenants, scenario.splitTime);
     const WarmupCapture warmup =
-        runWarmup(scenario, AllocatorKind::gmlake, warmupTraces);
+        runWarmup(scenario, AllocatorKind::gmlake, warmupTenants);
 
-    vmm::Device freshDevice(scenario.device);
-    const auto fresh = makeAllocator(AllocatorKind::gmlake,
-                                     freshDevice, scenario.base);
+    Rig fresh(AllocatorKind::gmlake, scenario.rigOptions());
     const std::uint64_t freshDigest = restoredTailDigest(
-        scenario, tailTraces, warmup, *fresh, freshDevice);
+        tailTenants, warmup, fresh.allocator(), fresh.device());
 
     // Dirty the second allocator with an unrelated replay first;
     // restoreState must replace every trace of it.
-    vmm::Device dirtyDevice(scenario.device);
-    const auto dirty = makeAllocator(AllocatorKind::gmlake,
-                                     dirtyDevice, scenario.base);
-    {
-        const SweepScenario other =
-            buildSweepScenario("smoke", 99, 2);
-        SimEngine engine(*dirty, dirtyDevice);
-        engine.addSession(
-            Session("noise", &other.traces[0], 0));
-        engine.run();
-    }
+    Rig dirty(AllocatorKind::gmlake, scenario.rigOptions());
+    const SweepScenario other = buildSweepScenario("smoke", 99, 2);
+    dirty.run({Session("noise", &other.tenants[0].trace, 0)});
     EXPECT_EQ(freshDigest,
-              restoredTailDigest(scenario, tailTraces, warmup,
-                                 *dirty, dirtyDevice));
+              restoredTailDigest(tailTenants, warmup,
+                                 dirty.allocator(), dirty.device()));
 }
 
 /**
@@ -326,17 +268,10 @@ TEST(CheckpointRestore, RestoreAfterWarmupOom)
     // prefix (both tenants are ~7 GiB peak on 16 GiB by default).
     scenario.device.capacity = 5_GiB;
 
-    std::vector<workload::Trace> warmupTraces;
-    std::vector<workload::Trace> tailTraces;
-    for (std::size_t i = 0; i < scenario.traces.size(); ++i) {
-        auto [head, tail] =
-            splitTraceAt(scenario.traces[i], scenario.startTimes[i],
-                         scenario.splitTime);
-        warmupTraces.push_back(std::move(head));
-        tailTraces.push_back(std::move(tail));
-    }
+    const auto [warmupTenants, tailTenants] =
+        splitTenantsAt(scenario.tenants, scenario.splitTime);
     const WarmupCapture warmup =
-        runWarmup(scenario, AllocatorKind::gmlake, warmupTraces);
+        runWarmup(scenario, AllocatorKind::gmlake, warmupTenants);
     ASSERT_TRUE(warmup.anyOom)
         << "expected a warmup-phase OOM at 5 GiB; adjust capacity";
     bool anyDead = false;
@@ -344,12 +279,10 @@ TEST(CheckpointRestore, RestoreAfterWarmupOom)
         anyDead = anyDead || seed.dead;
     ASSERT_TRUE(anyDead);
 
-    vmm::Device device(scenario.device);
-    const auto allocator = makeAllocator(AllocatorKind::gmlake,
-                                         device, scenario.base);
+    Rig rig(AllocatorKind::gmlake, scenario.rigOptions());
     EXPECT_EQ(straightDigest(scenario, AllocatorKind::gmlake),
-              restoredTailDigest(scenario, tailTraces, warmup,
-                                 *allocator, device));
+              restoredTailDigest(tailTenants, warmup, rig.allocator(),
+                                 rig.device()));
 }
 
 /**

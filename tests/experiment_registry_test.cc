@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/recorder.hh"
 #include "sim/experiment.hh"
 #include "support/units.hh"
 
@@ -173,6 +174,36 @@ TEST_P(ScenarioSmoke, ResolvesAndRunsOneTinyIteration)
     }
     EXPECT_TRUE(anyCompleted)
         << experiment->name << ": every recorded run hit OOM";
+}
+
+TEST_P(ScenarioSmoke, EachSerialRunGetsItsOwnTimelineLane)
+{
+    // cluster-ranks and sweep-smoke replay their sub-runs on worker
+    // threads and record them afterwards, into one shared lane.
+    if (GetParam() == "cluster-ranks" || GetParam() == "sweep-smoke")
+        GTEST_SKIP() << "sub-runs on worker threads share one lane";
+    const Experiment *experiment = findExperiment(GetParam());
+    ASSERT_NE(experiment, nullptr);
+
+    ExperimentOptions options;
+    options.iterations = 1;
+    std::ostringstream sink;
+    ExperimentContext ctx(options, sink);
+    obs::Recorder recorder;
+    ctx.setRecorder(&recorder);
+    recorder.activate();
+    experiment->run(ctx);
+    recorder.deactivate();
+
+    // One lane per record, named after it, in record order; a
+    // scenario that records no run keeps the snapshot's one default
+    // lane.
+    std::vector<std::string> lanes;
+    for (const RunRecord &r : ctx.records())
+        lanes.push_back(r.label + " [" + r.allocator + "]");
+    if (lanes.empty())
+        lanes.push_back("run");
+    EXPECT_EQ(recorder.snapshot().runs, lanes);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -3,9 +3,11 @@
  * Host-offload tier tests: HostPool accounting, eviction-policy
  * ranking, the device's async copy lanes, GMLake's spill/fault
  * cooperation (cache trims keep stitched structures; live spills
- * keep ids and VAs valid), prefetch overlap, engine integration with
- * touch/prefetch trace events, determinism, and a threaded run that
- * gives TSan real concurrency over the copy-lane code paths.
+ * keep ids and VAs valid; fully spilled stitches tear down),
+ * prefetch overlap, engine integration with touch/prefetch trace
+ * events, determinism, a seeded fault storm over the tier's device
+ * calls, and a threaded run that gives TSan real concurrency over
+ * the copy-lane code paths.
  */
 
 #include <gtest/gtest.h>
@@ -17,11 +19,14 @@
 #include "offload/eviction_policy.hh"
 #include "offload/host_pool.hh"
 #include "offload/offload_manager.hh"
-#include "sim/session.hh"
+#include "sim/chaos.hh"
+#include "sim/runner.hh"
 #include "support/rng.hh"
 #include "support/thread_pool.hh"
 #include "support/units.hh"
 #include "vmm/device.hh"
+#include "vmm/fault_injector.hh"
+#include "workload/tracegen.hh"
 #include "workload/trace.hh"
 
 using namespace gmlake;
@@ -134,6 +139,33 @@ struct LakeRig
         tier.onAllocated(got->id, bytes, session);
         return got->id;
     }
+
+    void
+    free(alloc::AllocId id)
+    {
+        tier.onFreed(id);
+        ASSERT_TRUE(lake.deallocate(id).ok());
+    }
+
+    /**
+     * Two 300 MiB blocks, freed, then stitched by a 600 MiB request
+     * that is freed in turn: one cached sBlock over two inactive
+     * pBlocks.
+     */
+    void
+    cacheOneStitch()
+    {
+        const auto a = alloc(300_MiB);
+        const auto b = alloc(300_MiB);
+        free(a);
+        free(b);
+        lake.deviceSynchronize();
+        const auto c = alloc(600_MiB);
+        EXPECT_EQ(lake.strategy().stitches, 1u);
+        ASSERT_EQ(lake.sBlockCount(), 1u);
+        free(c);
+        lake.deviceSynchronize();
+    }
 };
 
 } // namespace
@@ -172,21 +204,7 @@ TEST(GmlakeOffload, OomSpillsLiveVictimAndTouchFaultsBack)
 TEST(GmlakeOffload, CacheTrimKeepsStitchedStructures)
 {
     LakeRig rig(1_GiB);
-    // Build a stitched pattern: two 300 MiB blocks, freed, then a
-    // 600 MiB request that stitches them.
-    const auto a = rig.alloc(300_MiB);
-    const auto b = rig.alloc(300_MiB);
-    rig.tier.onFreed(a);
-    ASSERT_TRUE(rig.lake.deallocate(a).ok());
-    rig.tier.onFreed(b);
-    ASSERT_TRUE(rig.lake.deallocate(b).ok());
-    rig.lake.deviceSynchronize();
-    const auto c = rig.alloc(600_MiB);
-    EXPECT_EQ(rig.lake.strategy().stitches, 1u);
-    ASSERT_EQ(rig.lake.sBlockCount(), 1u);
-    rig.tier.onFreed(c);
-    ASSERT_TRUE(rig.lake.deallocate(c).ok());
-    rig.lake.deviceSynchronize();
+    ASSERT_NO_FATAL_FAILURE(rig.cacheOneStitch());
 
     // Trim the cache: the members' physical memory comes back, but
     // the stitched sBlock (and the pattern tape) survives.
@@ -209,6 +227,21 @@ TEST(GmlakeOffload, CacheTrimKeepsStitchedStructures)
     rig.lake.checkConsistency();
     rig.tier.onFreed(c2);
     ASSERT_TRUE(rig.lake.deallocate(c2).ok());
+}
+
+TEST(GmlakeOffload, EmptyCacheDestroysAFullySpilledStitch)
+{
+    LakeRig rig(1_GiB);
+    ASSERT_NO_FATAL_FAILURE(rig.cacheOneStitch());
+    // The trim spills both members, so no chunk is mapped under the
+    // cached sBlock's VA any more; destroying it must not unmap it.
+    ASSERT_GE(rig.lake.trimCache(600_MiB), 600_MiB);
+    ASSERT_EQ(rig.lake.sBlockCount(), 1u);
+    rig.lake.emptyCache();
+    rig.lake.auditInvariants();
+    EXPECT_EQ(rig.lake.sBlockCount(), 0u);
+    EXPECT_EQ(rig.device.phys().inUse(), 0u);
+    EXPECT_EQ(rig.device.vaSpace().reservationCount(), 0u);
 }
 
 TEST(GmlakeOffload, PrefetchHidesTheFaultStall)
@@ -394,6 +427,138 @@ TEST(OffloadEngine, ReplaysAreDeterministic)
                       second.sessions[i].faultedBytes);
         }
     }
+}
+
+// ------------------------------------------------- rig + host tier
+
+namespace
+{
+
+/**
+ * The first @p count tenants of the oversub-offload scenario (12 GiB
+ * resident sets, 25 ms apart), @p iterations iterations each.
+ */
+std::vector<sim::Tenant>
+oversubTenants(int count, int iterations)
+{
+    std::vector<sim::Tenant> tenants;
+    for (int t = 0; t < count; ++t) {
+        tenants.push_back(
+            {"tenant" + std::to_string(t),
+             workload::makeOffloadTenantTrace(
+                 deriveSeed(42, static_cast<std::uint64_t>(t)), 12_GiB,
+                 /*residentTensors=*/6, iterations,
+                 /*transientsPerPhase=*/3, Tick{40'000'000},
+                 /*prefetchHints=*/true),
+             static_cast<Tick>(t) * Tick{25'000'000}});
+    }
+    return tenants;
+}
+
+/** A 32 GiB device with a host tier of @p policy. */
+sim::ScenarioOptions
+tieredOptions(PolicyKind policy)
+{
+    sim::ScenarioOptions options;
+    options.device.capacity = 32_GiB;
+    options.hostTier = policy;
+    options.engine.recordSeries = false;
+    return options;
+}
+
+/**
+ * Three tenants on 32 GiB with an LRU tier spill whole stitched
+ * patterns; an sBlock whose members are all spilled must be
+ * destroyed without an unmap, and teardown must return everything.
+ */
+void
+spillStitchesAndTearDown(std::size_t cachedSBlocks)
+{
+    const auto tenants = oversubTenants(3, 1);
+    sim::ScenarioOptions options = tieredOptions(PolicyKind::lru);
+    options.gmlake.maxCachedSBlocks = cachedSBlocks;
+    sim::Rig rig(sim::AllocatorKind::gmlake, options);
+    const auto multi = rig.run(sim::borrowSessions(tenants));
+    EXPECT_FALSE(multi.anyOom());
+    EXPECT_GT(multi.combined.evictedBytes, 0u);
+    sim::auditTeardown(rig, /*anyDeath=*/false);
+    EXPECT_EQ(rig.device().phys().inUse(), 0u);
+    EXPECT_EQ(rig.device().vaSpace().reservationCount(), 0u);
+}
+
+} // namespace
+
+TEST(OffloadRig, FullySpilledStitchesTearDown)
+{
+    // The default cache keeps the spilled sBlocks until emptyCache().
+    spillStitchesAndTearDown(core::GMLakeConfig{}.maxCachedSBlocks);
+}
+
+TEST(OffloadRig, StitchFreeEvictsFullySpilledStitches)
+{
+    // A cache of 8 evicts them mid-replay (StitchFree).
+    spillStitchesAndTearDown(8);
+}
+
+TEST(OffloadRig, FaultStormsLeaveTheBooksBalanced)
+{
+    // Seeded faults on every device call the tier's paths make —
+    // chunk creates and maps of a fault-in, the remap and its access
+    // grant, both copy lanes — and one capacity loss. A faulted
+    // tenant is aborted (or OOM-killed: create faults carry
+    // outOfMemory) and the rest replay on; after every trial the
+    // audit and chaos's leak check must pass. create and map fail
+    // per chunk, and a resident tensor is hundreds of chunks, so
+    // their rates are per-mille: at 2% every tenant would die at its
+    // first allocation.
+    const char *plans[] = {
+        "", // control
+        "create:p=0.001",
+        "map:p=0.001",
+        "mapbatch:p=0.03",
+        "setaccess:p=0.03",
+        "copyd2h:p=0.05",
+        "copyh2d:p=0.05",
+        "create:p=0.0005;map:p=0.0005;mapbatch:p=0.02;"
+        "setaccess:p=0.02;copyd2h:p=0.02;copyh2d:p=0.02",
+        "cap:t=100000000,b=2G",
+    };
+    const auto tenants = oversubTenants(4, 2);
+    std::uint64_t copyFaults = 0;
+    for (const char *spec : plans) {
+        for (const PolicyKind policy :
+             {PolicyKind::lru, PolicyKind::sizeAware}) {
+            for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+                SCOPED_TRACE(std::string("plan '") + spec + "', " +
+                             offload::policyKindName(policy) +
+                             ", seed " + std::to_string(seed));
+                sim::ScenarioOptions options = tieredOptions(policy);
+                options.engine.abortSessionOnFault = true;
+                sim::Rig rig(sim::AllocatorKind::gmlake, options);
+                vmm::FaultPlan plan = vmm::FaultPlan::parse(spec);
+                if (!plan.empty()) {
+                    rig.device().installFaultInjector(std::move(plan),
+                                                      seed);
+                }
+                const auto multi =
+                    rig.run(sim::borrowSessions(tenants));
+                if (const auto *injector = rig.device().faultInjector()) {
+                    const auto &injected = injector->counters().injected;
+                    copyFaults += injected[static_cast<std::size_t>(
+                                      vmm::FaultApi::copyD2H)] +
+                                  injected[static_cast<std::size_t>(
+                                      vmm::FaultApi::copyH2D)];
+                } else {
+                    EXPECT_FALSE(multi.anyOom());
+                    EXPECT_GT(multi.combined.evictedBytes, 0u);
+                }
+                EXPECT_NO_THROW(sim::auditTeardown(
+                    rig, multi.anyOom() ||
+                             multi.combined.abortedSessions > 0));
+            }
+        }
+    }
+    EXPECT_GT(copyFaults, 0u);
 }
 
 // -------------------------------------------------------- threading

@@ -302,20 +302,19 @@ saveTraceTo(const workload::Trace &trace, const std::string &path,
 }
 
 /**
- * The comparison loop every replaying verb shares: fresh device +
- * allocator per kind, one run via @p runOne, results tabulated (and
- * CSV-appended / snapshotted on request).
+ * The comparison loop every replaying verb shares: a fresh rig per
+ * kind replays the sessions @p sessions builds, and the results are
+ * tabulated (and CSV-appended / snapshotted on request).
  */
 int
 runAcrossAllocators(
     const Options &opt, std::uint64_t servedTokens,
-    const std::function<sim::RunResult(alloc::Allocator &,
-                                       vmm::Device &)> &runOne)
+    const std::function<std::vector<sim::Session>()> &sessions,
+    const workload::TrainConfig *config = nullptr)
 {
-    vmm::DeviceConfig deviceCfg;
-    deviceCfg.capacity = opt.capacity;
-    core::GMLakeConfig gmlakeCfg;
-    gmlakeCfg.fragLimit = opt.fragLimit;
+    sim::ScenarioOptions options;
+    options.device.capacity = opt.capacity;
+    options.gmlake.fragLimit = opt.fragLimit;
 
     Table table({"Allocator", "Utilization", "Peak active",
                  "Peak reserved", "Sim time", "Throughput"});
@@ -327,10 +326,8 @@ runAcrossAllocators(
     }
 
     for (const auto kind : parseAllocators(opt.allocator)) {
-        vmm::Device device(deviceCfg);
-        const auto allocator =
-            sim::makeAllocator(kind, device, gmlakeCfg);
-        const auto r = runOne(*allocator, device);
+        sim::Rig rig(kind, options);
+        const auto r = rig.run(sessions(), config).combined;
 
         std::string throughput = "-";
         if (servedTokens > 0 && r.simTime > 0) {
@@ -355,7 +352,7 @@ runAcrossAllocators(
                 << r.simTime << "," << (r.oom ? 1 : 0) << "\n";
         }
         if (opt.snapshot)
-            std::cout << allocator->snapshot().summary();
+            std::cout << rig.allocator().snapshot().summary();
     }
     table.print(std::cout);
     return 0;
@@ -370,10 +367,11 @@ doTraceRun(const Options &opt)
     const auto built = buildWorkload(opt, cfg);
     return runAcrossAllocators(
         opt, built.servedTokens,
-        [&](alloc::Allocator &allocator, vmm::Device &device) {
-            return sim::runTrace(allocator, device, built.trace,
-                                 built.training ? &cfg : nullptr);
-        });
+        [&] {
+            return std::vector<sim::Session>{
+                sim::Session("main", &built.trace)};
+        },
+        built.training ? &cfg : nullptr);
 }
 
 int
@@ -397,26 +395,20 @@ doTraceReplay(const Options &opt, const std::string &path)
                   << file->sections().size() << " section"
                   << (file->sections().size() == 1 ? "" : "s")
                   << ", streamed) from " << path << "\n";
-        return runAcrossAllocators(
-            opt, 0,
-            [&](alloc::Allocator &allocator, vmm::Device &device) {
-                if (file->sections().size() == 1) {
-                    return sim::runSource(
-                        allocator, device,
-                        std::make_unique<
-                            workload::BinaryTraceSource>(file, 0));
-                }
-                // Multi-section files replay as co-located tenants.
-                sim::SimEngine engine(allocator, device);
-                for (std::size_t i = 0; i < file->sections().size();
-                     ++i) {
-                    engine.addSession(sim::Session(
-                        file->sections()[i].name,
-                        std::make_unique<
-                            workload::BinaryTraceSource>(file, i)));
-                }
-                return engine.run().combined;
-            });
+        // Multi-section files replay as co-located tenants; a lone
+        // section keeps the single-trace session name.
+        return runAcrossAllocators(opt, 0, [&] {
+            std::vector<sim::Session> sessions;
+            for (std::size_t i = 0; i < file->sections().size(); ++i) {
+                sessions.emplace_back(
+                    file->sections().size() == 1
+                        ? "main"
+                        : file->sections()[i].name,
+                    std::make_unique<workload::BinaryTraceSource>(
+                        file, i));
+            }
+            return sessions;
+        });
     }
 
     std::ifstream in(path);
@@ -425,11 +417,9 @@ doTraceReplay(const Options &opt, const std::string &path)
     const workload::Trace trace = workload::Trace::load(in);
     std::cout << "replaying " << trace.size() << " events from "
               << path << "\n";
-    return runAcrossAllocators(
-        opt, 0,
-        [&](alloc::Allocator &allocator, vmm::Device &device) {
-            return sim::runTrace(allocator, device, trace);
-        });
+    return runAcrossAllocators(opt, 0, [&] {
+        return std::vector<sim::Session>{sim::Session("main", &trace)};
+    });
 }
 
 int
