@@ -5,6 +5,9 @@
  * pool-search scaling, and BestFit over growing pools. These measure
  * real wall-clock time of the bookkeeping code (the simulated device
  * latencies are separate: `gmlake_sim run table1` and `run fig6`).
+ * Two more time the layers around the allocator on the benchmark
+ * suite's serve-fleet shape: the paged-KV generator's pull and the
+ * engine's merge loop, each in ns per event.
  *
  * benchmark::DoNotOptimize gets non-const lvalues or temporaries:
  * google-benchmark 1.8 deprecates its const-reference overload, and
@@ -13,15 +16,19 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "alloc/caching_allocator.hh"
 #include "core/best_fit.hh"
 #include "core/gmlake_allocator.hh"
+#include "sim/session.hh"
 #include "support/rng.hh"
 #include "support/units.hh"
 #include "vmm/device.hh"
+#include "workload/generators.hh"
 #include "workload/tracegen.hh"
 
 using namespace gmlake;
@@ -351,6 +358,91 @@ BM_TraceGeneration(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TraceGeneration)->Arg(1)->Arg(8);
+
+/** One serving tenant as bench/suite's serve-fleet generates it. */
+workload::KvServeConfig
+serveFleetTenant(std::uint64_t tenant)
+{
+    workload::KvServeConfig cfg;
+    cfg.model = workload::findModel("OPT-1.3B");
+    cfg.maxBatch = 48;
+    cfg.requests = 1'000;
+    cfg.medianPromptTokens = 384;
+    cfg.meanGenerateTokens = 160;
+    cfg.maxContextTokens = 4096;
+    cfg.blockTokens = 64;
+    cfg.seed = deriveSeed(42, tenant);
+    return cfg;
+}
+
+/**
+ * Host time per event over every iteration: seconds in the JSON
+ * output, shown with an SI prefix (e.g. "15.4ns") on the console.
+ */
+benchmark::Counter
+timePerEvent(std::uint64_t events)
+{
+    return benchmark::Counter(static_cast<double>(events),
+                              benchmark::Counter::kIsRate |
+                                  benchmark::Counter::kInvert);
+}
+
+void
+BM_KvServePull(benchmark::State &state)
+{
+    // The generator alone: drain one tenant's stream through
+    // peek()/advance(), the calls the engine makes per event.
+    workload::KvServeSource source(serveFleetTenant(0));
+    std::uint64_t events = 0;
+    for (auto _ : state) {
+        source.reset();
+        while (const workload::Event *e = source.peek()) {
+            benchmark::DoNotOptimize(e);
+            source.advance();
+        }
+        events += source.counters().emitted;
+    }
+    state.counters["time_per_event"] = timePerEvent(events);
+}
+BENCHMARK(BM_KvServePull)->Unit(benchmark::kMillisecond);
+
+void
+BM_EngineServeReplay(benchmark::State &state)
+{
+    // The engine's merge loop with the generator under it: three
+    // tenants staggered 50 ms apart on a 24 GiB device, as one
+    // serve-fleet row, on the caching allocator. Fails if a tenant
+    // dies or leaks.
+    std::uint64_t events = 0;
+    bool failed = false;
+    for (auto _ : state) {
+        vmm::DeviceConfig deviceCfg;
+        deviceCfg.capacity = 24_GiB;
+        vmm::Device dev(deviceCfg);
+        alloc::CachingAllocator allocator(dev);
+        sim::EngineOptions options;
+        options.recordSeries = false;
+        sim::SimEngine engine(allocator, dev, options);
+        std::vector<std::shared_ptr<workload::KvServeSource>> sources;
+        for (std::uint64_t t = 0; t < 3; ++t) {
+            sources.push_back(std::make_shared<workload::KvServeSource>(
+                serveFleetTenant(t)));
+            engine.addSession(sim::Session(
+                "serve" + std::to_string(t), sources.back(),
+                static_cast<Tick>(t) * Tick{50'000'000}));
+        }
+        const sim::MultiRunResult multi = engine.run();
+        for (const auto &source : sources)
+            events += source->counters().emitted;
+        for (const sim::SessionResult &s : multi.sessions)
+            failed |= s.oom || s.aborted || s.allocCount != s.freeCount;
+        benchmark::DoNotOptimize(failed);
+    }
+    state.counters["time_per_event"] = timePerEvent(events);
+    if (failed)
+        state.SkipWithError("a tenant died or leaked");
+}
+BENCHMARK(BM_EngineServeReplay)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -102,12 +102,15 @@ struct Cursor
 {
     workload::EventSource *src = nullptr; //!< session event stream
     /**
-     * Cached end-of-stream flag, refreshed after each of this
-     * cursor's own events. Only the cursor's own consumption can
-     * change it, so cross-cursor queries (reclaim's survivor scan,
-     * compute-tail stamping) read the cache.
+     * The pointer the source's last peek() returned, refreshed after
+     * each of this cursor's own events; nullptr at end of stream.
+     * The source keeps it valid until the cursor's next advance(),
+     * so the replay loop copies the event from here instead of
+     * peeking again, and cross-cursor queries (reclaim's survivor
+     * scan, compute-tail stamping) read the end-of-stream state
+     * without touching another session's source.
      */
-    bool exhausted = false;
+    const workload::Event *next = nullptr;
     Tick localTime = 0;      //!< startTime + consumed compute
     bool dead = false;       //!< OOM-killed
     /** Last executed event was compute (its end needs stamping). */
@@ -118,12 +121,21 @@ struct Cursor
     std::vector<StreamId> seenStreams;
     SessionResult result;
 
-    void refresh() { exhausted = src->peek() == nullptr; }
+    void refresh() { next = src->peek(); }
+
+    bool exhausted() const { return next == nullptr; }
 
     bool
     finished() const
     {
-        return dead || exhausted;
+        return dead || exhausted();
+    }
+
+    /** The stream ended in compute whose end is not stamped yet. */
+    bool
+    tailPending() const
+    {
+        return lastWasCompute && !dead && exhausted();
     }
 };
 
@@ -172,6 +184,14 @@ SimEngine::run(const workload::TrainConfig *config)
     std::vector<Cursor> cursors(mSessions.size());
     std::size_t totalEvents = 0;
     for (std::size_t i = 0; i < mSessions.size(); ++i) {
+        // Two cursors on one source would each reset it and consume
+        // the other's events, and a peeked event would not stay
+        // valid until its own cursor advances.
+        for (std::size_t j = 0; j < i; ++j) {
+            GMLAKE_ASSERT(cursors[j].src != &mSessions[i].source(),
+                          "sessions '", mSessions[j].name(), "' and '",
+                          mSessions[i].name(), "' share one source");
+        }
         cursors[i].src = &mSessions[i].source();
         cursors[i].src->reset();
         cursors[i].localTime = mSessions[i].startTime();
@@ -420,12 +440,18 @@ SimEngine::run(const workload::TrainConfig *config)
     // A session whose trace ends in compute leaves the pop loop
     // before its tail is charged; its endedAt is stamped at the
     // first merged-timeline instant not earlier than its end.
+    // pendingTails counts the cursors in that state (each enters it
+    // once, after its last event), so the scan runs only while one
+    // is waiting.
+    std::size_t pendingTails = 0;
     auto stampComputeTails = [&]() {
+        if (pendingTails == 0)
+            return;
         for (Cursor &c : cursors) {
-            if (c.lastWasCompute && !c.dead && c.exhausted &&
-                c.localTime <= frontier) {
+            if (c.tailPending() && c.localTime <= frontier) {
                 c.result.endedAt = mDevice.now() - timeStart;
                 c.lastWasCompute = false;
+                --pendingTails;
             }
         }
     };
@@ -433,9 +459,12 @@ SimEngine::run(const workload::TrainConfig *config)
     // Earliest pending event wins; session order breaks ties, so the
     // replay is a deterministic function of the sessions. The
     // (localTime, index) min-heap tracks exactly that order without
-    // a per-event scan: only the popped session's key can change, so
-    // each unfinished session keeps exactly one live entry and the
-    // heap never holds a stale key.
+    // a per-event scan: only the running session's key can change,
+    // so each other unfinished session keeps exactly one live entry
+    // and the heap never holds a stale key. The running session is
+    // off the heap; it keeps running while its key stays below the
+    // heap's top, and goes back on only when another session's turn
+    // comes.
     using ReadyKey = std::pair<Tick, std::size_t>;
     std::priority_queue<ReadyKey, std::vector<ReadyKey>,
                         std::greater<ReadyKey>>
@@ -446,9 +475,14 @@ SimEngine::run(const workload::TrainConfig *config)
             ready.push({cursors[i].localTime, i});
     }
 
-    while (!ready.empty()) {
-        const std::size_t bestIndex = ready.top().second;
-        ready.pop();
+    std::size_t bestIndex = 0;
+    bool keepRunning = false; //!< bestIndex is still the earliest
+    while (keepRunning || !ready.empty()) {
+        if (!keepRunning) {
+            bestIndex = ready.top().second;
+            ready.pop();
+        }
+        keepRunning = false;
         Cursor *best = &cursors[bestIndex];
 
         // Scripted kill: fires instead of the first event at or past
@@ -468,13 +502,20 @@ SimEngine::run(const workload::TrainConfig *config)
         }
         obsSample(false);
 
-        const workload::Event event = *best->src->peek();
+        const workload::Event event = *best->next;
         best->src->advance();
         ++index;
         best->lastWasCompute =
             event.kind == workload::EventKind::compute;
         switch (event.kind) {
           case workload::EventKind::alloc: {
+            // Streamed input never passed Trace::validate(): an
+            // alloc of a live tensor fails before the allocator sees
+            // it, like a free of an unknown one.
+            const auto [slot, fresh] =
+                best->live.try_emplace(event.tensor);
+            GMLAKE_ASSERT(fresh, "trace allocates live tensor ",
+                          event.tensor);
             const StreamId stream =
                 event.stream == kAnyStream
                     ? kAnyStream
@@ -484,6 +525,7 @@ SimEngine::run(const workload::TrainConfig *config)
             const auto got = mAllocator.allocate(event.bytes, stream);
             allocWall.add(Stopwatch::nowNs() - wall0);
             if (!got.ok()) {
+                best->live.erase(slot);
                 if (got.error().code == Errc::outOfMemory) {
                     killOnOom(*best, event.bytes);
                 } else if (mOptions.abortSessionOnFault) {
@@ -502,8 +544,7 @@ SimEngine::run(const workload::TrainConfig *config)
                              tenantTracks[bestIndex], mDevice.now(),
                              event.tensor, got->id, event.bytes);
             }
-            best->live.emplace(event.tensor,
-                               LiveAlloc{got->id, event.bytes});
+            slot->second = LiveAlloc{got->id, event.bytes};
             best->liveBytes += event.bytes;
             best->result.peakLiveBytes = std::max(
                 best->result.peakLiveBytes, best->liveBytes);
@@ -533,6 +574,9 @@ SimEngine::run(const workload::TrainConfig *config)
             break;
           }
           case workload::EventKind::compute:
+            GMLAKE_ASSERT(event.computeNs >= 0,
+                          "trace has negative compute time: ",
+                          event.computeNs);
             best->localTime += event.computeNs;
             break;
           case workload::EventKind::touch: {
@@ -599,9 +643,19 @@ SimEngine::run(const workload::TrainConfig *config)
             best->refresh();
         if (!best->lastWasCompute)
             best->result.endedAt = mDevice.now() - timeStart;
+        if (best->tailPending())
+            ++pendingTails;
         stampComputeTails();
-        if (!best->finished())
-            ready.push({best->localTime, bestIndex});
+        if (!best->finished()) {
+            // Keys are unique (one per session index), so the whole
+            // (localTime, index) comparison decides ties exactly as
+            // the heap would.
+            const ReadyKey key{best->localTime, bestIndex};
+            if (ready.empty() || key < ready.top())
+                keepRunning = true;
+            else
+                ready.push(key);
+        }
     }
 
     // Capture mode: record each session's mid-timeline state instead

@@ -76,7 +76,8 @@ class Session
      * the source over entirely, or keep a shared_ptr copy to read
      * generator counters after the engine has been torn down —
      * sessions die with the engine, so a raw pointer into a
-     * handed-over source dangles once the run returns.
+     * handed-over source dangles once the run returns. Sessions of
+     * one engine may not share a source object (SimEngine::run).
      */
     Session(std::string name,
             std::shared_ptr<workload::EventSource> source,
@@ -236,7 +237,14 @@ class SimEngine
      *
      * The calling thread pulls and executes every event in
      * (localTime, sessionIndex) order; it is the only thread that
-     * touches the sources, the allocator and the device.
+     * touches the sources, the allocator and the device. It peeks
+     * each event once and copies it from the pointer peek()
+     * returned, which the source keeps valid only until its next
+     * advance(), so every session needs its own source object: a
+     * run whose sessions share one panics before replaying. A
+     * streamed event that Trace::validate() would reject (an alloc
+     * of a live tensor, a negative compute, a free, touch or
+     * prefetch of an unknown tensor) panics too.
      */
     MultiRunResult run(const workload::TrainConfig *config = nullptr);
 

@@ -29,6 +29,7 @@ KvServeSource::init()
 {
     mRng = Rng(mCfg.seed);
     mPending.clear();
+    mHead = 0;
     mPrefixPool.clear();
     mActive.clear();
     mCounters = KvServeCounters{};
@@ -190,6 +191,8 @@ KvServeSource::stepRound()
 void
 KvServeSource::refill()
 {
+    mPending.clear();
+    mHead = 0;
     while (mPending.empty()) {
         if (!mWarmedUp) {
             // The resident prefix-cache pool lives for the whole
@@ -217,16 +220,16 @@ KvServeSource::refill()
 const Event *
 KvServeSource::peek()
 {
-    if (mPending.empty())
+    if (mHead == mPending.size())
         refill();
-    return mPending.empty() ? nullptr : &mPending.front();
+    return mHead == mPending.size() ? nullptr : &mPending[mHead];
 }
 
 void
 KvServeSource::advance()
 {
     GMLAKE_ASSERT(peek() != nullptr, "advance past end of stream");
-    mPending.pop_front();
+    ++mHead;
     ++mCounters.emitted;
 }
 

@@ -4,7 +4,9 @@
  * one event per pull, with O(live-state) memory — never a
  * materialized trace. This is what makes 10⁷-event serving-day
  * experiments replayable: the generator holds the live requests and
- * their KV blocks, not the event history.
+ * their KV blocks, not the event history. Events are synthesized a
+ * decode round at a time into one reused buffer, so a pull
+ * allocates nothing.
  *
  * KvServeSource models paged-attention KV-cache serving (vLLM
  * style, cf. the paper's Section 6 discussion): requests arrive into
@@ -22,7 +24,6 @@
 #define GMLAKE_WORKLOAD_GENERATORS_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "support/rng.hh"
@@ -119,7 +120,14 @@ class KvServeSource final : public EventSource
 
     KvServeConfig mCfg;
     Rng mRng;
-    std::deque<Event> mPending;
+    /**
+     * Events of the current round; mPending[mHead] is the one peek()
+     * hands out. A round is refilled only once every event in it has
+     * been consumed, so the refill clears the buffer and reuses its
+     * capacity: the stream allocates nothing per event.
+     */
+    std::vector<Event> mPending;
+    std::size_t mHead = 0;
     std::vector<TensorId> mPrefixPool;
     std::vector<Request> mActive;
     KvServeCounters mCounters;

@@ -20,7 +20,12 @@
 #include <string>
 #include <vector>
 
+#include "workload/binary_trace.hh"
+#include "workload/trace.hh"
+
 namespace fs = std::filesystem;
+using gmlake::workload::Event;
+using gmlake::workload::EventKind;
 
 namespace
 {
@@ -188,4 +193,47 @@ TEST(Cli, EveryVerbsHelpNamesEveryFlag)
                 << joined(args) << " does not list " << flag;
         }
     }
+}
+
+TEST(Cli, ReplayRejectsStreamedTracesThatValidateWould)
+{
+    // A `.gmt` file replays without Trace::validate(), so the engine
+    // must fail on what validate() rejects: an alloc of a live tensor
+    // and a negative compute.
+    const fs::path dir =
+        fs::temp_directory_path() /
+        ("gmlake_cli_gmt_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+
+    gmlake::workload::Trace doubleAlloc;
+    doubleAlloc.append(Event{EventKind::alloc, 7, 4u << 20, 0, 0});
+    doubleAlloc.append(Event{EventKind::alloc, 7, 4u << 20, 0, 0});
+    doubleAlloc.append(Event{EventKind::compute, 0, 0, 1'000'000, 0});
+    doubleAlloc.append(Event{EventKind::free, 7, 0, 0, 0});
+    gmlake::workload::Trace negativeCompute;
+    negativeCompute.append(Event{EventKind::alloc, 1, 4u << 20, 0, 0});
+    negativeCompute.append(
+        Event{EventKind::compute, 0, 0, -5'000'000, 0});
+    negativeCompute.append(Event{EventKind::free, 1, 0, 0, 0});
+
+    struct Forged
+    {
+        std::string file;
+        gmlake::workload::Trace trace;
+        std::string why;
+    };
+    const std::vector<Forged> forged = {
+        {"double_alloc.gmt", doubleAlloc, "allocates live tensor 7"},
+        {"negative_compute.gmt", negativeCompute, "negative compute"}};
+    for (const Forged &f : forged) {
+        const std::string path = (dir / f.file).string();
+        gmlake::workload::packTrace(f.trace, path);
+        const CliRun run =
+            runCli({"trace", "replay", path, "--allocator", "gmlake"});
+        EXPECT_EQ(run.code, 1) << f.file << "\n" << run.out;
+        EXPECT_NE(run.err.find(f.why), std::string::npos)
+            << f.file << "\n" << run.err;
+    }
+    fs::remove_all(dir);
 }

@@ -4,12 +4,14 @@
  * trace iteration (owned and borrowed, with the borrowed-lifetime
  * assert firing loudly in debug builds), MergeSource replays
  * deterministically across resets, the KV-cache serving generator
- * produces valid, seed-deterministic streams, and runSource() over a
- * VectorSource reproduces runTrace() exactly.
+ * produces valid, seed-deterministic streams (one of them pinned by
+ * hash) and keeps the peek() pointer contract, and runSource() over
+ * a VectorSource reproduces runTrace() exactly.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <new>
 #include <vector>
@@ -80,6 +82,52 @@ expectSameStream(const std::vector<Event> &got,
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < got.size(); ++i)
         expectSameEvent(got[i], want[i], i);
+}
+
+/** Word-wise FNV-1a over every field of every event. */
+std::uint64_t
+streamHash(const std::vector<Event> &events)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    auto mix = [&h](std::uint64_t v) {
+        h ^= v;
+        h *= 0x100000001b3ULL;
+    };
+    for (const Event &e : events) {
+        mix(static_cast<std::uint64_t>(e.kind));
+        mix(e.tensor);
+        mix(e.bytes);
+        mix(static_cast<std::uint64_t>(e.computeNs));
+        mix(e.stream);
+    }
+    return h;
+}
+
+/**
+ * Drain @p source checking the peek() contract: repeated peeks hand
+ * out one pointer, to an unchanged event, until advance(); past the
+ * end, peek() keeps returning nullptr.
+ */
+std::vector<Event>
+drainCheckingPeeks(EventSource &source)
+{
+    std::vector<Event> events;
+    std::size_t moved = 0;
+    while (const Event *e = source.peek()) {
+        const Event copy = *e;
+        const Event *again = source.peek();
+        if (again != e || again->kind != copy.kind ||
+            again->tensor != copy.tensor || again->bytes != copy.bytes ||
+            again->computeNs != copy.computeNs ||
+            again->stream != copy.stream)
+            ++moved;
+        events.push_back(copy);
+        source.advance();
+    }
+    EXPECT_EQ(moved, 0u) << "peek() moved before advance()";
+    for (int i = 0; i < 3; ++i)
+        EXPECT_EQ(source.peek(), nullptr);
+    return events;
 }
 
 } // namespace
@@ -189,7 +237,12 @@ TEST(EventSource, KvServeSourceIsSeedDeterministic)
 
     KvServeSource a(cfg);
     KvServeSource b(cfg);
-    expectSameStream(drain(a), drain(b));
+    const auto stream = drain(a);
+    expectSameStream(drain(b), stream);
+    // Pinned, so a change that alters the stream the same way on
+    // every run cannot pass as deterministic.
+    EXPECT_EQ(stream.size(), 10'793u);
+    EXPECT_EQ(streamHash(stream), 0x439c429b0eb9626fULL);
 
     cfg.seed = 1234;
     KvServeSource c(cfg);
@@ -217,9 +270,9 @@ TEST(EventSource, KvServeSourceResetReplaysIdentically)
     cfg.requests = 24;
 
     KvServeSource source(cfg);
-    const auto first = drain(source);
+    const auto first = drainCheckingPeeks(source);
     source.reset();
-    const auto second = drain(source);
+    const auto second = drainCheckingPeeks(source);
     expectSameStream(second, first);
 }
 

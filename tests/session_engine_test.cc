@@ -3,17 +3,33 @@
  * Multi-session engine tests: namespace isolation between co-located
  * tenants, merged-timeline semantics, tenant-scoped OOM with memory
  * reclamation, equivalence of the static trace merge helpers with the
- * event-driven engine, and single-session equivalence with the
- * classic runTrace() wrapper.
+ * event-driven engine, single-session equivalence with the classic
+ * runTrace() wrapper, and pinned digests of every per-session result
+ * of three multi-tenant mixes.
+ *
+ * Re-record the pins after an *intentional* change to the replay
+ * order or to a SessionResult with:
+ *
+ *   GMLAKE_PRINT_DIGESTS=1 ./session_engine_test
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <memory>
+#include <type_traits>
+
 #include "alloc/caching_allocator.hh"
 #include "alloc/native_allocator.hh"
+#include "sim/runner.hh"
 #include "sim/session.hh"
+#include "support/logging.hh"
 #include "support/rng.hh"
 #include "support/units.hh"
+#include "workload/generators.hh"
 #include "workload/tracegen.hh"
 
 using namespace gmlake;
@@ -68,6 +84,137 @@ expectSameRun(const RunResult &a, const RunResult &b)
         EXPECT_EQ(a.series[i].active, b.series[i].active);
         EXPECT_EQ(a.series[i].reserved, b.series[i].reserved);
     }
+}
+
+/**
+ * Word-wise FNV-1a over every SessionResult field and every
+ * deterministic field of the combined run (wall-clock fields left
+ * out), the memory series included.
+ */
+std::uint64_t
+digestOf(const MultiRunResult &multi)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    auto mix = [&h](auto v) {
+        std::uint64_t word = 0;
+        if constexpr (std::is_floating_point_v<decltype(v)>)
+            std::memcpy(&word, &v, sizeof v);
+        else
+            word = static_cast<std::uint64_t>(v);
+        h = (h ^ word) * 0x100000001b3ULL;
+    };
+    auto mixText = [&mix](const std::string &text) {
+        mix(text.size());
+        for (const char c : text)
+            mix(static_cast<unsigned char>(c));
+    };
+    mix(multi.sessions.size());
+    for (const SessionResult &s : multi.sessions) {
+        mixText(s.name);
+        mix(s.oom);
+        mix(s.oomAt);
+        mix(s.aborted);
+        mix(s.iterationsDone);
+        mix(s.allocCount);
+        mix(s.freeCount);
+        mix(s.peakLiveBytes);
+        mix(s.endedAt);
+        mix(s.evictedBytes);
+        mix(s.faultedBytes);
+        mix(s.oomRequestedBytes);
+        mix(s.oomLargestFree);
+        mix(s.oomEvictableBytes);
+    }
+    const RunResult &r = multi.combined;
+    mixText(r.allocator);
+    mix(r.oom);
+    mix(r.oomAt);
+    mix(r.iterationsDone);
+    mix(r.simTime);
+    mix(r.peakActive);
+    mix(r.peakReserved);
+    mix(r.utilization);
+    mix(r.fragmentation);
+    mix(r.samplesPerSec);
+    mix(r.allocCount);
+    mix(r.freeCount);
+    mix(r.deviceApiTime);
+    mix(r.evictedBytes);
+    mix(r.faultedBytes);
+    mix(r.stallNs);
+    mix(r.injectedFaults);
+    mix(r.recovered);
+    mix(r.rollbacks);
+    mix(r.abortedSessions);
+    mix(r.series.size());
+    for (const SamplePoint &p : r.series) {
+        mix(p.time);
+        mix(p.active);
+        mix(p.reserved);
+    }
+    return h;
+}
+
+bool
+printDigests()
+{
+    const char *env = std::getenv("GMLAKE_PRINT_DIGESTS");
+    return env != nullptr && env[0] != '\0' && env[0] != '0';
+}
+
+/** A small paged-KV serving tenant (OPT-1.3B, 12 MiB blocks). */
+std::shared_ptr<KvServeSource>
+kvTenant(std::uint64_t seed, int maxBatch, std::uint64_t requests,
+         int prefixPoolBlocks = 48)
+{
+    KvServeConfig cfg;
+    cfg.model = findModel("OPT-1.3B");
+    cfg.maxBatch = maxBatch;
+    cfg.requests = requests;
+    cfg.prefixPoolBlocks = prefixPoolBlocks;
+    cfg.seed = seed;
+    return std::make_shared<KvServeSource>(cfg);
+}
+
+/**
+ * @p iterations rounds of alloc, compute, free, and a final compute
+ * of @p tailNs, so the session's last event is compute.
+ */
+Trace
+computeTailTrace(int iterations, Bytes bytes, Tick computeNs,
+                 Tick tailNs)
+{
+    TraceBuilder tb;
+    for (int i = 0; i < iterations; ++i) {
+        tb.iterationMark();
+        const auto a = tb.alloc(bytes, 1);
+        const auto b = tb.alloc(bytes / 2, 2);
+        tb.compute(computeNs);
+        tb.free(a);
+        tb.streamSync(1);
+        tb.free(b);
+    }
+    tb.compute(tailNs);
+    return tb.take();
+}
+
+/**
+ * A tenant that takes @p steps allocations of @p bytes, one per
+ * millisecond of compute, and frees nothing until the end.
+ */
+Trace
+hogTrace(int steps, Bytes bytes)
+{
+    TraceBuilder tb;
+    tb.iterationMark();
+    std::vector<TensorId> held;
+    for (int i = 0; i < steps; ++i) {
+        held.push_back(tb.alloc(bytes, 1));
+        tb.compute(1'000'000);
+    }
+    for (const TensorId t : held)
+        tb.free(t);
+    return tb.take();
 }
 
 } // namespace
@@ -357,4 +504,89 @@ TEST(Session, RemapHelpersOffsetIdsAndKeepSentinels)
     EXPECT_EQ(out.stats().allocCount, trace.stats().allocCount);
     EXPECT_EQ(out.stats().totalAllocBytes,
               trace.stats().totalAllocBytes);
+}
+
+TEST(Session, MultiTenantResultsArePinned)
+{
+    // Pins recorded with GMLAKE_PRINT_DIGESTS=1 (see file header).
+    auto check = [](const char *name, const MultiRunResult &multi,
+                    std::uint64_t pinned) {
+        const std::uint64_t got = digestOf(multi);
+        if (printDigests())
+            std::printf("%s: 0x%016llxULL\n", name,
+                        static_cast<unsigned long long>(got));
+        EXPECT_EQ(got, pinned)
+            << "per-session results of mix '" << name << "' changed";
+    };
+
+    {
+        // Equal start times and, for the first two tenants, one
+        // seed: their keys tie at every compute, so the replay order
+        // rests on the session-index tie-break.
+        vmm::Device dev(smallDevice(8_GiB));
+        alloc::CachingAllocator alloc(dev);
+        SimEngine engine(alloc, dev);
+        engine.addSession(Session("kv0", kvTenant(7, 6, 24)));
+        engine.addSession(Session("kv1", kvTenant(7, 6, 24)));
+        engine.addSession(Session("kv2", kvTenant(8, 6, 24)));
+        const auto multi = engine.run();
+        EXPECT_FALSE(multi.anyOom());
+        check("kv-ties", multi, 0xac46a956d03f30bbULL);
+    }
+    {
+        // Traces ending in compute at different local times, and a
+        // late starter that arrives after the first two finished.
+        vmm::Device dev(smallDevice(1_GiB));
+        const auto alloc =
+            makeAllocator(AllocatorKind::gmlake, dev);
+        SimEngine engine(*alloc, dev);
+        engine.addSession(Session(
+            "short-tail",
+            computeTailTrace(4, 24_MiB, 1'500'000, 2'000'000)));
+        engine.addSession(Session(
+            "long-tail",
+            computeTailTrace(3, 40_MiB, 1'000'000, 9'000'000)));
+        engine.addSession(Session(
+            "late", computeTailTrace(2, 16_MiB, 700'000, 300'000),
+            Tick{20'000'000}));
+        engine.addSession(Session("kv", kvTenant(3, 2, 6, 4)));
+        const auto multi = engine.run();
+        EXPECT_FALSE(multi.anyOom());
+        check("compute-tails", multi, 0x18791ca107af4db2ULL);
+    }
+    {
+        // A hog that runs out of device memory beside two serving
+        // tenants, which replay on once its memory is reclaimed.
+        vmm::Device dev(smallDevice(2_GiB));
+        alloc::CachingAllocator alloc(dev);
+        SimEngine engine(alloc, dev);
+        engine.addSession(Session("kv0", kvTenant(11, 4, 16, 8)));
+        engine.addSession(
+            Session("hog", hogTrace(8, 384_MiB), Tick{1'000'000}));
+        engine.addSession(Session("kv1", kvTenant(12, 4, 16, 8)));
+        const auto multi = engine.run();
+        ASSERT_EQ(multi.sessions.size(), 3u);
+        EXPECT_FALSE(multi.sessions[0].oom);
+        EXPECT_TRUE(multi.sessions[1].oom);
+        EXPECT_FALSE(multi.sessions[2].oom);
+        check("one-oom", multi, 0xe84ffef0c9ea7b35ULL);
+    }
+}
+
+TEST(Session, SharingOneSourceFailsLoudly)
+{
+    vmm::Device dev(smallDevice());
+    alloc::CachingAllocator alloc(dev);
+    SimEngine engine(alloc, dev);
+    const auto shared = kvTenant(1, 2, 4, 2);
+    engine.addSession(Session("a", shared));
+    engine.addSession(Session("b", shared));
+    try {
+        engine.run();
+        ADD_FAILURE() << "two sessions on one source replayed";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find("share one source"),
+                  std::string::npos)
+            << e.what();
+    }
 }

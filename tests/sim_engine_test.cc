@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "alloc/caching_allocator.hh"
 #include "sim/engine.hh"
 #include "sim/runner.hh"
+#include "support/logging.hh"
 #include "support/units.hh"
 #include "workload/tracegen.hh"
 
@@ -116,6 +120,41 @@ TEST(Engine, ThroughputFromConfig)
     const double expect =
         8.0 / (static_cast<double>(r.simTime) * 1e-9);
     EXPECT_NEAR(r.samplesPerSec, expect, expect * 1e-6);
+}
+
+TEST(Engine, RejectsWhatValidateRejectsOnUnvalidatedInput)
+{
+    // Trace::append does not validate, just as a `.gmt` file or a
+    // generator stream never passes through Trace::validate(): the
+    // engine itself must refuse an alloc of a live tensor and a
+    // negative compute instead of replaying them.
+    Trace doubleAlloc;
+    doubleAlloc.append(Event{EventKind::alloc, 7, 4_MiB, 0, 0});
+    doubleAlloc.append(Event{EventKind::alloc, 7, 4_MiB, 0, 0});
+    doubleAlloc.append(Event{EventKind::compute, 0, 0, 1'000'000, 0});
+    doubleAlloc.append(Event{EventKind::free, 7, 0, 0, 0});
+    Trace negativeCompute;
+    negativeCompute.append(Event{EventKind::alloc, 1, 4_MiB, 0, 0});
+    negativeCompute.append(
+        Event{EventKind::compute, 0, 0, -5'000'000, 0});
+    negativeCompute.append(Event{EventKind::free, 1, 0, 0, 0});
+
+    const std::pair<const Trace *, const char *> cases[] = {
+        {&doubleAlloc, "allocates live tensor 7"},
+        {&negativeCompute, "negative compute"}};
+    for (const auto &[trace, why] : cases) {
+        EXPECT_THROW(trace->validate(), PanicError);
+        vmm::Device dev(smallDevice());
+        alloc::CachingAllocator alloc(dev);
+        try {
+            runTrace(alloc, dev, *trace);
+            ADD_FAILURE() << "replayed a trace that " << why;
+        } catch (const PanicError &e) {
+            EXPECT_NE(std::string(e.what()).find(why),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(Engine, ClockAccumulatesComputeAndApiTime)
