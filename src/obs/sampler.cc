@@ -3,9 +3,9 @@
 namespace gmlake::obs
 {
 
-MemorySampler::MemorySampler(Recorder &recorder, SamplerConfig config)
+MemorySampler::MemorySampler(Recorder &recorder,
+                             const std::vector<std::string> &tenants)
     : mRecorder(recorder),
-      mConfig(std::move(config)),
       mTrackActive(recorder.track("mem.active")),
       mTrackReserved(recorder.track("mem.reserved")),
       mTrackInUse(recorder.track("mem.device_in_use")),
@@ -14,10 +14,8 @@ MemorySampler::MemorySampler(Recorder &recorder, SamplerConfig config)
       mTrackFrag(recorder.track("frag.permille")),
       mTrackHisto(recorder.track("frag.histogram"))
 {
-    if (mConfig.periodNs == 0)
-        mConfig.periodNs = 1;
-    mTenantTracks.reserve(mConfig.tenants.size());
-    for (const std::string &tenant : mConfig.tenants)
+    mTenantTracks.reserve(tenants.size());
+    for (const std::string &tenant : tenants)
         mTenantTracks.push_back(
             mRecorder.track("tenant:" + tenant + ".live"));
 }
@@ -56,7 +54,7 @@ MemorySampler::record(std::uint64_t now, const MemorySample &s)
             e, s.holeBuckets.data(),
             static_cast<std::uint32_t>(s.holeBuckets.size()));
     }
-    mNext = now + mConfig.periodNs;
+    mNext = now + kSamplePeriodNs;
 }
 
 } // namespace gmlake::obs

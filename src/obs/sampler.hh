@@ -22,13 +22,8 @@
 namespace gmlake::obs
 {
 
-struct SamplerConfig
-{
-    /** Simulated-time cadence between samples. */
-    std::uint64_t periodNs = 1'000'000;
-    /** Tenant names; one live-bytes counter track each. */
-    std::vector<std::string> tenants;
-};
+/** Simulated-time cadence between samples (1 ms). */
+inline constexpr std::uint64_t kSamplePeriodNs = 1'000'000;
 
 /** One snapshot of memory state at a simulated instant. */
 struct MemorySample
@@ -42,7 +37,7 @@ struct MemorySample
     /** Power-of-two free-extent histogram: bucket i counts holes of
      *  size in [2^i, 2^(i+1)). */
     std::vector<std::uint64_t> holeBuckets;
-    /** Parallel to SamplerConfig::tenants. */
+    /** Parallel to the sampler's tenants. */
     std::vector<std::uint64_t> tenantLiveBytes;
 };
 
@@ -50,8 +45,10 @@ class MemorySampler
 {
   public:
     /** Interns the counter tracks against the recorder's current
-     *  run; construct one sampler per engine run. */
-    MemorySampler(Recorder &recorder, SamplerConfig config);
+     *  run, one live-bytes track per name in @p tenants; construct
+     *  one sampler per engine run. */
+    MemorySampler(Recorder &recorder,
+                  const std::vector<std::string> &tenants);
 
     bool due(std::uint64_t now) const { return now >= mNext; }
 
@@ -60,7 +57,6 @@ class MemorySampler
 
   private:
     Recorder &mRecorder;
-    SamplerConfig mConfig;
     std::uint64_t mNext = 0;
     std::uint32_t mTrackActive;
     std::uint32_t mTrackReserved;

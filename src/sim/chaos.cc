@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "alloc/allocator.hh"
+#include "sim/experiment.hh"
 #include "sim/session.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
@@ -215,36 +216,24 @@ writeChaosJson(const ChaosReport &report,
         << "\"fault_spec\": \"" << report.faultSpec << "\", "
         << "\"soak\": " << report.trials.size() << ", "
         << "\"iterations\": " << options.iterations << ", "
-        << "\"kill_chance\": " << options.killChance << ", "
-        // Retired (one thread per engine run), kept for the schema.
-        << "\"engine_threads\": 1},\n"
+        << "\"kill_chance\": " << options.killChance << "},\n"
         << "  \"exit_code\": " << report.exitCode() << ",\n"
         << "  \"failures\": " << report.failures() << ",\n"
         << "  \"total_wall_ns\": " << report.totalWallNs << ",\n"
         << "  \"trials\": [";
     bool first = true;
     for (const ChaosTrialRecord &t : report.trials) {
-        const RunResult &r = t.result;
         out << (first ? "" : ",") << "\n    {"
             << "\"fault_seed\": " << t.faultSeed << ", "
             << "\"audit_passed\": "
             << (t.auditPassed ? "true" : "false") << ", "
             << "\"internal_error\": "
             << (t.internalError ? "true" : "false") << ", "
-            << "\"injected_faults\": " << r.injectedFaults << ", "
-            << "\"recovered\": " << r.recovered << ", "
-            << "\"rollbacks\": " << r.rollbacks << ", "
-            << "\"aborted_sessions\": " << r.abortedSessions << ", "
             << "\"oom_sessions\": " << t.oomSessions << ", "
             << "\"scripted_kills\": " << t.scriptedKills << ", "
-            << "\"capacity_lost_bytes\": " << t.capacityLost << ", "
-            << "\"oom\": " << (r.oom ? "true" : "false") << ", "
-            << "\"fragmentation\": " << r.fragmentation << ", "
-            << "\"peak_reserved_bytes\": " << r.peakReserved << ", "
-            << "\"sim_time_ns\": " << r.simTime << ", "
-            << "\"alloc_count\": " << r.allocCount << ", "
-            << "\"free_count\": " << r.freeCount << ", "
-            << "\"wall_ns\": " << t.wallNs << "}";
+            << "\"capacity_lost_bytes\": " << t.capacityLost << ", ";
+        writeJsonFields(out, runResultFields(t.result));
+        out << ", \"wall_ns\": " << t.wallNs << "}";
         first = false;
     }
     out << "\n  ]\n}\n";

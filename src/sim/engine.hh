@@ -181,12 +181,6 @@ struct EngineOptions
      * the schedule.
      */
     std::vector<std::pair<std::size_t, Tick>> tenantKills;
-    /**
-     * Simulated-time cadence of the observability memory sampler
-     * (obs::MemorySampler counter tracks). Only consulted while a
-     * recorder is active; 0 disables periodic sampling.
-     */
-    Tick obsSamplePeriodNs = 1'000'000;
 };
 
 /**

@@ -1,11 +1,13 @@
 #include "sim/experiment.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "obs/export_chrome.hh"
@@ -57,10 +59,11 @@ workload::ServeConfig
 ExperimentContext::adjust(workload::ServeConfig cfg) const
 {
     // Serving has no iteration knob; scale the request count so a
-    // smoke run (--iterations 2) stays proportionally short.
+    // smoke run (--iterations 2) stays proportionally short. 64-bit
+    // product: the CLI accepts iteration counts up to INT_MAX.
     if (mOptions.iterations > 0) {
-        cfg.requests =
-            std::min(cfg.requests, 16 * mOptions.iterations);
+        cfg.requests = static_cast<int>(std::min<long long>(
+            cfg.requests, 16LL * mOptions.iterations));
     }
     if (mOptions.seed != 0)
         cfg.seed = mOptions.seed;
@@ -195,150 +198,102 @@ findExperiment(const std::string &name)
 
 // -------------------------------------------------------- artifacts
 
+std::vector<ReportField>
+runResultFields(const RunResult &r)
+{
+    return {
+        {"oom", r.oom},
+        {"utilization", r.utilization},
+        {"fragmentation", r.fragmentation},
+        {"peak_active_bytes", r.peakActive},
+        {"peak_reserved_bytes", r.peakReserved},
+        {"sim_time_ns", r.simTime},
+        {"samples_per_sec", r.samplesPerSec},
+        {"alloc_count", r.allocCount},
+        {"free_count", r.freeCount},
+        {"device_api_time_ns", r.deviceApiTime},
+        {"alloc_wall_ns", r.allocWallNs},
+        {"alloc_wall_p50_ns", r.allocWallP50Ns},
+        {"alloc_wall_p99_ns", r.allocWallP99Ns},
+        {"run_wall_ns", r.runWallNs},
+        {"vmm_wall_ns", r.vmmWallNs},
+        {"evicted_bytes", r.evictedBytes},
+        {"faulted_bytes", r.faultedBytes},
+        {"stall_ns", r.stallNs},
+        {"offload_wall_ns", r.offloadWallNs},
+        {"injected_faults", r.injectedFaults},
+        {"recovered", r.recovered},
+        {"aborted_sessions", r.abortedSessions},
+        {"rollbacks", r.rollbacks},
+    };
+}
+
 namespace
 {
 
-/** @p s as a quoted JSON string. */
-std::string
-jsonQuote(const std::string &s)
+/** The run record's columns: its label and allocator, then the
+ *  RunResult's. */
+std::vector<ReportField>
+recordFields(const RunRecord &r)
 {
-    std::string out = "\"";
-    out += jsonEscape(s);
-    out += '"';
-    return out;
+    std::vector<ReportField> fields = {{"label", r.label},
+                                       {"allocator", r.allocator}};
+    for (ReportField &field : runResultFields(r.result))
+        fields.push_back(std::move(field));
+    return fields;
 }
 
+/** @p v in the stream's default notation (6 significant digits). */
 std::string
-jsonDouble(double v)
+streamed(double v)
 {
     std::ostringstream oss;
     oss << v;
-    const std::string s = oss.str();
-    // JSON has no inf/nan literals.
-    if (s.find("inf") != std::string::npos ||
-        s.find("nan") != std::string::npos) {
-        return "null";
-    }
-    return s;
+    return oss.str();
 }
 
-/**
- * Per-record (key, rendered value) rows of the JSON report, in
- * emission order. writeJson() and experimentJsonRecordKeys() both
- * derive from this one table so the golden-format test pins the
- * real emitted key set, not a copy that can drift.
- */
-std::vector<std::pair<std::string, std::string>>
-jsonRecordFields(const RunRecord &r)
+std::string
+jsonValue(const ReportValue &value)
 {
-    const RunResult &res = r.result;
-    auto u = [](std::uint64_t v) { return std::to_string(v); };
-    return {
-        {"label", jsonQuote(r.label)},
-        {"allocator", jsonQuote(r.allocator)},
-        {"oom", res.oom ? "true" : "false"},
-        {"utilization", jsonDouble(res.utilization)},
-        {"fragmentation", jsonDouble(res.fragmentation)},
-        {"peak_active_bytes", u(res.peakActive)},
-        {"peak_reserved_bytes", u(res.peakReserved)},
-        {"sim_time_ns", u(res.simTime)},
-        {"samples_per_sec", jsonDouble(res.samplesPerSec)},
-        {"alloc_count", u(res.allocCount)},
-        {"free_count", u(res.freeCount)},
-        {"device_api_time_ns", u(res.deviceApiTime)},
-        {"alloc_wall_ns", u(res.allocWallNs)},
-        {"alloc_wall_p50_ns", u(res.allocWallP50Ns)},
-        {"alloc_wall_p99_ns", u(res.allocWallP99Ns)},
-        {"run_wall_ns", u(res.runWallNs)},
-        {"vmm_wall_ns", u(res.vmmWallNs)},
-        {"evicted_bytes", u(res.evictedBytes)},
-        {"faulted_bytes", u(res.faultedBytes)},
-        {"stall_ns", u(res.stallNs)},
-        {"offload_wall_ns", u(res.offloadWallNs)},
-        // Retired columns (no engine locks, mapping snapshots or
-        // stager threads are left to count), kept at 0 so the schema
-        // stays stable.
-        {"lock_wait_ns", "0"},
-        {"snapshot_publishes", "0"},
-        {"commit_stall_ns", "0"},
-        {"injected_faults", u(res.injectedFaults)},
-        {"recovered", u(res.recovered)},
-        {"aborted_sessions", u(res.abortedSessions)},
-        {"rollbacks", u(res.rollbacks)},
-    };
+    return std::visit(
+        [](const auto &v) -> std::string {
+            using T = std::decay_t<decltype(v)>;
+            if constexpr (std::is_same_v<T, bool>) {
+                return v ? "true" : "false";
+            } else if constexpr (std::is_same_v<T, double>) {
+                // JSON has no inf/nan literals.
+                return std::isfinite(v) ? streamed(v) : "null";
+            } else if constexpr (std::is_same_v<T, std::string>) {
+                return '"' + jsonEscape(v) + '"';
+            } else {
+                return std::to_string(v);
+            }
+        },
+        value);
 }
 
-constexpr const char *kCsvHeader =
-    "scenario,label,allocator,oom,utilization,"
-    "fragmentation,peak_active_bytes,peak_reserved_bytes,"
-    "sim_time_ns,samples_per_sec,alloc_count,free_count,"
-    "device_api_time_ns,alloc_wall_ns,alloc_wall_p50_ns,"
-    "alloc_wall_p99_ns,run_wall_ns,vmm_wall_ns,"
-    "evicted_bytes,faulted_bytes,stall_ns,offload_wall_ns,"
-    "lock_wait_ns,snapshot_publishes,commit_stall_ns,"
-    "injected_faults,recovered,aborted_sessions,rollbacks,"
-    "engine_threads";
-
-void
-writeCsv(const Experiment &experiment,
-         const ExperimentContext &context, const std::string &path)
+/** A CSV cell: flags as 0/1, commas and newlines in text as spaces. */
+std::string
+csvValue(const ReportValue &value)
 {
-    const bool fresh = !std::filesystem::exists(path) ||
-                       std::filesystem::file_size(path) == 0;
-    if (!fresh) {
-        // Appending rows under a stale header (e.g. a CSV written
-        // before a column was added) would silently misalign every
-        // downstream reader; refuse instead.
-        std::ifstream in(path);
-        std::string header;
-        std::getline(in, header);
-        if (!header.empty() && header.back() == '\r')
-            header.pop_back();
-        if (header != kCsvHeader) {
-            GMLAKE_FATAL("CSV ", path, " has a different column "
-                         "set; move it aside to start a fresh "
-                         "trajectory");
-        }
-    }
-    std::ofstream out(path, std::ios::app);
-    if (!out)
-        GMLAKE_FATAL("cannot open CSV for writing: ", path);
-    if (fresh)
-        out << kCsvHeader << '\n';
-    auto csvField = [](std::string s) {
-        for (char &c : s) {
-            if (c == ',' || c == '\n')
-                c = ' ';
-        }
-        return s;
-    };
-    for (const RunRecord &r : context.records()) {
-        out << experiment.name << ',' << csvField(r.label) << ','
-            << csvField(r.allocator) << ',' << (r.result.oom ? 1 : 0)
-            << ',' << r.result.utilization << ','
-            << r.result.fragmentation << ',' << r.result.peakActive
-            << ',' << r.result.peakReserved << ',' << r.result.simTime
-            << ',' << r.result.samplesPerSec << ','
-            << r.result.allocCount << ',' << r.result.freeCount << ','
-            << r.result.deviceApiTime << ','
-            << r.result.allocWallNs << ','
-            << r.result.allocWallP50Ns << ','
-            << r.result.allocWallP99Ns << ','
-            << r.result.runWallNs << ','
-            << r.result.vmmWallNs << ','
-            << r.result.evictedBytes << ','
-            << r.result.faultedBytes << ','
-            << r.result.stallNs << ','
-            << r.result.offloadWallNs << ','
-            // Retired: lock_wait_ns, snapshot_publishes,
-            // commit_stall_ns.
-            << "0,0,0,"
-            << r.result.injectedFaults << ','
-            << r.result.recovered << ','
-            << r.result.abortedSessions << ','
-            << r.result.rollbacks << ','
-            << "1\n"; // engine_threads: one per engine run
-    }
+    return std::visit(
+        [](const auto &v) -> std::string {
+            using T = std::decay_t<decltype(v)>;
+            if constexpr (std::is_same_v<T, bool>) {
+                return v ? "1" : "0";
+            } else if constexpr (std::is_same_v<T, double>) {
+                return streamed(v);
+            } else if constexpr (std::is_same_v<T, std::string>) {
+                std::string s = v;
+                std::replace_if(
+                    s.begin(), s.end(),
+                    [](char c) { return c == ',' || c == '\n'; }, ' ');
+                return s;
+            } else {
+                return std::to_string(v);
+            }
+        },
+        value);
 }
 
 void
@@ -359,8 +314,6 @@ writeJson(const Experiment &experiment,
         << ",\n"
         << "  \"device_capacity_override\": "
         << options.deviceCapacity << ",\n"
-        << "  \"engine_threads\": 1,\n"
-        << "  \"engine_commit\": \"deterministic\",\n"
         // Everything a reader needs to reproduce the run: the
         // resolved override set, as one block (the legacy top-level
         // keys above stay for existing consumers).
@@ -369,29 +322,23 @@ writeJson(const Experiment &experiment,
         << "\"iterations\": " << options.iterations << ", "
         << "\"device_capacity_bytes\": " << options.deviceCapacity
         << ", "
-        << "\"threads\": " << options.threads << ", "
-        << "\"engine_threads\": 1, "
-        << "\"engine_commit\": \"deterministic\"},\n"
+        << "\"threads\": " << options.threads << "},\n"
         << "  \"records\": [";
     bool first = true;
     for (const RunRecord &r : context.records()) {
         out << (first ? "" : ",") << "\n    {";
-        bool firstField = true;
-        for (const auto &[key, value] : jsonRecordFields(r)) {
-            out << (firstField ? "" : ", ") << '"' << key
-                << "\": " << value;
-            firstField = false;
-        }
+        writeJsonFields(out, recordFields(r));
         out << "}";
         first = false;
     }
     out << "\n  ],\n  \"metrics\": [";
     first = true;
     for (const MetricRecord &m : context.metrics()) {
-        out << (first ? "" : ",") << "\n    {"
-            << "\"label\": \"" << jsonEscape(m.label) << "\", "
-            << "\"name\": \"" << jsonEscape(m.name) << "\", "
-            << "\"value\": " << jsonDouble(m.value) << "}";
+        out << (first ? "" : ",") << "\n    {";
+        writeJsonFields(out, {{"label", m.label},
+                              {"name", m.name},
+                              {"value", m.value}});
+        out << "}";
         first = false;
     }
     out << "\n  ]\n}\n";
@@ -399,10 +346,61 @@ writeJson(const Experiment &experiment,
 
 } // namespace
 
-const char *
+void
+writeJsonFields(std::ostream &out, const std::vector<ReportField> &fields)
+{
+    const char *separator = "";
+    for (const ReportField &field : fields) {
+        out << separator << '"' << field.key
+            << "\": " << jsonValue(field.value);
+        separator = ", ";
+    }
+}
+
+void
+appendRunCsv(const std::string &path, const std::string &scenario,
+             const std::vector<RunRecord> &records)
+{
+    const bool fresh = !std::filesystem::exists(path) ||
+                       std::filesystem::file_size(path) == 0;
+    if (!fresh) {
+        // Appending rows under a stale header (e.g. a CSV written
+        // before a column was added) would silently misalign every
+        // downstream reader; refuse instead.
+        std::ifstream in(path);
+        std::string header;
+        std::getline(in, header);
+        if (!header.empty() && header.back() == '\r')
+            header.pop_back();
+        if (header != experimentCsvHeader()) {
+            GMLAKE_FATAL("CSV ", path, " has a different column "
+                         "set; move it aside to start a fresh "
+                         "trajectory");
+        }
+    }
+    std::ofstream out(path, std::ios::app);
+    if (!out)
+        GMLAKE_FATAL("cannot open CSV for writing: ", path);
+    if (fresh)
+        out << experimentCsvHeader() << '\n';
+    for (const RunRecord &r : records) {
+        out << csvValue(scenario);
+        for (const ReportField &field : recordFields(r))
+            out << ',' << csvValue(field.value);
+        out << '\n';
+    }
+}
+
+const std::string &
 experimentCsvHeader()
 {
-    return kCsvHeader;
+    static const std::string header = [] {
+        std::string line = "scenario";
+        for (const std::string &key : experimentJsonRecordKeys())
+            line += "," + key;
+        return line;
+    }();
+    return header;
 }
 
 const std::vector<std::string> &
@@ -410,8 +408,8 @@ experimentJsonRecordKeys()
 {
     static const std::vector<std::string> keys = [] {
         std::vector<std::string> names;
-        for (const auto &[key, value] : jsonRecordFields(RunRecord{}))
-            names.push_back(key);
+        for (const ReportField &field : recordFields(RunRecord{}))
+            names.push_back(field.key);
         return names;
     }();
     return keys;
@@ -476,7 +474,8 @@ runExperiment(const Experiment &experiment,
         }
     }
     if (!options.csvPath.empty()) {
-        writeCsv(experiment, context, options.csvPath);
+        appendRunCsv(options.csvPath, experiment.name,
+                     context.records());
         out << "(run records appended to " << options.csvPath
             << ")\n";
     }

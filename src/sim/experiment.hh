@@ -11,9 +11,11 @@
 #ifndef GMLAKE_SIM_EXPERIMENT_HH
 #define GMLAKE_SIM_EXPERIMENT_HH
 
+#include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "sim/runner.hh"
@@ -223,17 +225,54 @@ struct ExperimentRunOptions
 std::string defaultCsvPath(const Experiment &experiment);
 std::string defaultJsonPath(const Experiment &experiment);
 
-/**
- * The exact --csv column set, golden-pinned by the format
- * regression test: adding, removing, or renaming a column must be a
- * deliberate, test-visible act because downstream plotting scripts
- * key on these names.
- */
-const char *experimentCsvHeader();
+/** A report value, typed so that JSON and CSV each render it once. */
+using ReportValue = std::variant<bool, std::int64_t, std::uint64_t,
+                                 double, std::string>;
+
+/** One report column: its key and its value. */
+struct ReportField
+{
+    const char *key;
+    ReportValue value;
+};
 
 /**
- * The per-record key set of the --json report, in emission order
- * (same golden-pinning contract as experimentCsvHeader()).
+ * RunResult's report columns, each named once, in emission order:
+ * the one schema every run record is written from (`run --json` and
+ * `--csv`, the sweep warmup and points, chaos trials, `trace run |
+ * replay --csv`).
+ */
+std::vector<ReportField> runResultFields(const RunResult &result);
+
+/**
+ * Write @p fields as JSON `"key": value` pairs joined by ", " — an
+ * object's members without the braces.
+ */
+void writeJsonFields(std::ostream &out,
+                     const std::vector<ReportField> &fields);
+
+/**
+ * Append one CSV row per record, under experimentCsvHeader(), with
+ * @p scenario in the first column. A missing or empty file gets the
+ * header first; a file that starts with another header is FATAL
+ * before anything is written.
+ */
+void appendRunCsv(const std::string &path, const std::string &scenario,
+                  const std::vector<RunRecord> &records);
+
+/**
+ * The exact --csv column set: `scenario` followed by
+ * experimentJsonRecordKeys(). Golden-pinned by the format regression
+ * test: adding, removing, or renaming a column must be a deliberate,
+ * test-visible act because downstream plotting scripts key on these
+ * names.
+ */
+const std::string &experimentCsvHeader();
+
+/**
+ * The per-record key set of the --json report, in emission order:
+ * `label`, `allocator`, then runResultFields() (same golden-pinning
+ * contract as experimentCsvHeader()).
  */
 const std::vector<std::string> &experimentJsonRecordKeys();
 

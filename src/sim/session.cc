@@ -208,18 +208,14 @@ SimEngine::run(const workload::TrainConfig *config)
     std::vector<std::uint32_t> tenantTracks;
     std::unique_ptr<obs::MemorySampler> sampler;
     if (rec != nullptr) {
-        obs::SamplerConfig samplerConfig;
-        samplerConfig.periodNs = mOptions.obsSamplePeriodNs;
+        std::vector<std::string> tenants;
         tenantTracks.reserve(mSessions.size());
         for (const Session &session : mSessions) {
             tenantTracks.push_back(
                 rec->track("tenant:" + session.name()));
-            samplerConfig.tenants.push_back(session.name());
+            tenants.push_back(session.name());
         }
-        if (mOptions.obsSamplePeriodNs > 0) {
-            sampler = std::make_unique<obs::MemorySampler>(
-                *rec, samplerConfig);
-        }
+        sampler = std::make_unique<obs::MemorySampler>(*rec, tenants);
         for (std::size_t i = 0; i < mSessions.size(); ++i) {
             rec->instant(obs::EvName::sessionStart,
                          obs::EventCat::engine, tenantTracks[i],

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "alloc/allocator.hh"
+#include "sim/experiment.hh"
 #include "sim/session.hh"
 #include "support/flags.hh"
 #include "support/logging.hh"
@@ -436,17 +437,6 @@ writeSweepJson(const SweepReport &report, const SweepJsonMeta &meta,
     std::ofstream out(path);
     if (!out)
         GMLAKE_FATAL("cannot open JSON for writing: ", path);
-    const auto runFields = [&out](const RunResult &r) {
-        out << "\"oom\": " << (r.oom ? "true" : "false") << ", "
-            << "\"utilization\": " << r.utilization << ", "
-            << "\"fragmentation\": " << r.fragmentation << ", "
-            << "\"peak_active_bytes\": " << r.peakActive << ", "
-            << "\"peak_reserved_bytes\": " << r.peakReserved << ", "
-            << "\"sim_time_ns\": " << r.simTime << ", "
-            << "\"alloc_count\": " << r.allocCount << ", "
-            << "\"free_count\": " << r.freeCount << ", "
-            << "\"device_api_time_ns\": " << r.deviceApiTime;
-    };
     out << "{\n"
         << "  \"scenario\": \"" << report.scenario << "\",\n"
         << "  \"mode\": \"sweep\",\n"
@@ -457,14 +447,11 @@ writeSweepJson(const SweepReport &report, const SweepJsonMeta &meta,
         << "\"device_capacity_bytes\": " << meta.deviceCapacityBytes
         << ", "
         << "\"threads\": " << meta.threads << ", "
-        // Retired (one thread per engine run), kept for the schema.
-        << "\"engine_threads\": 1, "
-        << "\"engine_commit\": \"deterministic\", "
         << "\"warm_start\": " << (meta.warmStart ? "true" : "false")
         << ", "
         << "\"split_time_ns\": " << meta.splitTimeNs << "},\n"
         << "  \"warmup\": {";
-    runFields(report.warmup);
+    writeJsonFields(out, runResultFields(report.warmup));
     out << ", \"wall_ns\": " << report.warmupWallNs << "},\n"
         << "  \"total_wall_ns\": " << report.totalWallNs << ",\n"
         << "  \"points\": [";
@@ -481,7 +468,7 @@ writeSweepJson(const SweepReport &report, const SweepJsonMeta &meta,
             << "\"max_va_overscribe\": " << c.maxVaOverscribe << ", "
             << "\"enable_stitching\": "
             << (c.enableStitching ? "true" : "false") << ", ";
-        runFields(rec.tail);
+        writeJsonFields(out, runResultFields(rec.tail));
         out << ", \"point_wall_ns\": " << rec.pointWallNs
             << ", \"pareto\": " << (rec.onFrontier ? "true" : "false")
             << "}";

@@ -4,7 +4,8 @@
  * rejects an out-of-range number, a malformed spec value or an
  * unusable output path with exit code 1 before it runs anything
  * (nothing on stdout, no file written), and every verb's --help lists
- * every flag it accepts. Each command runs the built binary in a
+ * every flag it accepts, and `trace --csv` appends run records under
+ * the `run --csv` header. Each command runs the built binary in a
  * fresh, empty working directory.
  */
 
@@ -20,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/experiment.hh"
 #include "workload/binary_trace.hh"
 #include "workload/trace.hh"
 
@@ -235,5 +237,99 @@ TEST(Cli, ReplayRejectsStreamedTracesThatValidateWould)
         EXPECT_NE(run.err.find(f.why), std::string::npos)
             << f.file << "\n" << run.err;
     }
+    fs::remove_all(dir);
+}
+
+namespace
+{
+
+/**
+ * A fresh directory holding a three-event text trace, `t.txt`; the
+ * CSVs the trace tests write go beside it, outside the per-command
+ * working directories runCli() removes.
+ */
+fs::path
+traceDir(const std::string &name)
+{
+    const fs::path dir = fs::temp_directory_path() /
+                         (name + "_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    gmlake::workload::Trace trace;
+    trace.append(Event{EventKind::alloc, 1, 4u << 20, 0, 0});
+    trace.append(Event{EventKind::compute, 0, 0, 1'000'000, 0});
+    trace.append(Event{EventKind::free, 1, 0, 0, 0});
+    std::ofstream out(dir / "t.txt");
+    trace.save(out);
+    return dir;
+}
+
+std::vector<std::string>
+lines(const fs::path &path)
+{
+    std::vector<std::string> out;
+    std::istringstream in(slurp(path));
+    for (std::string line; std::getline(in, line);)
+        out.push_back(line);
+    return out;
+}
+
+} // namespace
+
+TEST(Cli, TraceCsvAppendsRunRecordsUnderTheRunHeader)
+{
+    const fs::path dir = traceDir("gmlake_cli_csv");
+    const std::string tracePath = (dir / "t.txt").string();
+    const std::string csv = (dir / "runs.csv").string();
+    const std::string header = gmlake::sim::experimentCsvHeader();
+
+    // Two replays: one header, two rows naming the replayed file.
+    for (int i = 0; i < 2; ++i) {
+        const CliRun run = runCli({"trace", "replay", tracePath,
+                                   "--allocator", "gmlake", "--csv",
+                                   csv});
+        ASSERT_EQ(run.code, 0) << run.err;
+    }
+    std::vector<std::string> rows = lines(csv);
+    ASSERT_EQ(rows.size(), 3u) << slurp(csv);
+    EXPECT_EQ(rows[0], header);
+    for (std::size_t i = 1; i < rows.size(); ++i)
+        EXPECT_EQ(rows[i].rfind("trace," + tracePath + ",gmlake,", 0),
+                  0u)
+            << rows[i];
+
+    // A generated workload appends under the same header, labelled
+    // with the workload it ran.
+    const CliRun generated =
+        runCli({"trace", "run", "--model", "GPT-2", "--iterations", "1",
+                "--allocator", "caching", "--csv", csv});
+    ASSERT_EQ(generated.code, 0) << generated.err;
+    rows = lines(csv);
+    ASSERT_EQ(rows.size(), 4u) << slurp(csv);
+    EXPECT_EQ(rows[0], header);
+    EXPECT_EQ(rows[3].rfind("trace,GPT-2 x4GPU DeepSpeed-ZeRO3 LR "
+                            "bs=16 seq=512,caching,",
+                            0),
+              0u)
+        << rows[3];
+    fs::remove_all(dir);
+}
+
+TEST(Cli, TraceCsvRefusesAnotherHeader)
+{
+    const fs::path dir = traceDir("gmlake_cli_stale_csv");
+    const fs::path csv = dir / "stale.csv";
+    const std::string text = "allocator,model\ngmlake,OPT-13B\n";
+    {
+        std::ofstream out(csv);
+        out << text;
+    }
+    const CliRun run =
+        runCli({"trace", "replay", (dir / "t.txt").string(),
+                "--allocator", "gmlake", "--csv", csv.string()});
+    EXPECT_EQ(run.code, 1) << run.out;
+    EXPECT_NE(run.err.find("different column set"), std::string::npos)
+        << run.err;
+    EXPECT_EQ(slurp(csv), text);
     fs::remove_all(dir);
 }

@@ -12,6 +12,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -130,6 +131,12 @@ TEST(ExperimentContext, ScalesServingRequestsWithIterations)
 
     ExperimentContext plain(ExperimentOptions{}, sink);
     EXPECT_EQ(plain.adjust(cfg).requests, 256);
+
+    // The flag accepts up to INT_MAX; the 16x scale must not wrap.
+    options.iterations = std::numeric_limits<int>::max();
+    ExperimentContext huge(options, sink);
+    cfg.requests = 192;
+    EXPECT_EQ(huge.adjust(cfg).requests, 192);
 }
 
 TEST(ExperimentContext, AppliesDeviceCapacityOverride)

@@ -304,11 +304,13 @@ saveTraceTo(const workload::Trace &trace, const std::string &path,
 /**
  * The comparison loop every replaying verb shares: a fresh rig per
  * kind replays the sessions @p sessions builds, and the results are
- * tabulated (and CSV-appended / snapshotted on request).
+ * tabulated (and appended to the CSV as run records labelled
+ * @p label, snapshotted on request).
  */
 int
 runAcrossAllocators(
-    const Options &opt, std::uint64_t servedTokens,
+    const Options &opt, const std::string &label,
+    std::uint64_t servedTokens,
     const std::function<std::vector<sim::Session>()> &sessions,
     const workload::TrainConfig *config = nullptr)
 {
@@ -318,13 +320,7 @@ runAcrossAllocators(
 
     Table table({"Allocator", "Utilization", "Peak active",
                  "Peak reserved", "Sim time", "Throughput"});
-    std::ofstream csv;
-    if (!opt.csvPath.empty()) {
-        csv.open(opt.csvPath, std::ios::app);
-        if (!csv)
-            GMLAKE_FATAL("cannot open CSV: ", opt.csvPath);
-    }
-
+    std::vector<sim::RunRecord> records;
     for (const auto kind : parseAllocators(opt.allocator)) {
         sim::Rig rig(kind, options);
         const auto r = rig.run(sessions(), config).combined;
@@ -344,17 +340,13 @@ runAcrossAllocators(
              r.oom ? "OOM" : formatPercent(r.utilization),
              formatBytes(r.peakActive), formatBytes(r.peakReserved),
              formatTime(r.simTime), throughput});
-        if (csv.is_open()) {
-            csv << r.allocator << "," << opt.model << ","
-                << opt.strategies << "," << opt.gpus << ","
-                << opt.batch << "," << r.utilization << ","
-                << r.peakActive << "," << r.peakReserved << ","
-                << r.simTime << "," << (r.oom ? 1 : 0) << "\n";
-        }
+        records.push_back({label, r.allocator, r});
         if (opt.snapshot)
             std::cout << rig.allocator().snapshot().summary();
     }
     table.print(std::cout);
+    if (!opt.csvPath.empty())
+        sim::appendRunCsv(opt.csvPath, "trace", records);
     return 0;
 }
 
@@ -365,8 +357,12 @@ doTraceRun(const Options &opt)
 {
     const auto cfg = makeTrainConfig(opt);
     const auto built = buildWorkload(opt, cfg);
+    const std::string label =
+        built.training ? cfg.describe()
+                       : detail::concat(cfg.model.name, " serve requests=",
+                                        opt.serveRequests);
     return runAcrossAllocators(
-        opt, built.servedTokens,
+        opt, label, built.servedTokens,
         [&] {
             return std::vector<sim::Session>{
                 sim::Session("main", &built.trace)};
@@ -397,7 +393,7 @@ doTraceReplay(const Options &opt, const std::string &path)
                   << ", streamed) from " << path << "\n";
         // Multi-section files replay as co-located tenants; a lone
         // section keeps the single-trace session name.
-        return runAcrossAllocators(opt, 0, [&] {
+        return runAcrossAllocators(opt, path, 0, [&] {
             std::vector<sim::Session> sessions;
             for (std::size_t i = 0; i < file->sections().size(); ++i) {
                 sessions.emplace_back(
@@ -417,7 +413,7 @@ doTraceReplay(const Options &opt, const std::string &path)
     const workload::Trace trace = workload::Trace::load(in);
     std::cout << "replaying " << trace.size() << " events from "
               << path << "\n";
-    return runAcrossAllocators(opt, 0, [&] {
+    return runAcrossAllocators(opt, path, 0, [&] {
         return std::vector<sim::Session>{sim::Session("main", &trace)};
     });
 }
