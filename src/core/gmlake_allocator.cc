@@ -51,18 +51,8 @@ GMLakeAllocator::GMLakeAllocator(vmm::Device &device, GMLakeConfig config)
     // one heap allocation: the live table's hash node. Recycling that
     // node the same way measured slower.
     mLive.reserve(4096);
-    mScratch = &arenaFor(kDefaultStream);
-}
-
-GMLakeAllocator::ScratchArena &
-GMLakeAllocator::arenaFor(StreamId stream)
-{
-    auto [it, inserted] = mArenas.try_emplace(stream);
-    if (inserted) {
-        it->second.fitCandidates.reserve(64);
-        it->second.mapBatch.reserve(1024);
-    }
-    return it->second;
+    mFitCandidates.reserve(64);
+    mMapBatch.reserve(1024);
 }
 
 GMLakeAllocator::~GMLakeAllocator() = default;
@@ -198,13 +188,13 @@ GMLakeAllocator::splitPBlock(PBlock *block, Bytes sizeA)
         const auto va = mDevice.memAddressReserve(size);
         if (!va.ok())
             return va.error();
-        mScratch->mapBatch.clear();
+        mMapBatch.clear();
         for (std::size_t i = 0; i < chunkCount; ++i) {
-            mScratch->mapBatch.emplace_back(
+            mMapBatch.emplace_back(
                 *va + static_cast<VirtAddr>(i) * mConfig.chunkSize,
                 block->chunks[chunkOffset + i]);
         }
-        const Status s = mDevice.memMapBatch(mScratch->mapBatch);
+        const Status s = mDevice.memMapBatch(mMapBatch);
         if (!s.ok()) {
             // memMapBatch is atomic on error: nothing was installed,
             // so only the fresh reservation needs undoing. The
@@ -322,15 +312,15 @@ GMLakeAllocator::stitch(const std::vector<PBlock *> &members,
     // chunk, but the mapping table validates once and splices one
     // extent instead of per-chunk tree inserts. The sBlock never
     // creates physical chunks (paper Section 3.3.1).
-    mScratch->mapBatch.clear();
+    mMapBatch.clear();
     VirtAddr cursor = *va;
     for (const PBlock *m : members) {
         for (PhysHandle h : m->chunks) {
-            mScratch->mapBatch.emplace_back(cursor, h);
+            mMapBatch.emplace_back(cursor, h);
             cursor += mConfig.chunkSize;
         }
     }
-    const Status mapped = mDevice.memMapBatch(mScratch->mapBatch);
+    const Status mapped = mDevice.memMapBatch(mMapBatch);
     if (!mapped.ok()) {
         // Atomic batch: no mapping was installed. Undo the fresh VA
         // reservation and stop — members, their own mappings, and
@@ -559,13 +549,13 @@ GMLakeAllocator::ensureResident(PBlock *block)
     // stitched structures were never torn down, so this is the
     // "no data-copy for re-stitch" path: mapping cost only.
     auto remapAt = [&](VirtAddr base) -> Status {
-        mScratch->mapBatch.clear();
+        mMapBatch.clear();
         for (std::size_t i = 0; i < chunkCount; ++i) {
-            mScratch->mapBatch.emplace_back(
+            mMapBatch.emplace_back(
                 base + static_cast<VirtAddr>(i) * mConfig.chunkSize,
                 block->chunks[i]);
         }
-        const Status s = mDevice.memMapBatch(mScratch->mapBatch);
+        const Status s = mDevice.memMapBatch(mMapBatch);
         if (!s.ok())
             return s; // atomic: nothing was installed at @p base
         const Status acc = mDevice.memSetAccess(base, block->size);
@@ -844,7 +834,6 @@ GMLakeAllocator::allocateImpl(Bytes size, StreamId stream)
         return makeError(Errc::invalidValue,
                          "cannot allocate on the sentinel stream");
     mDevice.chargeCachedOp();
-    mScratch = &arenaFor(stream);
 
     if (size < mConfig.smallThreshold) {
         ++mCounters.smallPath;
@@ -1003,17 +992,17 @@ GMLakeAllocator::allocateLargeInner(Bytes size, StreamId stream,
         // repeating training pattern to re-stitch each iteration;
         // preferring unshared blocks keeps the pattern tape intact.
         auto fit = bestFitOverPools(rounded, mInactivePFree, fragLimit,
-                                    pEligible, mScratch->fitCandidates);
+                                    pEligible, mFitCandidates);
         if (fit.state == FitState::insufficient) {
             fit = bestFitOverPools(rounded, mInactiveP, fragLimit,
-                                   pEligible, mScratch->fitCandidates);
+                                   pEligible, mFitCandidates);
         }
 
         switch (fit.state) {
           case FitState::singleBlock: {
             ++mCounters.s2SingleBlock;
             notePhase(obs::AllocPhase::s2SingleBlock, rounded);
-            PBlock *p = mScratch->fitCandidates.front();
+            PBlock *p = mFitCandidates.front();
             {
                 // The block is still inactive while it is restored,
                 // so suspend cache trimming around the fault-in.
@@ -1051,7 +1040,7 @@ GMLakeAllocator::allocateLargeInner(Bytes size, StreamId stream,
             notePhase(obs::AllocPhase::s3MultiBlocks, rounded);
             // The candidates already are the member pointers; the
             // scratch vector doubles as the stitch member list.
-            std::vector<PBlock *> &members = mScratch->fitCandidates;
+            std::vector<PBlock *> &members = mFitCandidates;
             {
                 // Fault in any spilled member before the stitch maps
                 // its chunks; trimming is suspended so one member's
@@ -1100,7 +1089,7 @@ GMLakeAllocator::allocateLargeInner(Bytes size, StreamId stream,
           case FitState::insufficient: {
             ++mCounters.s4Insufficient;
             notePhase(obs::AllocPhase::s4Insufficient, rounded);
-            std::vector<PBlock *> &members = mScratch->fitCandidates;
+            std::vector<PBlock *> &members = mFitCandidates;
             Bytes have = fit.candidateBytes;
             if (!mConfig.enableStitching) {
                 members.clear();

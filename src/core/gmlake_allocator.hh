@@ -429,27 +429,14 @@ class GMLakeAllocator : public alloc::Allocator
      */
     std::map<Bytes, SizeClass> mClasses;
 
-    /**
-     * Per-stream scratch arena for the hot-path temporaries: the
-     * BestFit candidate set (cleared by every search) and the
-     * batched cuMemMap staging buffer (stitch/split/fault-in). Sized
-     * once, so the steady-state hot path performs no heap
-     * allocation. Co-located sessions replay on disjoint stream
-     * ranges; keying the scratch by stream gives each of them
-     * reuse-stable buffers instead of one shared pair every
-     * interleaved request would resize.
-     */
-    struct ScratchArena
-    {
-        std::vector<PBlock *> fitCandidates;
-        std::vector<std::pair<VirtAddr, PhysHandle>> mapBatch;
-    };
-    std::unordered_map<StreamId, ScratchArena> mArenas;
-    /** Arena of the stream the current entry point serves. */
-    ScratchArena *mScratch = nullptr;
-
-    /** Arena for @p stream, created (and pre-sized) on first use. */
-    ScratchArena &arenaFor(StreamId stream);
+    // Scratch for the hot-path temporaries, sized once in the
+    // constructor: every search clears the first and every map batch
+    // the second before filling it, and a cleared vector keeps its
+    // capacity, so the steady-state hot path allocates nothing here.
+    /** The BestFit candidate set (also a stitch's member list). */
+    std::vector<PBlock *> mFitCandidates;
+    /** The batched cuMemMap staging buffer (stitch/split/fault-in). */
+    std::vector<std::pair<VirtAddr, PhysHandle>> mMapBatch;
 
     /** Live allocations: id -> target block (exactly one non-null). */
     struct Live

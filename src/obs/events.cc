@@ -37,6 +37,10 @@ evName(EvName name)
       case EvName::tensorFree: return "tensorFree";
       case EvName::counterSample: return "counter";
       case EvName::holeHistogram: return "holeHistogram";
+      case EvName::devCreateRun: return "memCreateRun";
+      case EvName::devCreateMapRun: return "memCreateMapRun";
+      case EvName::devReleaseRun: return "memReleaseRun";
+      case EvName::devUnmapReleaseRun: return "memUnmapReleaseRun";
       case EvName::count_: break;
     }
     return "?";

@@ -49,8 +49,10 @@ enum class EventCat : std::uint8_t
 enum class EvName : std::uint16_t
 {
     // --- vmm::Device API spans (cat device) -------------------
-    // a0 = bytes (or chunks for unmap/setAccess), a1 = fault errc
-    // (0 = clean), a2 = provenance scope token (0 = outside alloc).
+    // One span per entry-point call. a0 = bytes (chunks for
+    // unmap/setAccess, the batch size for mapBatch, the chunk count
+    // for the *Run calls further down), a1 = fault errc (0 = clean),
+    // a2 = provenance scope token (0 = outside alloc).
     devAddressReserve = 0,
     devAddressFree,
     devCreate,
@@ -117,6 +119,12 @@ enum class EvName : std::uint16_t
      *  counts, a0 = bucket count, a1 = largest hole bytes,
      *  a2 = hole count. */
     holeHistogram,
+
+    // --- vmm::Device chunk runs (cat device, see above) --------
+    devCreateRun,
+    devCreateMapRun,
+    devReleaseRun,
+    devUnmapReleaseRun,
 
     count_, //!< sentinel, keep last
 };

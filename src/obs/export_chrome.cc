@@ -40,14 +40,18 @@ argNames(EvName name)
       case EvName::devCreate:
       case EvName::devRelease:
       case EvName::devMap:
-      case EvName::devMapBatch:
       case EvName::devMallocNative:
       case EvName::devFreeNative:
       case EvName::devCopyD2H:
       case EvName::devCopyH2D:
         return {"bytes", "fault", "token"};
+      case EvName::devMapBatch:
       case EvName::devUnmap:
       case EvName::devSetAccess:
+      case EvName::devCreateRun:
+      case EvName::devCreateMapRun:
+      case EvName::devReleaseRun:
+      case EvName::devUnmapReleaseRun:
         return {"chunks", "fault", "token"};
       case EvName::devAddressFree:
       case EvName::devCopyWait:

@@ -47,6 +47,8 @@ struct AllocProvenance
     std::uint64_t sBlockId = 0;    //!< 0 unless stitched
     std::vector<std::uint64_t> members; //!< stitch member pBlock ids
     std::uint64_t deviceCostNs = 0; //!< attributed device-API time
+    /** Device entry-point calls in scope: a chunk run or a map
+     *  batch counts once, however many chunks it covers. */
     std::uint64_t deviceCalls = 0;
     std::uint64_t spills = 0;       //!< host-tier spills in scope
     std::uint64_t faultIns = 0;     //!< post-spill remaps in scope

@@ -92,7 +92,7 @@ runCluster(const workload::TrainConfig &config, AllocatorKind kind,
     ClusterResult cluster;
     cluster.ranks.resize(static_cast<std::size_t>(config.gpus));
     const std::size_t workers =
-        threads == 0 ? ThreadPool::defaultThreads()
+        threads == 0 ? defaultThreads()
                      : static_cast<std::size_t>(std::max(1, threads));
     // Each rank owns a private device + allocator + seeded trace and
     // writes only its own result slot, so the parallel schedule

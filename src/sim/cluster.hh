@@ -46,7 +46,7 @@ std::uint64_t clusterRankSeed(const workload::TrainConfig &config,
  * per-rank data without cross-base-seed collisions.
  *
  * Ranks are independent — each owns a private device, allocator, and
- * trace — so with @p threads > 1 they execute on a ThreadPool
+ * trace — so with @p threads > 1 they execute on parallelFor
  * (0 = one worker per hardware thread, like every other `threads`
  * surface). Every rank writes only its own slot of the rank-ordered
  * result vector, making the outcome bit-identical to the sequential

@@ -42,7 +42,7 @@ int
 ExperimentContext::threads() const
 {
     if (mOptions.threads == 0)
-        return static_cast<int>(ThreadPool::defaultThreads());
+        return static_cast<int>(defaultThreads());
     return std::max(1, mOptions.threads);
 }
 
@@ -357,27 +357,32 @@ writeJsonFields(std::ostream &out, const std::vector<ReportField> &fields)
     }
 }
 
+bool
+checkRunCsv(const std::string &path)
+{
+    if (!std::filesystem::exists(path) ||
+        std::filesystem::file_size(path) == 0)
+        return true;
+    // Appending rows under a stale header (e.g. a CSV written before
+    // a column was added) would silently misalign every downstream
+    // reader; refuse instead.
+    std::ifstream in(path);
+    std::string header;
+    std::getline(in, header);
+    if (!header.empty() && header.back() == '\r')
+        header.pop_back();
+    if (header != experimentCsvHeader()) {
+        GMLAKE_FATAL("CSV ", path, " has a different column set; "
+                     "move it aside to start a fresh trajectory");
+    }
+    return false;
+}
+
 void
 appendRunCsv(const std::string &path, const std::string &scenario,
              const std::vector<RunRecord> &records)
 {
-    const bool fresh = !std::filesystem::exists(path) ||
-                       std::filesystem::file_size(path) == 0;
-    if (!fresh) {
-        // Appending rows under a stale header (e.g. a CSV written
-        // before a column was added) would silently misalign every
-        // downstream reader; refuse instead.
-        std::ifstream in(path);
-        std::string header;
-        std::getline(in, header);
-        if (!header.empty() && header.back() == '\r')
-            header.pop_back();
-        if (header != experimentCsvHeader()) {
-            GMLAKE_FATAL("CSV ", path, " has a different column "
-                         "set; move it aside to start a fresh "
-                         "trajectory");
-        }
-    }
+    const bool fresh = checkRunCsv(path);
     std::ofstream out(path, std::ios::app);
     if (!out)
         GMLAKE_FATAL("cannot open CSV for writing: ", path);
@@ -433,6 +438,8 @@ int
 runExperiment(const Experiment &experiment,
               const ExperimentRunOptions &options, std::ostream &out)
 {
+    if (!options.csvPath.empty())
+        checkRunCsv(options.csvPath);
     if (options.banner) {
         out << "\n====================================================="
                "===================\n"

@@ -252,10 +252,19 @@ void writeJsonFields(std::ostream &out,
                      const std::vector<ReportField> &fields);
 
 /**
+ * The rule appendRunCsv() appends under: a file that starts with a
+ * header other than experimentCsvHeader() is FATAL. Returns whether
+ * the file is missing or empty, so the header is still to be
+ * written. Verbs call it before they replay anything, so a stale
+ * file is refused before the run, not after it.
+ */
+bool checkRunCsv(const std::string &path);
+
+/**
  * Append one CSV row per record, under experimentCsvHeader(), with
  * @p scenario in the first column. A missing or empty file gets the
- * header first; a file that starts with another header is FATAL
- * before anything is written.
+ * header first; a file checkRunCsv() refuses is FATAL before anything
+ * is written.
  */
 void appendRunCsv(const std::string &path, const std::string &scenario,
                   const std::vector<RunRecord> &records);

@@ -1,92 +1,16 @@
 #include "support/thread_pool.hh"
 
+#include <algorithm>
 #include <atomic>
-#include <utility>
-
-#include "support/logging.hh"
+#include <exception>
+#include <thread>
+#include <vector>
 
 namespace gmlake
 {
 
-ThreadPool::ThreadPool(std::size_t threads)
-{
-    GMLAKE_ASSERT(threads >= 1, "thread pool needs a worker");
-    mWorkers.reserve(threads);
-    for (std::size_t i = 0; i < threads; ++i)
-        mWorkers.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::unique_lock<std::mutex> lock(mMutex);
-        mStop = true;
-    }
-    mWake.notify_all();
-    for (std::thread &worker : mWorkers)
-        worker.join();
-}
-
-void
-ThreadPool::submit(std::function<void()> job)
-{
-    GMLAKE_ASSERT(job != nullptr, "null job submitted");
-    {
-        std::unique_lock<std::mutex> lock(mMutex);
-        GMLAKE_ASSERT(!mStop, "submit after shutdown");
-        mQueue.push_back(std::move(job));
-    }
-    mWake.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lock(mMutex);
-    mIdle.wait(lock,
-               [this] { return mQueue.empty() && mActive == 0; });
-    if (mFirstError) {
-        const std::exception_ptr error =
-            std::exchange(mFirstError, nullptr);
-        lock.unlock();
-        std::rethrow_exception(error);
-    }
-}
-
-void
-ThreadPool::workerLoop()
-{
-    for (;;) {
-        std::function<void()> job;
-        {
-            std::unique_lock<std::mutex> lock(mMutex);
-            mWake.wait(lock,
-                       [this] { return mStop || !mQueue.empty(); });
-            if (mQueue.empty())
-                return; // stop requested and nothing left to run
-            job = std::move(mQueue.front());
-            mQueue.pop_front();
-            ++mActive;
-        }
-        std::exception_ptr error;
-        try {
-            job();
-        } catch (...) {
-            error = std::current_exception();
-        }
-        {
-            std::unique_lock<std::mutex> lock(mMutex);
-            --mActive;
-            if (error && !mFirstError)
-                mFirstError = error;
-            if (mQueue.empty() && mActive == 0)
-                mIdle.notify_all();
-        }
-    }
-}
-
 std::size_t
-ThreadPool::defaultThreads()
+defaultThreads()
 {
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : hw;
@@ -96,24 +20,36 @@ void
 parallelFor(std::size_t n, std::size_t threads,
             const std::function<void(std::size_t)> &fn)
 {
-    if (n == 0)
-        return;
-    if (threads <= 1 || n == 1) {
+    if (threads <= 1 || n <= 1) {
         for (std::size_t i = 0; i < n; ++i)
             fn(i);
         return;
     }
-    ThreadPool pool(std::min(threads, n));
     // Workers pull the next index from a shared counter; each index
-    // runs exactly once, on whichever worker gets there first.
-    auto next = std::make_shared<std::atomic<std::size_t>>(0);
-    for (std::size_t w = 0; w < pool.threadCount(); ++w) {
-        pool.submit([next, n, &fn] {
-            for (std::size_t i = (*next)++; i < n; i = (*next)++)
-                fn(i);
-        });
+    // runs exactly once, on whichever worker gets there first. A
+    // worker stops at the first exception it catches and keeps it in
+    // its own slot, so nothing here needs a lock.
+    const std::size_t count = std::min(threads, n);
+    std::atomic<std::size_t> next{0};
+    std::vector<std::exception_ptr> errors(count);
+    {
+        std::vector<std::jthread> workers;
+        workers.reserve(count);
+        for (std::size_t w = 0; w < count; ++w) {
+            workers.emplace_back([&, w] {
+                try {
+                    for (std::size_t i = next++; i < n; i = next++)
+                        fn(i);
+                } catch (...) {
+                    errors[w] = std::current_exception();
+                }
+            });
+        }
+    } // the workers join here
+    for (const std::exception_ptr &error : errors) {
+        if (error)
+            std::rethrow_exception(error);
     }
-    pool.wait();
 }
 
 } // namespace gmlake

@@ -1,72 +1,32 @@
 /**
  * @file
- * Fixed-size worker thread pool for embarrassingly parallel
- * simulation work (independent cluster ranks, seed sweeps).
+ * The one parallel primitive: parallelFor over independent indices,
+ * for embarrassingly parallel simulation work (cluster ranks, sweep
+ * points).
  *
- * Jobs must not touch shared mutable state unless they synchronize
- * it themselves; the simulator keeps determinism by giving every job
- * its own device/allocator/RNG and a dedicated result slot, so the
- * completion order of workers never influences the output.
+ * Calls must not touch shared mutable state unless they synchronize
+ * it themselves; the simulator keeps determinism by giving every
+ * index its own device/allocator/RNG and a dedicated result slot, so
+ * the order workers finish in never influences the output.
  */
 
 #ifndef GMLAKE_SUPPORT_THREAD_POOL_HH
 #define GMLAKE_SUPPORT_THREAD_POOL_HH
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace gmlake
 {
 
-class ThreadPool
-{
-  public:
-    /** Spawn @p threads workers (at least one). */
-    explicit ThreadPool(std::size_t threads);
-
-    /** Joins all workers; pending jobs are still executed. */
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Enqueue @p job for execution on some worker. */
-    void submit(std::function<void()> job);
-
-    /**
-     * Block until every submitted job has finished. Exceptions a job
-     * escaped with are rethrown here (the first one, by completion
-     * order); remaining jobs still run to completion first.
-     */
-    void wait();
-
-    std::size_t threadCount() const { return mWorkers.size(); }
-
-    /** Hardware concurrency, with a floor of 1. */
-    static std::size_t defaultThreads();
-
-  private:
-    std::vector<std::thread> mWorkers;
-    std::deque<std::function<void()>> mQueue;
-    mutable std::mutex mMutex;
-    std::condition_variable mWake; //!< workers: queue or stop
-    std::condition_variable mIdle; //!< wait(): all jobs drained
-    std::size_t mActive = 0;
-    bool mStop = false;
-    std::exception_ptr mFirstError;
-
-    void workerLoop();
-};
+/** Hardware concurrency, with a floor of 1. */
+std::size_t defaultThreads();
 
 /**
  * Run fn(0) ... fn(n-1) on up to @p threads workers; with one thread
  * (or one item) the calls happen inline, in index order. Blocks until
- * every index completed; rethrows the first exception a call raised.
+ * every index completed; rethrows the first exception a call raised
+ * once every other worker has finished.
  *
  * The schedule (which worker runs which index) is nondeterministic,
  * so @p fn must write only to per-index state for deterministic

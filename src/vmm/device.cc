@@ -51,47 +51,41 @@ deviceTrack(obs::Recorder &recorder)
 }
 
 /**
- * Writes one device-category span on the device's track, carrying
- * the provenance scope token set by the allocator so the ledger can
- * attribute the cost to an allocation. Single calls and chunk runs
- * both emit through here. A fault of Errc::ok means none.
- */
-void
-emitDeviceSpan(obs::Recorder &recorder, obs::EvName name, Tick t0, Tick dur,
-               std::uint64_t arg, Errc fault)
-{
-    recorder.span(name, obs::EventCat::device, deviceTrack(recorder), t0,
-                  dur, arg, static_cast<std::uint64_t>(fault),
-                  obs::scopeToken());
-}
-
-/**
  * RAII span over one device API call: captures the simulated clock
- * on entry and emits a device span on exit, covering exactly the
- * tick the call charged (plus any copy stall). With no recorder
- * installed the whole thing is one predictable branch.
+ * on entry and, on exit, writes one device-category span on the
+ * device's track covering every tick the call charged (a chunk run's
+ * unwind, a copy stall), with the provenance scope token set by the
+ * allocator so the ledger can attribute the cost to an allocation.
+ * With no recorder installed the whole thing is one predictable
+ * branch.
  */
 class ObsApiSpan
 {
   public:
-    ObsApiSpan(obs::EvName name, const SimClock &clock)
+    ObsApiSpan(obs::EvName name, const SimClock &clock,
+               std::uint64_t arg = 0)
         : mRecorder(obs::active()), mClock(clock), mName(name)
     {
-        if (mRecorder != nullptr)
+        if (mRecorder != nullptr) {
             mT0 = clock.now();
+            mArg = arg;
+        }
     }
 
     ~ObsApiSpan()
     {
         if (mRecorder != nullptr)
-            emitDeviceSpan(*mRecorder, mName, mT0, mClock.now() - mT0,
-                           mArg, mFault);
+            mRecorder->span(mName, obs::EventCat::device,
+                            deviceTrack(*mRecorder), mT0,
+                            mClock.now() - mT0, mArg,
+                            static_cast<std::uint64_t>(mFault),
+                            obs::scopeToken());
     }
 
     ObsApiSpan(const ObsApiSpan &) = delete;
     ObsApiSpan &operator=(const ObsApiSpan &) = delete;
 
-    /** Primary argument (bytes or chunk count). */
+    /** Primary argument (bytes, chunks or batch size). */
     void
     arg(std::uint64_t value)
     {
@@ -99,12 +93,12 @@ class ObsApiSpan
             mArg = value;
     }
 
-    /** Tag the span with an injected/organic failure code. */
+    /** Tag the span with the error code of a failing call. */
     void
-    fault(const Error &error)
+    fault(Errc code)
     {
         if (mRecorder != nullptr)
-            mFault = error.code;
+            mFault = code;
     }
 
   private:
@@ -114,38 +108,6 @@ class ObsApiSpan
     Tick mT0 = 0;
     std::uint64_t mArg = 0;
     Errc mFault = Errc::ok;
-};
-
-/**
- * The device spans of a chunk run: one span per driver call the run
- * stands for, laid back to back from the clock at the run's start so
- * each covers exactly its call's charge — the spans the loop of
- * single calls emitted, in its order. With no recorder installed
- * on() is false and the run emits nothing.
- */
-class RunSpans
-{
-  public:
-    explicit RunSpans(const SimClock &clock)
-        : mRecorder(obs::active()),
-          mAt(mRecorder != nullptr ? clock.now() : 0)
-    {
-    }
-
-    bool on() const { return mRecorder != nullptr; }
-
-    /** The next call's span, with its argument and failure. */
-    void
-    call(obs::EvName name, Tick dur, std::uint64_t arg = 0,
-         const Status &failed = Status::success())
-    {
-        emitDeviceSpan(*mRecorder, name, mAt, dur, arg, failed.code());
-        mAt += dur;
-    }
-
-  private:
-    obs::Recorder *mRecorder;
-    Tick mAt;
 };
 
 } // namespace
@@ -170,8 +132,7 @@ Device::memAddressReserve(Bytes size)
 {
     ++mCounters.addressReserve;
     const WallScope wall(mCounters);
-    ObsApiSpan span(obs::EvName::devAddressReserve, mClock);
-    span.arg(size);
+    const ObsApiSpan span(obs::EvName::devAddressReserve, mClock, size);
     charge(mCost.memAddressReserve(size));
     if (size == 0)
         return makeError(Errc::invalidValue, "reserve of zero bytes");
@@ -201,8 +162,11 @@ Device::memAddressFree(VirtAddr va)
 Expected<PhysHandle>
 Device::memCreate(Bytes size)
 {
+    const WallScope wall(mCounters);
+    ObsApiSpan span(obs::EvName::devCreate, mClock, size);
     PhysHandle handle = kNullHandle;
-    const RunStatus run = memCreateRun(size, {&handle, 1});
+    const RunStatus run = buildChunks(0, size, {&handle, 1}, false);
+    span.fault(run.status.code());
     if (!run.ok())
         return run.status.error();
     return handle;
@@ -212,7 +176,10 @@ RunStatus
 Device::memCreateRun(Bytes size, std::span<PhysHandle> out)
 {
     const WallScope wall(mCounters);
-    return buildChunks(0, size, out, false);
+    ObsApiSpan span(obs::EvName::devCreateRun, mClock, out.size());
+    const RunStatus run = buildChunks(0, size, out, false);
+    span.fault(run.status.code());
+    return run;
 }
 
 Status
@@ -220,6 +187,7 @@ Device::memCreateMapRun(VirtAddr va, Bytes size,
                         std::span<PhysHandle> out)
 {
     const WallScope wall(mCounters);
+    ObsApiSpan span(obs::EvName::devCreateMapRun, mClock, out.size());
     // The run maps its chunks with one table splice, so its target
     // must be free space inside one reservation: every caller maps
     // into reservation space it has just taken or never mapped.
@@ -229,7 +197,9 @@ Device::memCreateMapRun(VirtAddr va, Bytes size,
                                   !mMap.overlaps(va, total)),
                   "create+map run target is not free space in one "
                   "reservation");
-    return buildChunks(va, size, out, true).status;
+    const Status built = buildChunks(va, size, out, true).status;
+    span.fault(built.code());
+    return built;
 }
 
 RunStatus
@@ -248,7 +218,6 @@ Device::buildChunks(VirtAddr va, Bytes size, std::span<PhysHandle> out,
     // at. Chunk i is created, then (with @p map) mapped at
     // va + i * size.
     while (run.ok() && run.done < out.size()) {
-        RunSpans spans(mClock);
         std::size_t ask = out.size() - run.done; // creates to carve
         Status injected;
         if (mFaults) {
@@ -307,19 +276,6 @@ Device::buildChunks(VirtAddr va, Bytes size, std::span<PhysHandle> out,
             GMLAKE_ASSERT(s.ok(), "fresh chunks failed to map into a "
                                   "free target");
         }
-        if (spans.on()) {
-            for (std::size_t i = 0; i < whole; ++i) {
-                spans.call(obs::EvName::devCreate, createCost, size);
-                if (map)
-                    spans.call(obs::EvName::devMap, mapCost, size);
-            }
-            if (!failed.ok())
-                spans.call(obs::EvName::devCreate, createCost, size,
-                           mapFailed ? Status::success() : failed);
-            if (mapFailed)
-                spans.call(obs::EvName::devMap,
-                           mCost.memMap(granularity()), 0, failed);
-        }
         run.done += whole;
         run.status = failed;
     }
@@ -337,30 +293,32 @@ Device::buildChunks(VirtAddr va, Bytes size, std::span<PhysHandle> out,
 Status
 Device::memRelease(PhysHandle handle)
 {
-    return memReleaseRun({&handle, 1}).status;
+    const WallScope wall(mCounters);
+    ObsApiSpan span(obs::EvName::devRelease, mClock);
+    const Status released = releaseChunks({&handle, 1}).status;
+    span.fault(released.code());
+    return released;
 }
 
 RunStatus
 Device::memReleaseRun(std::span<const PhysHandle> handles)
 {
     const WallScope wall(mCounters);
-    return releaseChunks(handles);
+    ObsApiSpan span(obs::EvName::devReleaseRun, mClock, handles.size());
+    const RunStatus run = releaseChunks(handles);
+    span.fault(run.status.code());
+    return run;
 }
 
 RunStatus
 Device::releaseChunks(std::span<const PhysHandle> handles)
 {
-    RunSpans spans(mClock);
     const RunStatus run = mPhys.releaseRun(handles);
     // One API call per handle, the failing one included.
     const std::size_t calls = run.done + (run.ok() ? 0 : 1);
     const Tick each = mCost.memRelease();
     mCounters.release += calls;
     charge(each * static_cast<Tick>(calls));
-    if (spans.on()) {
-        for (std::size_t i = 0; i < calls; ++i)
-            spans.call(obs::EvName::devRelease, each);
-    }
     return run;
 }
 
@@ -369,6 +327,8 @@ Device::memUnmapReleaseRun(VirtAddr va, Bytes size,
                            std::span<const PhysHandle> handles)
 {
     const WallScope wall(mCounters);
+    const ObsApiSpan span(obs::EvName::devUnmapReleaseRun, mClock,
+                          handles.size());
     unmapReleaseChunks(va, size, handles);
 }
 
@@ -378,7 +338,6 @@ Device::unmapReleaseChunks(VirtAddr va, Bytes size,
 {
     if (handles.empty())
         return;
-    RunSpans spans(mClock);
     // One memUnmap of a single chunk, then its memRelease, per handle.
     const Status unmapped = mMap.unmap(va, handles.size() * size);
     GMLAKE_ASSERT(unmapped.ok(), "run unwind unmap failed");
@@ -389,12 +348,6 @@ Device::unmapReleaseChunks(VirtAddr va, Bytes size,
     mCounters.unmap += handles.size();
     mCounters.release += handles.size();
     charge((unmapCost + releaseCost) * static_cast<Tick>(handles.size()));
-    if (spans.on()) {
-        for (std::size_t i = 0; i < handles.size(); ++i) {
-            spans.call(obs::EvName::devUnmap, unmapCost, 1);
-            spans.call(obs::EvName::devRelease, releaseCost);
-        }
-    }
 }
 
 Status
@@ -406,7 +359,7 @@ Device::memMap(VirtAddr va, PhysHandle handle)
     if (mFaults) {
         if (auto err = mFaults->onCall(FaultApi::memMap)) {
             charge(mCost.memMap(granularity()));
-            span.fault(*err);
+            span.fault(err->code);
             return *err;
         }
     }
@@ -434,15 +387,14 @@ Device::memMapBatch(
     if (batch.empty())
         return Status::success();
     const WallScope wall(mCounters);
-    ObsApiSpan span(obs::EvName::devMapBatch, mClock);
-    span.arg(batch.size());
+    ObsApiSpan span(obs::EvName::devMapBatch, mClock, batch.size());
     if (mFaults) {
         // One rejected vectored submission: count and charge a single
         // driver call, nothing is installed.
         if (auto err = mFaults->onCall(FaultApi::memMapBatch)) {
             ++mCounters.map;
             charge(mCost.memMap(granularity()));
-            span.fault(*err);
+            span.fault(err->code);
             return *err;
         }
     }
@@ -519,7 +471,7 @@ Device::memSetAccess(VirtAddr va, Bytes size)
     if (mFaults) {
         if (auto err = mFaults->onCall(FaultApi::memSetAccess)) {
             charge(mCost.memSetAccess(1, granularity()));
-            span.fault(*err);
+            span.fault(err->code);
             return *err;
         }
     }
@@ -541,8 +493,7 @@ Device::mallocNative(Bytes size)
 {
     ++mCounters.mallocNative;
     const WallScope wall(mCounters);
-    ObsApiSpan span(obs::EvName::devMallocNative, mClock);
-    span.arg(size);
+    const ObsApiSpan span(obs::EvName::devMallocNative, mClock, size);
     charge(mCost.nativeAlloc(size));
     if (size == 0)
         return makeError(Errc::invalidValue, "cudaMalloc of zero bytes");
@@ -601,14 +552,13 @@ Expected<Tick>
 Device::copyD2HAsync(Bytes bytes)
 {
     ++mCounters.d2hCopies;
-    ObsApiSpan span(obs::EvName::devCopyD2H, mClock);
-    span.arg(bytes);
+    ObsApiSpan span(obs::EvName::devCopyD2H, mClock, bytes);
     charge(mCost.copySubmit());
     // A failed submission charges the enqueue cost but transfers
     // nothing and leaves the lane horizon untouched.
     if (mFaults) {
         if (auto err = mFaults->onCall(FaultApi::copyD2H)) {
-            span.fault(*err);
+            span.fault(err->code);
             return *err;
         }
     }
@@ -622,12 +572,11 @@ Expected<Tick>
 Device::copyH2DAsync(Bytes bytes)
 {
     ++mCounters.h2dCopies;
-    ObsApiSpan span(obs::EvName::devCopyH2D, mClock);
-    span.arg(bytes);
+    ObsApiSpan span(obs::EvName::devCopyH2D, mClock, bytes);
     charge(mCost.copySubmit());
     if (mFaults) {
         if (auto err = mFaults->onCall(FaultApi::copyH2D)) {
-            span.fault(*err);
+            span.fault(err->code);
             return *err;
         }
     }
@@ -674,8 +623,7 @@ Device::copyWait(Tick completion)
     if (completion <= now())
         return 0;
     const Tick stall = completion - now();
-    ObsApiSpan span(obs::EvName::devCopyWait, mClock);
-    span.arg(stall);
+    const ObsApiSpan span(obs::EvName::devCopyWait, mClock, stall);
     mClock.advance(stall);
     mCounters.copyStallNs += stall;
     return stall;

@@ -13,7 +13,9 @@
  *
  * Every call advances the simulated clock according to the calibrated
  * cost model, and semantics (overlap, capacity, refcounts) are
- * enforced exactly so allocator bugs surface as hard errors.
+ * enforced exactly so allocator bugs surface as hard errors. Under an
+ * obs recorder every call writes one device span, named after itself
+ * and covering everything it charged.
  *
  * Chunk runs (memCreateRun, memCreateMapRun, memReleaseRun,
  * memUnmapReleaseRun) stand for the per-chunk CUDA call loops GMLake
@@ -24,9 +26,9 @@
  * in one step and the mapping table takes one splice. A fault plan
  * draws the run's calls in one go, the fates a loop would have
  * drawn; the run splits only at its first failing call and at a
- * chunk a scheduled capacity loss falls due at. An obs recorder
- * gets the loop's spans, one per call, laid out from the run's
- * per-chunk clock.
+ * chunk a scheduled capacity loss falls due at. Its one span
+ * carries the chunk count and covers the loop's calls back to back,
+ * an unwind included.
  *
  * Nothing here locks: one thread owns a device and the allocator on
  * it, as one training process drives one GPU. Parallel runs give
@@ -347,8 +349,9 @@ class Device
     /** Realize any capacity loss that has come due by @p at. */
     void applyCapacityLoss(Tick at);
 
-    // Bodies of the run entry points, without the wall-clock scope,
-    // so runs compose them and are still timed once.
+    // Bodies of the run entry points, without the wall-clock scope
+    // and the span, so runs compose them and are still timed and
+    // traced once.
     /** memCreateRun, and with @p map memCreateMapRun at @p va. */
     RunStatus buildChunks(VirtAddr va, Bytes size,
                           std::span<PhysHandle> out, bool map);

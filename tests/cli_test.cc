@@ -5,7 +5,8 @@
  * unusable output path with exit code 1 before it runs anything
  * (nothing on stdout, no file written), and every verb's --help lists
  * every flag it accepts, and `trace --csv` appends run records under
- * the `run --csv` header. Each command runs the built binary in a
+ * the `run --csv` header and refuses a file with another one before
+ * it replays. Each command runs the built binary in a
  * fresh, empty working directory.
  */
 
@@ -315,21 +316,28 @@ TEST(Cli, TraceCsvAppendsRunRecordsUnderTheRunHeader)
     fs::remove_all(dir);
 }
 
-TEST(Cli, TraceCsvRefusesAnotherHeader)
+TEST(Cli, StaleCsvIsRefusedBeforeRunning)
 {
     const fs::path dir = traceDir("gmlake_cli_stale_csv");
     const fs::path csv = dir / "stale.csv";
-    const std::string text = "allocator,model\ngmlake,OPT-13B\n";
+    const std::string text = "a,b\n";
     {
         std::ofstream out(csv);
         out << text;
     }
-    const CliRun run =
-        runCli({"trace", "replay", (dir / "t.txt").string(),
-                "--allocator", "gmlake", "--csv", csv.string()});
-    EXPECT_EQ(run.code, 1) << run.out;
-    EXPECT_NE(run.err.find("different column set"), std::string::npos)
-        << run.err;
-    EXPECT_EQ(slurp(csv), text);
+    const std::vector<std::vector<std::string>> commands = {
+        {"run", "fig10", "--iterations", "1", "--csv", csv.string()},
+        {"trace", "replay", (dir / "t.txt").string(), "--allocator",
+         "gmlake", "--csv", csv.string()},
+    };
+    for (const auto &args : commands) {
+        const CliRun run = runCli(args);
+        EXPECT_EQ(run.code, 1) << joined(args) << "\n" << run.out;
+        EXPECT_EQ(run.out, "") << joined(args);
+        EXPECT_NE(run.err.find("different column set"),
+                  std::string::npos)
+            << joined(args) << "\n" << run.err;
+        EXPECT_EQ(slurp(csv), text) << joined(args);
+    }
     fs::remove_all(dir);
 }

@@ -183,12 +183,8 @@ TEST_P(ScenarioSmoke, ResolvesAndRunsOneTinyIteration)
         << experiment->name << ": every recorded run hit OOM";
 }
 
-TEST_P(ScenarioSmoke, EachSerialRunGetsItsOwnTimelineLane)
+TEST_P(ScenarioSmoke, TimelineIsCompleteWithALanePerSerialRun)
 {
-    // cluster-ranks and sweep-smoke replay their sub-runs on worker
-    // threads and record them afterwards, into one shared lane.
-    if (GetParam() == "cluster-ranks" || GetParam() == "sweep-smoke")
-        GTEST_SKIP() << "sub-runs on worker threads share one lane";
     const Experiment *experiment = findExperiment(GetParam());
     ASSERT_NE(experiment, nullptr);
 
@@ -201,6 +197,19 @@ TEST_P(ScenarioSmoke, EachSerialRunGetsItsOwnTimelineLane)
     recorder.activate();
     experiment->run(ctx);
     recorder.deactivate();
+    const obs::RecorderSnapshot snap = recorder.snapshot();
+
+    // headline and serve-day overflow the default ring from their
+    // engine and allocator events alone: a full ring is not streamed
+    // out yet. Every other scenario's recording must be complete.
+    if (GetParam() != "headline" && GetParam() != "serve-day") {
+        EXPECT_EQ(snap.dropped, 0u);
+    }
+
+    // cluster-ranks and sweep-smoke replay their sub-runs on worker
+    // threads and record them afterwards, into one shared lane.
+    if (GetParam() == "cluster-ranks" || GetParam() == "sweep-smoke")
+        return;
 
     // One lane per record, named after it, in record order; a
     // scenario that records no run keeps the snapshot's one default
@@ -210,7 +219,7 @@ TEST_P(ScenarioSmoke, EachSerialRunGetsItsOwnTimelineLane)
         lanes.push_back(r.label + " [" + r.allocator + "]");
     if (lanes.empty())
         lanes.push_back("run");
-    EXPECT_EQ(recorder.snapshot().runs, lanes);
+    EXPECT_EQ(snap.runs, lanes);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -201,6 +201,11 @@ sampleSnapshot()
     const std::uint32_t mem = rec.track("mem.active");
     rec.span(EvName::devMap, EventCat::device, dev, 100, 50, 2097152,
              0, 1);
+    // A chunk run and a map batch carry a chunk count, not bytes.
+    rec.span(EvName::devCreateMapRun, EventCat::device, dev, 160, 90,
+             12, 0, 2);
+    rec.span(EvName::devMapBatch, EventCat::device, dev, 250, 30, 3, 0,
+             2);
     rec.instant(EvName::sessionOom, EventCat::engine, dev, 400, 64,
                 32, 16);
     rec.counter(mem, 200, 123456);
@@ -243,6 +248,10 @@ TEST(ObsExport, ChromeTraceIsValidJson)
     EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
     EXPECT_NE(json.find("memMap"), std::string::npos);
+    EXPECT_NE(json.find("\"memCreateMapRun\",\"args\":{\"chunks\":12,"),
+              std::string::npos);
+    EXPECT_NE(json.find("\"memMapBatch\",\"args\":{\"chunks\":3,"),
+              std::string::npos);
     EXPECT_NE(json.find("sessionOom"), std::string::npos);
     // Run labels become process names; embedded quotes and
     // backslashes must arrive escaped, not raw.

@@ -1,8 +1,7 @@
 /**
  * @file
- * ThreadPool and parallelFor tests: every job runs exactly once, the
- * pool is reusable across wait() calls, single-threaded parallelFor
- * stays inline and ordered, and job exceptions surface to the caller.
+ * parallelFor tests: every index runs exactly once, one thread stays
+ * inline and ordered, and a call's exception surfaces to the caller.
  */
 
 #include <gtest/gtest.h>
@@ -16,44 +15,9 @@
 
 using namespace gmlake;
 
-TEST(ThreadPool, RunsEverySubmittedJob)
+TEST(ParallelFor, DefaultThreadsIsAtLeastOne)
 {
-    ThreadPool pool(4);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, ReusableAfterWait)
-{
-    ThreadPool pool(2);
-    std::atomic<int> count{0};
-    pool.submit([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 1);
-    pool.submit([&count] { ++count; });
-    pool.submit([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 3);
-}
-
-TEST(ThreadPool, WaitRethrowsJobException)
-{
-    ThreadPool pool(2);
-    pool.submit([] { throw std::runtime_error("job failed"); });
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-    // The error is consumed; the pool keeps working.
-    std::atomic<int> count{0};
-    pool.submit([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 1);
-}
-
-TEST(ThreadPool, DefaultThreadsIsAtLeastOne)
-{
-    EXPECT_GE(ThreadPool::defaultThreads(), 1u);
+    EXPECT_GE(defaultThreads(), 1u);
 }
 
 TEST(ParallelFor, CoversEveryIndexOnce)
@@ -77,13 +41,17 @@ TEST(ParallelFor, SingleThreadRunsInlineInOrder)
 
 TEST(ParallelFor, PropagatesFirstException)
 {
+    // The other workers still finish every other index first.
+    std::atomic<int> calls{0};
     EXPECT_THROW(
         parallelFor(64, 4,
-                    [](std::size_t i) {
+                    [&calls](std::size_t i) {
+                        ++calls;
                         if (i == 13)
                             throw std::runtime_error("boom");
                     }),
         std::runtime_error);
+    EXPECT_EQ(calls.load(), 64);
 }
 
 TEST(ParallelFor, HandlesEmptyAndSingleItem)

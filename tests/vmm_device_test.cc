@@ -4,8 +4,8 @@
  * cudaMalloc path, time charging and API counters, and the chunk-run
  * entry points and memMapBatch checked on twin devices against the
  * per-chunk call loops they stand for — fault-free, out of memory,
- * on bad entries, under fault plans, and under an active obs
- * recorder.
+ * on bad entries and under fault plans — and the one span an obs
+ * recorder gets per call.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -278,24 +279,86 @@ describe(const RunStatus &run)
     return std::to_string(run.done) + "/" + errcName(run.status.code());
 }
 
+/** One device entry-point call a script made. */
+struct Call
+{
+    obs::EvName name;
+    /** The chunk count a run's span must carry (runs only). */
+    std::optional<std::uint64_t> chunks;
+    Tick start = 0; //!< the clock before the call
+    Tick end = 0;   //!< and after it
+    bool failed = false;
+};
+
 /**
- * The chunk-level device calls either as run entry points or as the
- * per-chunk loops the allocators ran before them (the create+map loop
- * with allocPBlock's unwind).
+ * The device calls of a twin script, with the chunk-level ones either
+ * as run entry points or as the per-chunk loops the allocators ran
+ * before them (the create+map loop with allocPBlock's unwind). With
+ * `made` set, every entry-point call is noted there in order.
  */
 struct ChunkCalls
 {
     Device &dev;
     bool runs;
+    std::vector<Call> *made = nullptr;
+
+    /** Make the call @p fn, which returns an ok()-able result. */
+    template <class Fn>
+    auto
+    call(obs::EvName name, std::optional<std::uint64_t> chunks, Fn fn)
+    {
+        const Tick start = dev.now();
+        auto result = fn();
+        if (made != nullptr)
+            made->push_back({name, chunks, start, dev.now(), !result.ok()});
+        return result;
+    }
+
+    Expected<VirtAddr>
+    reserve(Bytes size)
+    {
+        return call(obs::EvName::devAddressReserve, std::nullopt,
+                    [&] { return dev.memAddressReserve(size); });
+    }
+
+    Status
+    setAccess(VirtAddr va, Bytes size)
+    {
+        return call(obs::EvName::devSetAccess, std::nullopt,
+                    [&] { return dev.memSetAccess(va, size); });
+    }
+
+    Status
+    unmap(VirtAddr va, Bytes size)
+    {
+        return call(obs::EvName::devUnmap, std::nullopt,
+                    [&] { return dev.memUnmap(va, size); });
+    }
+
+    Expected<PhysHandle>
+    createOne(Bytes size)
+    {
+        return call(obs::EvName::devCreate, std::nullopt,
+                    [&] { return dev.memCreate(size); });
+    }
+
+    Status
+    releaseOne(PhysHandle handle)
+    {
+        return call(obs::EvName::devRelease, std::nullopt,
+                    [&] { return dev.memRelease(handle); });
+    }
 
     RunStatus
     create(Bytes size, std::span<PhysHandle> out)
     {
-        if (runs)
-            return dev.memCreateRun(size, out);
+        if (runs) {
+            return call(obs::EvName::devCreateRun, out.size(),
+                        [&] { return dev.memCreateRun(size, out); });
+        }
         RunStatus run;
         for (; run.done < out.size(); ++run.done) {
-            const auto h = dev.memCreate(size);
+            const auto h = createOne(size);
             if (!h.ok()) {
                 run.status = h.error();
                 break;
@@ -308,11 +371,13 @@ struct ChunkCalls
     RunStatus
     release(std::span<const PhysHandle> handles)
     {
-        if (runs)
-            return dev.memReleaseRun(handles);
+        if (runs) {
+            return call(obs::EvName::devReleaseRun, handles.size(),
+                        [&] { return dev.memReleaseRun(handles); });
+        }
         RunStatus run;
         for (; run.done < handles.size(); ++run.done) {
-            run.status = dev.memRelease(handles[run.done]);
+            run.status = releaseOne(handles[run.done]);
             if (!run.ok())
                 break;
         }
@@ -324,29 +389,38 @@ struct ChunkCalls
                  std::span<const PhysHandle> handles)
     {
         if (runs) {
-            dev.memUnmapReleaseRun(va, size, handles);
+            call(obs::EvName::devUnmapReleaseRun, handles.size(), [&] {
+                dev.memUnmapReleaseRun(va, size, handles);
+                return Status::success();
+            });
             return;
         }
         for (std::size_t j = 0; j < handles.size(); ++j) {
-            ASSERT_TRUE(dev.memUnmap(va + j * size, size).ok());
-            ASSERT_TRUE(dev.memRelease(handles[j]).ok());
+            ASSERT_TRUE(unmap(va + j * size, size).ok());
+            ASSERT_TRUE(releaseOne(handles[j]).ok());
         }
     }
 
     Status
     createMap(VirtAddr va, Bytes size, std::span<PhysHandle> out)
     {
-        if (runs)
-            return dev.memCreateMapRun(va, size, out);
+        if (runs) {
+            return call(obs::EvName::devCreateMapRun, out.size(), [&] {
+                return dev.memCreateMapRun(va, size, out);
+            });
+        }
         for (std::size_t i = 0; i < out.size(); ++i) {
-            const auto h = dev.memCreate(size);
+            const auto h = createOne(size);
             if (!h.ok()) {
                 unmapRelease(va, size, out.first(i));
                 return h.error();
             }
-            if (const Status s = dev.memMap(va + i * size, *h); !s.ok()) {
+            const Status s = call(obs::EvName::devMap, std::nullopt, [&] {
+                return dev.memMap(va + i * size, *h);
+            });
+            if (!s.ok()) {
                 unmapRelease(va, size, out.first(i));
-                EXPECT_TRUE(dev.memRelease(*h).ok());
+                EXPECT_TRUE(releaseOne(*h).ok());
                 return s;
             }
             out[i] = *h;
@@ -367,14 +441,14 @@ runScript(ChunkCalls calls, const std::function<void()> &check)
 {
     Device &dev = calls.dev;
     std::vector<std::string> log;
-    const auto va = dev.memAddressReserve(40 * 2_MiB);
+    const auto va = calls.reserve(40 * 2_MiB);
     EXPECT_TRUE(va.ok());
 
     std::vector<PhysHandle> block(12, kNullHandle);
     Status s = calls.createMap(*va, 2_MiB, block);
     log.push_back(std::string("createMap ") + errcName(s.code()));
     if (s.ok())
-        s = dev.memSetAccess(*va, 12 * 2_MiB);
+        s = calls.setAccess(*va, 12 * 2_MiB);
     check();
 
     std::vector<PhysHandle> loose(6, kNullHandle);
@@ -393,7 +467,7 @@ runScript(ChunkCalls calls, const std::function<void()> &check)
     check();
 
     if (dev.mappings().mappingCount() == block.size()) {
-        EXPECT_TRUE(dev.memUnmap(*va, 12 * 2_MiB).ok());
+        EXPECT_TRUE(calls.unmap(*va, 12 * 2_MiB).ok());
         // Odd chunks first, then even ones: stretches of one.
         std::vector<PhysHandle> order;
         for (std::size_t i = 1; i < block.size(); i += 2)
@@ -435,9 +509,8 @@ runScript(ChunkCalls calls, const std::function<void()> &check)
 std::vector<std::string>
 tightScript(ChunkCalls calls, const std::function<void()> &check)
 {
-    Device &dev = calls.dev;
     std::vector<std::string> log;
-    const auto va = dev.memAddressReserve(5 * 2_MiB);
+    const auto va = calls.reserve(5 * 2_MiB);
     EXPECT_TRUE(va.ok());
     auto text = [](const Status &s) {
         return s.ok() ? std::string("ok") : s.error().message;
@@ -509,11 +582,15 @@ faultCases()
     };
 }
 
-/** One side of a twin run: its device and what the script logged. */
+/**
+ * One side of a twin run: its device, what the script logged and the
+ * device calls it made.
+ */
 struct Side
 {
     std::unique_ptr<Device> dev;
     std::vector<std::string> log;
+    std::vector<Call> calls;
     /** Device spans, when the side ran under a recorder. */
     std::vector<obs::Event> spans;
 };
@@ -531,7 +608,7 @@ runSide(const FaultCase &fc, bool runs, bool record)
         recorder.activate();
         recorder.beginRun("runs");
     }
-    side.log = fc.script({*side.dev, runs}, [] {});
+    side.log = fc.script({*side.dev, runs, &side.calls}, [] {});
     if (!record)
         return side;
     recorder.deactivate();
@@ -660,18 +737,38 @@ TEST(DeviceRuns, ZeroProbabilityPlanLeavesTheSameDevice)
     expectSameDevice(plain, watched);
 }
 
-TEST(DeviceRuns, RecorderSeesTheSameSpansAsTheLoops)
+TEST(DeviceRuns, EveryCallWritesOneSpanOverWhatItCharged)
 {
     for (const FaultCase &fc : faultCases()) {
         SCOPED_TRACE("plan '" + fc.plan + "'");
         const Side loops = runSide(fc, false, true);
         const Side runs = runSide(fc, true, true);
         EXPECT_EQ(runs.log, loops.log);
-        // A plan that kills the device early leaves about 40 spans.
-        ASSERT_GT(loops.spans.size(), fc.plan.empty() ? 100u : 10u);
-        // Single creates and releases emit through the run code too,
-        // so a run that dropped spans would drop them on both twins:
-        // every call the loop device counted must have its span.
+        // The scripts charge the clock only through their calls, so
+        // on either twin the spans tile the device's API time.
+        const Tick apiTime = runs.dev->counters().apiTime;
+        for (const Side *side : {&runs, &loops}) {
+            SCOPED_TRACE(side == &runs ? "runs" : "loops");
+            ASSERT_FALSE(side->calls.empty());
+            ASSERT_EQ(side->spans.size(), side->calls.size());
+            Tick sum = 0;
+            for (std::size_t i = 0; i < side->spans.size(); ++i) {
+                SCOPED_TRACE("call " + std::to_string(i));
+                const obs::Event &span = side->spans[i];
+                const Call &call = side->calls[i];
+                EXPECT_EQ(span.kind, obs::EventKind::span);
+                EXPECT_EQ(span.name, call.name);
+                EXPECT_EQ(span.simTime, call.start);
+                EXPECT_EQ(span.dur, call.end - call.start);
+                EXPECT_EQ(span.a1 != 0, call.failed);
+                if (call.chunks) {
+                    EXPECT_EQ(span.a0, *call.chunks);
+                }
+                sum += span.dur;
+            }
+            EXPECT_EQ(sum, apiTime);
+        }
+        // The loops make single calls only: one span per counted call.
         const auto spansOf = [&](obs::EvName name) {
             return static_cast<std::uint64_t>(std::ranges::count(
                 loops.spans, name, &obs::Event::name));
@@ -681,17 +778,6 @@ TEST(DeviceRuns, RecorderSeesTheSameSpansAsTheLoops)
         EXPECT_EQ(spansOf(obs::EvName::devMap), calls.map);
         EXPECT_EQ(spansOf(obs::EvName::devUnmap), calls.unmap);
         EXPECT_EQ(spansOf(obs::EvName::devRelease), calls.release);
-        ASSERT_EQ(runs.spans.size(), loops.spans.size());
-        for (std::size_t i = 0; i < runs.spans.size(); ++i) {
-            SCOPED_TRACE("span " + std::to_string(i));
-            EXPECT_EQ(runs.spans[i].name, loops.spans[i].name);
-            EXPECT_EQ(runs.spans[i].kind, loops.spans[i].kind);
-            EXPECT_EQ(runs.spans[i].simTime, loops.spans[i].simTime);
-            EXPECT_EQ(runs.spans[i].dur, loops.spans[i].dur);
-            EXPECT_EQ(runs.spans[i].a0, loops.spans[i].a0);
-            EXPECT_EQ(runs.spans[i].a1, loops.spans[i].a1);
-            EXPECT_EQ(runs.spans[i].a2, loops.spans[i].a2);
-        }
     }
 }
 

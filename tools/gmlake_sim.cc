@@ -566,6 +566,8 @@ cmdTrace(int argc, char **argv)
     if (args.positionals.size() < minArgs)
         GMLAKE_FATAL("trace ", verb, " is missing an argument (try "
                      "--help)");
+    if (!opt.csvPath.empty())
+        sim::checkRunCsv(opt.csvPath);
     const std::vector<std::string> &paths = args.positionals;
     if (verb == "run")
         return doTraceRun(opt);
