@@ -38,6 +38,28 @@ struct Allocation
     VirtAddr addr = kNullAddr;
 };
 
+/**
+ * Cross-stream reuse event lag: a block freed on stream S becomes
+ * reusable by other streams once the event recorded at free time
+ * completes, modelled as this many simulated nanoseconds after the
+ * free (PyTorch's process_events mechanism).
+ */
+inline constexpr Tick kStreamEventLagNs = 2'000'000;
+
+/**
+ * The cross-stream reuse rule: a cached block freed on
+ * @p blockStream at @p freedAt may serve a request on @p stream at
+ * @p now when the streams match, when a synchronization retagged it
+ * kAnyStream, or when its free event has lapsed.
+ */
+constexpr bool
+streamReusable(StreamId blockStream, Tick freedAt, StreamId stream,
+               Tick now)
+{
+    return blockStream == stream || blockStream == kAnyStream ||
+           freedAt + kStreamEventLagNs <= now;
+}
+
 class Allocator
 {
   public:

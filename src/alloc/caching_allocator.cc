@@ -66,17 +66,15 @@ CachingAllocator::~CachingAllocator() = default;
 Bytes
 CachingAllocator::roundSize(Bytes size) const
 {
-    if (size < mConfig.minBlockSize)
-        return mConfig.minBlockSize;
-    Bytes rounded = roundUp(size, mConfig.minBlockSize);
-    if (mConfig.roundupPower2Divisions > 0 &&
-        rounded > mConfig.minBlockSize) {
+    if (size < kMinBlockSize)
+        return kMinBlockSize;
+    Bytes rounded = roundUp(size, kMinBlockSize);
+    if (mConfig.roundupPower2Divisions > 0 && rounded > kMinBlockSize) {
         // Round up to the next 1/N fraction of the enclosing power
         // of two, e.g. N=4: 1200 KiB -> 1280 KiB (1 MiB + 1/4 MiB).
         const Bytes pow2 = std::bit_ceil(rounded);
         const Bytes step = std::max<Bytes>(
-            pow2 / mConfig.roundupPower2Divisions,
-            mConfig.minBlockSize);
+            pow2 / mConfig.roundupPower2Divisions, kMinBlockSize);
         rounded = roundUp(rounded, step);
     }
     return rounded;
@@ -85,17 +83,17 @@ CachingAllocator::roundSize(Bytes size) const
 Bytes
 CachingAllocator::allocationSize(Bytes rounded) const
 {
-    if (rounded <= mConfig.smallSize)
-        return mConfig.smallBuffer;
-    if (rounded < mConfig.minLargeAlloc)
-        return mConfig.largeBuffer;
-    return roundUp(rounded, mConfig.roundLarge);
+    if (rounded <= kSmallSize)
+        return kSmallBuffer;
+    if (rounded < kMinLargeAlloc)
+        return kLargeBuffer;
+    return roundUp(rounded, kRoundLarge);
 }
 
 CachingAllocator::Pool &
 CachingAllocator::poolFor(Bytes rounded)
 {
-    return rounded <= mConfig.smallSize ? mSmallPool : mLargePool;
+    return rounded <= kSmallSize ? mSmallPool : mLargePool;
 }
 
 bool
@@ -105,8 +103,8 @@ CachingAllocator::shouldSplit(const Block &block, Bytes rounded) const
         return false; // oversize blocks are never split
     const Bytes remaining = block.size - rounded;
     if (block.pool == &mSmallPool)
-        return remaining >= mConfig.minBlockSize;
-    return remaining > mConfig.smallSize;
+        return remaining >= kMinBlockSize;
+    return remaining > kSmallSize;
 }
 
 CachingAllocator::Block *
@@ -195,12 +193,11 @@ CachingAllocator::findFit(Pool &pool, Bytes rounded, StreamId stream)
         if (it == set.end())
             continue;
         const Block *cand = *it;
-        bool usable = tag == stream || tag == kAnyStream ||
-                      cand->freedAt + mConfig.streamEventLagNs <= now;
+        bool usable = streamReusable(tag, cand->freedAt, stream, now);
         // max_split_size discipline: an oversize (unsplittable)
         // block may only serve requests that use most of it.
         if (cand->size > mConfig.maxSplitSize &&
-            cand->size - rounded > mConfig.largeBuffer)
+            cand->size - rounded > kLargeBuffer)
             usable = false;
         if (!usable || (bestSet && cand->size >= (*best)->size))
             continue;

@@ -28,23 +28,24 @@
 namespace gmlake::alloc
 {
 
-/** Pool-geometry knobs; defaults mirror PyTorch. */
+/**
+ * Pool geometry: PyTorch's CUDACachingAllocator constants of the
+ * same names. Requests round up to kMinBlockSize. Those up to
+ * kSmallSize use the small pool, served from kSmallBuffer segments;
+ * larger ones use the large pool, served from kLargeBuffer segments
+ * below kMinLargeAlloc and from segments rounded up to kRoundLarge
+ * above it.
+ */
+inline constexpr Bytes kMinBlockSize = 512;
+inline constexpr Bytes kSmallSize = Bytes{1} * 1024 * 1024;
+inline constexpr Bytes kSmallBuffer = Bytes{2} * 1024 * 1024;
+inline constexpr Bytes kLargeBuffer = Bytes{20} * 1024 * 1024;
+inline constexpr Bytes kMinLargeAlloc = Bytes{10} * 1024 * 1024;
+inline constexpr Bytes kRoundLarge = Bytes{2} * 1024 * 1024;
+
+/** PyTorch's three allocator settings; defaults mirror PyTorch. */
 struct CachingConfig
 {
-    Bytes minBlockSize = 512;
-    /**
-     * Cross-stream reuse event lag: a block freed on stream S becomes
-     * reusable by other streams once the event recorded at free time
-     * completes, modelled as this many simulated nanoseconds after
-     * the free (PyTorch's process_events mechanism).
-     */
-    Tick streamEventLagNs = 2'000'000;
-    Bytes smallSize = Bytes{1} * 1024 * 1024;        //!< <= -> small pool
-    Bytes smallBuffer = Bytes{2} * 1024 * 1024;      //!< small segment
-    Bytes largeBuffer = Bytes{20} * 1024 * 1024;     //!< mid segment
-    Bytes minLargeAlloc = Bytes{10} * 1024 * 1024;   //!< < -> largeBuffer
-    Bytes roundLarge = Bytes{2} * 1024 * 1024;       //!< large rounding
-
     /**
      * PyTorch's max_split_size_mb: blocks larger than this are never
      * split, and may only serve requests whose leftover would stay
@@ -88,7 +89,6 @@ class CachingAllocator : public Allocator
     /** Free bytes currently cached in the pools (reserved - active). */
     Bytes cachedBytes() const;
     std::size_t segmentCount() const;
-    const CachingConfig &config() const { return mConfig; }
 
     // --- host-offload cooperation (src/offload) ------------------------
 

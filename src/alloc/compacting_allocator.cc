@@ -4,12 +4,25 @@
 #include <memory>
 #include <utility>
 
+#include "alloc/caching_allocator.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
 #include "support/units.hh"
 
 namespace gmlake::alloc
 {
+
+namespace
+{
+
+/** Device-to-device copy bandwidth (~1.3 TB/s on an A100). */
+constexpr double kCopyNsPerByte = 1.0 / 1300.0;
+/** Fixed cost per relocated block (kernel launch). */
+constexpr Tick kPerMoveNs = 5'000;
+/** Stop-the-world synchronization per compaction cycle. */
+constexpr Tick kCompactionSyncNs = 100'000;
+
+} // namespace
 
 /**
  * Checkpoint payload: slabs are kept in vector order because mLive
@@ -74,7 +87,7 @@ CompactingAllocator::CompactingAllocator(vmm::Device &device,
                                          CompactingConfig config)
     : mDevice(device), mConfig(config)
 {
-    GMLAKE_ASSERT(mConfig.slabSize > 0 && mConfig.roundTo > 0,
+    GMLAKE_ASSERT(mConfig.slabSize > 0,
                   "bad compacting allocator configuration");
 }
 
@@ -118,7 +131,7 @@ void
 CompactingAllocator::compact()
 {
     ++mCompactions;
-    mDevice.clock().advance(mConfig.compactionSyncNs);
+    mDevice.clock().advance(kCompactionSyncNs);
 
     Bytes moved = 0;
     std::uint64_t moves = 0;
@@ -166,9 +179,8 @@ CompactingAllocator::compact()
 
     mBytesMoved += moved;
     mDevice.clock().advance(
-        static_cast<Tick>(static_cast<double>(moved) *
-                          mConfig.copyNsPerByte) +
-        static_cast<Tick>(moves) * mConfig.perMoveNs);
+        static_cast<Tick>(static_cast<double>(moved) * kCopyNsPerByte) +
+        static_cast<Tick>(moves) * kPerMoveNs);
 
     // Release slabs that drained completely.
     for (std::size_t si = mSlabs.size(); si-- > 0;) {
@@ -196,8 +208,9 @@ CompactingAllocator::allocate(Bytes size, StreamId stream)
         return makeError(Errc::invalidValue, "allocate of zero bytes");
     mDevice.chargeCachedOp();
 
-    const Bytes rounded = roundUp(std::max(size, mConfig.roundTo),
-                                  mConfig.roundTo);
+    // Requests round like the caching allocator's.
+    const Bytes rounded = roundUp(std::max(size, kMinBlockSize),
+                                  kMinBlockSize);
     const AllocId id = mNextId++;
 
     // 1. First fit over the existing slabs.
@@ -222,8 +235,7 @@ CompactingAllocator::allocate(Bytes size, StreamId stream)
 
     // 3. Grow a new slab (big requests get an exact-size slab).
     const Bytes slabSize =
-        std::max(mConfig.slabSize,
-                 roundUp(rounded, mDevice.granularity()));
+        std::max(mConfig.slabSize, roundUp(rounded, vmm::kGranularity));
     auto va = mDevice.mallocNative(slabSize);
     if (!va.ok()) {
         compact(); // also drains empty slabs back to the device

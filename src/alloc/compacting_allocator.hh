@@ -32,14 +32,6 @@ struct CompactingConfig
 {
     /** Slab growth unit obtained from the device. */
     Bytes slabSize = Bytes{1} * 1024 * 1024 * 1024;
-    /** Request rounding granularity. */
-    Bytes roundTo = 512;
-    /** Device-to-device copy bandwidth (~1.3 TB/s on an A100). */
-    double copyNsPerByte = 1.0 / 1300.0;
-    /** Fixed cost per relocated block (kernel launch). */
-    Tick perMoveNs = 5'000;
-    /** Stop-the-world synchronization per compaction cycle. */
-    Tick compactionSyncNs = 100'000;
 };
 
 class CompactingAllocator : public Allocator

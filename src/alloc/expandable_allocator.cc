@@ -5,12 +5,25 @@
 #include <span>
 #include <utility>
 
+#include "alloc/caching_allocator.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
 #include "support/units.hh"
 
 namespace gmlake::alloc
 {
+
+namespace
+{
+
+/**
+ * Virtual address range reserved per segment; physical chunks are
+ * mapped into it on demand. 128 GiB: the device capacity bounds
+ * actual usage.
+ */
+constexpr Bytes kSegmentVaSize = Bytes{128} * 1024 * 1024 * 1024;
+
+} // namespace
 
 /**
  * Checkpoint payload: segments keep their vector order (segmentFor
@@ -62,11 +75,9 @@ ExpandableSegmentsAllocator::restoreState(const Checkpoint &checkpoint)
 }
 
 ExpandableSegmentsAllocator::ExpandableSegmentsAllocator(
-    vmm::Device &device, ExpandableConfig config)
-    : mDevice(device), mConfig(config)
+    vmm::Device &device)
+    : mDevice(device)
 {
-    GMLAKE_ASSERT(isAligned(mConfig.chunkSize, device.granularity()),
-                  "chunk size must be a granularity multiple");
 }
 
 ExpandableSegmentsAllocator::~ExpandableSegmentsAllocator()
@@ -93,12 +104,12 @@ ExpandableSegmentsAllocator::segmentFor(StreamId stream)
         if (segment.stream == stream)
             return segment;
     }
-    const auto va = mDevice.memAddressReserve(mConfig.segmentVaSize);
+    const auto va = mDevice.memAddressReserve(kSegmentVaSize);
     GMLAKE_ASSERT(va.ok(), "segment VA reservation failed: ",
                   va.ok() ? "" : va.error().message);
     Segment segment;
     segment.base = *va;
-    segment.vaSize = mConfig.segmentVaSize;
+    segment.vaSize = kSegmentVaSize;
     segment.stream = stream;
     mSegments.push_back(std::move(segment));
     return mSegments.back();
@@ -107,7 +118,7 @@ ExpandableSegmentsAllocator::segmentFor(StreamId stream)
 Status
 ExpandableSegmentsAllocator::growMapping(Segment &segment, Bytes upTo)
 {
-    const Bytes target = roundUp(upTo, mConfig.chunkSize);
+    const Bytes target = roundUp(upTo, vmm::kGranularity);
     GMLAKE_ASSERT(target <= segment.vaSize,
                   "segment VA reservation exhausted");
     if (target <= segment.mapped)
@@ -120,15 +131,15 @@ ExpandableSegmentsAllocator::growMapping(Segment &segment, Bytes upTo)
     const Bytes growStart = segment.mapped;
     const VirtAddr growVa = segment.base + growStart;
     const std::size_t had = segment.chunks.size();
-    const std::size_t count = (target - growStart) / mConfig.chunkSize;
+    const std::size_t count = (target - growStart) / vmm::kGranularity;
     segment.chunks.resize(had + count);
     const auto fresh = std::span(segment.chunks).subspan(had);
     Status grown =
-        mDevice.memCreateMapRun(growVa, mConfig.chunkSize, fresh);
+        mDevice.memCreateMapRun(growVa, vmm::kGranularity, fresh);
     if (grown.ok()) {
         grown = mDevice.memSetAccess(growVa, target - growStart);
         if (!grown.ok())
-            mDevice.memUnmapReleaseRun(growVa, mConfig.chunkSize, fresh);
+            mDevice.memUnmapReleaseRun(growVa, vmm::kGranularity, fresh);
     }
     if (!grown.ok()) {
         segment.chunks.resize(had);
@@ -149,9 +160,9 @@ ExpandableSegmentsAllocator::trimTail(Segment &segment)
         return;
     auto last = std::prev(segment.free.end());
     const Bytes gapStart = last->first;
-    if (gapStart + last->second.size != segment.mapped)
+    if (gapStart + last->second != segment.mapped)
         return; // the tail is live
-    const Bytes keep = roundUp(gapStart, mConfig.chunkSize);
+    const Bytes keep = roundUp(gapStart, vmm::kGranularity);
     if (keep >= segment.mapped)
         return; // less than one chunk to give back
     unmapFrom(segment, keep);
@@ -160,7 +171,7 @@ ExpandableSegmentsAllocator::trimTail(Segment &segment)
     if (gapStart == keep) {
         segment.free.erase(last);
     } else {
-        last->second.size = keep - gapStart;
+        last->second = keep - gapStart;
     }
 }
 
@@ -168,7 +179,7 @@ void
 ExpandableSegmentsAllocator::unmapFrom(Segment &segment, Bytes keep)
 {
     const Bytes dropBytes = segment.mapped - keep;
-    const std::size_t dropChunks = dropBytes / mConfig.chunkSize;
+    const std::size_t dropChunks = dropBytes / vmm::kGranularity;
     const Status s = mDevice.memUnmap(segment.base + keep, dropBytes);
     GMLAKE_ASSERT(s.ok(), "tail unmap failed");
     // Released last chunk first, as the tail shrinks.
@@ -188,31 +199,23 @@ void
 ExpandableSegmentsAllocator::insertFree(Segment &segment, Bytes offset,
                                         Bytes size)
 {
-    FreeBlock blk;
-    blk.size = size;
-    blk.freedAt = mDevice.now();
-    blk.freedBy = segment.stream;
-
     // Coalesce with the following gap.
     auto next = segment.free.lower_bound(offset);
-    if (next != segment.free.end() &&
-        offset + size == next->first) {
-        blk.size += next->second.size;
-        blk.freedAt = std::max(blk.freedAt, next->second.freedAt);
+    if (next != segment.free.end() && offset + size == next->first) {
+        size += next->second;
         segment.free.erase(next);
     }
     // Coalesce with the preceding gap.
     auto prev = segment.free.lower_bound(offset);
     if (prev != segment.free.begin()) {
         --prev;
-        if (prev->first + prev->second.size == offset) {
+        if (prev->first + prev->second == offset) {
             offset = prev->first;
-            blk.size += prev->second.size;
-            blk.freedAt = std::max(blk.freedAt, prev->second.freedAt);
+            size += prev->second;
             segment.free.erase(prev);
         }
     }
-    segment.free.emplace(offset, blk);
+    segment.free.emplace(offset, size);
 }
 
 VirtAddr
@@ -221,15 +224,12 @@ ExpandableSegmentsAllocator::place(std::size_t segIndex, Bytes offset,
 {
     Segment &segment = mSegments[segIndex];
     const auto gap = segment.free.find(offset);
-    GMLAKE_ASSERT(gap != segment.free.end() &&
-                  gap->second.size >= size,
+    GMLAKE_ASSERT(gap != segment.free.end() && gap->second >= size,
                   "place target is not a sufficient gap");
-    FreeBlock rest = gap->second;
+    const Bytes rest = gap->second - size;
     segment.free.erase(gap);
-    if (rest.size > size) {
-        rest.size -= size;
+    if (rest > 0)
         segment.free.emplace(offset + size, rest);
-    }
     segment.live.emplace(offset, std::make_pair(size, id));
     mLive.emplace(id, std::make_pair(segIndex, offset));
     mStats.onAllocate(size);
@@ -246,24 +246,20 @@ ExpandableSegmentsAllocator::allocate(Bytes size, StreamId stream)
                          "cannot allocate on the sentinel stream");
     mDevice.chargeCachedOp();
 
-    const Bytes rounded = roundUp(std::max(size, mConfig.roundTo),
-                                  mConfig.roundTo);
+    const Bytes rounded = roundUp(std::max(size, kMinBlockSize),
+                                  kMinBlockSize);
     Segment &segment = segmentFor(stream);
     const std::size_t segIndex = static_cast<std::size_t>(
         &segment - mSegments.data());
-    const Tick now = mDevice.now();
 
-    // 1. Best fit over the usable free gaps of this segment.
+    // 1. Best fit over the free gaps of this stream's segment.
     Bytes bestOffset = 0;
     Bytes bestSize = ~Bytes{0};
     bool found = false;
     for (const auto &[offset, gap] : segment.free) {
-        const bool usable =
-            gap.freedBy == stream || gap.freedBy == kAnyStream ||
-            gap.freedAt + mConfig.streamEventLagNs <= now;
-        if (usable && gap.size >= rounded && gap.size < bestSize) {
+        if (gap >= rounded && gap < bestSize) {
             bestOffset = offset;
-            bestSize = gap.size;
+            bestSize = gap;
             found = true;
         }
     }
@@ -278,7 +274,7 @@ ExpandableSegmentsAllocator::allocate(Bytes size, StreamId stream)
     auto tailGapStart = [&segment] {
         if (!segment.free.empty()) {
             const auto last = std::prev(segment.free.end());
-            if (last->first + last->second.size == segment.mapped)
+            if (last->first + last->second == segment.mapped)
                 return last->first;
         }
         return segment.mapped;
@@ -327,14 +323,10 @@ ExpandableSegmentsAllocator::deallocate(AllocId id)
 void
 ExpandableSegmentsAllocator::streamSynchronize(StreamId stream)
 {
+    // Every gap is already reusable by the one stream that scans its
+    // segment, so a synchronization only costs its time.
+    (void)stream;
     mDevice.syncPenalty();
-    for (auto &segment : mSegments) {
-        for (auto &[offset, gap] : segment.free) {
-            (void)offset;
-            if (stream == kAnyStream || gap.freedBy == stream)
-                gap.freedBy = kAnyStream;
-        }
-    }
 }
 
 void
@@ -386,8 +378,8 @@ ExpandableSegmentsAllocator::snapshot() const
         }
         for (const auto &[offset, gap] : segment.free) {
             region.blocks.push_back(
-                BlockSnapshot{segment.base + offset, gap.size, false,
-                              gap.freedBy});
+                BlockSnapshot{segment.base + offset, gap, false,
+                              segment.stream});
         }
         std::sort(region.blocks.begin(), region.blocks.end(),
                   [](const BlockSnapshot &a, const BlockSnapshot &b) {
@@ -405,7 +397,7 @@ ExpandableSegmentsAllocator::checkConsistency() const
     Bytes mapped = 0;
     for (const auto &segment : mSegments) {
         mapped += segment.mapped;
-        GMLAKE_ASSERT(segment.chunks.size() * mConfig.chunkSize ==
+        GMLAKE_ASSERT(segment.chunks.size() * vmm::kGranularity ==
                       segment.mapped,
                       "chunk count / mapped bytes mismatch");
         // live and free must tile [0, mapped) exactly.
@@ -421,7 +413,7 @@ ExpandableSegmentsAllocator::checkConsistency() const
                 ++liveIt;
             } else if (freeIt != segment.free.end() &&
                        freeIt->first == cursor) {
-                cursor += freeIt->second.size;
+                cursor += freeIt->second;
                 ++freeIt;
             } else {
                 GMLAKE_PANIC("gap in segment tiling at ", cursor);

@@ -4,13 +4,16 @@
  * GMLake demonstrated VMM-based defragmentation
  * (`PYTORCH_CUDA_ALLOC_CONF=expandable_segments:True`).
  *
- * Instead of many fixed-size cudaMalloc segments, each (pool, stream)
- * owns ONE segment with a huge reserved virtual address range.
- * Physical 2 MB chunks are mapped at the tail as the segment grows
- * and unmapped when the tail is free, so all block splitting and
+ * Instead of many fixed-size cudaMalloc segments, each stream owns
+ * ONE segment with a huge reserved virtual address range. Physical
+ * 2 MB chunks are mapped at the tail as the segment grows and
+ * unmapped when the tail is free, so all block splitting and
  * coalescing happens inside a single contiguous address range: a
  * freed region always coalesces with its neighbours, and any large
- * request can be served at the tail by mapping fresh chunks.
+ * request can be served at the tail by mapping fresh chunks. A
+ * request only ever scans its own stream's segment, so every gap it
+ * sees was freed on its stream and is reusable at once: no
+ * cross-stream event lag applies.
  *
  * Compared with GMLake: both use the driver VMM API and uniform
  * chunks, but expandable segments cannot re-use *interior* holes for
@@ -33,27 +36,10 @@
 namespace gmlake::alloc
 {
 
-struct ExpandableConfig
-{
-    /** Physical mapping granularity (2 MiB on real devices). */
-    Bytes chunkSize = Bytes{2} * 1024 * 1024;
-    /** Request rounding granularity (PyTorch: 512 B). */
-    Bytes roundTo = 512;
-    /**
-     * Virtual address range reserved per segment; physical chunks
-     * are mapped into it on demand. Defaults to 128 GiB (the device
-     * capacity bounds actual usage).
-     */
-    Bytes segmentVaSize = Bytes{128} * 1024 * 1024 * 1024;
-    /** Cross-stream reuse event lag (see CachingConfig). */
-    Tick streamEventLagNs = 2'000'000;
-};
-
 class ExpandableSegmentsAllocator : public Allocator
 {
   public:
-    ExpandableSegmentsAllocator(vmm::Device &device,
-                                ExpandableConfig config = {});
+    explicit ExpandableSegmentsAllocator(vmm::Device &device);
     ~ExpandableSegmentsAllocator() override;
 
     using Allocator::allocate;
@@ -88,13 +74,6 @@ class ExpandableSegmentsAllocator : public Allocator
   private:
     struct State;
 
-    struct FreeBlock
-    {
-        Bytes size = 0;
-        Tick freedAt = 0;
-        StreamId freedBy = kDefaultStream;
-    };
-
     struct Segment
     {
         VirtAddr base = kNullAddr;
@@ -103,14 +82,13 @@ class ExpandableSegmentsAllocator : public Allocator
         Bytes mapped = 0;
         StreamId stream = kDefaultStream;
         std::vector<PhysHandle> chunks;
-        /** Free gaps inside [0, mapped): offset -> info. */
-        std::map<Bytes, FreeBlock> free;
+        /** Free gaps inside [0, mapped): offset -> size. */
+        std::map<Bytes, Bytes> free;
         /** Live blocks: offset -> (size, id). */
         std::map<Bytes, std::pair<Bytes, AllocId>> live;
     };
 
     vmm::Device &mDevice;
-    ExpandableConfig mConfig;
     AllocatorStats mStats;
     AllocId mNextId = 1;
     std::uint64_t mChunkMaps = 0;
@@ -138,7 +116,7 @@ class ExpandableSegmentsAllocator : public Allocator
     VirtAddr place(std::size_t segIndex, Bytes offset, Bytes size,
                    AllocId id);
 
-    void insertFree(Segment &segment, Bytes offset, Bytes size);
+    static void insertFree(Segment &segment, Bytes offset, Bytes size);
 };
 
 } // namespace gmlake::alloc

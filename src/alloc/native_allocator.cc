@@ -31,7 +31,7 @@ NativeAllocator::allocate(Bytes size, StreamId stream)
         return va.error();
     mDevice.syncPenalty();
 
-    const Bytes reserved = roundUp(size, mDevice.granularity());
+    const Bytes reserved = roundUp(size, vmm::kGranularity);
     const AllocId id = mNextId++;
     mLive.emplace(id, Record{*va, size, reserved});
     mStats.onAllocate(size);

@@ -37,12 +37,6 @@ saturatingBytes(double v)
 GMLakeAllocator::GMLakeAllocator(vmm::Device &device, GMLakeConfig config)
     : mDevice(device), mConfig(config), mSmallPath(device)
 {
-    GMLAKE_ASSERT(mConfig.chunkSize > 0 &&
-                  isAligned(mConfig.chunkSize, device.granularity()),
-                  "chunk size must be a multiple of the device "
-                  "granularity");
-    GMLAKE_ASSERT(mConfig.smallThreshold <= mConfig.chunkSize,
-                  "small threshold cannot exceed the chunk size");
     mVaCapBytes = saturatingBytes(mConfig.maxVaOverscribe *
                                   static_cast<double>(device.capacity()));
     // Size the live table and the scratch buffers once, up front.
@@ -79,7 +73,7 @@ GMLakeAllocator::syncSmallPathStats()
 Expected<GMLakeAllocator::PBlock *>
 GMLakeAllocator::allocPBlock(Bytes size, StreamId stream)
 {
-    GMLAKE_ASSERT(size > 0 && isAligned(size, mConfig.chunkSize),
+    GMLAKE_ASSERT(size > 0 && isAligned(size, kChunkSize),
                   "pBlock size must be a chunk multiple");
 
     const auto va = mDevice.memAddressReserve(size);
@@ -91,21 +85,18 @@ GMLakeAllocator::allocPBlock(Bytes size, StreamId stream)
     PBlock *block = mPPool.acquire();
     block->chunks.clear();
     block->sharers.clear();
-    block->chunks.resize(size / mConfig.chunkSize);
+    block->chunks.resize(size / kChunkSize);
 
     // One device call creates and maps every chunk — the simulated
     // cost and failure behaviour of the real per-chunk CUDA loop —
     // and on failure unwinds what it built. Undoing the fresh mapping
     // after a failed setAccess uses only teardown calls, which cannot
     // fail on valid arguments.
-    Status built =
-        mDevice.memCreateMapRun(*va, mConfig.chunkSize, block->chunks);
+    Status built = mDevice.memCreateMapRun(*va, kChunkSize, block->chunks);
     if (built.ok()) {
         built = mDevice.memSetAccess(*va, size);
-        if (!built.ok()) {
-            mDevice.memUnmapReleaseRun(*va, mConfig.chunkSize,
-                                       block->chunks);
-        }
+        if (!built.ok())
+            mDevice.memUnmapReleaseRun(*va, kChunkSize, block->chunks);
     }
     if (!built.ok()) {
         const Status s = mDevice.memAddressFree(*va);
@@ -164,7 +155,7 @@ GMLakeAllocator::splitPBlock(PBlock *block, Bytes sizeA)
     GMLAKE_ASSERT(!block->active, "split of an active pBlock");
     GMLAKE_ASSERT(block->resident,
                   "split of a spilled pBlock (fault it in first)");
-    GMLAKE_ASSERT(isAligned(sizeA, mConfig.chunkSize) &&
+    GMLAKE_ASSERT(isAligned(sizeA, kChunkSize) &&
                   sizeA < block->size,
                   "split size must be a chunk multiple below the "
                   "block size");
@@ -177,7 +168,7 @@ GMLakeAllocator::splitPBlock(PBlock *block, Bytes sizeA)
         destroySBlock(block->sharers.back());
 
     const Bytes sizeB = block->size - sizeA;
-    const std::size_t chunksA = sizeA / mConfig.chunkSize;
+    const std::size_t chunksA = sizeA / kChunkSize;
 
     // Remap a chunk subrange of the original under a fresh VA with
     // one batched driver call (simulated cost unchanged: charged
@@ -191,7 +182,7 @@ GMLakeAllocator::splitPBlock(PBlock *block, Bytes sizeA)
         mMapBatch.clear();
         for (std::size_t i = 0; i < chunkCount; ++i) {
             mMapBatch.emplace_back(
-                *va + static_cast<VirtAddr>(i) * mConfig.chunkSize,
+                *va + static_cast<VirtAddr>(i) * kChunkSize,
                 block->chunks[chunkOffset + i]);
         }
         const Status s = mDevice.memMapBatch(mMapBatch);
@@ -317,7 +308,7 @@ GMLakeAllocator::stitch(const std::vector<PBlock *> &members,
     for (const PBlock *m : members) {
         for (PhysHandle h : m->chunks) {
             mMapBatch.emplace_back(cursor, h);
-            cursor += mConfig.chunkSize;
+            cursor += kChunkSize;
         }
     }
     const Status mapped = mDevice.memMapBatch(mMapBatch);
@@ -508,7 +499,7 @@ GMLakeAllocator::ensureResident(PBlock *block)
 {
     if (block->resident)
         return Status::success();
-    const std::size_t chunkCount = block->size / mConfig.chunkSize;
+    const std::size_t chunkCount = block->size / kChunkSize;
     std::vector<PhysHandle> &chunks = block->chunks;
     // Create the chunks as runs. A failing chunk gets one reclaim
     // round and one lone retry, as in the per-chunk call loop, and
@@ -519,15 +510,14 @@ GMLakeAllocator::ensureResident(PBlock *block)
         const std::size_t had = chunks.size();
         chunks.resize(chunkCount);
         const vmm::RunStatus run = mDevice.memCreateRun(
-            mConfig.chunkSize, std::span(chunks).subspan(had));
+            kChunkSize, std::span(chunks).subspan(had));
         chunks.resize(had + run.done);
         created = run.status;
         if (created.ok() || mOffloadHook == nullptr)
             break;
-        const Bytes missing =
-            (chunkCount - chunks.size()) * mConfig.chunkSize;
+        const Bytes missing = (chunkCount - chunks.size()) * kChunkSize;
         if (mOffloadHook->reclaimOnOom(missing, block->stream) > 0) {
-            const auto h = mDevice.memCreate(mConfig.chunkSize);
+            const auto h = mDevice.memCreate(kChunkSize);
             if (h.ok()) {
                 chunks.push_back(*h);
                 created = Status::success();
@@ -552,7 +542,7 @@ GMLakeAllocator::ensureResident(PBlock *block)
         mMapBatch.clear();
         for (std::size_t i = 0; i < chunkCount; ++i) {
             mMapBatch.emplace_back(
-                base + static_cast<VirtAddr>(i) * mConfig.chunkSize,
+                base + static_cast<VirtAddr>(i) * kChunkSize,
                 block->chunks[i]);
         }
         const Status s = mDevice.memMapBatch(mMapBatch);
@@ -835,7 +825,7 @@ GMLakeAllocator::allocateImpl(Bytes size, StreamId stream)
                          "cannot allocate on the sentinel stream");
     mDevice.chargeCachedOp();
 
-    if (size < mConfig.smallThreshold) {
+    if (size < kSmallThreshold) {
         ++mCounters.smallPath;
         notePhase(obs::AllocPhase::smallPath, size);
         auto inner = mSmallPath.allocate(size, stream);
@@ -848,7 +838,7 @@ GMLakeAllocator::allocateImpl(Bytes size, StreamId stream)
             // segment's worth — the largest segment the small path
             // grows for these requests — not just the request size.
             const Bytes reclaimed = mOffloadHook->reclaimOnOom(
-                mSmallPath.config().largeBuffer, stream);
+                alloc::kLargeBuffer, stream);
             if (reclaimed > 0) {
                 noteReclaimRung(0, reclaimed);
                 inner = mSmallPath.allocate(size, stream);
@@ -882,13 +872,13 @@ Expected<alloc::Allocation>
 GMLakeAllocator::allocateLargeInner(Bytes size, StreamId stream,
                                     bool &retried)
 {
-    const Bytes rounded = roundUp(size, mConfig.chunkSize);
+    const Bytes rounded = roundUp(size, kChunkSize);
     // Largest acceptable over-allocation for a whole-block hand-out.
     const Bytes slack = roundDown(
         std::min(saturatingBytes(mConfig.nearMatchTolerance *
                                  static_cast<double>(rounded)),
-                 mConfig.nearMatchSlackCap),
-        mConfig.chunkSize);
+                 kNearMatchSlackCap),
+        kChunkSize);
 
     // Robustness guard (Section 4.2.3): cap the cached stitch set
     // before searching it. Running the guard here (and not inside
@@ -1018,7 +1008,7 @@ GMLakeAllocator::allocateLargeInner(Bytes size, StreamId stream,
             // pool. Hand the block out whole instead.
             const bool splittable =
                 p->size - rounded >=
-                std::max(mConfig.fragLimit, mConfig.chunkSize);
+                std::max(mConfig.fragLimit, kChunkSize);
             if (splittable) {
                 const auto half = splitPBlock(p, rounded);
                 if (half.ok())
@@ -1062,9 +1052,8 @@ GMLakeAllocator::allocateLargeInner(Bytes size, StreamId stream,
             // inside the sBlock.
             const Bytes excess = fit.candidateBytes - rounded;
             PBlock *last = members.back();
-            if (excess > std::max({slack, mConfig.fragLimit,
-                                   mConfig.chunkSize}) &&
-                last->size - excess >= mConfig.chunkSize) {
+            if (excess > std::max({slack, mConfig.fragLimit, kChunkSize}) &&
+                last->size - excess >= kChunkSize) {
                 const auto trimmed =
                     splitPBlock(last, last->size - excess);
                 if (trimmed.ok())
@@ -1628,15 +1617,14 @@ GMLakeAllocator::checkConsistency() const
         indexed(p);
         if (p->resident) {
             pTotal += p->size;
-            GMLAKE_ASSERT(p->size / mConfig.chunkSize ==
-                          p->chunks.size(),
+            GMLAKE_ASSERT(p->size / kChunkSize == p->chunks.size(),
                           "pBlock chunk count mismatch");
         } else {
             spilledTotal += p->size;
             GMLAKE_ASSERT(p->chunks.empty(),
                           "spilled pBlock still holds chunks");
         }
-        GMLAKE_ASSERT(isAligned(p->size, mConfig.chunkSize),
+        GMLAKE_ASSERT(isAligned(p->size, kChunkSize),
                       "pBlock size not chunk aligned");
         if (!p->active)
             ++inactiveP;
@@ -1765,14 +1753,14 @@ GMLakeAllocator::auditInvariants() const
     // that restored the metadata but leaked a mapping (or vice versa)
     // cannot hide: every block VA must sit in a reservation of its
     // exact geometry, and every resident chunk must be a live handle
-    // of chunkSize mapped once per VA that exposes it — its own
+    // of kChunkSize mapped once per VA that exposes it — its own
     // pBlock plus every stitched sharer.
     const vmm::PhysMemory &phys = mDevice.phys();
     const vmm::VaSpace &va = mDevice.vaSpace();
 
     // Which chunk each VA maps, not just how many times: a pBlock's
     // range at @p base holds exactly its chunks, in order, each
-    // chunkSize bytes and accessible; a spilled one's holds nothing.
+    // kChunkSize bytes and accessible; a spilled one's holds nothing.
     std::vector<vmm::MappingTable::Entry> mapped;
     const auto checkMapped = [&](VirtAddr base, const PBlock *p) {
         mDevice.mappings().mappingsIn(base, p->size, mapped);
@@ -1785,8 +1773,8 @@ GMLakeAllocator::auditInvariants() const
         for (std::size_t i = 0; i < mapped.size(); ++i) {
             const vmm::MappingTable::Entry &e = mapped[i];
             GMLAKE_ASSERT(e.va == base + static_cast<VirtAddr>(i) *
-                                             mConfig.chunkSize &&
-                              e.size == mConfig.chunkSize &&
+                                             kChunkSize &&
+                              e.size == kChunkSize &&
                               e.handle == p->chunks[i] && e.accessible,
                           "block range maps the wrong chunk at a VA");
         }
@@ -1804,7 +1792,7 @@ GMLakeAllocator::auditInvariants() const
         for (const PhysHandle h : p->chunks) {
             GMLAKE_ASSERT(phys.isLive(h),
                           "resident chunk is a dead handle");
-            GMLAKE_ASSERT(*phys.sizeOf(h) == mConfig.chunkSize,
+            GMLAKE_ASSERT(*phys.sizeOf(h) == kChunkSize,
                           "resident chunk size mismatch");
             GMLAKE_ASSERT(phys.mapRefs(h) == expectedRefs,
                           "chunk mapRefs != 1 + sharers");

@@ -565,17 +565,13 @@ class GMLakeAllocator : public alloc::Allocator
         sblock->cls->s.unlink(sblock);
     }
 
-    /**
-     * True when a block freed on @p blockStream at @p freedAt may
-     * serve a request on @p stream now: same stream, synchronized, or
-     * the free event has lapsed.
-     */
+    /** alloc::streamReusable at the device's current time. */
     bool
     streamOk(StreamId blockStream, Tick freedAt,
              StreamId stream) const
     {
-        return blockStream == stream || blockStream == kAnyStream ||
-               freedAt + mConfig.streamEventLagNs <= mDevice.now();
+        return alloc::streamReusable(blockStream, freedAt, stream,
+                                     mDevice.now());
     }
 
     /** True when the sBlock and all its members are inactive and

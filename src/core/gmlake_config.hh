@@ -1,6 +1,7 @@
 /**
  * @file
- * Tunable knobs of the GMLake allocator (paper Sections 3 and 4.2.3).
+ * Constants and tunable knobs of the GMLake allocator (paper
+ * Sections 3 and 4.2.3).
  */
 
 #ifndef GMLAKE_CORE_GMLAKE_CONFIG_HH
@@ -9,26 +10,31 @@
 #include <cstddef>
 
 #include "support/types.hh"
+#include "vmm/device.hh"
 
 namespace gmlake::core
 {
 
+/**
+ * Uniform physical chunk size used for stitching: the device
+ * granularity (paper: 2 MB for the best defragmentation
+ * granularity).
+ */
+inline constexpr Bytes kChunkSize = vmm::kGranularity;
+
+/**
+ * Requests below this threshold bypass VMS and use the original
+ * splitting-based small pool (paper Section 3.1: "For memory
+ * allocation less than 2MB, we use the original PyTorch splitting
+ * method"): one chunk.
+ */
+inline constexpr Bytes kSmallThreshold = kChunkSize;
+
+/** Absolute cap on the near-match slack (see nearMatchTolerance). */
+inline constexpr Bytes kNearMatchSlackCap = Bytes{64} * 1024 * 1024;
+
 struct GMLakeConfig
 {
-    /**
-     * Uniform physical chunk size used for stitching (paper: 2 MB for
-     * the best defragmentation granularity).
-     */
-    Bytes chunkSize = Bytes{2} * 1024 * 1024;
-
-    /**
-     * Requests below this threshold bypass VMS and use the original
-     * splitting-based small pool (paper Section 3.1: "For memory
-     * allocation less than 2MB, we use the original PyTorch splitting
-     * method").
-     */
-    Bytes smallThreshold = Bytes{2} * 1024 * 1024;
-
     /**
      * Minimal fragmentation limit (paper Section 4.2.3): blocks
      * smaller than this are neither split nor used as stitching
@@ -38,7 +44,7 @@ struct GMLakeConfig
      * ablation bench sweeps the limit and shows the efficiency /
      * fragmentation trade-off the paper describes.
      */
-    Bytes fragLimit = Bytes{2} * 1024 * 1024;
+    Bytes fragLimit = kChunkSize;
 
     /**
      * StitchFree threshold: when the number of cached (inactive)
@@ -62,24 +68,14 @@ struct GMLakeConfig
 
     /**
      * Near-match tolerance: a cached block whose size exceeds the
-     * request by at most this fraction (capped below) is handed out
-     * whole instead of being split or trimmed. Splitting a shared
-     * pBlock destroys every cached sBlock stitched over it, so
-     * aggressive exact-fitting causes a re-stitch cascade each
-     * iteration; tolerating a small slack is what keeps the pattern
-     * tape stable (Section 4.2.2/4.2.3).
+     * request by at most this fraction (capped at kNearMatchSlackCap)
+     * is handed out whole instead of being split or trimmed.
+     * Splitting a shared pBlock destroys every cached sBlock stitched
+     * over it, so aggressive exact-fitting causes a re-stitch cascade
+     * each iteration; tolerating a small slack is what keeps the
+     * pattern tape stable (Section 4.2.2/4.2.3).
      */
     double nearMatchTolerance = 0.125;
-
-    /** Absolute cap on the near-match slack. */
-    Bytes nearMatchSlackCap = Bytes{64} * 1024 * 1024;
-
-    /**
-     * Cross-stream reuse event lag (see CachingConfig): a block freed
-     * on another stream becomes reusable once this many simulated
-     * nanoseconds have passed since the free.
-     */
-    Tick streamEventLagNs = 2'000'000;
 
     /**
      * Master switch for the stitching mechanism; with stitching off

@@ -195,11 +195,8 @@ OffloadManager::spillVictims(Bytes needed)
     if (!mAllocator.supportsLiveSpill())
         return 0;
     mCandidates.clear();
-    const Tick now = mDevice.now();
     for (const auto &[id, entry] : mEntries) {
-        if (entry.spilled || entry.bytes < mConfig.minVictimBytes)
-            continue;
-        if (entry.lastTouch + mConfig.minIdleNs > now)
+        if (entry.spilled || entry.bytes < kMinVictimBytes)
             continue;
         mCandidates.push_back(
             Victim{id, entry.bytes, entry.lastTouch, entry.session});
@@ -287,7 +284,7 @@ OffloadManager::evictableBytes() const
         return total;
     for (const auto &[id, entry] : mEntries) {
         (void)id;
-        if (!entry.spilled && entry.bytes >= mConfig.minVictimBytes)
+        if (!entry.spilled && entry.bytes >= kMinVictimBytes)
             total += entry.bytes;
     }
     return total;

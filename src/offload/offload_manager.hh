@@ -46,6 +46,14 @@
 namespace gmlake::offload
 {
 
+/**
+ * Live allocations below this size are never spill victims: small
+ * tensors reclaim little per transfer, and the sub-2MB paths of the
+ * allocators cannot spill them anyway. Every resident allocation at
+ * or above it qualifies, however recently touched.
+ */
+inline constexpr Bytes kMinVictimBytes = Bytes{2} * 1024 * 1024;
+
 struct OffloadConfig
 {
     /** Host staging-tier capacity (bounds total spilled bytes). */
@@ -53,19 +61,6 @@ struct OffloadConfig
 
     /** Victim-selection policy for live spills. */
     PolicyKind policy = PolicyKind::lru;
-
-    /**
-     * Live allocations below this size are never victims: small
-     * tensors reclaim little per transfer, and the sub-2MB paths of
-     * the allocators cannot spill them anyway.
-     */
-    Bytes minVictimBytes = Bytes{2} * 1024 * 1024;
-
-    /**
-     * A victim must have been idle (untouched) for at least this
-     * many simulated ns. 0 = any resident allocation qualifies.
-     */
-    Tick minIdleNs = 0;
 };
 
 /** Cumulative manager counters; all deterministic but the wallclock. */

@@ -54,6 +54,22 @@ auditTeardown(Rig &rig, bool anyDeath)
                      " VA reservations survived teardown");
 }
 
+vmm::FaultPlan
+parseChaosPlan(const std::string &spec)
+{
+    vmm::FaultPlan plan = vmm::FaultPlan::parse(spec);
+    for (const vmm::FaultApi api :
+         {vmm::FaultApi::copyD2H, vmm::FaultApi::copyH2D}) {
+        const vmm::FaultRule &rule = plan.rule(api);
+        if (rule.probability > 0.0 || !rule.nthCalls.empty())
+            GMLAKE_FATAL("chaos fault plan targets ",
+                         vmm::faultApiName(api),
+                         ", but chaos trials run no host tier, so no "
+                         "copy-lane call can fail");
+    }
+    return plan;
+}
+
 ChaosTrialRecord
 runChaosTrial(const ChaosOptions &options, std::uint64_t trialSeed)
 {
@@ -85,8 +101,7 @@ runChaosTrial(const ChaosOptions &options, std::uint64_t trialSeed)
         Rig rig(options.kind, rigOptions);
         vmm::Device &device = rig.device();
         if (!options.faultSpec.empty()) {
-            vmm::FaultPlan plan =
-                vmm::FaultPlan::parse(options.faultSpec);
+            vmm::FaultPlan plan = parseChaosPlan(options.faultSpec);
             if (!plan.empty())
                 device.installFaultInjector(std::move(plan),
                                             trialSeed);
@@ -128,7 +143,7 @@ runChaos(const ChaosOptions &options)
     // Validate the spec once, loudly, before the soak: a malformed
     // spec is user error, not K identical internal-error trials.
     if (!options.faultSpec.empty())
-        (void)vmm::FaultPlan::parse(options.faultSpec);
+        (void)parseChaosPlan(options.faultSpec);
 
     const Stopwatch wall;
     ChaosReport report;

@@ -128,7 +128,19 @@ ChaosTrialRecord runChaosTrial(const ChaosOptions &options,
  */
 void auditTeardown(Rig &rig, bool anyDeath);
 
-/** Run the full soak: options.trials trials, derived seeds. */
+/**
+ * Parse a chaos fault spec (vmm::FaultPlan::parse). Also fatal on a
+ * copyd2h or copyh2d rule: trials run no host tier, so nothing calls
+ * the copy lanes, and a soak under such a rule would read clean while
+ * testing nothing.
+ */
+vmm::FaultPlan parseChaosPlan(const std::string &spec);
+
+/**
+ * Run the full soak: options.trials trials, derived seeds. Fatal
+ * before any trial on an unknown scenario or a spec parseChaosPlan()
+ * refuses.
+ */
 ChaosReport runChaos(const ChaosOptions &options);
 
 /**

@@ -123,10 +123,15 @@ struct RunResult
     std::vector<SamplePoint> series;
 };
 
+/**
+ * Series decimation target: a run of E events samples every
+ * max(1, E / kMaxSeriesPoints)-th event that is an alloc or a free,
+ * plus every iteration mark and the run's end.
+ */
+inline constexpr std::size_t kMaxSeriesPoints = 4096;
+
 struct EngineOptions
 {
-    /** Upper bound on recorded series points (decimated above it). */
-    std::size_t maxSeriesPoints = 4096;
     /** Record the time series at all. */
     bool recordSeries = true;
     /**
@@ -176,9 +181,9 @@ struct EngineOptions
     /**
      * Scripted tenant kills: session index i is killed — live
      * allocations reclaimed, counted as aborted — at the first of its
-     * events whose local time is at or past the given tick. Models a
-     * randomized `kill -9` while staying a deterministic function of
-     * the schedule.
+     * events whose local time is at or past the given tick (a kill at
+     * 0 fires before its first event). Models a randomized `kill -9`
+     * while staying a deterministic function of the schedule.
      */
     std::vector<std::pair<std::size_t, Tick>> tenantKills;
 };

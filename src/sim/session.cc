@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <unordered_map>
 #include <utility>
@@ -266,8 +267,7 @@ SimEngine::run(const workload::TrainConfig *config)
 
     const std::size_t stride =
         mOptions.recordSeries
-            ? std::max<std::size_t>(
-                  1, totalEvents / mOptions.maxSeriesPoints)
+            ? std::max<std::size_t>(1, totalEvents / kMaxSeriesPoints)
             : 0;
     std::size_t index = 0;
 
@@ -424,13 +424,11 @@ SimEngine::run(const workload::TrainConfig *config)
 
     // Scripted kills keyed by session index; a session is killed at
     // the first of its events whose local time reaches the mark.
-    std::vector<Tick> killAt(cursors.size(), 0);
+    std::vector<std::optional<Tick>> killAt(cursors.size());
     for (const auto &[session, at] : mOptions.tenantKills) {
         GMLAKE_ASSERT(session < cursors.size(),
                       "tenant kill for unknown session ", session);
-        killAt[session] = killAt[session] == 0
-                              ? at
-                              : std::min(killAt[session], at);
+        killAt[session] = std::min(killAt[session].value_or(at), at);
     }
 
     // A session whose trace ends in compute leaves the pop loop
@@ -484,11 +482,11 @@ SimEngine::run(const workload::TrainConfig *config)
         // Scripted kill: fires instead of the first event at or past
         // the mark, before any clock advance — the tenant just never
         // gets to run it. Entry not re-pushed; the session is dead.
-        if (killAt[bestIndex] != 0 && !best->dead &&
-            best->localTime >= killAt[bestIndex]) {
+        if (killAt[bestIndex] && !best->dead &&
+            best->localTime >= *killAt[bestIndex]) {
             killAborted(*best,
                         detail::concat("scripted kill at local time ",
-                                       formatTime(killAt[bestIndex])));
+                                       formatTime(*killAt[bestIndex])));
             continue;
         }
 

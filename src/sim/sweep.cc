@@ -260,8 +260,7 @@ randomSweepPoints(const core::GMLakeConfig &base, std::size_t count,
     for (std::size_t i = 0; i < count; ++i) {
         core::GMLakeConfig config = base;
         // Chunk-aligned power-of-two frag limits up to 128 MiB.
-        config.fragLimit =
-            base.chunkSize << rng.uniformInt(0, 6);
+        config.fragLimit = core::kChunkSize << rng.uniformInt(0, 6);
         config.nearMatchTolerance =
             static_cast<double>(rng.uniformInt(0, 16)) / 32.0;
         config.maxCachedSBlocks =
@@ -355,15 +354,6 @@ runSweep(const SweepScenario &scenario,
     GMLAKE_ASSERT(!points.empty(), "sweep has no points");
     GMLAKE_ASSERT(!scenario.tenants.empty(),
                   "sweep scenario has no sessions");
-    for (const SweepPoint &point : points) {
-        GMLAKE_ASSERT(
-            point.config.chunkSize == scenario.base.chunkSize &&
-                point.config.smallThreshold ==
-                    scenario.base.smallThreshold,
-            "sweep point '", point.label,
-            "' changes a structural knob (chunkSize/smallThreshold); "
-            "the checkpointed pool layout depends on those");
-    }
 
     const Stopwatch totalWall;
     SweepReport report;

@@ -38,9 +38,7 @@ struct SweepPoint
 
 /**
  * Axes of a grid search over the GMLakeConfig *policy* knobs. An
- * empty axis keeps the base value. chunkSize and smallThreshold are
- * structural — the checkpointed pool layout depends on them — so
- * they always keep the base scenario's values and are not axes.
+ * empty axis keeps the base value.
  */
 struct SweepGrid
 {

@@ -114,7 +114,7 @@ class ObsApiSpan
 
 Device::Device(DeviceConfig config)
     : mCost(config.cost),
-      mPhys(config.capacity, config.granularity),
+      mPhys(config.capacity, kGranularity),
       mVa(),
       mMap(mPhys)
 {
@@ -136,8 +136,8 @@ Device::memAddressReserve(Bytes size)
     charge(mCost.memAddressReserve(size));
     if (size == 0)
         return makeError(Errc::invalidValue, "reserve of zero bytes");
-    const Bytes rounded = roundUp(size, granularity());
-    return mVa.reserve(rounded, granularity());
+    const Bytes rounded = roundUp(size, kGranularity);
+    return mVa.reserve(rounded, kGranularity);
 }
 
 Status
@@ -192,7 +192,7 @@ Device::memCreateMapRun(VirtAddr va, Bytes size,
     // must be free space inside one reservation: every caller maps
     // into reservation space it has just taken or never mapped.
     const Bytes total = static_cast<Bytes>(out.size()) * size;
-    GMLAKE_ASSERT(out.empty() || (isAligned(va, granularity()) &&
+    GMLAKE_ASSERT(out.empty() || (isAligned(va, kGranularity) &&
                                   mVa.containing(va, total).ok() &&
                                   !mMap.overlaps(va, total)),
                   "create+map run target is not free space in one "
@@ -263,7 +263,7 @@ Device::buildChunks(VirtAddr va, Bytes size, std::span<PhysHandle> out,
         mCounters.map += map ? made.done : 0;
         charge(createCost * static_cast<Tick>(creates) +
                mapCost * static_cast<Tick>(whole) +
-               (mapFailed ? mCost.memMap(granularity()) : 0));
+               (mapFailed ? mCost.memMap(kGranularity) : 0));
         if (map && whole > 0) {
             mRunBatch.clear();
             mSlotBatch.clear();
@@ -358,14 +358,14 @@ Device::memMap(VirtAddr va, PhysHandle handle)
     ObsApiSpan span(obs::EvName::devMap, mClock);
     if (mFaults) {
         if (auto err = mFaults->onCall(FaultApi::memMap)) {
-            charge(mCost.memMap(granularity()));
+            charge(mCost.memMap(kGranularity));
             span.fault(err->code);
             return *err;
         }
     }
     PhysMemory::Slot *const slot = mPhys.slot(handle);
     if (slot == nullptr) {
-        charge(mCost.memMap(granularity()));
+        charge(mCost.memMap(kGranularity));
         return PhysMemory::unknownHandle();
     }
     span.arg(slot->size);
@@ -373,7 +373,7 @@ Device::memMap(VirtAddr va, PhysHandle handle)
     // The whole mapped range must live inside one reservation.
     if (const auto res = mVa.containing(va, slot->size); !res.ok())
         return res.error();
-    if (!isAligned(va, granularity()))
+    if (!isAligned(va, kGranularity))
         return makeError(Errc::invalidValue,
                          "cuMemMap target not granularity aligned");
     const std::pair<VirtAddr, PhysHandle> entry{va, handle};
@@ -393,7 +393,7 @@ Device::memMapBatch(
         // driver call, nothing is installed.
         if (auto err = mFaults->onCall(FaultApi::memMapBatch)) {
             ++mCounters.map;
-            charge(mCost.memMap(granularity()));
+            charge(mCost.memMap(kGranularity));
             span.fault(err->code);
             return *err;
         }
@@ -413,7 +413,7 @@ Device::memMapBatch(
         ++calls;
         PhysMemory::Slot *const slot = mPhys.slot(handle);
         if (slot == nullptr) {
-            total += mCost.memMap(granularity());
+            total += mCost.memMap(kGranularity);
             bad = PhysMemory::unknownHandle();
             break;
         }
@@ -423,7 +423,7 @@ Device::memMapBatch(
             price = mCost.memMap(pricedSize);
         }
         total += price;
-        if (!isAligned(va, granularity())) {
+        if (!isAligned(va, kGranularity)) {
             bad = makeError(Errc::invalidValue,
                             "cuMemMap target not granularity "
                             "aligned");
@@ -470,7 +470,7 @@ Device::memSetAccess(VirtAddr va, Bytes size)
     ObsApiSpan span(obs::EvName::devSetAccess, mClock);
     if (mFaults) {
         if (auto err = mFaults->onCall(FaultApi::memSetAccess)) {
-            charge(mCost.memSetAccess(1, granularity()));
+            charge(mCost.memSetAccess(1, kGranularity));
             span.fault(err->code);
             return *err;
         }
@@ -478,7 +478,7 @@ Device::memSetAccess(VirtAddr va, Bytes size)
     const auto stats = mMap.rangeStats(va, size);
     span.arg(stats.chunks);
     if (stats.chunks == 0) {
-        charge(mCost.memSetAccess(1, granularity()));
+        charge(mCost.memSetAccess(1, kGranularity));
         return makeError(Errc::notMapped,
                          "cuMemSetAccess over an unmapped range");
     }
@@ -497,11 +497,11 @@ Device::mallocNative(Bytes size)
     charge(mCost.nativeAlloc(size));
     if (size == 0)
         return makeError(Errc::invalidValue, "cudaMalloc of zero bytes");
-    const Bytes rounded = roundUp(size, granularity());
+    const Bytes rounded = roundUp(size, kGranularity);
     const auto handle = mPhys.create(rounded);
     if (!handle.ok())
         return handle.error();
-    auto va = mVa.reserve(rounded, granularity());
+    auto va = mVa.reserve(rounded, kGranularity);
     if (!va.ok()) {
         const Status s = mPhys.release(*handle);
         GMLAKE_ASSERT(s.ok(), "rollback release failed");
@@ -607,7 +607,7 @@ Device::applyCapacityLoss(Tick at)
         // extents; the handles are kept forever, modeling permanently
         // retired device memory (row remaps, ECC-disabled banks).
         const Bytes hole = std::min(due, mPhys.largestHole());
-        const Bytes take = roundDown(hole, granularity());
+        const Bytes take = roundDown(hole, kGranularity);
         if (take == 0)
             break; // too fragmented now; retried on the next create
         const auto handle = mPhys.create(take);
@@ -634,7 +634,6 @@ Device::saveState() const
 {
     State out;
     out.capacity = mPhys.capacity();
-    out.granularity = mPhys.granularity();
     out.clock = mClock.now();
     out.counters = mCounters;
     out.native = mNative;
@@ -649,10 +648,9 @@ Device::saveState() const
 void
 Device::restoreState(const State &state)
 {
-    GMLAKE_ASSERT(state.capacity == mPhys.capacity() &&
-                  state.granularity == mPhys.granularity(),
+    GMLAKE_ASSERT(state.capacity == mPhys.capacity(),
                   "checkpoint restore into a device of different "
-                  "geometry");
+                  "capacity");
     mClock.reset();
     mClock.advance(state.clock);
     mCounters = state.counters;

@@ -57,12 +57,17 @@
 namespace gmlake::vmm
 {
 
+/**
+ * Physical allocation granularity: 2 MiB, what real devices report
+ * (cuMemGetAllocationGranularity). Reservations, chunks and mappings
+ * are multiples of it.
+ */
+inline constexpr Bytes kGranularity = Bytes{2} * 1024 * 1024;
+
 struct DeviceConfig
 {
     /** Device memory capacity; default mirrors the A100-80GB. */
     Bytes capacity = Bytes{80} * 1024 * 1024 * 1024;
-    /** Physical allocation granularity (2 MiB on real devices). */
-    Bytes granularity = Bytes{2} * 1024 * 1024;
     CostParams cost{};
 };
 
@@ -236,7 +241,6 @@ class Device
     Tick now() const { return mClock.now(); }
 
     Bytes capacity() const { return mPhys.capacity(); }
-    Bytes granularity() const { return mPhys.granularity(); }
 
     /** Largest free contiguous physical range (OOM post-mortems). */
     Bytes largestFreeExtent() const { return mPhys.largestHole(); }
@@ -286,14 +290,13 @@ class Device
     /**
      * Deep copy of everything that decides future device behaviour:
      * clock, counters, native allocations, copy-lane horizons, and
-     * the three memory managers. Capacity and granularity are
-     * recorded for validation — a checkpoint only restores into a
-     * device of identical geometry.
+     * the three memory managers. Capacity is recorded for
+     * validation — a checkpoint only restores into a device of the
+     * same capacity.
      */
     struct State
     {
         Bytes capacity = 0;
-        Bytes granularity = 0;
         Tick clock = 0;
         ApiCounters counters;
         std::map<VirtAddr, NativeAlloc> native;
@@ -309,9 +312,9 @@ class Device
 
     /**
      * Restore a checkpoint taken from this device or any device with
-     * the same capacity/granularity. After the restore every entry
-     * point behaves exactly as it would have on the checkpointed
-     * device — same addresses, same handles, same simulated time.
+     * the same capacity. After the restore every entry point behaves
+     * exactly as it would have on the checkpointed device — same
+     * addresses, same handles, same simulated time.
      */
     void restoreState(const State &state);
 

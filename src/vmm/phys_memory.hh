@@ -186,7 +186,6 @@ class PhysMemory
     std::uint32_t mapRefs(PhysHandle handle) const;
 
     Bytes capacity() const { return mCapacity; }
-    Bytes granularity() const { return mGranularity; }
     /** Physical bytes currently allocated (sum of live handles). */
     Bytes inUse() const { return mInUse; }
     /** High-water mark of inUse(). */

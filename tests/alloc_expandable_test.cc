@@ -15,7 +15,6 @@
 using namespace gmlake;
 using namespace gmlake::literals;
 using alloc::ExpandableSegmentsAllocator;
-using alloc::ExpandableConfig;
 
 namespace
 {
@@ -25,7 +24,6 @@ smallDevice(Bytes capacity = 256_MiB)
 {
     vmm::DeviceConfig cfg;
     cfg.capacity = capacity;
-    cfg.granularity = 2_MiB;
     return cfg;
 }
 
@@ -117,7 +115,7 @@ TEST(Expandable, PerStreamSegments)
     allocator.checkConsistency();
 }
 
-TEST(Expandable, CrossStreamGapReuseNeedsSyncOrLag)
+TEST(Expandable, SameStreamReusesGapAtOnce)
 {
     vmm::Device dev(smallDevice());
     ExpandableSegmentsAllocator allocator(dev);
@@ -130,6 +128,37 @@ TEST(Expandable, CrossStreamGapReuseNeedsSyncOrLag)
     const auto c = allocator.allocate(8_MiB, 1);
     ASSERT_TRUE(c.ok());
     EXPECT_EQ(c->addr, a->addr);
+    allocator.checkConsistency();
+}
+
+TEST(Expandable, OtherStreamNeverTakesTheGap)
+{
+    vmm::Device dev(smallDevice());
+    ExpandableSegmentsAllocator allocator(dev);
+    const auto a = allocator.allocate(8_MiB, 1);
+    const auto pin = allocator.allocate(2_MiB, 1);
+    ASSERT_TRUE(a.ok() && pin.ok());
+    ASSERT_TRUE(allocator.deallocate(a->id).ok());
+
+    // Stream 1's gap lives in stream 1's segment: a stream-2 request
+    // grows stream 2's own segment after the free event has lapsed,
+    // after a sync of stream 1, and after a device sync alike.
+    dev.clock().advance(alloc::kStreamEventLagNs);
+    const auto b = allocator.allocate(8_MiB, 2);
+    allocator.streamSynchronize(1);
+    const auto c = allocator.allocate(8_MiB, 2);
+    allocator.deviceSynchronize();
+    const auto d = allocator.allocate(8_MiB, 2);
+    ASSERT_TRUE(b.ok() && c.ok() && d.ok());
+    for (const VirtAddr addr : {b->addr, c->addr, d->addr})
+        EXPECT_NE(addr, a->addr);
+    EXPECT_EQ(allocator.segmentCount(), 2u);
+    EXPECT_EQ(allocator.stats().reservedBytes(), 10_MiB + 24_MiB);
+
+    // The gap still serves stream 1.
+    const auto e = allocator.allocate(8_MiB, 1);
+    ASSERT_TRUE(e.ok());
+    EXPECT_EQ(e->addr, a->addr);
     allocator.checkConsistency();
 }
 

@@ -22,7 +22,6 @@ smallDevice(Bytes capacity = 64_MiB)
 {
     vmm::DeviceConfig cfg;
     cfg.capacity = capacity;
-    cfg.granularity = 2_MiB;
     return cfg;
 }
 

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -37,11 +39,15 @@ using namespace gmlake::workload;
 namespace
 {
 
-/** Unique-ish scratch path under the test tmpdir. */
+/**
+ * Scratch path under the test tmpdir; the pid keeps concurrent test
+ * processes sharing one tmpdir off each other's files.
+ */
 std::string
 scratchPath(const std::string &name)
 {
-    return testing::TempDir() + "gmlake_binary_trace_" + name;
+    return testing::TempDir() + "gmlake_binary_trace_" +
+           std::to_string(::getpid()) + "_" + name;
 }
 
 struct ScopedFile

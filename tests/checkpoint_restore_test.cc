@@ -296,7 +296,6 @@ TEST(CheckpointRestore, RestoreFromCheckpointTakenBeforeInjectedFault)
 {
     vmm::DeviceConfig devCfg;
     devCfg.capacity = 256_MiB;
-    devCfg.granularity = 2_MiB;
     core::GMLakeConfig lakeCfg;
     lakeCfg.nearMatchTolerance = 0.0;
     lakeCfg.fragLimit = 2_MiB;

@@ -141,6 +141,26 @@ TEST(Cli, BadValuesExitOneBeforeRunning)
     }
 }
 
+TEST(Cli, ChaosRefusesCopyLaneFaultPlans)
+{
+    // Chaos trials run no host tier, so no copy-lane call can fail:
+    // the verb refuses such a plan before it runs anything, and no
+    // report reads clean.
+    const std::vector<std::pair<std::string, std::string>> plans = {
+        {"copyd2h:p=1", "copyd2h"},
+        {"create:p=0.002;copyh2d:n=1", "copyh2d"}};
+    for (const auto &[spec, api] : plans) {
+        const CliRun run =
+            runCli({"chaos", "smoke", "--iterations", "1",
+                    "--kill-chance", "0", "--faults", spec});
+        EXPECT_EQ(run.code, 1) << spec << "\n" << run.err;
+        EXPECT_NE(run.err.find(api), std::string::npos)
+            << spec << "\n" << run.err;
+        EXPECT_EQ(run.out, "") << spec;
+        EXPECT_TRUE(run.files.empty()) << spec;
+    }
+}
+
 TEST(Cli, LogLevelAfterTheVerbIsAccepted)
 {
     const CliRun run =

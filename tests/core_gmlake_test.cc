@@ -97,7 +97,6 @@ smallDevice(Bytes capacity = 256_MiB)
 {
     vmm::DeviceConfig cfg;
     cfg.capacity = capacity;
-    cfg.granularity = 2_MiB;
     return cfg;
 }
 
@@ -306,7 +305,7 @@ TEST(GMLake, HugeScaleKnobsSaturate)
 {
     // Both double knobs are bounded only to finite and >= 0. At 1e300
     // the VA cap and the near-match slack overflow Bytes and must
-    // saturate (an unbounded cap; slack clamped to nearMatchSlackCap)
+    // saturate (an unbounded cap; slack clamped to kNearMatchSlackCap)
     // instead of casting out of range.
     GMLakeConfig cfg;
     cfg.fragLimit = 2_MiB;
@@ -800,7 +799,7 @@ TEST(GMLakeRecency, S1ChoicesMatchTheScanModel)
     GMLakeConfig gc;
     gc.nearMatchTolerance = 0.25; // windows span several size classes
     GMLakeAllocator lake(dev, gc);
-    const Tick lag = gc.streamEventLagNs;
+    const Tick lag = alloc::kStreamEventLagNs;
     S1Model model;
     model.lag = lag;
     Rng rng(12);
@@ -887,12 +886,12 @@ TEST(GMLakeRecency, S1ChoicesMatchTheScanModel)
                                       18_MiB, 20_MiB};
             const Bytes size =
                 requests[rng.uniformInt(0, std::size(requests) - 1)];
-            const Bytes rounded = roundUp(size, gc.chunkSize);
+            const Bytes rounded = roundUp(size, core::kChunkSize);
             const Bytes slack = roundDown(
                 std::min(static_cast<Bytes>(gc.nearMatchTolerance *
                                             static_cast<double>(rounded)),
-                         gc.nearMatchSlackCap),
-                gc.chunkSize);
+                         core::kNearMatchSlackCap),
+                core::kChunkSize);
             const StreamId s = anyStream();
             const std::size_t want =
                 model.pick(rounded, slack, s, dev.now());

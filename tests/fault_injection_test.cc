@@ -39,7 +39,6 @@ smallDevice(Bytes capacity = 256_MiB)
 {
     DeviceConfig cfg;
     cfg.capacity = capacity;
-    cfg.granularity = 2_MiB;
     return cfg;
 }
 

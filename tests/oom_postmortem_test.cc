@@ -41,7 +41,6 @@ smallDevice(Bytes capacity)
 {
     vmm::DeviceConfig cfg;
     cfg.capacity = capacity;
-    cfg.granularity = 2_MiB;
     return cfg;
 }
 

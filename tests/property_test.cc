@@ -123,7 +123,6 @@ class AllocatorFuzz : public ::testing::TestWithParam<Param>
     {
         vmm::DeviceConfig cfg;
         cfg.capacity = capacity;
-        cfg.granularity = 2_MiB;
         return cfg;
     }
 };

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include "alloc/caching_allocator.hh"
 #include "core/gmlake_allocator.hh"
+#include "sim/engine.hh"
 #include "sim/runner.hh"
 #include "support/units.hh"
 #include "workload/tracegen.hh"
@@ -88,7 +90,7 @@ TEST(EdgeCases, ExactSmallThresholdGoesToVmsPath)
 {
     vmm::Device dev;
     core::GMLakeAllocator lake(dev);
-    // 2 MiB == smallThreshold: not "less than", so VMS handles it.
+    // 2 MiB == kSmallThreshold: not "less than", so VMS handles it.
     const auto a = lake.allocate(2_MiB);
     ASSERT_TRUE(a.ok());
     EXPECT_EQ(lake.pBlockCount(), 1u);
@@ -111,7 +113,6 @@ TEST(EdgeCases, VaOverscribeTriggersStitchFree)
 {
     vmm::DeviceConfig dc;
     dc.capacity = 64_MiB;
-    dc.granularity = 2_MiB;
     vmm::Device dev(dc);
     core::GMLakeConfig gc;
     gc.nearMatchTolerance = 0.0;
@@ -137,47 +138,27 @@ TEST(EdgeCases, VaOverscribeTriggersStitchFree)
     lake.checkConsistency();
 }
 
-TEST(EdgeCases, ChunkSizeMustMatchGranularity)
-{
-    vmm::DeviceConfig dc;
-    dc.granularity = 4_MiB;
-    vmm::Device dev(dc);
-    core::GMLakeConfig gc;
-    gc.chunkSize = 2_MiB; // not a multiple of 4 MiB granularity
-    EXPECT_THROW(core::GMLakeAllocator(dev, gc), std::logic_error);
-}
-
-TEST(EdgeCases, LargerChunkSizeWorks)
-{
-    vmm::DeviceConfig dc;
-    dc.capacity = 256_MiB;
-    dc.granularity = 2_MiB;
-    vmm::Device dev(dc);
-    core::GMLakeConfig gc;
-    gc.chunkSize = 8_MiB;
-    core::GMLakeAllocator lake(dev, gc);
-    const auto a = lake.allocate(10_MiB);
-    ASSERT_TRUE(a.ok());
-    // Rounded to the 8 MiB chunk multiple: 16 MiB.
-    EXPECT_EQ(lake.physicalBytes(), 16_MiB);
-    lake.checkConsistency();
-}
-
 TEST(EdgeCases, EngineSeriesBoundedByMaxPoints)
 {
-    TrainConfig cfg;
-    cfg.model = findModel("OPT-1.3B");
-    cfg.strategies = Strategies::parse("R");
-    cfg.gpus = 2;
-    cfg.batchSize = 4;
-    cfg.iterations = 6;
-    ScenarioOptions opts;
-    opts.engine.maxSeriesPoints = 64;
-    const auto r = runScenario(cfg, AllocatorKind::caching, opts);
-    // Decimation keeps the series close to the cap (marks and the
-    // final sample add a handful of forced points).
-    EXPECT_LE(r.series.size(), 96u);
-    EXPECT_GE(r.series.size(), 16u);
+    // Ten times kMaxSeriesPoints events, nearly all allocs and frees:
+    // every tenth event is sampled.
+    constexpr int kIterations = 10;
+    TraceBuilder tb;
+    for (int it = 0; it < kIterations; ++it) {
+        tb.iterationMark();
+        for (std::size_t i = 0; i < kMaxSeriesPoints / 2; ++i)
+            tb.free(tb.alloc(1_MiB));
+    }
+    const Trace trace = tb.take();
+    ASSERT_GE(trace.size(), 10 * kMaxSeriesPoints);
+
+    vmm::Device dev;
+    alloc::CachingAllocator caching(dev);
+    const RunResult r = runTrace(caching, dev, trace);
+    // About kMaxSeriesPoints decimated samples, plus one forced
+    // sample per iteration mark and the final one.
+    EXPECT_GE(r.series.size(), kMaxSeriesPoints);
+    EXPECT_LE(r.series.size(), kMaxSeriesPoints * 11 / 10);
 }
 
 TEST(EdgeCases, SnapshotFreeBytesMatchesStatsGap)

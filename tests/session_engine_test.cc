@@ -2,10 +2,10 @@
  * @file
  * Multi-session engine tests: namespace isolation between co-located
  * tenants, merged-timeline semantics, tenant-scoped OOM with memory
- * reclamation, equivalence of the static trace merge helpers with the
- * event-driven engine, single-session equivalence with the classic
- * runTrace() wrapper, and pinned digests of every per-session result
- * of three multi-tenant mixes.
+ * reclamation, scripted kills, equivalence of the static trace merge
+ * helpers with the event-driven engine, single-session equivalence
+ * with the classic runTrace() wrapper, and pinned digests of every
+ * per-session result of three multi-tenant mixes.
  *
  * Re-record the pins after an *intentional* change to the replay
  * order or to a SessionResult with:
@@ -45,7 +45,6 @@ smallDevice(Bytes capacity = 256_MiB)
 {
     vmm::DeviceConfig cfg;
     cfg.capacity = capacity;
-    cfg.granularity = 2_MiB;
     return cfg;
 }
 
@@ -326,6 +325,38 @@ TEST(Session, OomKillsOnlyThatTenantAndReclaims)
     // a's 40 MiB was reclaimed on death: the allocator saw that free
     // plus b's own.
     EXPECT_EQ(multi.combined.freeCount, 2u);
+}
+
+TEST(Session, ScriptedKillAtZeroFiresBeforeTheFirstEvent)
+{
+    // Each tenant runs 4 x (alloc 4 MiB, compute 1 ms, free).
+    const auto trace = [] {
+        TraceBuilder tb;
+        for (int i = 0; i < 4; ++i) {
+            const auto t = tb.alloc(4_MiB, 1);
+            tb.compute(1'000'000);
+            tb.free(t);
+        }
+        return tb.take();
+    };
+    vmm::Device dev(smallDevice());
+    alloc::CachingAllocator alloc(dev);
+    EngineOptions options;
+    options.tenantKills = {{0, 0}};
+    SimEngine engine(alloc, dev, options);
+    engine.addSession(Session("a", trace()));
+    engine.addSession(Session("b", trace()));
+    const auto multi = engine.run();
+
+    const auto *ra = multi.find("a");
+    const auto *rb = multi.find("b");
+    ASSERT_NE(ra, nullptr);
+    ASSERT_NE(rb, nullptr);
+    EXPECT_TRUE(ra->aborted);
+    EXPECT_EQ(ra->allocCount, 0u);
+    EXPECT_FALSE(rb->aborted);
+    EXPECT_EQ(rb->allocCount, 4u);
+    EXPECT_EQ(multi.combined.abortedSessions, 1u);
 }
 
 TEST(Session, SingleSessionOomLeavesMemoryLikeLegacy)

@@ -30,7 +30,6 @@ smallDevice(Bytes capacity = 256_MiB)
 {
     vmm::DeviceConfig cfg;
     cfg.capacity = capacity;
-    cfg.granularity = 2_MiB;
     return cfg;
 }
 

@@ -29,11 +29,8 @@ smallDevice(Bytes capacity = 256_MiB)
 {
     vmm::DeviceConfig cfg;
     cfg.capacity = capacity;
-    cfg.granularity = 2_MiB;
     return cfg;
 }
-
-constexpr Tick kLag = 2'000'000; // default streamEventLagNs
 
 } // namespace
 
@@ -67,7 +64,7 @@ TEST(StreamCaching, CrossStreamReuseBlockedUntilEventLapses)
     EXPECT_EQ(dev.counters().mallocNative, 2u);
 
     // After the event lag, the cached block is fair game.
-    dev.clock().advance(kLag);
+    dev.clock().advance(alloc::kStreamEventLagNs);
     const auto c = alloc.allocate(30_MiB, 2);
     ASSERT_TRUE(c.ok());
     EXPECT_EQ(c->addr, a->addr);
@@ -115,7 +112,8 @@ TEST(StreamCaching, NeighboursFromDifferentStreamsDoNotMergeEarly)
     ASSERT_TRUE(alloc.deallocate(big->id).ok());
     const auto a = alloc.allocate(20_MiB, 1);
     ASSERT_TRUE(a.ok());
-    dev.clock().advance(kLag); // let stream 2 take the remainder
+    // Let stream 2 take the remainder.
+    dev.clock().advance(alloc::kStreamEventLagNs);
     const auto b = alloc.allocate(20_MiB, 2);
     ASSERT_TRUE(b.ok());
     ASSERT_TRUE(alloc.deallocate(a->id).ok());
@@ -169,7 +167,7 @@ TEST(StreamGmlake, CrossStreamReuseAfterLag)
     const auto a = lake.allocate(20_MiB, 1);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(lake.deallocate(a->id).ok());
-    dev.clock().advance(gc.streamEventLagNs);
+    dev.clock().advance(alloc::kStreamEventLagNs);
 
     const Bytes before = lake.physicalBytes();
     const auto b = lake.allocate(20_MiB, 2);

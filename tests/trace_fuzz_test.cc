@@ -22,6 +22,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -47,10 +49,15 @@ using namespace gmlake::workload;
 namespace
 {
 
+/**
+ * Scratch path under the test tmpdir; the pid keeps concurrent test
+ * processes sharing one tmpdir off each other's files.
+ */
 std::string
 scratchPath(const std::string &name)
 {
-    return testing::TempDir() + "gmlake_trace_fuzz_" + name;
+    return testing::TempDir() + "gmlake_trace_fuzz_" +
+           std::to_string(::getpid()) + "_" + name;
 }
 
 struct ScopedFile

@@ -37,7 +37,6 @@ smallDevice(Bytes capacity = 64_MiB)
 {
     DeviceConfig cfg;
     cfg.capacity = capacity;
-    cfg.granularity = 2_MiB;
     return cfg;
 }
 

@@ -707,8 +707,7 @@ cmdChaos(int argc, char **argv)
         {"--faults", "SPEC",
          "fault plan, e.g.\n"
          "create:p=0.02;map:n=5;cap:t=1000000,b=2G\n"
-         "(apis: create map mapbatch setaccess\n"
-         "copyd2h copyh2d cap)",
+         "(apis: create map mapbatch setaccess cap)",
          [&](const char *v) { options.faultSpec = v; }},
         integerFlag("--fault-seed", "N",
                     "fault/kill RNG seed (default 1)",
@@ -755,7 +754,7 @@ cmdChaos(int argc, char **argv)
         options.faultSpec.empty()
             ? ""
             : ", plan " +
-                  vmm::FaultPlan::parse(options.faultSpec).describe();
+                  sim::parseChaosPlan(options.faultSpec).describe();
 
     std::cout << "chaos " << options.scenario << ": " << options.trials
               << " trial" << (options.trials == 1 ? "" : "s")
