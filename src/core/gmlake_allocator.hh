@@ -75,7 +75,6 @@ class GMLakeAllocator : public alloc::Allocator
     std::string name() const override { return "gmlake"; }
 
     const StrategyCounters &strategy() const { return mCounters; }
-    const GMLakeConfig &config() const { return mConfig; }
 
     /**
      * Object-pool node counters: `created` counts slab slots ever
@@ -139,13 +138,6 @@ class GMLakeAllocator : public alloc::Allocator
     {
         return {mRollbacks, mRecovered};
     }
-
-    /**
-     * Partial-failure unwinds executed (stitch, split, fresh pBlock
-     * build, fault-in remap). Zero unless a device API failed
-     * mid-mutation — which never happens without fault injection.
-     */
-    std::uint64_t rollbackCount() const { return mRollbacks; }
 
   private:
     struct PBlock;
@@ -610,7 +602,11 @@ class GMLakeAllocator : public alloc::Allocator
     /** Last-resort release of cached memory, then used by retries. */
     void releaseCached();
 
-    /** Count one partial-failure unwind (see rollbackCount()). */
+    /**
+     * Count one partial-failure unwind (stitch, split, fresh pBlock
+     * build, fault-in remap). The count stays zero unless a device
+     * API fails mid-mutation, which only fault injection causes.
+     */
     void noteRollback() { ++mRollbacks; }
     std::uint64_t mRollbacks = 0;
     /** Allocations that succeeded only after a failed growth round. */

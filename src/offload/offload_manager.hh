@@ -137,7 +137,6 @@ class OffloadManager : public alloc::OffloadHook
 
     const OffloadStats &stats() const { return mStats; }
     const HostPool &hostPool() const { return mHostPool; }
-    const OffloadConfig &config() const { return mConfig; }
 
     /** Session-attributed eviction traffic (empty tag -> zeroes). */
     SessionOffloadStats sessionStats(std::size_t session) const;

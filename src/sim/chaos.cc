@@ -81,7 +81,6 @@ runChaosTrial(const ChaosOptions &options, std::uint64_t trialSeed)
             options.scenario, options.workloadSeed,
             options.iterations);
         ScenarioOptions rigOptions = scenario.rigOptions();
-        rigOptions.engine.abortSessionOnFault = true;
         // Scripted kills: each tenant dies with killChance at an
         // instant uniform over the scenario span — a deterministic
         // function of the trial seed, like the fault plan draws.

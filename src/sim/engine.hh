@@ -62,23 +62,17 @@ struct RunResult
     Tick deviceApiTime = 0;
 
     /**
-     * Host wall-clock cost of the replay (support/stopwatch.hh):
-     * total and per-call p50/p99 nanoseconds spent inside
-     * Allocator::allocate(), plus the whole run's wall time. Unlike
-     * every other field these are *not* deterministic — they measure
-     * the simulator itself and feed the BENCH_*.json perf
-     * trajectory, not the paper's simulated metrics.
+     * Host wall-clock ns of the whole run, one Stopwatch interval
+     * (support/stopwatch.hh). Unlike every other field it is *not*
+     * deterministic: it measures the simulator itself, not the
+     * paper's simulated metrics. Per-call allocator latency is
+     * measured by the traced benchmark (bench/suite), not here.
      */
-    std::uint64_t allocWallNs = 0;
-    std::uint64_t allocWallP50Ns = 0;
-    std::uint64_t allocWallP99Ns = 0;
     std::uint64_t runWallNs = 0;
     /**
      * Host wall-clock ns spent inside the Device's memory-management
-     * entry points during the run (ApiCounters::vmmWallNs delta).
-     * The VMM-bookkeeping share of allocWallNs: how much of the
-     * allocator's cost is hole/mapping-table work rather than pool
-     * search.
+     * entry points during the run (ApiCounters::vmmWallNs delta):
+     * the hole/mapping-table share of runWallNs.
      */
     std::uint64_t vmmWallNs = 0;
 
@@ -112,8 +106,9 @@ struct RunResult
      * recovered counts allocations that succeeded after a failed
      * growth round; rollbacks counts the allocator's partial-failure
      * unwinds; abortedSessions counts tenants terminated by chaos —
-     * an injected non-OOM fault or a scripted kill (OOM deaths stay
-     * under `oom`).
+     * an Errc::faultInjected failure the allocator or the offload
+     * tier passed up, or a scripted kill (OOM deaths stay under
+     * `oom`; any other error panics the engine).
      */
     std::uint64_t injectedFaults = 0;
     std::uint64_t recovered = 0;
@@ -169,15 +164,6 @@ struct EngineOptions
      */
     bool captureResume = false;
     std::shared_ptr<const ResumeState> resume;
-    /**
-     * Chaos mode: a session hitting a non-OOM device failure —
-     * Errc::faultInjected from an installed FaultPlan — is killed
-     * like a tenant OOM instead of panicking the engine, counted in
-     * RunResult::abortedSessions. Fault-free runs never see such
-     * errors, so the default (off = panic, the historical behavior)
-     * only matters under injection.
-     */
-    bool abortSessionOnFault = false;
     /**
      * Scripted tenant kills: session index i is killed — live
      * allocations reclaimed, counted as aborted — at the first of its

@@ -212,9 +212,6 @@ runResultFields(const RunResult &r)
         {"alloc_count", r.allocCount},
         {"free_count", r.freeCount},
         {"device_api_time_ns", r.deviceApiTime},
-        {"alloc_wall_ns", r.allocWallNs},
-        {"alloc_wall_p50_ns", r.allocWallP50Ns},
-        {"alloc_wall_p99_ns", r.allocWallP99Ns},
         {"run_wall_ns", r.runWallNs},
         {"vmm_wall_ns", r.vmmWallNs},
         {"evicted_bytes", r.evictedBytes},

@@ -18,6 +18,7 @@
 #include "sim/cluster.hh"
 #include "sim/sweep.hh"
 #include "support/csv.hh"
+#include "support/histogram.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
 #include "support/strings.hh"
@@ -215,14 +216,21 @@ runFig5(ExperimentContext &ctx)
 
     Table table({"Configuration", "Allocations", "Avg size",
                  "Max size", "Allocs/iteration"});
+    SizeHistogram lrSizes;
     for (const char *strat : {"N", "LR"}) {
         auto cfg = ctx.adjust(base);
         cfg.strategies = workload::Strategies::parse(strat);
         const auto trace = workload::generateTrainingTrace(cfg);
         const auto &s = trace.stats();
+        const bool lr = std::string(strat) == "LR";
+        if (lr) {
+            for (const workload::Event &e : trace.events()) {
+                if (e.kind == workload::EventKind::alloc)
+                    lrSizes.add(e.bytes);
+            }
+        }
         const std::string label =
-            std::string("GPT-NeoX-20B ") +
-            (std::string(strat) == "N" ? "original" : "+LR");
+            std::string("GPT-NeoX-20B ") + (lr ? "+LR" : "original");
         table.addRow(
             {label, std::to_string(s.allocCount),
              formatBytes(static_cast<Bytes>(s.avgAllocBytes())),
@@ -238,11 +246,7 @@ runFig5(ExperimentContext &ctx)
     }
     table.print(ctx.out());
 
-    ctx.out() << "\nSize histogram (+LR):\n";
-    auto cfg = ctx.adjust(base);
-    cfg.strategies = workload::Strategies::parse("LR");
-    const auto trace = workload::generateTrainingTrace(cfg);
-    ctx.out() << trace.sizeHistogram().render();
+    ctx.out() << "\nSize histogram (+LR):\n" << lrSizes.render();
 }
 
 // ------------------------------------------------------- Figure 6
@@ -1092,13 +1096,13 @@ runColocateOversub(ExperimentContext &ctx)
 // --------------------------------------------- allocator stress
 
 /**
- * @p row followed by the host wall-clock cells of @p r — allocator
- * time, p50 (when @p withP50), p99, VMM time and run time — each
- * also recorded as a metric under the allocator's name.
+ * @p row followed by the host wall-clock cells of @p r — VMM time
+ * and run time — each also recorded as a metric under the
+ * allocator's name.
  */
 std::vector<std::string>
 wallRow(ExperimentContext &ctx, const RunResult &r,
-        std::vector<std::string> row, bool withP50)
+        std::vector<std::string> row)
 {
     auto cell = [&](const char *metric, std::uint64_t ns, double scale,
                     const char *unit) {
@@ -1106,10 +1110,6 @@ wallRow(ExperimentContext &ctx, const RunResult &r,
             formatDouble(static_cast<double>(ns) * scale, 1) + unit);
         ctx.metric(r.allocator, metric, static_cast<double>(ns));
     };
-    cell("alloc_wall_ns", r.allocWallNs, 1e-6, " ms");
-    if (withP50)
-        cell("alloc_wall_p50_ns", r.allocWallP50Ns, 1e-3, " us");
-    cell("alloc_wall_p99_ns", r.allocWallP99Ns, 1e-3, " us");
     cell("vmm_wall_ns", r.vmmWallNs, 1e-6, " ms");
     cell("run_wall_ns", r.runWallNs, 1e-6, " ms");
     return row;
@@ -1226,8 +1226,7 @@ runStressAllocator(ExperimentContext &ctx)
     scenario.gmlake.nearMatchTolerance = 0.0;
 
     Table table({"Allocator", "Utilization", "Peak reserved",
-                 "Alloc wall", "p50", "p99", "VMM wall",
-                 "Run wall"});
+                 "VMM wall", "Run wall"});
     for (const auto kind :
          {AllocatorKind::caching, AllocatorKind::gmlake}) {
         Rig rig(kind, ctx.adjust(scenario));
@@ -1236,8 +1235,7 @@ runStressAllocator(ExperimentContext &ctx)
         table.addRow(wallRow(ctx, r,
                              {r.allocator,
                               oomOr(r, formatPercent(r.utilization)),
-                              oomOr(r, gb(r.peakReserved) + " GB")},
-                             true));
+                              oomOr(r, gb(r.peakReserved) + " GB")}));
         // The pool depth and strategy counters land in the report
         // alongside the wallclock.
         if (kind == AllocatorKind::gmlake)
@@ -1348,7 +1346,7 @@ runFragChurn(ExperimentContext &ctx)
     scenario.gmlake.nearMatchTolerance = 0.0;
 
     Table table({"Allocator", "Utilization", "Peak holes",
-                 "Alloc wall", "p99", "VMM wall", "Run wall"});
+                 "VMM wall", "Run wall"});
     for (const auto kind :
          {AllocatorKind::native, AllocatorKind::caching,
           AllocatorKind::gmlake}) {
@@ -1363,8 +1361,7 @@ runFragChurn(ExperimentContext &ctx)
         table.addRow(wallRow(ctx, r,
                              {r.allocator,
                               oomOr(r, formatPercent(r.utilization)),
-                              std::to_string(peakHoles)},
-                             false));
+                              std::to_string(peakHoles)}));
         // Deterministic fragmentation shape: pinned by the decision
         // digests, so a hole-structure rewrite that changes
         // placement is caught immediately.
@@ -1694,10 +1691,6 @@ runServeDay(ExperimentContext &ctx)
                    static_cast<double>(rssPeak));
         ctx.metric(r.allocator, "rss_growth_bytes",
                    static_cast<double>(rssGrowth));
-        ctx.metric(r.allocator, "alloc_wall_p50_ns",
-                   static_cast<double>(r.allocWallP50Ns));
-        ctx.metric(r.allocator, "alloc_wall_p99_ns",
-                   static_cast<double>(r.allocWallP99Ns));
         ctx.metric(r.allocator, "run_wall_ns",
                    static_cast<double>(r.runWallNs));
         table.addRow(
@@ -1927,7 +1920,8 @@ registerBuiltinExperiments()
          "Stress — allocator hot-path wallclock under deep pools "
          "(100k+ events, 4 streams)",
          "Per-request BestFit cost must track the candidate set, not "
-         "the pool size; alloc_wall_ns p50/p99 make it measurable",
+         "the pool size; run_wall_ns measures the run, and "
+         "bench/suite's stress-deep-pool traced replay each call",
          runStressAllocator});
     registry.add(
         {"frag-churn", "extension",

@@ -154,7 +154,6 @@ SimEngine::run(const workload::TrainConfig *config)
     result.allocator = mAllocator.name();
 
     const Stopwatch runWall;
-    LatencyHistogram allocWall;
     const Tick apiTimeStart = mDevice.counters().apiTime;
     const std::uint64_t vmmWallStart = mDevice.counters().vmmWallNs;
     const Tick timeStart = mDevice.now();
@@ -422,6 +421,16 @@ SimEngine::run(const workload::TrainConfig *config)
         reclaim(cursor);
     };
 
+    // A non-OOM error from the allocator or the offload tier: an
+    // injected fault aborts the tenant (chaos trials count it), and
+    // anything else is a simulator bug the run must not survive.
+    auto killOnFault = [&](Cursor &cursor, const char *where,
+                           const Error &error) {
+        if (error.code != Errc::faultInjected)
+            GMLAKE_PANIC(where, " error: ", error.message);
+        killAborted(cursor, error.message);
+    };
+
     // Scripted kills keyed by session index; a session is killed at
     // the first of its events whose local time reaches the mark.
     std::vector<std::optional<Tick>> killAt(cursors.size());
@@ -515,19 +524,13 @@ SimEngine::run(const workload::TrainConfig *config)
                     ? kAnyStream
                     : remapStream(bestIndex, event.stream);
             noteStream(*best, stream);
-            const std::uint64_t wall0 = Stopwatch::nowNs();
             const auto got = mAllocator.allocate(event.bytes, stream);
-            allocWall.add(Stopwatch::nowNs() - wall0);
             if (!got.ok()) {
                 best->live.erase(slot);
-                if (got.error().code == Errc::outOfMemory) {
+                if (got.error().code == Errc::outOfMemory)
                     killOnOom(*best, event.bytes);
-                } else if (mOptions.abortSessionOnFault) {
-                    killAborted(*best, got.error().message);
-                } else {
-                    GMLAKE_PANIC("allocator error: ",
-                                 got.error().message);
-                }
+                else
+                    killOnFault(*best, "allocator", got.error());
                 break;
             }
             if (tier != nullptr)
@@ -584,14 +587,10 @@ SimEngine::run(const workload::TrainConfig *config)
                 // The tenant's working set cannot be faulted back:
                 // it dies exactly like an allocation OOM. A failed
                 // copy lane under chaos aborts it instead.
-                if (st.error().code == Errc::outOfMemory) {
+                if (st.error().code == Errc::outOfMemory)
                     killOnOom(*best, it->second.bytes);
-                } else if (mOptions.abortSessionOnFault) {
-                    killAborted(*best, st.error().message);
-                } else {
-                    GMLAKE_PANIC("offload touch error: ",
-                                 st.error().message);
-                }
+                else
+                    killOnFault(*best, "offload touch", st.error());
             }
             break;
           }
@@ -752,9 +751,6 @@ SimEngine::run(const workload::TrainConfig *config)
         result.offloadWallNs =
             tier->stats().offloadWallNs - offloadWallStart;
     }
-    result.allocWallNs = allocWall.totalNs();
-    result.allocWallP50Ns = allocWall.quantileNs(0.50);
-    result.allocWallP99Ns = allocWall.quantileNs(0.99);
     result.runWallNs = runWall.elapsedNs();
 
     if (config && result.iterationsDone > 0 && result.simTime > 0) {

@@ -122,9 +122,9 @@ struct SessionResult
     /** Engine time (ns since run start) at which the session died. */
     Tick oomAt = 0;
     /**
-     * Session was terminated by chaos — an injected non-OOM fault
-     * (EngineOptions::abortSessionOnFault) or a scripted tenant kill
-     * — rather than by OOM; mutually exclusive with `oom`.
+     * Session was terminated by chaos — an Errc::faultInjected
+     * failure or a scripted tenant kill — rather than by OOM;
+     * mutually exclusive with `oom`.
      */
     bool aborted = false;
     int iterationsDone = 0;

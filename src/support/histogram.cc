@@ -1,7 +1,6 @@
 #include "support/histogram.hh"
 
 #include <bit>
-#include <cmath>
 #include <sstream>
 
 #include "support/logging.hh"
@@ -11,53 +10,8 @@ namespace gmlake
 {
 
 void
-SummaryStats::add(double v)
-{
-    if (mCount == 0) {
-        mMin = mMax = v;
-    } else {
-        if (v < mMin) mMin = v;
-        if (v > mMax) mMax = v;
-    }
-    ++mCount;
-    mSum += v;
-    mSumSq += v * v;
-}
-
-double
-SummaryStats::min() const
-{
-    GMLAKE_ASSERT(mCount > 0, "min() of empty stats");
-    return mMin;
-}
-
-double
-SummaryStats::max() const
-{
-    GMLAKE_ASSERT(mCount > 0, "max() of empty stats");
-    return mMax;
-}
-
-double
-SummaryStats::mean() const
-{
-    return mCount == 0 ? 0.0 : mSum / static_cast<double>(mCount);
-}
-
-double
-SummaryStats::stddev() const
-{
-    if (mCount == 0)
-        return 0.0;
-    const double m = mean();
-    const double var = mSumSq / static_cast<double>(mCount) - m * m;
-    return var > 0.0 ? std::sqrt(var) : 0.0;
-}
-
-void
 SizeHistogram::add(std::uint64_t bytes)
 {
-    mStats.add(static_cast<double>(bytes));
     const int k = bytes == 0 ? 0 : std::bit_width(bytes) - 1;
     ++mBuckets[static_cast<std::size_t>(k)];
 }

@@ -114,7 +114,7 @@ class ObsApiSpan
 
 Device::Device(DeviceConfig config)
     : mCost(config.cost),
-      mPhys(config.capacity, kGranularity),
+      mPhys(config.capacity),
       mVa(),
       mMap(mPhys)
 {
@@ -137,7 +137,7 @@ Device::memAddressReserve(Bytes size)
     if (size == 0)
         return makeError(Errc::invalidValue, "reserve of zero bytes");
     const Bytes rounded = roundUp(size, kGranularity);
-    return mVa.reserve(rounded, kGranularity);
+    return mVa.reserve(rounded);
 }
 
 Status
@@ -501,7 +501,7 @@ Device::mallocNative(Bytes size)
     const auto handle = mPhys.create(rounded);
     if (!handle.ok())
         return handle.error();
-    auto va = mVa.reserve(rounded, kGranularity);
+    auto va = mVa.reserve(rounded);
     if (!va.ok()) {
         const Status s = mPhys.release(*handle);
         GMLAKE_ASSERT(s.ok(), "rollback release failed");

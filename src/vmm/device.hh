@@ -57,13 +57,6 @@
 namespace gmlake::vmm
 {
 
-/**
- * Physical allocation granularity: 2 MiB, what real devices report
- * (cuMemGetAllocationGranularity). Reservations, chunks and mappings
- * are multiples of it.
- */
-inline constexpr Bytes kGranularity = Bytes{2} * 1024 * 1024;
-
 struct DeviceConfig
 {
     /** Device memory capacity; default mirrors the A100-80GB. */

@@ -9,11 +9,9 @@
 namespace gmlake::vmm
 {
 
-PhysMemory::PhysMemory(Bytes capacity, Bytes granularity)
-    : mCapacity(capacity), mGranularity(granularity)
+PhysMemory::PhysMemory(Bytes capacity) : mCapacity(capacity)
 {
-    GMLAKE_ASSERT(granularity > 0, "granularity must be positive");
-    GMLAKE_ASSERT(isAligned(capacity, granularity),
+    GMLAKE_ASSERT(isAligned(capacity, kGranularity),
                   "capacity must be a granularity multiple");
     mHoles.insert(0, capacity);
 }
@@ -64,11 +62,11 @@ PhysMemory::createRun(Bytes size, std::span<PhysHandle> out)
     RunStatus run;
     if (out.empty())
         return run;
-    if (size == 0 || !isAligned(size, mGranularity)) {
+    if (size == 0 || !isAligned(size, kGranularity)) {
         run.status = makeError(Errc::invalidValue,
                                "cuMemCreate size " + formatBytes(size) +
                                " is not a positive multiple of " +
-                               formatBytes(mGranularity));
+                               formatBytes(kGranularity));
         return run;
     }
     while (run.done < out.size()) {
@@ -113,7 +111,7 @@ PhysMemory::createRun(Bytes size, std::span<PhysHandle> out)
 std::size_t
 PhysMemory::fitCount(Bytes size, std::size_t limit) const
 {
-    if (size == 0 || !isAligned(size, mGranularity))
+    if (size == 0 || !isAligned(size, kGranularity))
         return 0;
     // createRun() fills the lowest-base fitting hole until what is
     // left of it is too small, then moves on to the next fitting

@@ -45,6 +45,13 @@ namespace gmlake::vmm
 {
 
 /**
+ * Physical allocation granularity: 2 MiB, what real devices report
+ * (cuMemGetAllocationGranularity). Reservations, chunks and mappings
+ * are multiples of it.
+ */
+inline constexpr Bytes kGranularity = Bytes{2} * 1024 * 1024;
+
+/**
  * Outcome of a run call: the first @c done elements succeeded, and
  * when the run stopped early @c status holds the error of element
  * @c done — exactly where the equivalent loop of single calls would
@@ -97,18 +104,17 @@ class PhysMemory
     };
 
     /**
-     * @param capacity device memory size in bytes
-     * @param granularity minimum allocation granularity (2 MiB on
-     *        real hardware); all handle sizes must be multiples
+     * @param capacity device memory size in bytes, a multiple of
+     *        kGranularity; so must every handle size be
      */
-    PhysMemory(Bytes capacity, Bytes granularity);
+    explicit PhysMemory(Bytes capacity);
 
     /** Deep-copy the current state into a value object. */
     State saveState() const;
 
     /**
      * Replace the current state with @p state (captured from a
-     * manager of the same capacity/granularity). Handle values issued
+     * manager of the same capacity). Handle values issued
      * after the restore are identical to those the checkpointed
      * manager would have issued.
      */
@@ -210,7 +216,6 @@ class PhysMemory
 
   private:
     Bytes mCapacity;
-    Bytes mGranularity;
     Bytes mInUse = 0;
     Bytes mPeakInUse = 0;
     std::size_t mPeakHoles = 1;

@@ -3,6 +3,7 @@
 #include "support/logging.hh"
 #include "support/strings.hh"
 #include "support/units.hh"
+#include "vmm/phys_memory.hh"
 
 namespace gmlake::vmm
 {
@@ -19,13 +20,10 @@ VaSpace::VaSpace(Bytes limit)
 }
 
 Expected<VirtAddr>
-VaSpace::reserve(Bytes size, Bytes alignment)
+VaSpace::reserve(Bytes size)
 {
     if (size == 0)
         return makeError(Errc::invalidValue, "reserve of zero bytes");
-    if (alignment == 0 || (alignment & (alignment - 1)) != 0)
-        return makeError(Errc::invalidValue,
-                         "alignment must be a power of two");
 
     // First-fit over released holes: the extent map yields the
     // lowest-base hole with size >= request in O(log holes);
@@ -36,7 +34,7 @@ VaSpace::reserve(Bytes size, Bytes alignment)
          hole = mHoles.nextFit(hole->base, size)) {
         const VirtAddr base = hole->base;
         const Bytes holeSize = hole->size;
-        const VirtAddr aligned = roundUp(base, alignment);
+        const VirtAddr aligned = roundUp(base, kGranularity);
         const Bytes slack = aligned - base;
         if (holeSize >= slack + size) {
             // Carve [aligned, aligned+size) from the hole.
@@ -53,7 +51,7 @@ VaSpace::reserve(Bytes size, Bytes alignment)
         }
     }
 
-    const VirtAddr aligned = roundUp(mBump, alignment);
+    const VirtAddr aligned = roundUp(mBump, kGranularity);
     if (aligned + size - kVaBase > mLimit) {
         return makeError(Errc::addressSpaceFull,
                          "VA space limit " + formatBytes(mLimit) +

@@ -27,10 +27,10 @@ class VaSpace
     explicit VaSpace(Bytes limit = Bytes{1} << 48);
 
     /**
-     * Reserve a VA range of @p size bytes aligned to @p alignment.
+     * Reserve a VA range of @p size bytes aligned to kGranularity.
      * Freed ranges are reused first-fit to keep addresses stable.
      */
-    Expected<VirtAddr> reserve(Bytes size, Bytes alignment);
+    Expected<VirtAddr> reserve(Bytes size);
 
     /** Free a reservation previously returned by reserve(). */
     Status free(VirtAddr addr);

@@ -21,7 +21,6 @@ Trace::append(Event event)
         mStats.totalAllocBytes += event.bytes;
         if (event.bytes > mStats.maxAllocBytes)
             mStats.maxAllocBytes = event.bytes;
-        mHistogram.add(event.bytes);
     } else if (event.kind == EventKind::iterationMark) {
         ++mStats.iterations;
     }

@@ -16,7 +16,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "support/histogram.hh"
 #include "support/types.hh"
 
 namespace gmlake::workload
@@ -108,7 +107,6 @@ class Trace
     const std::vector<Event> &events() const { return mEvents; }
     std::size_t size() const { return mEvents.size(); }
     const TraceStats &stats() const { return mStats; }
-    const SizeHistogram &sizeHistogram() const { return mHistogram; }
 
     /** Sanity check: frees match allocs, no double free/alloc. */
     void validate() const;
@@ -127,7 +125,6 @@ class Trace
   private:
     std::vector<Event> mEvents;
     TraceStats mStats;
-    SizeHistogram mHistogram;
     detail::AliveCookie mCookie;
 };
 

@@ -158,9 +158,6 @@ const std::vector<std::string> kRunResultKeys = {
     "alloc_count",
     "free_count",
     "device_api_time_ns",
-    "alloc_wall_ns",
-    "alloc_wall_p50_ns",
-    "alloc_wall_p99_ns",
     "run_wall_ns",
     "vmm_wall_ns",
     "evicted_bytes",

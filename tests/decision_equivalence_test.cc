@@ -8,9 +8,9 @@
  * into FNV-1a digests and pinned against values recorded from the
  * pre-refactor allocator.
  *
- * Host-wallclock fields (alloc_wall_*, run_wall_*) are excluded:
- * they measure the simulator, not the simulation, and differ on
- * every run by design.
+ * Host-wallclock and RSS values (the *_wall_ns fields, every metric
+ * named "wall" or "rss") are excluded: they measure the simulator,
+ * not the simulation, and differ on every run by design.
  *
  * Re-record after an *intentional* decision change with:
  *

@@ -319,7 +319,8 @@ TEST(Recovery, StitchPartialFailureRollsBackBlockByBlock)
     const alloc::MemorySnapshot before = lake.snapshot();
     const Bytes physBefore = dev.phys().inUse();
     const std::size_t vaBefore = dev.vaSpace().reservationCount();
-    const std::uint64_t rollbacksBefore = lake.rollbackCount();
+    const std::uint64_t rollbacksBefore =
+        lake.recoveryCounters().rollbacks;
     const auto countersBefore = lake.strategy();
 
     dev.installFaultInjector(nthPlan(FaultApi::memMapBatch, {1}), 9);
@@ -335,7 +336,7 @@ TEST(Recovery, StitchPartialFailureRollsBackBlockByBlock)
     EXPECT_EQ(dev.vaSpace().reservationCount(), vaBefore);
     EXPECT_EQ(lake.pBlockCount(), 2u);
     EXPECT_EQ(lake.sBlockCount(), 0u);
-    EXPECT_EQ(lake.rollbackCount(), rollbacksBefore + 1);
+    EXPECT_EQ(lake.recoveryCounters().rollbacks, rollbacksBefore + 1);
     EXPECT_EQ(lake.strategy().s3MultiBlocks,
               countersBefore.s3MultiBlocks + 1);
     lake.auditInvariants();
@@ -367,7 +368,7 @@ TEST(Recovery, SplitFailureHandsOutWholeBlock)
     const auto small = lake.allocate(4_MiB);
     ASSERT_TRUE(small.ok());
     EXPECT_EQ(small->addr, bigVa);
-    EXPECT_GE(lake.rollbackCount(), 1u);
+    EXPECT_GE(lake.recoveryCounters().rollbacks, 1u);
     EXPECT_EQ(lake.pBlockCount(), 1u);
     lake.auditInvariants();
     ASSERT_TRUE(lake.deallocate(small->id).ok());

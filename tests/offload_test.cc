@@ -532,9 +532,8 @@ TEST(OffloadRig, FaultStormsLeaveTheBooksBalanced)
                 SCOPED_TRACE(std::string("plan '") + spec + "', " +
                              offload::policyKindName(policy) +
                              ", seed " + std::to_string(seed));
-                sim::ScenarioOptions options = tieredOptions(policy);
-                options.engine.abortSessionOnFault = true;
-                sim::Rig rig(sim::AllocatorKind::gmlake, options);
+                sim::Rig rig(sim::AllocatorKind::gmlake,
+                             tieredOptions(policy));
                 vmm::FaultPlan plan = vmm::FaultPlan::parse(spec);
                 if (!plan.empty()) {
                     rig.device().installFaultInjector(std::move(plan),

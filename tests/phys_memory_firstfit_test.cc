@@ -203,7 +203,7 @@ TEST(PhysMemoryFirstFit, RandomChurnMatchesNaiveReference)
 {
     for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL, 1337ULL}) {
         const Bytes capacity = 1_GiB;
-        PhysMemory phys(capacity, 2_MiB);
+        PhysMemory phys(capacity);
         ReferencePhys ref(capacity);
         Rng rng(seed);
 
@@ -387,8 +387,8 @@ TEST(PhysMemoryFirstFit, RunCallsMatchSingleCallsInLockstep)
     // so runs straddle holes, stop on OOM and release in stretches.
     for (const std::uint64_t seed : {3ULL, 11ULL, 42ULL, 2024ULL}) {
         const Bytes capacity = 256_MiB;
-        PhysMemory runs(capacity, 2_MiB);
-        PhysMemory twin(capacity, 2_MiB);
+        PhysMemory runs(capacity);
+        PhysMemory twin(capacity);
         ReferencePhys ref(capacity);
         Rng rng(seed);
 
@@ -519,8 +519,8 @@ TEST(PhysMemoryFirstFit, ReleaseStretchKeepsThePeakOfSingleReleases)
     // descending release of the same stretch next to the tail hole
     // never adds a hole. The run must report the same peaks.
     for (const bool descending : {false, true}) {
-        PhysMemory runs(16_MiB, 2_MiB);
-        PhysMemory twin(16_MiB, 2_MiB);
+        PhysMemory runs(16_MiB);
+        PhysMemory twin(16_MiB);
         std::vector<PhysHandle> handles(4, kNullHandle);
         ASSERT_TRUE(runs.createRun(2_MiB, handles).ok());
         std::vector<PhysHandle> twins(4, kNullHandle);

@@ -2,7 +2,8 @@
  * @file
  * Multi-session engine tests: namespace isolation between co-located
  * tenants, merged-timeline semantics, tenant-scoped OOM with memory
- * reclamation, scripted kills, equivalence of the static trace merge
+ * reclamation, scripted kills, injected-fault aborts (and the panic
+ * on any other allocator error), equivalence of the static trace merge
  * helpers with the event-driven engine, single-session equivalence
  * with the classic runTrace() wrapper, and pinned digests of every
  * per-session result of three multi-tenant mixes.
@@ -23,6 +24,7 @@
 #include <type_traits>
 
 #include "alloc/caching_allocator.hh"
+#include "alloc/expandable_allocator.hh"
 #include "alloc/native_allocator.hh"
 #include "sim/runner.hh"
 #include "sim/session.hh"
@@ -357,6 +359,59 @@ TEST(Session, ScriptedKillAtZeroFiresBeforeTheFirstEvent)
     EXPECT_FALSE(rb->aborted);
     EXPECT_EQ(rb->allocCount, 4u);
     EXPECT_EQ(multi.combined.abortedSessions, 1u);
+}
+
+TEST(Session, InjectedFaultAbortsOnlyThatTenant)
+{
+    // The expandable allocator passes a failed access grant up as
+    // Errc::faultInjected once its trim-and-retry fails as well, so
+    // tenant a's first allocation, which hits both injected
+    // failures, aborts a; b arrives later and replays on. No engine
+    // option asks for this: an injected fault always aborts.
+    vmm::Device dev(smallDevice());
+    alloc::ExpandableSegmentsAllocator alloc(dev);
+    dev.installFaultInjector(vmm::FaultPlan::parse("setaccess:n=1,n=2"),
+                             1);
+    SimEngine engine(alloc, dev);
+    engine.addSession(Session("a", tenantTrace()));
+    engine.addSession(Session("b", tenantTrace(), Tick{10'000'000}));
+    const auto multi = engine.run();
+
+    const auto *ra = multi.find("a");
+    const auto *rb = multi.find("b");
+    ASSERT_NE(ra, nullptr);
+    ASSERT_NE(rb, nullptr);
+    EXPECT_TRUE(ra->aborted);
+    EXPECT_EQ(ra->allocCount, 0u);
+    EXPECT_FALSE(rb->aborted);
+    EXPECT_EQ(rb->allocCount, 2u);
+    EXPECT_EQ(rb->freeCount, 2u);
+    EXPECT_FALSE(multi.anyOom());
+    EXPECT_EQ(multi.combined.abortedSessions, 1u);
+    EXPECT_EQ(multi.combined.injectedFaults, 2u);
+}
+
+TEST(Session, AllocatorBugPanicsTheRun)
+{
+    // A non-OOM error that no fault plan injected is an allocator
+    // bug: the engine panics rather than report an aborted tenant.
+    class DoubleMapAllocator : public alloc::NativeAllocator
+    {
+      public:
+        using alloc::NativeAllocator::NativeAllocator;
+        using alloc::Allocator::allocate;
+        Expected<alloc::Allocation>
+        allocate(Bytes, StreamId) override
+        {
+            return makeError(Errc::alreadyMapped, "VA mapped twice");
+        }
+    };
+    vmm::Device dev(smallDevice());
+    DoubleMapAllocator alloc(dev);
+    SimEngine engine(alloc, dev);
+    engine.addSession(Session("a", tenantTrace()));
+    engine.addSession(Session("b", tenantTrace()));
+    EXPECT_THROW(engine.run(), PanicError);
 }
 
 TEST(Session, SingleSessionOomLeavesMemoryLikeLegacy)

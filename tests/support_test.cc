@@ -191,25 +191,6 @@ TEST(Rng, LogNormalPositiveAndCentred)
 
 // ------------------------------------------------------------ histogram
 
-TEST(SummaryStats, Accumulates)
-{
-    SummaryStats s;
-    for (double v : {1.0, 2.0, 3.0, 4.0})
-        s.add(v);
-    EXPECT_EQ(s.count(), 4u);
-    EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 4.0);
-    EXPECT_NEAR(s.stddev(), 1.118, 1e-3);
-}
-
-TEST(SummaryStats, EmptyMeanIsZeroAndMinPanics)
-{
-    SummaryStats s;
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-    EXPECT_THROW(s.min(), std::logic_error);
-}
-
 TEST(SizeHistogram, BucketsPowersOfTwo)
 {
     SizeHistogram h;
@@ -220,8 +201,6 @@ TEST(SizeHistogram, BucketsPowersOfTwo)
     EXPECT_EQ(h.bucketCount(0), 1u);
     EXPECT_EQ(h.bucketCount(10), 2u);
     EXPECT_EQ(h.bucketCount(11), 1u);
-    EXPECT_EQ(h.count(), 4u);
-    EXPECT_EQ(h.totalBytes(), 1u + 1024 + 1536 + 2048);
     EXPECT_FALSE(h.render().empty());
 }
 

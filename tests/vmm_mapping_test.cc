@@ -30,7 +30,7 @@ namespace
 class MappingTest : public ::testing::Test
 {
   protected:
-    MappingTest() : phys(64_MiB, 2_MiB), table(phys) {}
+    MappingTest() : phys(64_MiB), table(phys) {}
 
     PhysHandle
     chunk()
@@ -428,7 +428,7 @@ class MappingModelTest : public ::testing::TestWithParam<std::uint64_t>
     static constexpr Bytes span = 96_MiB;
 
     MappingModelTest()
-        : phys(256_MiB, 2_MiB), table(phys), rng(GetParam())
+        : phys(256_MiB), table(phys), rng(GetParam())
     {
         for (int i = 0; i < 4; ++i) {
             for (const Bytes size : {2_MiB, 4_MiB, 6_MiB}) {

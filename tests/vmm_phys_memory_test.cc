@@ -15,7 +15,7 @@ using vmm::PhysMemory;
 
 TEST(PhysMemory, CreateAndRelease)
 {
-    PhysMemory phys(16_MiB, 2_MiB);
+    PhysMemory phys(16_MiB);
     const auto h = phys.create(4_MiB);
     ASSERT_TRUE(h.ok());
     EXPECT_EQ(phys.inUse(), 4_MiB);
@@ -28,7 +28,7 @@ TEST(PhysMemory, CreateAndRelease)
 
 TEST(PhysMemory, PeakTracksHighWaterMark)
 {
-    PhysMemory phys(16_MiB, 2_MiB);
+    PhysMemory phys(16_MiB);
     const auto a = phys.create(8_MiB);
     const auto b = phys.create(4_MiB);
     ASSERT_TRUE(a.ok() && b.ok());
@@ -39,14 +39,14 @@ TEST(PhysMemory, PeakTracksHighWaterMark)
 
 TEST(PhysMemory, RejectsUnalignedSize)
 {
-    PhysMemory phys(16_MiB, 2_MiB);
+    PhysMemory phys(16_MiB);
     EXPECT_EQ(phys.create(3_MiB).code(), Errc::invalidValue);
     EXPECT_EQ(phys.create(0).code(), Errc::invalidValue);
 }
 
 TEST(PhysMemory, OutOfMemoryAtCapacity)
 {
-    PhysMemory phys(8_MiB, 2_MiB);
+    PhysMemory phys(8_MiB);
     const auto a = phys.create(6_MiB);
     ASSERT_TRUE(a.ok());
     EXPECT_EQ(phys.create(4_MiB).code(), Errc::outOfMemory);
@@ -56,13 +56,13 @@ TEST(PhysMemory, OutOfMemoryAtCapacity)
 
 TEST(PhysMemory, ReleaseUnknownHandleFails)
 {
-    PhysMemory phys(8_MiB, 2_MiB);
+    PhysMemory phys(8_MiB);
     EXPECT_EQ(phys.release(1234).code(), Errc::invalidValue);
 }
 
 TEST(PhysMemory, MapRefsBlockRelease)
 {
-    PhysMemory phys(8_MiB, 2_MiB);
+    PhysMemory phys(8_MiB);
     const auto h = phys.create(2_MiB);
     ASSERT_TRUE(h.ok());
     EXPECT_TRUE(phys.addMapRef(*h).ok());
@@ -77,7 +77,7 @@ TEST(PhysMemory, MapRefsBlockRelease)
 
 TEST(PhysMemory, DropRefWithoutMapFails)
 {
-    PhysMemory phys(8_MiB, 2_MiB);
+    PhysMemory phys(8_MiB);
     const auto h = phys.create(2_MiB);
     ASSERT_TRUE(h.ok());
     EXPECT_EQ(phys.dropMapRef(*h).code(), Errc::notMapped);
@@ -86,7 +86,7 @@ TEST(PhysMemory, DropRefWithoutMapFails)
 
 TEST(PhysMemory, SizeOf)
 {
-    PhysMemory phys(8_MiB, 2_MiB);
+    PhysMemory phys(8_MiB);
     const auto h = phys.create(6_MiB);
     ASSERT_TRUE(h.ok());
     EXPECT_EQ(*phys.sizeOf(*h), 6_MiB);
@@ -95,7 +95,7 @@ TEST(PhysMemory, SizeOf)
 
 TEST(PhysMemory, HandlesAreUnique)
 {
-    PhysMemory phys(8_MiB, 2_MiB);
+    PhysMemory phys(8_MiB);
     const auto a = phys.create(2_MiB);
     const auto b = phys.create(2_MiB);
     ASSERT_TRUE(a.ok() && b.ok());
